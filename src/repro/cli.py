@@ -54,13 +54,18 @@ from repro.eval.resilience import (
     degradation_curves,
     reconvergence_after_death,
 )
-from repro.eval.runner import PointSpec, TraceSpec, parse_jobs, run_points
+from repro.eval.runner import (
+    PointSpec,
+    TraceSpec,
+    execute,
+    parse_jobs,
+    point_scenario_dict,
+)
 from repro.eval.scenario import (
     ScenarioResult,
     ScenarioSpec,
     load_scenario,
     preset_catalog,
-    preset_names,
     rerun_scenario,
     run_scenario,
 )
@@ -252,12 +257,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             return 2
         if shards is None and spec.shards is not None:
             shards = spec.shards
-        if shards is not None:
-            from repro.eval.sharded import run_scenario_sharded
-
-            res, _infos = run_scenario_sharded(spec, shards=shards)
-        else:
-            res = run_scenario(spec, jobs=parse_jobs(args.jobs))
+        res, _infos = _execute_scenario(spec, jobs=parse_jobs(args.jobs), shards=shards)
         _maybe_record(args, ingest_scenario_result, res, kind="run")
         result = res.results[0].metrics
         point = res.points[0]
@@ -272,24 +272,16 @@ def cmd_run(args: argparse.Namespace) -> int:
     point = PointSpec(
         protocol=args.protocol, memory_kb=args.memory, rate=args.rate, seed=args.seed
     )
-    if shards is not None:
-        from repro.eval.runner import point_scenario_dict
-        from repro.eval.sharded import execute_point_sharded
-
-        config = profile.sim_config(
-            memory_kb=point.memory_kb, rate=point.rate, seed=point.seed
-        )
-        point = dataclasses.replace(
-            point, scenario=point_scenario_dict(tspec, point, config)
-        )
-        sharded_result, _info = execute_point_sharded(
-            trace, point, config, shards=shards
-        )
-        results = [sharded_result]
-    else:
-        results = run_points(
-            trace, profile, [point], jobs=parse_jobs(args.jobs), trace_spec=tspec
-        )
+    config = profile.sim_config(
+        memory_kb=point.memory_kb, rate=point.rate, seed=point.seed
+    )
+    point = dataclasses.replace(
+        point, scenario=point_scenario_dict(tspec, point, config)
+    )
+    results, _infos = execute(
+        [(tspec, point, config)], jobs=parse_jobs(args.jobs), shards=shards,
+        traces={tspec.key: trace},
+    )
     _maybe_record(
         args, ingest_experiment_results, results,
         kind="run", label=f"run:{args.protocol}",
@@ -394,21 +386,20 @@ def _print_sweep_result(result) -> None:
 def _progress_printer(total: int):
     """A sweep ``progress`` callback printing completion + ETA to stderr.
 
-    Deduplicates on point index (pool retries re-emit ``finished`` for the
-    same point) and ignores ``started`` records — one line per completed
-    point keeps a 30-point sweep readable.
+    Ignores ``started`` records — one line per completed point keeps a
+    30-point sweep readable.
     """
     from time import perf_counter
 
-    state = {"done": set(), "t0": perf_counter()}
+    state = {"done": 0, "t0": perf_counter()}
 
     def on_event(event) -> None:
-        if event.kind != "finished" or event.index in state["done"]:
+        if event.kind != "finished":
             return
-        state["done"].add(event.index)
-        n = len(state["done"])
+        state["done"] += 1
+        n = state["done"]
         elapsed = perf_counter() - state["t0"]
-        eta = elapsed / n * (total - n) if n else 0.0
+        eta = elapsed / n * (total - n)
         took = f" in {event.seconds:.1f}s" if event.seconds is not None else ""
         print(
             f"[{n}/{total}] {event.protocol} memory={event.memory_kb:g} "
@@ -527,29 +518,33 @@ def cmd_scenario(args: argparse.Namespace) -> int:
         if shards is not None and shards < 2:
             shards = None
         return _run_resumable_cli(args, spec, shards, args.run_dir)
-    if shards is not None and shards >= 2:
-        from repro.eval.sharded import run_scenario_sharded
-
-        res, infos = run_scenario_sharded(spec, shards=shards)
-        if args.span_tree:
-            tree_payload = [
-                {
-                    "protocol": point.protocol,
-                    "seed": point.seed,
-                    "execution": info.get("execution"),
-                    "span_tree": info.get("span_tree"),
-                }
-                for point, info in zip(res.points, infos)
-            ]
-            with open(args.span_tree, "w", encoding="utf-8") as fh:
-                json.dump(tree_payload, fh, indent=2, sort_keys=True)
-            print(f"wrote {len(tree_payload)} span trees to {args.span_tree}")
-    else:
-        if shards is not None:
-            print(f"--shards {shards} < 2: running serially", file=sys.stderr)
-        res = run_scenario(spec, jobs=parse_jobs(args.jobs))
+    if shards is not None and shards < 2:
+        print(f"--shards {shards} < 2: running serially", file=sys.stderr)
+        shards = None
+    res, infos = _execute_scenario(spec, jobs=parse_jobs(args.jobs), shards=shards)
+    if shards is not None and args.span_tree:
+        tree_payload = [
+            {
+                "protocol": point.protocol,
+                "seed": point.seed,
+                "execution": info.get("execution"),
+                "span_tree": info.get("span_tree"),
+            }
+            for point, info in zip(res.points, infos)
+        ]
+        with open(args.span_tree, "w", encoding="utf-8") as fh:
+            json.dump(tree_payload, fh, indent=2, sort_keys=True)
+        print(f"wrote {len(tree_payload)} span trees to {args.span_tree}")
     _maybe_record(args, ingest_scenario_result, res)
     return _scenario_output(args, res)
+
+
+def _execute_scenario(spec: ScenarioSpec, *, jobs: int, shards: Optional[int]):
+    """Every point of ``spec`` through the executor: ``(result, infos)``."""
+    profile, tspec, materialized = spec.resolve_trace()
+    entries = spec.entries(profile, tspec)
+    results, infos = execute(entries, jobs=jobs, shards=shards, traces=materialized)
+    return ScenarioResult(spec, [p for _, p, _ in entries], results), infos
 
 
 def _scenario_output(args: argparse.Namespace, res: ScenarioResult) -> int:

@@ -195,7 +195,6 @@ def degradation_curves(
     config: Optional[SimConfig] = None,
     fault_seed: int = 7,
     jobs: Union[int, str, None] = 1,
-    timeout: Optional[float] = None,
 ) -> DegradationCurves:
     """Run every protocol at every intensity and fold the curves.
 
@@ -235,9 +234,7 @@ def degradation_curves(
                 seed=base.seed,
             )
             entries.append((spec, point, cfg))
-    results = run_point_specs(
-        entries, jobs=jobs, materialized={spec.key: trace}, timeout=timeout
-    )
+    results = run_point_specs(entries, jobs=jobs, materialized={spec.key: trace})
     out = DegradationCurves(
         trace=trace.name, intensities=grid, fault_seed=int(fault_seed)
     )

@@ -26,24 +26,17 @@ any kill/resume sequence.  See docs/reliability.md.
 
 from __future__ import annotations
 
-import os
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-from time import perf_counter
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
-from repro.eval.experiment import ExperimentResult, execute_config
-from repro.eval.runner import ProgressEvent, ProgressFn, SweepInterrupted
+from repro.eval.runner import ProgressFn, execute
 from repro.eval.scenario import ScenarioResult, ScenarioSpec
-from repro.eval.sharded import execute_point_sharded
-from repro.obs import events as event_types
-from repro.obs.registry import MetricsRegistry
 from repro.sim.checkpoint import (
     DEFAULT_EVERY_EVENTS,
     CheckpointError,
-    ExecutionInterrupted,
     InterruptFlag,
     RunDir,
-    SerialCheckpointer,
 )
 from repro.store.db import content_hash
 
@@ -131,23 +124,23 @@ def run_resumable(
     *,
     shards: Optional[int] = None,
     every_events: int = DEFAULT_EVERY_EVENTS,
-    registry: Optional[MetricsRegistry] = None,
-    barrier_timeout: Optional[float] = None,
-    max_restarts: int = 2,
     restart_backoff: float = 0.5,
     injections: Optional[Mapping[int, Mapping[str, Any]]] = None,
     progress: Optional[ProgressFn] = None,
     flag: Optional[InterruptFlag] = None,
-    on_result: Optional[Callable[[int, ExperimentResult], None]] = None,
     trace_cache: Optional[Dict[str, Any]] = None,
+    pool: Optional[ProcessPoolExecutor] = None,
 ) -> Tuple[ScenarioResult, List[Optional[Dict[str, Any]]]]:
     """Run (or continue) every point of ``spec`` inside ``run_dir``.
 
-    Committed points are skipped outright; the rest execute with
-    checkpointing on — serial points through
+    The scenario-level form of :func:`~repro.eval.runner.execute` with a
+    run directory: committed points are skipped outright; the rest execute
+    with checkpointing on — serial points through
     :meth:`Simulation.run_checkpointed`, sharded points (``shards >= 2``)
     through the supervised epoch-barrier coordinator, both resuming from
-    whatever checkpoints the directory already holds.
+    whatever checkpoints the directory already holds — or, given a
+    long-lived ``pool``, over its workers, each result committed as it
+    lands.
 
     A deferred SIGINT/SIGTERM flushes the in-flight point's state and
     raises :class:`~repro.eval.runner.SweepInterrupted` carrying the
@@ -155,10 +148,9 @@ def run_resumable(
     can record the partial sweep; re-invoking with the same directory
     finishes it.
 
-    ``injections`` is the chaos hook: a per-point-index mapping with
-    optional ``chaos_kill`` (``(shard, epoch)`` forwarded to the shard
-    worker) and ``crash_after_saves`` (forwarded to the serial
-    checkpointer) keys.  Production callers leave it ``None``.
+    ``injections`` is the chaos hook: a per-point-index mapping of the
+    executor's injection keys (``chaos_kill``, ``crash_after_saves``,
+    ``pool_exit``, ``pool_raise``).  Production callers leave it ``None``.
 
     Job-level hooks (used by ``repro serve``, harmless elsewhere):
 
@@ -169,127 +161,37 @@ def run_resumable(
     * ``flag`` supplies an externally-owned
       :class:`~repro.sim.checkpoint.InterruptFlag`; setting its
       ``triggered`` attribute from another thread cancels the run at the
-      next checkpoint tick (in-flight state flushed, the usual
+      next dispatched event (in-flight state flushed, the usual
       :class:`SweepInterrupted` raised).  Default: a fresh flag wired to
       SIGINT/SIGTERM (signal handlers only install on the main thread).
-    * ``on_result`` is called with ``(index, result)`` right after a
-      point's ``result.ckpt`` commits — metrics stream out as they land
-      instead of when the whole grid finishes.
     * ``trace_cache`` (keyed by trace-spec key) shares materialized traces
       across calls, so a long-running server rebuilds each trace once.
     """
-    effective_shards = shards if shards is not None else spec.shards
     profile, tspec, materialized = spec.resolve_trace()
     entries = spec.entries(profile, tspec)
-    recovery = run_dir.recovery_log(registry)
-    injections = dict(injections or {})
-    plan_cache: Dict[int, Any] = {}
-    trace = None
-    points = [point for _, point, _ in entries]
-    results: List[Optional[ExperimentResult]] = [None] * len(entries)
-    infos: List[Optional[Dict[str, Any]]] = [None] * len(entries)
-    total = len(entries)
-    pid = os.getpid()
-
-    def emit(kind: str, i: int, point: Any, seconds: Optional[float]) -> None:
-        if progress is None:
-            return
-        try:
-            progress(ProgressEvent(
-                kind=kind, index=i, total=total, protocol=point.protocol,
-                memory_kb=point.memory_kb, rate=point.rate, seed=point.seed,
-                seconds=seconds, pid=pid,
-            ))
-        except Exception:  # telemetry must never break the run
-            pass
-
+    traces = trace_cache if trace_cache is not None else {}
+    for key, trace in materialized.items():
+        traces.setdefault(key, trace)
     with (flag if flag is not None else InterruptFlag()) as flag:
-        for i, (_tspec, point, config) in enumerate(entries):
-            cached = run_dir.load_result(i)
-            if cached is not None:
-                results[i] = cached["result"]
-                infos[i] = cached.get("info")
-                recovery.emit(
-                    event_types.EXECUTOR_RESUME, kind="point",
-                    index=i, protocol=point.protocol,
-                )
-                emit("finished", i, point, None)
-                if on_result is not None:
-                    on_result(i, cached["result"])
-                continue
-            if flag.triggered:
-                recovery.emit(
-                    event_types.EXECUTOR_INTERRUPT, kind="between-points",
-                    index=i, signum=flag.signum,
-                )
-                raise SweepInterrupted(results)
-            if trace is None:
-                if trace_cache is not None:
-                    trace = trace_cache.get(tspec.key)
-                if trace is None:
-                    trace = materialized.get(tspec.key)
-                if trace is None:
-                    trace = tspec.materialize()
-                if trace_cache is not None:
-                    trace_cache.setdefault(tspec.key, trace)
-            inj = dict(injections.get(i) or {})
-            point_dir = run_dir.point_dir(i)
-            checkpointer = SerialCheckpointer(
-                point_dir / "serial",
-                every_events=every_events,
-                flag=flag,
-                recovery=recovery,
-                crash_after_saves=inj.get("crash_after_saves"),
-            )
-            emit("started", i, point, None)
-            t0 = perf_counter()
-            try:
-                if effective_shards is not None and effective_shards >= 2:
-                    result, info = execute_point_sharded(
-                        trace, point, config,
-                        shards=effective_shards,
-                        plan_cache=plan_cache,
-                        checkpoint_dir=point_dir,
-                        recovery=recovery,
-                        barrier_timeout=barrier_timeout,
-                        max_restarts=max_restarts,
-                        restart_backoff=restart_backoff,
-                        chaos_kill=inj.get("chaos_kill"),
-                        serial_checkpointer=checkpointer,
-                    )
-                else:
-                    result = execute_config(
-                        trace, point.protocol, config,
-                        memory_kb=point.memory_kb,
-                        rate=point.rate,
-                        seed=point.seed,
-                        protocol_kwargs=point.protocol_kwargs,
-                        scenario=point.scenario,
-                        checkpointer=checkpointer,
-                    )
-                    info = {"execution": {"mode": "serial"}}
-            except ExecutionInterrupted:
-                # the in-flight point's state is already flushed; surface
-                # the completed prefix so the caller can record it
-                raise SweepInterrupted(results) from None
-            run_dir.write_result(i, {"index": i, "result": result, "info": info})
-            results[i] = result
-            infos[i] = info
-            emit("finished", i, point, perf_counter() - t0)
-            if on_result is not None:
-                on_result(i, result)
-    return (
-        ScenarioResult(spec=spec, points=points, results=list(results)),
-        infos,
-    )
+        results, infos = execute(
+            entries,
+            shards=shards if shards is not None else spec.shards,
+            run_dir=run_dir,
+            every_events=every_events,
+            progress=progress,
+            cancel=flag,
+            traces=traces,
+            injections=injections,
+            restart_backoff=restart_backoff,
+            pool=pool,
+        )
+    points = [point for _, point, _ in entries]
+    return ScenarioResult(spec=spec, points=points, results=results), infos
 
 
 def resume_run(
     path: Union[str, Path],
     *,
-    registry: Optional[MetricsRegistry] = None,
-    barrier_timeout: Optional[float] = None,
-    max_restarts: int = 2,
     restart_backoff: float = 0.5,
 ) -> Tuple[ScenarioResult, List[Optional[Dict[str, Any]]], ScenarioSpec]:
     """Continue the run in ``path`` from its last complete checkpoints.
@@ -302,9 +204,6 @@ def resume_run(
         spec, rd,
         shards=shards,
         every_events=every,
-        registry=registry,
-        barrier_timeout=barrier_timeout,
-        max_restarts=max_restarts,
         restart_backoff=restart_backoff,
     )
     return result, infos, spec

@@ -1,20 +1,27 @@
-"""Parallel experiment executor: fan independent sweep points over processes.
+"""The experiment executor: one path for every grid of independent points.
 
 The paper's evaluation (Figs. 11-14, Tables 6-9) is dominated by parameter
 sweeps — every ``(trace, protocol, memory, rate, seed)`` point an
-independent discrete-event run.  :func:`run_points` executes such points
-over a process pool with three guarantees:
+independent discrete-event run.  :func:`execute` runs such a grid for
+every caller (sweeps, scenario runs, resumable run directories, sharded
+points, ``repro serve`` jobs) with four guarantees:
 
-* **worker-side trace caching** — each worker receives the
-  :class:`TraceSpec` table once (via the pool initializer) and materializes
-  every distinct trace at most once, reusing it across all the points it
-  executes;
+* **trace caching** — in-process points share one trace cache keyed by
+  :class:`TraceSpec` key; pool workers receive a per-call pool's spec
+  table once (via the pool initializer) and materialize every distinct
+  trace at most once, reusing it across all the points they execute;
 * **deterministic ordering** — results come back in submission order no
   matter which worker finishes first;
-* **bit-identical fallback** — ``jobs=1`` (or an unavailable pool) runs the
-  exact same :func:`~repro.eval.experiment.execute_config` path in-process,
-  so serial and parallel runs produce identical
-  :class:`~repro.sim.metrics.MetricsSummary` values for the same seeds.
+* **bit-identical paths** — in-process, pooled, checkpointed and sharded
+  points all produce identical
+  :class:`~repro.sim.metrics.MetricsSummary` values for the same seeds;
+* **failure containment** — a pool point that crashes its worker or
+  raises is retried once in the pool, then re-run in-process, and only
+  then raises :class:`PointExecutionError`.
+
+Progress travels on the result channel: the parent emits ``started`` as
+it hands a point over and ``finished`` once the point's result is in (and
+committed, when there is a run directory).
 
 Configs are resolved from the :class:`~repro.eval.config.TraceProfile` in
 the parent before dispatch (profiles hold non-picklable builder closures;
@@ -24,22 +31,28 @@ the parent before dispatch (profiles hold non-picklable builder closures;
 from __future__ import annotations
 
 import dataclasses
-import multiprocessing
 import os
 import sys
-import threading
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as _FuturesTimeout
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.eval.config import TraceProfile, trace_profile
 from repro.eval.config import full_scale as _resolve_full_scale
 from repro.eval.experiment import ExperimentResult, execute_config
+from repro.eval.sharded import execute_point_sharded
 from repro.mobility.trace import Trace
+from repro.obs import events as event_types
 from repro.obs.provenance import _jsonable
+from repro.sim.checkpoint import (
+    DEFAULT_EVERY_EVENTS,
+    ExecutionInterrupted,
+    InterruptFlag,
+    RunDir,
+    SerialCheckpointer,
+)
 from repro.sim.engine import SimConfig
 
 __all__ = [
@@ -49,42 +62,27 @@ __all__ = [
     "ProgressFn",
     "SweepInterrupted",
     "TraceSpec",
+    "execute",
     "parse_jobs",
     "point_scenario_dict",
     "run_point_specs",
     "run_points",
-    "run_tagged_task",
 ]
-
-#: chaos hooks (set by ``repro chaos`` / tests): the index of the sweep point
-#: whose *pool* task should die abruptly or raise.  The serial re-run path
-#: deliberately has no hook, so an injected pool failure always recovers
-#: through the retry -> serial-fallback chain (see docs/reliability.md).
-CHAOS_POOL_EXIT = "REPRO_CHAOS_POOL_EXIT"
-CHAOS_POOL_RAISE = "REPRO_CHAOS_POOL_RAISE"
-
-
-def _chaos_index(name: str) -> Optional[int]:
-    value = os.environ.get(name)
-    if not value:
-        return None
-    try:
-        return int(value)
-    except ValueError:
-        return None
 
 
 @dataclass(frozen=True)
 class ProgressEvent:
     """One live-telemetry record from a running sweep.
 
-    Workers stream these over the pool boundary as points start and
-    finish, so a long sweep reports per-point completion instead of going
-    dark until the pool drains.  ``kind`` is ``"started"`` or
-    ``"finished"``; ``seconds`` is the point's own wall-clock (finished
-    events only).  A point retried after a worker failure emits a second
-    ``finished`` event for the same ``index`` — consumers tracking
-    completion should dedup on it.
+    The executor emits these from the parent as it hands points over and
+    collects their results, so a long sweep reports per-point completion
+    instead of going dark until the pool drains.  ``kind`` is
+    ``"started"`` (the point was handed to the executor; ``pid`` is the
+    running process in-process, ``None`` for a pool hand-over) or
+    ``"finished"`` (the result is in, and committed when there is a run
+    directory).  ``finished`` carries the ``seconds`` and ``pid`` the
+    executing process measured, and the ``result``; a point restored from
+    a committed result emits only ``finished``, with ``seconds=None``.
     """
 
     kind: str
@@ -96,24 +94,11 @@ class ProgressEvent:
     seed: int
     seconds: Optional[float] = None
     pid: Optional[int] = None
+    result: Optional[ExperimentResult] = None
 
 
 #: progress callback; exceptions it raises are swallowed, never failing a sweep
 ProgressFn = Callable[[ProgressEvent], None]
-
-#: drain-thread shutdown marker (a plain string survives any queue proxy)
-_PROGRESS_SENTINEL = "__repro_progress_done__"
-
-
-def _emit_progress(
-    progress: Optional[ProgressFn], event: ProgressEvent
-) -> None:
-    if progress is None:
-        return
-    try:
-        progress(event)
-    except Exception:  # telemetry must never break the sweep itself
-        pass
 
 
 def parse_jobs(value: Union[int, str, None]) -> int:
@@ -265,10 +250,11 @@ def point_scenario_dict(
 #: one work item: which trace, which point, with which resolved config
 Entry = Tuple[TraceSpec, PointSpec, SimConfig]
 
-#: pool-infrastructure failures that trigger the whole-sweep serial fallback
-#: (pool construction/submission problems; failures of individual points are
-#: handled per-point inside :func:`_run_pool` instead)
+#: a per-call pool that cannot even be built runs the whole grid in-process
 _POOL_ERRORS = (OSError, ImportError, NotImplementedError, BrokenProcessPool)
+
+#: seconds between cancel-flag polls while pool points are in flight
+_CANCEL_POLL = 0.1
 
 
 class PointExecutionError(RuntimeError):
@@ -323,126 +309,38 @@ class SweepInterrupted(RuntimeError):
         )
 
 
-# -- worker-side state ----------------------------------------------------------
+# -- worker side -------------------------------------------------------------------
 _WORKER_SPECS: Dict[str, TraceSpec] = {}
 _WORKER_TRACES: Dict[str, Trace] = {}
-_WORKER_PROGRESS: Optional[Any] = None  # Manager queue proxy, when streaming
 
 
-def _pool_init(
-    specs: Dict[str, TraceSpec], progress_queue: Optional[Any] = None
-) -> None:
+def _pool_init(specs: Dict[str, TraceSpec]) -> None:
     """Pool initializer: receive the spec table once per worker process."""
-    global _WORKER_SPECS, _WORKER_PROGRESS
+    global _WORKER_SPECS
     _WORKER_SPECS = specs
-    _WORKER_PROGRESS = progress_queue
     _WORKER_TRACES.clear()
 
 
-def _worker_put(record: Tuple[Any, ...]) -> None:
-    """Best-effort heartbeat: a dead queue must not fail the point."""
-    queue = _WORKER_PROGRESS
-    if queue is None:
-        return
-    try:
-        queue.put(record)
-    except Exception:
-        pass
+def _worker_trace(spec: Union[str, TraceSpec]) -> Trace:
+    """Materialize (once) and cache a trace in this worker.
 
-
-def _worker_trace(key: str) -> Trace:
-    """Materialize (once) and cache the trace behind ``key`` in this worker."""
-    trace = _WORKER_TRACES.get(key)
+    ``spec`` is a key into the initializer's spec table (a per-call pool)
+    or the spec itself (a caller's long-lived pool, created before the
+    spec existed), which then joins the table — either way the trace is
+    cached per worker, warm across points and calls.
+    """
+    if isinstance(spec, TraceSpec):
+        _WORKER_SPECS.setdefault(spec.key, spec)
+        spec = spec.key
+    trace = _WORKER_TRACES.get(spec)
     if trace is None:
-        trace = _WORKER_SPECS[key].materialize()
-        _WORKER_TRACES[key] = trace
+        trace = _WORKER_TRACES[spec] = _WORKER_SPECS[spec].materialize()
     return trace
 
 
-def _run_task(
-    idx: int, trace_key: str, point: PointSpec, config: SimConfig
-) -> Tuple[int, ExperimentResult]:
-    pid = os.getpid()
-    _worker_put(
-        ("started", idx, point.protocol, point.memory_kb, point.rate, point.seed, None, pid)
-    )
-    if _chaos_index(CHAOS_POOL_EXIT) == idx:
-        os._exit(1)  # abrupt worker death: no exception, no cleanup
-    if _chaos_index(CHAOS_POOL_RAISE) == idx:
-        raise RuntimeError(f"chaos: injected pool failure for point {idx}")
-    trace = _worker_trace(trace_key)
-    t0 = perf_counter()
-    result = execute_config(
-        trace,
-        point.protocol,
-        config,
-        memory_kb=point.memory_kb,
-        rate=point.rate,
-        seed=point.seed,
-        protocol_kwargs=point.protocol_kwargs,
-        scenario=point.scenario,
-    )
-    _worker_put(
-        (
-            "finished",
-            idx,
-            point.protocol,
-            point.memory_kb,
-            point.rate,
-            point.seed,
-            perf_counter() - t0,
-            pid,
-        )
-    )
-    return idx, result
-
-
-def run_tagged_task(
-    tag: str, idx: int, trace_spec: TraceSpec, point: PointSpec, config: SimConfig
-) -> Tuple[str, int, ExperimentResult]:
-    """Pool task for long-lived executors (``repro serve``'s shared fleet).
-
-    Unlike :func:`_run_task`, the :class:`TraceSpec` travels with the task
-    and registers itself into the worker's spec table on arrival — a pool
-    created before the spec existed (a server accepting jobs for its whole
-    lifetime) still gets the per-worker trace cache, warm across jobs.
-    Progress records lead with ``tag`` so one shared drain thread can route
-    heartbeats to the submitting job.
-    """
-    _WORKER_SPECS.setdefault(trace_spec.key, trace_spec)
-    pid = os.getpid()
-    _worker_put(
-        (tag, "started", idx, point.protocol, point.memory_kb, point.rate,
-         point.seed, None, pid)
-    )
-    trace = _worker_trace(trace_spec.key)
-    t0 = perf_counter()
-    result = execute_config(
-        trace,
-        point.protocol,
-        config,
-        memory_kb=point.memory_kb,
-        rate=point.rate,
-        seed=point.seed,
-        protocol_kwargs=point.protocol_kwargs,
-        scenario=point.scenario,
-    )
-    _worker_put(
-        (tag, "finished", idx, point.protocol, point.memory_kb, point.rate,
-         point.seed, perf_counter() - t0, pid)
-    )
-    return tag, idx, result
-
-
-def _rerun_entry_serial(
-    entry: Entry, traces: Dict[str, Trace]
+def _run_entry(
+    trace: Trace, point: PointSpec, config: SimConfig, checkpointer=None
 ) -> ExperimentResult:
-    """Run one entry in-process (the last-resort path for a failed point)."""
-    spec, point, config = entry
-    trace = traces.get(spec.key)
-    if trace is None:
-        trace = spec.materialize()
-        traces[spec.key] = trace
     return execute_config(
         trace,
         point.protocol,
@@ -452,266 +350,272 @@ def _rerun_entry_serial(
         seed=point.seed,
         protocol_kwargs=point.protocol_kwargs,
         scenario=point.scenario,
+        checkpointer=checkpointer,
     )
 
 
-def _progress_drainer(
-    queue: Any, progress: ProgressFn, total: int,
-    stop: Optional[threading.Event] = None,
-) -> threading.Thread:
-    """Forward worker heartbeat records to the parent-side callback.
+def _run_task(
+    idx: int,
+    spec: Union[str, TraceSpec],
+    point: PointSpec,
+    config: SimConfig,
+    chaos: Mapping[str, Any],
+) -> Tuple[ExperimentResult, float, int]:
+    """Pool task: one point in a worker; returns ``(result, seconds, pid)``.
 
-    ``stop`` suppresses further callback invocations the moment it is set —
-    on SIGTERM/interrupt the pool is abandoned without waiting, and without
-    the gate a straggling worker's heartbeats would keep printing to stderr
-    after the sweep already unwound (the drain thread can outlive the pool).
-    The thread still consumes the queue until the sentinel arrives so the
-    Manager process can shut down cleanly.
+    ``chaos`` is the point's injection mapping: ``pool_exit`` kills the
+    worker abruptly, ``pool_raise`` fails the task.  The in-process re-run
+    has no such hook, so an injected pool failure always recovers through
+    the retry -> in-process re-run ladder (see docs/reliability.md).
     """
-
-    def drain() -> None:
-        while True:
-            try:
-                item = queue.get()
-            except Exception:
-                return
-            if item == _PROGRESS_SENTINEL:
-                return
-            if stop is not None and stop.is_set():
-                continue  # drain silently: no post-shutdown heartbeats
-            try:
-                kind, idx, protocol, memory_kb, rate, seed, seconds, pid = item
-            except Exception:
-                continue
-            _emit_progress(
-                progress,
-                ProgressEvent(
-                    kind=kind,
-                    index=idx,
-                    total=total,
-                    protocol=protocol,
-                    memory_kb=memory_kb,
-                    rate=rate,
-                    seed=seed,
-                    seconds=seconds,
-                    pid=pid,
-                ),
-            )
-
-    thread = threading.Thread(
-        target=drain, name="repro-sweep-progress", daemon=True
-    )
-    thread.start()
-    return thread
+    if chaos.get("pool_exit"):
+        os._exit(1)  # abrupt worker death: no exception, no cleanup
+    if chaos.get("pool_raise"):
+        raise RuntimeError(f"chaos: injected pool failure for point {idx}")
+    trace = _worker_trace(spec)
+    t0 = perf_counter()
+    result = _run_entry(trace, point, config)
+    return result, perf_counter() - t0, os.getpid()
 
 
-def _run_pool(
+# -- the executor --------------------------------------------------------------------
+
+
+def execute(
     entries: Sequence[Entry],
-    n_jobs: int,
-    timeout: Optional[float] = None,
+    *,
+    jobs: Union[int, str, None] = 1,
+    shards: Optional[int] = None,
+    run_dir: Optional[RunDir] = None,
+    every_events: int = DEFAULT_EVERY_EVENTS,
     progress: Optional[ProgressFn] = None,
-) -> List[ExperimentResult]:
-    """Pool execution with per-point failure containment.
+    cancel: Optional[InterruptFlag] = None,
+    traces: Optional[Dict[str, Trace]] = None,
+    injections: Optional[Mapping[int, Mapping[str, Any]]] = None,
+    restart_backoff: float = 0.5,
+    pool: Optional[ProcessPoolExecutor] = None,
+) -> Tuple[List[ExperimentResult], List[Optional[Dict[str, Any]]]]:
+    """Run every entry; returns index-aligned ``(results, infos)``.
 
-    A point that crashes its worker, raises, or exceeds ``timeout`` does not
-    poison the rest of the sweep: it is retried once through the pool (while
-    the pool is still healthy), then re-run serially in the parent.  Only
-    when all three attempts fail does a :class:`PointExecutionError` —
-    carrying the point's resolved spec — propagate.  After a timeout the
-    pool is abandoned without waiting (the hung worker process is orphaned).
+    Points run in-process when ``jobs`` is 1 or ``shards >= 2`` (each
+    sharded point fans out over its own shard processes), otherwise over a
+    process pool: a per-call pool of ``jobs`` workers, or the caller's
+    long-lived ``pool`` (``repro serve``).  A pool point that fails is
+    retried once in the pool while the pool is healthy, then re-run
+    in-process; only a point failing all three raises
+    :class:`PointExecutionError`.  In-process failures propagate as-is.
 
-    With ``progress`` set, a ``multiprocessing.Manager`` queue rides along
-    in the pool initargs (the proxy pickles; a raw ``mp.Queue`` would not)
-    and workers stream started/finished records through it; a parent-side
-    drain thread forwards them to the callback as they arrive.
+    * ``run_dir`` makes the grid resumable: points with a committed
+      ``result.ckpt`` are restored instead of re-run, every finished point
+      commits one, and in-process points checkpoint every
+      ``every_events`` dispatched events (sharded ones at every epoch
+      barrier), resuming from the newest complete checkpoint.
+    * ``cancel`` (an :class:`~repro.sim.checkpoint.InterruptFlag`) stops
+      the grid once triggered: between points, mid-point when a run dir
+      checkpoints it, and in the pool by cancelling the points not yet
+      started and collecting the running ones.  A cancel or a SIGINT
+      raises :class:`SweepInterrupted` carrying the finished results.
+    * ``traces`` is the in-process trace cache keyed by spec key; seed it
+      with already-built traces, or keep it across calls.
+    * ``injections`` maps a point index to chaos hooks: ``pool_exit`` and
+      ``pool_raise`` (see :func:`_run_task`), ``crash_after_saves`` (the
+      serial checkpointer) and ``chaos_kill`` (a ``(shard, epoch)`` shard
+      worker death); ``restart_backoff`` paces supervised shard restarts.
+    * ``progress`` receives a :class:`ProgressEvent` per hand-over and per
+      result; callback exceptions are swallowed.
     """
-    specs: Dict[str, TraceSpec] = {}
-    for spec, _, _ in entries:
-        specs.setdefault(spec.key, spec)
-    results: List[Optional[ExperimentResult]] = [None] * len(entries)
-    failed: List[Tuple[int, BaseException]] = []
-    unhealthy = False  # hung or broken: no further pool submissions
-    manager = None
-    queue = None
-    drainer = None
-    drain_stop = threading.Event()
-    if progress is not None:
+    entries = list(entries)
+    total = len(entries)
+    results: List[Optional[ExperimentResult]] = [None] * total
+    infos: List[Optional[Dict[str, Any]]] = [None] * total
+    traces = {} if traces is None else traces
+    injections = injections or {}
+    recovery = run_dir.recovery_log() if run_dir is not None else None
+    sharded = shards is not None and shards >= 2
+    plan_cache: Dict[int, Any] = {}
+
+    def emit(kind: str, i: int, seconds: Optional[float] = None,
+             pid: Optional[int] = None, result: Optional[ExperimentResult] = None) -> None:
+        if progress is None:
+            return
+        point = entries[i][1]
         try:
-            manager = multiprocessing.Manager()
-            queue = manager.Queue()
-        except Exception:  # no Manager (restricted env): run without telemetry
-            manager = None
-            queue = None
-        if queue is not None:
-            drainer = _progress_drainer(queue, progress, len(entries), drain_stop)
-    pool = ProcessPoolExecutor(
-        max_workers=n_jobs, initializer=_pool_init, initargs=(specs, queue)
-    )
+            progress(ProgressEvent(
+                kind, i, total, point.protocol, point.memory_kb, point.rate,
+                point.seed, seconds, pid, result,
+            ))
+        except Exception:  # telemetry must never break the sweep itself
+            pass
+
+    def commit(i: int, result: ExperimentResult, info: Dict[str, Any],
+               seconds: Optional[float], pid: Optional[int]) -> None:
+        if run_dir is not None:
+            run_dir.write_result(i, {"index": i, "result": result, "info": info})
+        results[i], infos[i] = result, info
+        emit("finished", i, seconds, pid, result)
+
+    def run_here(i: int, announce: bool = True) -> None:
+        """The in-process per-point path."""
+        spec, point, config = entries[i]
+        if cancel is not None and cancel.triggered:
+            if recovery is not None:
+                recovery.emit(event_types.EXECUTOR_INTERRUPT, kind="between-points",
+                              index=i, signum=cancel.signum)
+            raise ExecutionInterrupted(f"grid cancelled before point {i}")
+        if announce:
+            emit("started", i, pid=os.getpid())
+        trace = traces.get(spec.key)
+        if trace is None:
+            trace = traces[spec.key] = spec.materialize()
+        inj = injections.get(i) or {}
+        checkpointer = None
+        if run_dir is not None:
+            checkpointer = SerialCheckpointer(
+                run_dir.point_dir(i) / "serial",
+                every_events=every_events,
+                flag=cancel,
+                recovery=recovery,
+                crash_after_saves=inj.get("crash_after_saves"),
+            )
+        t0 = perf_counter()
+        if sharded:
+            result, info = execute_point_sharded(
+                trace, point, config,
+                shards=shards,
+                plan_cache=plan_cache,
+                checkpoint_dir=run_dir.point_dir(i) if run_dir is not None else None,
+                recovery=recovery,
+                restart_backoff=restart_backoff,
+                chaos_kill=inj.get("chaos_kill"),
+                serial_checkpointer=checkpointer,
+            )
+        else:
+            result = _run_entry(trace, point, config, checkpointer)
+            info = {"execution": {"mode": "serial"}}
+        commit(i, result, info, perf_counter() - t0, os.getpid())
+
+    todo: List[int] = []
+    for i, (_, point, _) in enumerate(entries):
+        cached = run_dir.load_result(i) if run_dir is not None else None
+        if cached is None:
+            todo.append(i)
+            continue
+        results[i], infos[i] = cached["result"], cached.get("info")
+        recovery.emit(event_types.EXECUTOR_RESUME, kind="point",
+                      index=i, protocol=point.protocol)
+        emit("finished", i, result=results[i])
+
+    failed: List[Tuple[int, BaseException]] = []
     try:
-        futures = [
-            pool.submit(_run_task, i, spec.key, point, config)
-            for i, (spec, point, config) in enumerate(entries)
-        ]
-        for i, future in enumerate(futures):
+        n_jobs = min(parse_jobs(jobs), len(todo))
+        if todo and not sharded and (pool is not None or n_jobs > 1):
+            shipped: Dict[str, TraceSpec] = {}
+            if pool is None:
+                for i in todo:
+                    shipped.setdefault(entries[i][0].key, entries[i][0])
             try:
-                idx, result = future.result(timeout=timeout)
-                results[idx] = result
-            except _FuturesTimeout as exc:
-                future.cancel()
-                unhealthy = True
-                failed.append((i, exc))
-            except BrokenProcessPool as exc:
-                unhealthy = True
-                failed.append((i, exc))
-            except Exception as exc:  # a genuine experiment error in a worker
-                failed.append((i, exc))
-        if failed and not unhealthy:
-            # one pool retry for each failed point (transient crashes)
-            retries = [
-                (i, pool.submit(_run_task, i, entries[i][0].key, entries[i][1], entries[i][2]))
-                for i, _ in failed
-            ]
-            failed = []
-            for i, future in retries:
+                executor = pool or ProcessPoolExecutor(
+                    max_workers=n_jobs, initializer=_pool_init, initargs=(shipped,)
+                )
+            except _POOL_ERRORS as exc:
+                print(
+                    f"repro: process pool unavailable ({exc!r}); "
+                    "falling back to serial execution",
+                    file=sys.stderr,
+                )
+            else:
+                abandon = True
                 try:
-                    idx, result = future.result(timeout=timeout)
-                    results[idx] = result
-                except _FuturesTimeout as exc:
-                    future.cancel()
-                    unhealthy = True
-                    failed.append((i, exc))
-                except Exception as exc:
-                    failed.append((i, exc))
-    except KeyboardInterrupt:
-        # abandon in-flight points but surface the finished ones so the
-        # caller can record them and resume the sweep later; gate the drain
-        # thread first so straggler heartbeats don't print mid-unwind
-        unhealthy = True
-        drain_stop.set()
-        raise SweepInterrupted(results) from None
-    finally:
-        pool.shutdown(wait=not unhealthy, cancel_futures=True)
-        if drainer is not None:
-            try:
-                queue.put(_PROGRESS_SENTINEL)
-            except Exception:
-                pass
-            drainer.join(timeout=5.0)
-            # a hung join leaves the thread alive; make sure it stays mute
-            drain_stop.set()
-        if manager is not None:
-            try:
-                manager.shutdown()
-            except Exception:
-                pass
-    if failed:
-        # last resort: re-run the stragglers serially in this process
-        traces: Dict[str, Trace] = {}
-        for i, pool_exc in failed:
+                    failed = _through_pool(
+                        executor, entries, todo, injections, shipped, cancel, emit, commit
+                    )
+                    abandon = False
+                finally:
+                    if pool is None:
+                        executor.shutdown(wait=not abandon, cancel_futures=True)
+                todo = []
+        for i in todo:
+            run_here(i)
+        for i, exc in failed:
             print(
-                f"repro: sweep point {i} failed in the pool ({pool_exc!r}); "
+                f"repro: sweep point {i} failed in the pool ({exc!r}); "
                 "re-running serially",
                 file=sys.stderr,
             )
             try:
-                t0 = perf_counter()
-                results[i] = _rerun_entry_serial(entries[i], traces)
-            except KeyboardInterrupt:
-                raise SweepInterrupted(results) from None
-            except Exception as exc:
+                run_here(i, announce=False)
+            except (KeyboardInterrupt, ExecutionInterrupted):
+                raise
+            except Exception as err:
                 spec, point, config = entries[i]
-                raise PointExecutionError(point, config, spec.key, exc) from exc
-            _, point, _ = entries[i]
-            _emit_progress(
-                progress,
-                ProgressEvent(
-                    kind="finished",
-                    index=i,
-                    total=len(entries),
-                    protocol=point.protocol,
-                    memory_kb=point.memory_kb,
-                    rate=point.rate,
-                    seed=point.seed,
-                    seconds=perf_counter() - t0,
-                    pid=os.getpid(),
-                ),
-            )
-    return results  # type: ignore[return-value]
+                raise PointExecutionError(point, config, spec.key, err) from err
+    except (KeyboardInterrupt, ExecutionInterrupted):
+        # the finished points are committed (with a run dir) and returned,
+        # so the caller can record the partial grid and resume it later
+        raise SweepInterrupted(results) from None
+    return results, infos  # type: ignore[return-value]
 
 
-def _run_serial(
-    entries: Sequence[Entry],
-    materialized: Optional[Dict[str, Trace]] = None,
-    progress: Optional[ProgressFn] = None,
-) -> List[ExperimentResult]:
-    traces: Dict[str, Trace] = dict(materialized or {})
-    out: List[ExperimentResult] = []
-    total = len(entries)
-    pid = os.getpid()
-    try:
-        for i, (spec, point, config) in enumerate(entries):
-            _serial_one(entries[i], traces, out, i, total, pid, progress)
-    except KeyboardInterrupt:
-        partial: List[Optional[ExperimentResult]] = list(out)
-        partial.extend([None] * (total - len(partial)))
-        raise SweepInterrupted(partial) from None
-    return out
+def _through_pool(
+    pool: ProcessPoolExecutor,
+    entries: List[Entry],
+    todo: List[int],
+    injections: Mapping[int, Mapping[str, Any]],
+    shipped: Dict[str, TraceSpec],
+    cancel: Optional[InterruptFlag],
+    emit: Callable[..., None],
+    commit: Callable[..., None],
+) -> List[Tuple[int, BaseException]]:
+    """Hand the ``todo`` points to ``pool``; commit each result as it lands.
 
+    A task carries its trace's key when the spec table was ``shipped``
+    through the pool initializer, the spec itself otherwise.  A failed
+    point is handed over once more while the pool is healthy; returns the
+    points that failed for good.  A triggered ``cancel`` cancels every
+    point not yet started and collects the running ones, then raises
+    :class:`ExecutionInterrupted` if it cancelled any.
+    """
+    pending: Dict[Future, int] = {}
+    failed: List[Tuple[int, BaseException]] = []
+    retried: set = set()
+    broken = False
 
-def _serial_one(
-    entry: Entry,
-    traces: Dict[str, Trace],
-    out: List[ExperimentResult],
-    i: int,
-    total: int,
-    pid: int,
-    progress: Optional[ProgressFn],
-) -> None:
-    spec, point, config = entry
-    _emit_progress(
-        progress,
-        ProgressEvent(
-            kind="started",
-            index=i,
-            total=total,
-            protocol=point.protocol,
-            memory_kb=point.memory_kb,
-            rate=point.rate,
-            seed=point.seed,
-            pid=pid,
-        ),
-    )
-    trace = traces.get(spec.key)
-    if trace is None:
-        trace = spec.materialize()
-        traces[spec.key] = trace
-    t0 = perf_counter()
-    out.append(
-        execute_config(
-            trace,
-            point.protocol,
-            config,
-            memory_kb=point.memory_kb,
-            rate=point.rate,
-            seed=point.seed,
-            protocol_kwargs=point.protocol_kwargs,
-            scenario=point.scenario,
-        )
-    )
-    _emit_progress(
-        progress,
-        ProgressEvent(
-            kind="finished",
-            index=i,
-            total=total,
-            protocol=point.protocol,
-            memory_kb=point.memory_kb,
-            rate=point.rate,
-            seed=point.seed,
-            seconds=perf_counter() - t0,
-            pid=pid,
-        ),
-    )
+    def hand_over(i: int) -> None:
+        spec, point, config = entries[i]
+        ref = spec.key if spec.key in shipped else spec
+        chaos = injections.get(i) or {}
+        try:
+            pending[pool.submit(_run_task, i, ref, point, config, chaos)] = i
+        except (RuntimeError, OSError) as exc:  # a broken or shut-down pool
+            failed.append((i, exc))
+
+    for i in todo:
+        hand_over(i)
+        emit("started", i)
+    poll = _CANCEL_POLL if cancel is not None else None
+    cancelled = False
+    while pending:
+        done, _ = wait(pending, timeout=poll, return_when=FIRST_COMPLETED)
+        if cancel is not None and cancel.triggered:
+            for future in [f for f in pending if f.cancel()]:
+                del pending[future]
+                cancelled = True
+        for future in done:
+            i = pending.pop(future)
+            try:
+                result, seconds, pid = future.result()
+            except Exception as exc:
+                broken = broken or isinstance(exc, BrokenProcessPool)
+                if broken or i in retried:
+                    failed.append((i, exc))
+                else:
+                    retried.add(i)
+                    hand_over(i)
+                continue
+            commit(i, result, {"execution": {"mode": "pool"}}, seconds, pid)
+    if cancelled:
+        raise ExecutionInterrupted("grid cancelled with pool points unstarted")
+    return failed
 
 
 def run_point_specs(
@@ -719,47 +623,24 @@ def run_point_specs(
     *,
     jobs: Union[int, str, None] = 1,
     materialized: Optional[Dict[str, Trace]] = None,
-    timeout: Optional[float] = None,
     progress: Optional[ProgressFn] = None,
 ) -> List[ExperimentResult]:
     """Execute ``(trace_spec, point, config)`` entries, possibly in parallel.
 
-    The general, multi-trace form of :func:`run_points`.  ``materialized``
-    optionally seeds the serial path's trace cache with already-built traces
-    (keyed by spec key) so a single-trace caller never rebuilds the trace it
-    already holds.
-
-    ``timeout`` (seconds, parallel runs only) bounds each point's pool
-    execution; a point that crashes, raises or hangs is retried once and
-    then re-run serially, and only a point failing all three attempts
-    raises :class:`PointExecutionError` with its resolved spec attached.
-
-    ``progress`` receives a :class:`ProgressEvent` as each point starts and
-    finishes — streamed over the pool boundary for parallel runs, invoked
-    inline for serial ones.  Callback exceptions are swallowed.
-
-    A SIGINT mid-sweep raises :class:`SweepInterrupted` carrying the
-    completed points (index-aligned, ``None`` for unfinished) so callers
-    can record the partial sweep and resume it later.
+    The general, multi-trace form of :func:`run_points`, over
+    :func:`execute`.  ``materialized`` optionally seeds the in-process
+    trace cache with already-built traces (keyed by spec key) so a
+    single-trace caller never rebuilds the trace it already holds.
+    ``progress`` receives a :class:`ProgressEvent` as each point is handed
+    over and as its result comes in.  A SIGINT mid-sweep raises
+    :class:`SweepInterrupted` carrying the completed points
+    (index-aligned, ``None`` for unfinished) so callers can record the
+    partial sweep and resume it later.
     """
-    entries = list(entries)
-    if not entries:
-        return []
-    if timeout is not None and timeout <= 0:
-        raise ValueError(f"timeout must be positive, got {timeout}")
-    n_jobs = min(parse_jobs(jobs), len(entries))
-    if n_jobs > 1:
-        try:
-            return _run_pool(entries, n_jobs, timeout, progress)
-        except PointExecutionError:
-            raise
-        except _POOL_ERRORS as exc:
-            print(
-                f"repro: process pool unavailable ({exc!r}); "
-                "falling back to serial execution",
-                file=sys.stderr,
-            )
-    return _run_serial(entries, materialized, progress)
+    results, _ = execute(
+        entries, jobs=jobs, progress=progress, traces=dict(materialized or {})
+    )
+    return results
 
 
 def run_points(

@@ -37,17 +37,15 @@ import multiprocessing
 import resource
 import time
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.baselines import make_protocol
 from repro.eval.experiment import ExperimentResult, execute_config
-from repro.eval.runner import PointSpec
-from repro.eval.scenario import ScenarioResult, ScenarioSpec
 from repro.mobility.stream import TraceStream, landmark_partition
 from repro.mobility.trace import Trace, VisitRecord
 from repro.obs import events as event_types
@@ -65,6 +63,9 @@ from repro.sim.metrics import MetricsCollector, MetricsSummary
 from repro.sim.packets import generate_workload
 from repro.sim.shard import PreparedGen, ShardInit, TraceView, shard_worker
 
+if TYPE_CHECKING:
+    from repro.eval.runner import PointSpec
+
 __all__ = [
     "UnshardableTrace",
     "ShardRecoveryError",
@@ -72,8 +73,11 @@ __all__ = [
     "plan_shards",
     "run_sharded_point",
     "execute_point_sharded",
-    "run_scenario_sharded",
 ]
+
+#: supervised restarts of one shard worker before the point falls back to
+#: the serial engine
+MAX_RESTARTS = 2
 
 
 class UnshardableTrace(ValueError):
@@ -333,7 +337,7 @@ def unshardable_reason(
 
 
 class _ShardDead(Exception):
-    """Internal: a shard worker died or missed its barrier deadline."""
+    """Internal: a shard worker died."""
 
     def __init__(self, shard: int, why: str) -> None:
         super().__init__(f"shard {shard}: {why}")
@@ -379,8 +383,6 @@ def _run_sharded(
     source_factory: Optional[RecordsFactory] = None,
     checkpoint_dir: Optional["Path | str"] = None,
     recovery: Optional[RecoveryLog] = None,
-    barrier_timeout: Optional[float] = None,
-    max_restarts: int = 2,
     restart_backoff: float = 0.5,
     chaos_kill: Optional[Tuple[int, int]] = None,
 ) -> Tuple[MetricsCollector, Dict[str, Any], Dict[str, Any], Dict[str, Any]]:
@@ -391,10 +393,10 @@ def _run_sharded(
     ``epoch_done`` reply), the coordinator commits a barrier record (the
     routed imports for the next epoch) once all replies are in, and a
     fresh coordinator resumes from the newest fully-verified barrier.
-    The supervisor restarts dead workers (pipe EOF, or ``barrier_timeout``
-    seconds of silence) from the previous barrier's checkpoint with
-    exponential backoff, at most ``max_restarts`` times per shard, then
-    raises :class:`ShardRecoveryError` for the caller's serial fallback.
+    The supervisor restarts dead workers (pipe EOF) from the previous
+    barrier's checkpoint with exponential backoff, at most
+    :data:`MAX_RESTARTS` times per shard, then raises
+    :class:`ShardRecoveryError` for the caller's serial fallback.
     ``chaos_kill=(shard, epoch)`` arms the worker-side chaos injection
     (stripped on restart so recovery converges).
     """
@@ -484,10 +486,6 @@ def _run_sharded(
 
     def _recv(s: int):
         try:
-            if barrier_timeout is not None and not pipes[s].poll(barrier_timeout):
-                raise _ShardDead(
-                    s, f"missed barrier deadline ({barrier_timeout:g}s)"
-                )
             msg = pipes[s].recv()
         except (EOFError, ConnectionResetError, OSError) as exc:
             raise _ShardDead(s, f"worker died: {exc!r}") from exc
@@ -501,10 +499,10 @@ def _run_sharded(
             recovery.emit(event_types.EXECUTOR_WORKER_DEAD,
                           shard=s, epoch=epoch, reason=why)
         restarts[s] += 1
-        if restarts[s] > max_restarts:
+        if restarts[s] > MAX_RESTARTS:
             raise ShardRecoveryError(
                 f"shard {s} died {restarts[s]} times (epoch {epoch}: {why}); "
-                f"giving up after {max_restarts} restarts"
+                f"giving up after {MAX_RESTARTS} restarts"
             )
         resume_from: Optional[str] = None
         if epoch > 0:
@@ -718,8 +716,6 @@ def run_sharded_point(
     source_factory: Optional[RecordsFactory] = None,
     checkpoint_dir: Optional["Path | str"] = None,
     recovery: Optional[RecoveryLog] = None,
-    barrier_timeout: Optional[float] = None,
-    max_restarts: int = 2,
     restart_backoff: float = 0.5,
     chaos_kill: Optional[Tuple[int, int]] = None,
 ) -> Tuple[ExperimentResult, Dict[str, Any]]:
@@ -747,8 +743,6 @@ def run_sharded_point(
         source_factory=source_factory,
         checkpoint_dir=checkpoint_dir,
         recovery=recovery,
-        barrier_timeout=barrier_timeout,
-        max_restarts=max_restarts,
         restart_backoff=restart_backoff,
         chaos_kill=chaos_kill,
     )
@@ -788,8 +782,6 @@ def execute_point_sharded(
     plan_cache: Optional[Dict[int, Any]] = None,
     checkpoint_dir: Optional["Path | str"] = None,
     recovery: Optional[RecoveryLog] = None,
-    barrier_timeout: Optional[float] = None,
-    max_restarts: int = 2,
     restart_backoff: float = 0.5,
     chaos_kill: Optional[Tuple[int, int]] = None,
     serial_checkpointer=None,
@@ -834,8 +826,6 @@ def execute_point_sharded(
                 plan=plan,
                 checkpoint_dir=checkpoint_dir,
                 recovery=recovery,
-                barrier_timeout=barrier_timeout,
-                max_restarts=max_restarts,
                 restart_backoff=restart_backoff,
                 chaos_kill=chaos_kill,
             )
@@ -864,38 +854,3 @@ def execute_point_sharded(
         "span_tree": None,
         "max_rss_kb": None,
     }
-
-
-def run_scenario_sharded(
-    spec: ScenarioSpec,
-    *,
-    shards: int,
-    trace: Optional[Trace] = None,
-) -> Tuple[ScenarioResult, List[Dict[str, Any]]]:
-    """Run every point of a scenario through the sharded coordinator.
-
-    Returns the familiar :class:`ScenarioResult` (ingestable by the
-    experiment store exactly like a serial run — metric values are
-    identical) plus one per-point info dict with the execution block, the
-    merged span tree and peak-RSS figures.
-    """
-    if shards < 2:
-        raise ValueError(f"sharded runs need at least 2 shards, got {shards}")
-    profile, tspec, materialized = spec.resolve_trace()
-    entries = spec.entries(profile, tspec)
-    if trace is None:
-        trace = materialized.get(tspec.key)
-    if trace is None:
-        trace = tspec.materialize()
-    plan_cache: Dict[int, Any] = {}
-    points: List[PointSpec] = []
-    results: List[ExperimentResult] = []
-    infos: List[Dict[str, Any]] = []
-    for _tspec, point, config in entries:
-        result, info = execute_point_sharded(
-            trace, point, config, shards=shards, plan_cache=plan_cache
-        )
-        points.append(point)
-        results.append(result)
-        infos.append(info)
-    return ScenarioResult(spec=spec, points=points, results=results), infos

@@ -56,7 +56,7 @@ executor recovery (see docs/reliability.md)
 =========================== ==================================================
 ``executor.checkpoint``      a crash-safe checkpoint was committed to disk
 ``executor.resume``          a run restarted from a checkpoint
-``executor.worker_dead``     a shard worker died or missed a barrier deadline
+``executor.worker_dead``     a shard worker died
 ``executor.worker_restart``  a dead shard worker was restarted from checkpoint
 ``executor.fallback``        shard recovery was exhausted; serial fallback
 ``executor.interrupt``       SIGINT/SIGTERM flushed a final checkpoint

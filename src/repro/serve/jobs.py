@@ -15,14 +15,16 @@ loss, ``kill -9``) comes back, re-queues every job whose durable state is
 skips the points whose results already committed — metrics land
 bit-identical to an uninterrupted run (docs/reliability.md).
 
-Execution is strict FIFO through one dispatcher thread.  With ``jobs=1``
-each point runs in-process under the serial checkpointer (mid-point
+Execution is strict FIFO through one dispatcher thread, and every job
+runs through the one point executor (:func:`~repro.eval.runner.execute`,
+via :func:`~repro.eval.resume.run_resumable`).  With ``jobs=1`` each
+point runs in-process under the serial checkpointer (mid-point
 crash-safety and mid-point cancellation).  With ``jobs>=2`` the manager
-owns a long-lived shared :class:`ProcessPoolExecutor`: points fan out via
-:func:`~repro.eval.runner.run_tagged_task` (per-worker trace caches stay
-warm across jobs), each completed point commits its ``result.ckpt`` from
-the dispatcher, and a tagged drain thread routes worker heartbeats to the
-right job's event stream.
+owns a long-lived shared :class:`ProcessPoolExecutor` handed to the
+executor: per-worker trace caches stay warm across jobs, each completed
+point commits its ``result.ckpt`` from the dispatcher, and a failed point
+climbs the executor's retry ladder.  Point events are published from the
+executor's result channel on the dispatcher thread.
 
 State machine: ``queued -> running -> done | failed | cancelled``; an
 interrupted-but-not-cancelled job (graceful shutdown) transitions back to
@@ -40,22 +42,14 @@ import queue
 import signal
 import threading
 import time
-from concurrent.futures import CancelledError, Future, as_completed
 from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Union
 
-from repro.eval.experiment import ExperimentResult, execute_config
+from repro.eval.experiment import ExperimentResult
 from repro.eval.resume import create_run, run_resumable
-from repro.eval.runner import (
-    _PROGRESS_SENTINEL,
-    ProgressEvent,
-    SweepInterrupted,
-    _pool_init,
-    parse_jobs,
-    run_tagged_task,
-)
+from repro.eval.runner import ProgressEvent, SweepInterrupted, parse_jobs
 from repro.eval.scenario import ScenarioResult, ScenarioSpec, load_scenario
 from repro.serve.sse import EventStream
 from repro.sim.checkpoint import (
@@ -115,13 +109,9 @@ class Job:
         self.recorded: Optional[str] = None
         self.cancel_requested = False
         self.stream = EventStream()
-        #: externally-owned interrupt flag; setting ``triggered`` cancels
-        #: the in-flight serial point at its next checkpoint tick
+        #: externally-owned interrupt flag; setting ``triggered`` cancels the
+        #: in-flight job (serial: at the next event; pool: unstarted points)
         self.flag = InterruptFlag()
-        #: pool futures of the in-flight job (pool mode cancellation hook)
-        self.futures: List[Future] = []
-        #: per-point wall seconds streamed by pool workers (tagged drain)
-        self.point_seconds: Dict[int, float] = {}
         self._done_indexes: set = set()
 
     @property
@@ -219,9 +209,6 @@ class JobManager:
         self._abandoned = False
         self._dispatcher: Optional[threading.Thread] = None
         self._pool: Optional[ProcessPoolExecutor] = None
-        self._pool_manager = None
-        self._pool_queue = None
-        self._drainer: Optional[threading.Thread] = None
 
     # -- lifecycle ---------------------------------------------------------------
     def start(self) -> List[Job]:
@@ -232,7 +219,7 @@ class JobManager:
         """
         recovered = self._recover()
         if self.jobs > 1:
-            self._start_pool()
+            self._pool = ProcessPoolExecutor(max_workers=self.jobs)
         self._dispatcher = threading.Thread(
             target=self._dispatch_loop, name="repro-serve-dispatch", daemon=True
         )
@@ -257,86 +244,15 @@ class JobManager:
                 if job.state == "running":
                     job.flag.triggered = True
                     job.flag.signum = signal.SIGTERM
-                    for future in job.futures:
-                        future.cancel()
         self._queue.put(None)
         if self._dispatcher is not None:
             self._dispatcher.join(timeout=timeout)
-        self._shutdown_pool(wait=not abandon)
+        if self._pool is not None:
+            self._pool.shutdown(wait=not abandon, cancel_futures=True)
+            self._pool = None
         with self._lock:
             for job in self._jobs.values():
                 job.stream.close()
-
-    def _start_pool(self) -> None:
-        try:
-            import multiprocessing
-
-            self._pool_manager = multiprocessing.Manager()
-            self._pool_queue = self._pool_manager.Queue()
-        except Exception:  # restricted env: run the pool without heartbeats
-            self._pool_manager = None
-            self._pool_queue = None
-        self._pool = ProcessPoolExecutor(
-            max_workers=self.jobs,
-            initializer=_pool_init,
-            initargs=({}, self._pool_queue),
-        )
-        if self._pool_queue is not None:
-            self._drainer = threading.Thread(
-                target=self._drain_tagged, name="repro-serve-drain", daemon=True
-            )
-            self._drainer.start()
-
-    def _shutdown_pool(self, *, wait: bool) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=wait, cancel_futures=True)
-            self._pool = None
-        if self._pool_queue is not None:
-            try:
-                self._pool_queue.put(_PROGRESS_SENTINEL)
-            except Exception:
-                pass
-        if self._drainer is not None:
-            self._drainer.join(timeout=5.0)
-            self._drainer = None
-        if self._pool_manager is not None:
-            try:
-                self._pool_manager.shutdown()
-            except Exception:
-                pass
-            self._pool_manager = None
-
-    def _drain_tagged(self) -> None:
-        """Route pool-worker heartbeats to the submitting job's stream."""
-        while True:
-            try:
-                item = self._pool_queue.get()
-            except Exception:
-                return
-            if item == _PROGRESS_SENTINEL:
-                return
-            try:
-                tag, kind, idx, protocol, memory_kb, rate, seed, seconds, pid = item
-            except Exception:
-                continue
-            job = self._jobs.get(tag)
-            if job is None or job.stream.closed:
-                continue
-            if kind == "started":
-                job.stream.publish(
-                    "point.started",
-                    {
-                        "index": idx,
-                        "total": job.n_points,
-                        "protocol": protocol,
-                        "memory_kb": memory_kb,
-                        "rate": rate,
-                        "seed": seed,
-                        "pid": pid,
-                    },
-                )
-            elif seconds is not None:
-                job.point_seconds[idx] = seconds
 
     # -- submission / inspection ---------------------------------------------------
     def submit(
@@ -409,12 +325,10 @@ class JobManager:
             if job.state == "queued":
                 self._finish(job, "cancelled", event="job.cancelled")
                 return job
-            # running: serial mode stops via the interrupt flag at the next
-            # checkpoint tick; pool mode cancels the not-yet-started futures
+            # running: the executor stops at the next dispatched event
+            # (serial) or cancels the points not yet started (pool)
             job.flag.triggered = True
             job.flag.signum = signal.SIGTERM
-            for future in job.futures:
-                future.cancel()
         return job
 
     def counts(self) -> Dict[str, int]:
@@ -567,27 +481,19 @@ class JobManager:
                         "pid": ev.pid,
                     },
                 )
-            elif ev.seconds is not None:
-                job.point_seconds[ev.index] = ev.seconds
-
-        def on_result(index: int, result: ExperimentResult) -> None:
-            self._publish_finished_point(
-                job, index, result, job.point_seconds.get(index)
-            )
+            else:
+                self._publish_finished_point(job, ev.index, ev.result, ev.seconds)
 
         try:
-            if self._pool is not None:
-                res = self._execute_pool(job, rd, on_result)
-            else:
-                res, _infos = run_resumable(
-                    job.spec,
-                    rd,
-                    every_events=self.every_events,
-                    progress=progress,
-                    flag=job.flag,
-                    on_result=on_result,
-                    trace_cache=self.trace_cache,
-                )
+            res, _infos = run_resumable(
+                job.spec,
+                rd,
+                every_events=self.every_events,
+                progress=progress,
+                flag=job.flag,
+                trace_cache=self.trace_cache,
+                pool=self._pool,
+            )
         except SweepInterrupted as exc:
             self._interrupted(job, exc.results)
             return
@@ -598,82 +504,6 @@ class JobManager:
         if stats is not None:
             job.recorded = str(stats)
         self._finish(job, "done", event="job.finished")
-
-    def _execute_pool(self, job: Job, rd: RunDir, on_result) -> ScenarioResult:
-        """Fan one job's points over the shared long-lived worker pool.
-
-        Committed points are served from the run directory; the rest ship
-        as tagged tasks.  Each completed future commits its ``result.ckpt``
-        from this (dispatcher) thread, so crash-safety is per-point.  A
-        failed task re-runs in-process once before failing the job.
-        """
-        entries = job.spec.entries()
-        results: List[Optional[ExperimentResult]] = [None] * len(entries)
-        pending: List[int] = []
-        for i, (tspec, point, config) in enumerate(entries):
-            cached = rd.load_result(i)
-            if cached is not None:
-                results[i] = cached["result"]
-                on_result(i, cached["result"])
-            else:
-                pending.append(i)
-        if pending and not (job.cancel_requested or self._stop.is_set()):
-            futures: Dict[Future, int] = {}
-            with self._lock:
-                for i in pending:
-                    tspec, point, config = entries[i]
-                    futures[
-                        self._pool.submit(
-                            run_tagged_task, job.id, i, tspec, point, config
-                        )
-                    ] = i
-                job.futures = list(futures)
-            for future in as_completed(futures):
-                i = futures[future]
-                if job.cancel_requested or self._stop.is_set():
-                    for other in futures:
-                        other.cancel()
-                try:
-                    _tag, idx, result = future.result()
-                except CancelledError:
-                    continue
-                except Exception:
-                    if job.cancel_requested or self._stop.is_set():
-                        continue
-                    # one in-process retry, same path as the sweep executor
-                    tspec, point, config = entries[i]
-                    trace = self.trace_cache.get(tspec.key)
-                    if trace is None:
-                        trace = tspec.materialize()
-                        self.trace_cache[tspec.key] = trace
-                    idx, result = i, execute_config(
-                        trace,
-                        point.protocol,
-                        config,
-                        memory_kb=point.memory_kb,
-                        rate=point.rate,
-                        seed=point.seed,
-                        protocol_kwargs=point.protocol_kwargs,
-                        scenario=point.scenario,
-                    )
-                rd.write_result(
-                    idx,
-                    {
-                        "index": idx,
-                        "result": result,
-                        "info": {"execution": {"mode": "pool"}},
-                    },
-                )
-                results[idx] = result
-                on_result(idx, result)
-            job.futures = []
-        if any(r is None for r in results):
-            raise SweepInterrupted(results)
-        return ScenarioResult(
-            spec=job.spec,
-            points=[point for _, point, _ in entries],
-            results=list(results),  # type: ignore[arg-type]
-        )
 
     # -- transitions -----------------------------------------------------------------
     def _finish(self, job: Job, state: str, *, event: str) -> None:

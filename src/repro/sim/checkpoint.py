@@ -41,8 +41,9 @@ import pickle
 import signal
 import tempfile
 import time
+from itertools import islice
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.obs import events as event_types
 from repro.obs.registry import MetricsRegistry
@@ -335,25 +336,33 @@ class SerialCheckpointer:
                 pass
         return path
 
-    def tick(self, sim: Any, n_dispatched: int) -> None:
-        """Called by the engine after every dispatched event."""
-        if self.flag is not None and self.flag.triggered:
-            path = self._save(sim, n_dispatched)
-            if self.recovery is not None:
-                self.recovery.emit(event_types.EXECUTOR_INTERRUPT,
-                                   checkpoint=path.name, signum=self.flag.signum)
-            raise ExecutionInterrupted(
-                f"run interrupted (signal {self.flag.signum}); "
-                f"state flushed to {path}",
-                checkpoint_path=str(path),
-            )
-        if n_dispatched % self.every_events == 0:
-            self._save(sim, n_dispatched)
-            if (self.crash_after_saves is not None
-                    and self.n_saves >= self.crash_after_saves):
-                raise SimulatedCrash(
-                    f"chaos: simulated crash after checkpoint #{self.n_saves}"
+    def replay(self, sim: Any, events: Iterable, skip: int) -> Iterator:
+        """Wrap the engine's event stream for a checkpointed run.
+
+        Skips the ``skip`` events a restored run already dispatched, then,
+        after each dispatched event, snapshots every ``every_events``
+        events or — once ``flag`` is triggered — flushes a final snapshot
+        and raises :class:`ExecutionInterrupted`.
+        """
+        for n, event in enumerate(islice(events, skip, None), skip + 1):
+            yield event
+            if self.flag is not None and self.flag.triggered:
+                path = self._save(sim, n)
+                if self.recovery is not None:
+                    self.recovery.emit(event_types.EXECUTOR_INTERRUPT,
+                                       checkpoint=path.name, signum=self.flag.signum)
+                raise ExecutionInterrupted(
+                    f"run interrupted (signal {self.flag.signum}); "
+                    f"state flushed to {path}",
+                    checkpoint_path=str(path),
                 )
+            if n % self.every_events == 0:
+                self._save(sim, n)
+                if (self.crash_after_saves is not None
+                        and self.n_saves >= self.crash_after_saves):
+                    raise SimulatedCrash(
+                        f"chaos: simulated crash after checkpoint #{self.n_saves}"
+                    )
 
 
 # -- run directories ----------------------------------------------------------
@@ -417,9 +426,8 @@ class RunDir:
 
     # -- per-point state -----------------------------------------------------------
     def point_dir(self, index: int) -> Path:
-        d = self.path / "points" / f"{index:03d}"
-        d.mkdir(parents=True, exist_ok=True)
-        return d
+        """Point ``index``'s directory; created by its writers, not here."""
+        return self.path / "points" / f"{index:03d}"
 
     def point_dirs(self) -> Iterable[Path]:
         root = self.path / "points"
@@ -429,6 +437,7 @@ class RunDir:
 
     def write_result(self, index: int, result: Any) -> Path:
         path = self.point_dir(index) / self.RESULT
+        path.parent.mkdir(parents=True, exist_ok=True)
         dump_checkpoint(path, result)
         return path
 

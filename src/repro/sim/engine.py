@@ -26,7 +26,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -727,6 +727,9 @@ class Simulation:
         """
         return self.factory.create(src=gen.src, dst=gen.dst, now=t)
 
+    def _handle_probe(self, callback, t: float) -> None:
+        callback(self.world)
+
     # -- main loop -----------------------------------------------------------------
     #: phase names indexed by event kind, for the dispatch timers
     _DISPATCH_PHASES = (
@@ -737,79 +740,65 @@ class Simulation:
         "dispatch.probe",
     )
 
-    def run(self) -> MetricsSummary:
-        prof = self.obs.profiler
-        with prof.phase("setup"):
-            self.protocol.setup(self.world)
-        t0 = perf_counter()
-        events = self._events()
-        prof.add("event_assembly", perf_counter() - t0)
+    def _dispatch(self, events: Iterable[Tuple[float, int, int, object]]) -> None:
+        """The only loop over dispatched events.
 
-        # the event dispatch loop is the hot path: inline perf_counter pairs
-        # accumulated in local lists (folded into the profiler once at the
-        # end) keep the per-event timing cost to two clock reads
+        What the run modes differ in — per-kind timing, checkpoint
+        prefix-skip and snapshots, shard delivery tagging — lives in
+        iterator wrappers around ``events``, so the bare loop reads no
+        clock.  Same-timestamp runs are batched: the clock is written once
+        per distinct timestamp and every co-timed event drains in one pass.
+        """
+        world = self.world
         handlers = (
             self._handle_fault_edge,
             self._handle_visit_end,
             self._handle_generation,
             self._handle_visit_start,
+            self._handle_probe,
         )
-        world = self.world
-        if prof.enabled:
-            # park the span cursor on the per-kind dispatch node before each
-            # handler so protocol-side prof.add() calls (router.*, baseline.*)
-            # nest under the dispatch span that triggered them — one list
-            # index + attribute store per event
-            rec = prof.recorder
-            anchor = rec.current
-            nodes = [rec.node(name, anchor) for name in self._DISPATCH_PHASES]
-            acc = [0.0, 0.0, 0.0, 0.0, 0.0]
-            cnt = [0, 0, 0, 0, 0]
-            # batch same-timestamp runs: the clock is written once per
-            # distinct timestamp and every co-timed edge drains in one pass
-            last_t = None
-            clock = perf_counter
-            try:
-                for t, kind, _, payload in events:
-                    if t != last_t:
-                        world.now = t
-                        last_t = t
-                    rec.current = nodes[kind]
-                    t0 = clock()
-                    if kind == _PROBE:
-                        payload(world)
-                    else:
-                        handlers[kind](payload, t)
-                    acc[kind] += clock() - t0
-                    cnt[kind] += 1
-            finally:
-                rec.current = anchor
-            for kind, node in enumerate(nodes):
-                if cnt[kind]:
-                    rec.fold(node, acc[kind], cnt[kind])
-        else:
-            last_t = None
-            for t, kind, _, payload in events:
-                if t != last_t:
-                    world.now = t
-                    last_t = t
-                if kind == _PROBE:
-                    payload(world)
-                else:
-                    handlers[kind](payload, t)
+        last_t = None
+        for t, kind, _, payload in events:
+            if t != last_t:
+                world.now = t
+                last_t = t
+            handlers[kind](payload, t)
 
-        world.now = self.trace.end_time
-        with prof.phase("finalize"):
-            self.protocol.finalize(world)
-        provenance = RunProvenance.from_run(
-            self.protocol.name, self.trace.name, self.config, scenario=self.scenario
-        )
-        return world.metrics.summary(
-            self.protocol.name,
-            self.trace.name,
-            provenance=provenance,
-            phase_timings=prof.report() if prof.enabled else None,
-        )
+    def _timed(
+        self, events: Iterable[Tuple[float, int, int, object]],
+        acc: List[float], cnt: List[int],
+    ) -> Iterator[Tuple[float, int, int, object]]:
+        """Per-kind dispatch timing: the wrapper for profiled runs.
+
+        Parks the span cursor on the kind's dispatch node while the event's
+        handler runs, so protocol-side ``prof.add()`` calls (router.*,
+        baseline.*) nest under the dispatch span that triggered them, and
+        accumulates each handler's seconds and calls into ``acc``/``cnt``
+        (folded into the profiler once, by :meth:`_fold_dispatch`).
+        """
+        rec = self.obs.profiler.recorder
+        anchor = rec.current
+        nodes = [rec.node(name, anchor) for name in self._DISPATCH_PHASES]
+        clock = perf_counter
+        try:
+            for event in events:
+                kind = event[1]
+                rec.current = nodes[kind]
+                t0 = clock()
+                yield event
+                acc[kind] += clock() - t0
+                cnt[kind] += 1
+        finally:
+            rec.current = anchor
+
+    def _fold_dispatch(self, acc: List[float], cnt: List[int]) -> None:
+        prof = self.obs.profiler
+        for kind, name in enumerate(self._DISPATCH_PHASES):
+            if cnt[kind]:
+                prof.add(name, acc[kind], cnt[kind])
+
+    def run(self) -> MetricsSummary:
+        return self._replay(None)
 
     def run_checkpointed(self, checkpointer) -> MetricsSummary:
         """:meth:`run` with crash-safe snapshots (docs/reliability.md).
@@ -817,21 +806,20 @@ class Simulation:
         ``checkpointer`` (a :class:`~repro.sim.checkpoint.SerialCheckpointer`)
         is asked to ``restore`` state before the loop starts — returning the
         number of already-dispatched events to skip, 0 for a fresh run —
-        and ``tick``-ed after every dispatched event so it can snapshot on
-        its cadence or turn a deferred signal into a clean stop.  The event
-        stream is re-derived deterministically, so skipping the dispatched
-        prefix lands the resumed run in exactly the pre-crash state and the
-        final metrics are bit-identical to an uninterrupted run.
-
-        Kept separate from :meth:`run` so the hot loop pays nothing for
-        the per-event checkpoint hook; checkpointed runs skip the per-kind
-        dispatch timers (phase timings are excluded from metric equality).
+        and wraps the event stream so it can snapshot on its cadence or
+        turn a deferred signal into a clean stop.  The event stream is
+        re-derived deterministically, so skipping the dispatched prefix
+        lands the resumed run in exactly the pre-crash state and the final
+        metrics are bit-identical to an uninterrupted run.
         """
         if self.probes:
             raise ValueError("checkpointed runs do not support probes")
+        return self._replay(checkpointer)
+
+    def _replay(self, checkpointer) -> MetricsSummary:
         prof = self.obs.profiler
         world = self.world
-        skip = checkpointer.restore(self)
+        skip = checkpointer.restore(self) if checkpointer is not None else 0
         if skip == 0:
             with prof.phase("setup"):
                 self.protocol.setup(world)
@@ -839,29 +827,13 @@ class Simulation:
         events = self._events()
         prof.add("event_assembly", perf_counter() - t0)
 
-        handlers = (
-            self._handle_fault_edge,
-            self._handle_visit_end,
-            self._handle_generation,
-            self._handle_visit_start,
-        )
-        # on resume the restored clock is the timestamp of the last
-        # dispatched event, so a same-timestamp continuation does not
-        # rewrite world.now — matching run()'s once-per-timestamp write
-        last_t = world.now if skip else None
-        n = 0
-        for t, kind, _, payload in events:
-            n += 1
-            if n <= skip:
-                continue
-            if t != last_t:
-                world.now = t
-                last_t = t
-            if kind == _PROBE:
-                payload(world)
-            else:
-                handlers[kind](payload, t)
-            checkpointer.tick(self, n)
+        if checkpointer is not None:
+            events = checkpointer.replay(self, events, skip)
+        acc, cnt = [0.0] * 5, [0] * 5
+        if prof.enabled:
+            events = self._timed(events, acc, cnt)
+        self._dispatch(events)
+        self._fold_dispatch(acc, cnt)
 
         world.now = self.trace.end_time
         with prof.phase("finalize"):

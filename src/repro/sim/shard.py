@@ -36,7 +36,7 @@ import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
 from time import perf_counter
-from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Tuple
 
 from repro.mobility.trace import VisitRecord
 from repro.obs.runtime import Observability
@@ -214,12 +214,12 @@ def split_epochs(
 class ShardEngine(Simulation):
     """The serial engine's event handlers, run over one shard's events.
 
-    Reuses :class:`Simulation`'s dispatch handlers unchanged; differs only
-    in construction (a :class:`TraceView` instead of a full trace, a
-    :class:`ShardMetrics` collector), in minting packets from coordinator-
-    prepared ids/TTLs, and in tolerating visit-end events for nodes this
-    shard does not currently own (the serial engine no-ops those ends too —
-    they belong to visits the node never opened here).
+    Reuses :class:`Simulation`'s dispatch loop and handlers unchanged;
+    differs only in construction (a :class:`TraceView` instead of a full
+    trace, a :class:`ShardMetrics` collector), in minting packets from
+    coordinator-prepared ids/TTLs, and in tolerating visit-end events for
+    nodes this shard does not currently own (the serial engine no-ops
+    those ends too — they belong to visits the node never opened here).
     """
 
     def __init__(
@@ -280,23 +280,26 @@ class ShardEngine(Simulation):
 
     # -- epoch loop ------------------------------------------------------------
     def run_epoch(self, events: Iterable[Tuple[float, int, int, object]]) -> None:
-        world = self.world
-        metrics = self.metrics
-        handlers = (
-            self._handle_fault_edge,
-            self._handle_visit_end,
-            self._handle_generation,
-            self._handle_visit_start,
-        )
-        acc, cnt = self._acc, self._cnt
-        clock = perf_counter
-        for t, kind, seq, payload in events:
-            world.now = t
-            metrics.begin_event((t, kind, seq))
-            t0 = clock()
-            handlers[kind](payload, t)
-            acc[kind] += clock() - t0
-            cnt[kind] += 1
+        """Dispatch one epoch through the engine loop, deliveries tagged.
+
+        Per-kind dispatch timing accumulates in ``_acc``/``_cnt`` across
+        epochs (and through epoch checkpoints); the worker folds it into
+        the profiler once, at finish.
+        """
+        events = self._tagged(events)
+        if self.obs.profiler.enabled:
+            events = self._timed(events, self._acc, self._cnt)
+        self._dispatch(events)
+
+    def _tagged(
+        self, events: Iterable[Tuple[float, int, int, object]]
+    ) -> Iterator[Tuple[float, int, int, object]]:
+        """Tag the collector with each event's ``(t, kind, seq)`` before
+        its handler runs, so deliveries merge in serial dispatch order."""
+        begin = self.metrics.begin_event
+        for event in events:
+            begin(event[:3])
+            yield event
 
     # -- handoffs ---------------------------------------------------------------
     def export_node(
@@ -359,13 +362,6 @@ class ShardEngine(Simulation):
         self.protocol.import_node_state(transit.nid, transit.protocol_state)
         if report is not None:
             self.protocol.import_node_maintenance(transit.nid, report.payload)
-
-    def fold_dispatch_timings(self) -> None:
-        """Fold the accumulated per-kind dispatch timings into the profiler."""
-        prof = self.obs.profiler
-        for kind, name in enumerate(self._DISPATCH_PHASES):
-            if self._cnt[kind]:
-                prof.add(name, self._acc[kind], self._cnt[kind])
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +536,7 @@ def shard_worker(conn, init: ShardInit) -> None:
         engine.metrics.begin_event((float("inf"), 9, init.shard_id))
         with prof.phase("finalize"):
             protocol.finalize(engine.world)
-        engine.fold_dispatch_timings()
+        engine._fold_dispatch(engine._acc, engine._cnt)
         metrics = engine.metrics
         conn.send(
             (

@@ -272,3 +272,12 @@ class TestRunDirectories:
         path = rd.point_dir(0) / RunDir.RESULT
         path.write_bytes(path.read_bytes()[:30])
         assert rd.load_result(0) is None
+
+    def test_reading_results_leaves_the_tree_unchanged(self, tmp_path):
+        rd = RunDir.create(tmp_path / "rd", {"version": 1})
+        rd.write_result(1, {"index": 1})
+        before = sorted(rd.path.rglob("*"))
+        assert rd.load_result(1) == {"index": 1}
+        assert rd.load_result(7) is None  # a point that never ran
+        assert sorted(rd.path.rglob("*")) == before
+        assert [p.name for p in rd.point_dirs()] == ["001"]

@@ -309,17 +309,8 @@ class TestFailureContainment:
             (spec, PointSpec(protocol="DTN-FLOW", memory_kb=500.0,
                              rate=100.0, seed=0), config),
         ]
-        results = run_point_specs(entries, jobs=2, timeout=300.0)
+        results = run_point_specs(entries, jobs=2)
         assert [r.protocol for r in results] == ["Direct", "DTN-FLOW"]
-
-    def test_timeout_must_be_positive(self, tiny_trace, tiny_profile):
-        spec = TraceSpec.inline(tiny_trace)
-        config = tiny_profile.sim_config(memory_kb=500.0, rate=100.0, seed=0)
-        entry = (spec, PointSpec(protocol="Direct"), config)
-        with pytest.raises(ValueError, match="timeout"):
-            run_point_specs([entry], jobs=2, timeout=0)
-        with pytest.raises(ValueError, match="timeout"):
-            run_point_specs([entry], jobs=2, timeout=-5.0)
 
 
 # -- slotted-entity pickling (the hot-path overhaul removed __dict__) ---------------
@@ -423,9 +414,10 @@ class TestPointExecutionErrorPickle:
 
 
 class TestChaosEnvHooks:
-    """The pool-level chaos injections (repro chaos / docs/reliability.md):
-    an abrupt worker death or a raised task failure must both end in the
-    serial re-run producing results identical to an undisturbed sweep."""
+    """The pool-level chaos injections (repro chaos / docs/reliability.md),
+    passed to the executor as per-point ``injections``: an abrupt worker
+    death or a raised task failure must both end in the serial re-run
+    producing results identical to an undisturbed sweep."""
 
     POINTS = [
         PointSpec(protocol=name, memory_kb=500.0, rate=150.0, seed=0)
@@ -441,50 +433,43 @@ class TestChaosEnvHooks:
         ]
 
     def test_worker_exit_recovers_via_serial_rerun(
-        self, tiny_trace, tiny_profile, monkeypatch, capsys
+        self, tiny_trace, tiny_profile, capsys
     ):
-        from repro.eval.runner import CHAOS_POOL_EXIT
+        from repro.eval.runner import execute
 
         entries = self._entries(tiny_trace, tiny_profile)
         serial = run_point_specs(entries, jobs=1)
-        monkeypatch.setenv(CHAOS_POOL_EXIT, "1")
-        chaotic = run_point_specs(entries, jobs=2)
+        chaotic, _ = execute(entries, jobs=2, injections={1: {"pool_exit": True}})
         assert chaotic == serial
         assert "re-running serially" in capsys.readouterr().err
 
     def test_raised_task_failure_recovers_via_serial_rerun(
-        self, tiny_trace, tiny_profile, monkeypatch, capsys
+        self, tiny_trace, tiny_profile, capsys
     ):
-        from repro.eval.runner import CHAOS_POOL_RAISE
+        from repro.eval.runner import execute
 
         entries = self._entries(tiny_trace, tiny_profile)
         serial = run_point_specs(entries, jobs=1)
-        monkeypatch.setenv(CHAOS_POOL_RAISE, "0")
-        chaotic = run_point_specs(entries, jobs=2)
+        chaotic, _ = execute(entries, jobs=2, injections={0: {"pool_raise": True}})
         assert chaotic == serial
         assert "re-running serially" in capsys.readouterr().err
 
 
 class TestSweepInterrupted:
     def test_serial_interrupt_carries_completed_prefix(
-        self, tiny_trace, tiny_profile, monkeypatch
+        self, tiny_trace, tiny_profile
     ):
-        import repro.eval.runner as runner_mod
         from repro.eval.runner import SweepInterrupted
 
         entries = TestChaosEnvHooks()._entries(tiny_trace, tiny_profile)
-        real = runner_mod._serial_one
-        calls = {"n": 0}
 
-        def interrupting(entry, traces, out, i, total, pid, progress):
-            if calls["n"] == 1:
+        def interrupting(event):
+            # a SIGINT while the second point is handed over
+            if event.kind == "started" and event.index == 1:
                 raise KeyboardInterrupt
-            calls["n"] += 1
-            return real(entry, traces, out, i, total, pid, progress)
 
-        monkeypatch.setattr(runner_mod, "_serial_one", interrupting)
         with pytest.raises(SweepInterrupted) as err:
-            run_point_specs(entries, jobs=1)
+            run_point_specs(entries, jobs=1, progress=interrupting)
         results = err.value.results
         assert len(results) == len(entries)
         assert results[0] is not None and results[0].protocol == "DTN-FLOW"

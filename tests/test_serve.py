@@ -21,7 +21,6 @@ Coverage map (ISSUE 10 satellite c):
 from __future__ import annotations
 
 import json
-import queue as queue_mod
 import threading
 import time
 
@@ -490,33 +489,6 @@ def test_replay_point_source_resurrects_stored_scenario(server):
     frames = list(client.replay(point=shash[:12], speed=0, limit=10))
     assert frames[-1][0] == "replay.finished"
     assert frames[-1][1]["events_streamed"] == 10
-
-
-# ---------------------------------------------------------------------------
-# satellite b: the sweep progress-drain stop gate
-# ---------------------------------------------------------------------------
-
-
-def test_progress_drainer_stop_gate_silences_stragglers():
-    from repro.eval.runner import _PROGRESS_SENTINEL, _progress_drainer
-
-    q: "queue_mod.Queue" = queue_mod.Queue()
-    seen: list = []
-    stop = threading.Event()
-    thread = _progress_drainer(q, seen.append, total=2, stop=stop)
-    q.put(("started", 0, "Direct", 64, 1.0, 1, None, 123))
-    deadline = time.monotonic() + 5.0
-    while not seen and time.monotonic() < deadline:
-        time.sleep(0.01)
-    assert len(seen) == 1
-
-    # once stopped, straggler heartbeats are consumed but never forwarded
-    stop.set()
-    q.put(("finished", 0, "Direct", 64, 1.0, 1, 0.5, 123))
-    q.put(_PROGRESS_SENTINEL)
-    thread.join(timeout=5.0)
-    assert not thread.is_alive()
-    assert len(seen) == 1  # the post-stop record was swallowed
 
 
 # ---------------------------------------------------------------------------
