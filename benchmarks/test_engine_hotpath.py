@@ -1,27 +1,34 @@
-"""Engine hot-path microbenchmarks: dispatch, transfers, table merges.
+"""Hot-path microbenchmarks: dispatch, transfers, table merges, traces.
 
-The sweep benchmarks (Fig. 11-14) measure whole experiments; these three
-isolate the engine layers the hot-path overhaul touches, so a regression in
-one layer shows up directly instead of being averaged into a 30-point sweep:
+The sweep benchmarks (Fig. 11-14) measure whole experiments; these
+isolate the layers the hot-path work touches, so a regression in one
+layer shows up directly instead of being averaged into a 30-point sweep:
 
 * **event dispatch** — visit/generation event handling with a no-op
   protocol: the floor every protocol run pays;
 * **transfer path** — ``station_to_node`` / ``node_to_station`` handovers
   through a greedy protocol: buffer accounting, delivery, metrics;
 * **routing-table merge** — the distance-vector relaxation
-  (``RoutingTable.merge_snapshot``) over realistic snapshot sizes.
+  (``RoutingTable.merge_snapshot``) over realistic snapshot sizes;
+* **trace build** — one small DART trace: generator, raw log and the
+  preprocessing pipeline, the cost every sweep, resume and job pays once;
+* **stream pass** — one pass over a 500-node campus ``TraceStream``:
+  per-node generators, the heap merge and the order check.
 
 Each records an ops/second figure into ``BENCH_sweeps.json`` via the
-conftest recorder.  Assertions are sanity floors (the machinery actually
-ran), not wall-clock gates — CI wall-clock is gated by the perf-gate job
-on the ci scenario instead.
+conftest recorder (the trace micros with the host's core count).
+Assertions are sanity floors (the machinery actually ran), not
+wall-clock gates — CI wall-clock is gated by the perf-gate job on the ci
+scenario instead.
 """
 
 from __future__ import annotations
 
+import os
 from time import perf_counter
 
 from repro.core.routing_table import RouteEntry, RoutingTable, TableSnapshot
+from repro.mobility.synthetic import CampusConfig, CampusMobilityModel, dart_like
 from repro.mobility.trace import Trace, VisitRecord, days
 from repro.sim.engine import RoutingProtocol, SimConfig, Simulation
 
@@ -144,3 +151,44 @@ def test_routing_table_merge_micro():
     assert merged == n_rounds
     assert len(table.entries()) >= n_landmarks - 6
     assert rate > 10_000
+
+
+def test_trace_build_micro():
+    t0 = perf_counter()
+    trace = dart_like("small", seed=1)
+    elapsed = perf_counter() - t0
+
+    rate = len(trace) / elapsed if elapsed > 0 else float("inf")
+    record_bench("mobility_trace_build", {
+        "trace": trace.name,
+        "records": len(trace),
+        "seconds": round(elapsed, 4),
+        "records_per_second": round(rate, 1),
+        "cpu_count": os.cpu_count(),
+    })
+    assert len(trace) > 1000
+
+
+#: the benchmark's campus-stream map: 50 landmarks, 500 nodes, 5 days
+CAMPUS_500 = CampusConfig(
+    n_nodes=500, n_departments=10, buildings_per_department=3, n_dorms=12,
+    n_dining=4, n_misc=3, days=5, holidays=(),
+)
+
+
+def test_stream_pass_micro():
+    stream = CampusMobilityModel(CAMPUS_500, seed=1).trace_stream()
+
+    t0 = perf_counter()
+    n_records = sum(1 for _ in stream.iter_records())
+    elapsed = perf_counter() - t0
+
+    rate = n_records / elapsed if elapsed > 0 else float("inf")
+    record_bench("mobility_stream_pass", {
+        "nodes": CAMPUS_500.n_nodes,
+        "records": n_records,
+        "seconds": round(elapsed, 4),
+        "records_per_second": round(rate, 1),
+        "cpu_count": os.cpu_count(),
+    })
+    assert n_records == len(stream) > 10_000

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from repro.utils.validation import require_non_negative, require_positive
 
@@ -87,6 +86,8 @@ class SubareaMap:
     def __init__(self, landmarks: Sequence[Place]) -> None:
         if not landmarks:
             raise ValueError("need at least one landmark")
+        from scipy.spatial import cKDTree  # slow to import; only this needs it
+
         self.landmarks = list(landmarks)
         self._ids = [p.place_id for p in landmarks]
         self._points = np.array([[p.x, p.y] for p in landmarks], dtype=float)

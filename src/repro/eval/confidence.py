@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
-from scipy import stats as sp_stats
 
 from repro.eval.config import TraceProfile
 from repro.eval.runner import PointSpec, TraceSpec, run_points
@@ -51,6 +50,8 @@ def confidence_interval(
     mean = float(arr.mean())
     if arr.size == 1:
         return MetricCI(mean=mean, half_width=0.0, n=1, level=level)
+    from scipy import stats as sp_stats  # slow to import; only this call needs it
+
     sem = float(arr.std(ddof=1)) / np.sqrt(arr.size)
     t = float(sp_stats.t.ppf(0.5 + level / 2.0, df=arr.size - 1))
     return MetricCI(mean=mean, half_width=t * sem, n=int(arr.size), level=level)

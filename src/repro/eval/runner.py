@@ -6,10 +6,14 @@ independent discrete-event run.  :func:`execute` runs such a grid for
 every caller (sweeps, scenario runs, resumable run directories, sharded
 points, ``repro serve`` jobs) with four guarantees:
 
-* **trace caching** — in-process points share one trace cache keyed by
-  :class:`TraceSpec` key; pool workers receive a per-call pool's spec
-  table once (via the pool initializer) and materialize every distinct
-  trace at most once, reusing it across all the points they execute;
+* **trace caching** — every distinct trace is built at most once per
+  call: in-process points share one trace cache keyed by
+  :class:`TraceSpec` key, and a per-call pool's initializer hands the
+  parent's built traces to every worker (fork shares the pages, spawn
+  unpickles the presorted records once per worker), so workers never
+  rebuild; a caller's long-lived pool, created before the traces
+  existed, receives the spec with each task and materializes it once per
+  worker;
 * **deterministic ordering** — results come back in submission order no
   matter which worker finishes first;
 * **bit-identical paths** — in-process, pooled, checkpointed and sharded
@@ -126,18 +130,19 @@ def parse_jobs(value: Union[int, str, None]) -> int:
 
 @dataclass(frozen=True)
 class TraceSpec:
-    """A picklable recipe for materializing a :class:`Trace` in a worker.
+    """A picklable recipe for a :class:`Trace`, and its cache key.
 
-    Workers cache materialized traces by :attr:`key`, so a spec shipped once
-    (through the pool initializer) serves every point that references it.
-    Three kinds:
+    The executor builds each distinct :attr:`key` once per call (a caller
+    may seed its trace cache with the built trace) and stamps profile and
+    path recipes into provenance, so a point can be re-run from its
+    scenario dict alone.  A caller's long-lived pool receives the spec
+    with each task and materializes it once per worker.  Three kinds:
 
     * ``profile`` — rebuild a built-in synthetic trace (``DART``/``DNET``)
-      from its deterministic generator; nothing but the name and seed
-      crosses the process boundary;
+      from its deterministic generator;
     * ``path`` — load a trace CSV from disk;
-    * ``inline`` — carry the trace itself (pickled once per worker; the
-      general case for programmatically-built traces).
+    * ``inline`` — carry the trace itself (the general case for
+      programmatically-built traces; it has no re-runnable recipe).
     """
 
     kind: str
@@ -310,31 +315,28 @@ class SweepInterrupted(RuntimeError):
 
 
 # -- worker side -------------------------------------------------------------------
-_WORKER_SPECS: Dict[str, TraceSpec] = {}
 _WORKER_TRACES: Dict[str, Trace] = {}
 
 
-def _pool_init(specs: Dict[str, TraceSpec]) -> None:
-    """Pool initializer: receive the spec table once per worker process."""
-    global _WORKER_SPECS
-    _WORKER_SPECS = specs
+def _pool_init(traces: Dict[str, Trace]) -> None:
+    """Pool initializer: adopt the parent's built traces, keyed by spec key."""
     _WORKER_TRACES.clear()
+    _WORKER_TRACES.update(traces)
 
 
-def _worker_trace(spec: Union[str, TraceSpec]) -> Trace:
-    """Materialize (once) and cache a trace in this worker.
+def _worker_trace(ref: Union[str, TraceSpec]) -> Trace:
+    """The trace a pool task runs on.
 
-    ``spec`` is a key into the initializer's spec table (a per-call pool)
-    or the spec itself (a caller's long-lived pool, created before the
-    spec existed), which then joins the table — either way the trace is
-    cached per worker, warm across points and calls.
+    ``ref`` is a key into the traces a per-call pool's initializer handed
+    over, or the spec itself (a caller's long-lived pool, created before
+    the trace existed), materialized on first use and then cached in the
+    worker, warm across points and calls.
     """
-    if isinstance(spec, TraceSpec):
-        _WORKER_SPECS.setdefault(spec.key, spec)
-        spec = spec.key
-    trace = _WORKER_TRACES.get(spec)
+    if isinstance(ref, str):
+        return _WORKER_TRACES[ref]
+    trace = _WORKER_TRACES.get(ref.key)
     if trace is None:
-        trace = _WORKER_TRACES[spec] = _WORKER_SPECS[spec].materialize()
+        trace = _WORKER_TRACES[ref.key] = ref.materialize()
     return trace
 
 
@@ -415,8 +417,9 @@ def execute(
       checkpoints it, and in the pool by cancelling the points not yet
       started and collecting the running ones.  A cancel or a SIGINT
       raises :class:`SweepInterrupted` carrying the finished results.
-    * ``traces`` is the in-process trace cache keyed by spec key; seed it
-      with already-built traces, or keep it across calls.
+    * ``traces`` is the trace cache keyed by spec key, which a per-call
+      pool's workers receive too; seed it with already-built traces, or
+      keep it across calls.
     * ``injections`` maps a point index to chaos hooks: ``pool_exit`` and
       ``pool_raise`` (see :func:`_run_task`), ``crash_after_saves`` (the
       serial checkpointer) and ``chaos_kill`` (a ``(shard, epoch)`` shard
@@ -454,6 +457,12 @@ def execute(
         results[i], infos[i] = result, info
         emit("finished", i, seconds, pid, result)
 
+    def trace_of(spec: TraceSpec) -> Trace:
+        trace = traces.get(spec.key)
+        if trace is None:
+            trace = traces[spec.key] = spec.materialize()
+        return trace
+
     def run_here(i: int, announce: bool = True) -> None:
         """The in-process per-point path."""
         spec, point, config = entries[i]
@@ -464,9 +473,7 @@ def execute(
             raise ExecutionInterrupted(f"grid cancelled before point {i}")
         if announce:
             emit("started", i, pid=os.getpid())
-        trace = traces.get(spec.key)
-        if trace is None:
-            trace = traces[spec.key] = spec.materialize()
+        trace = trace_of(spec)
         inj = injections.get(i) or {}
         checkpointer = None
         if run_dir is not None:
@@ -509,13 +516,14 @@ def execute(
     try:
         n_jobs = min(parse_jobs(jobs), len(todo))
         if todo and not sharded and (pool is not None or n_jobs > 1):
-            shipped: Dict[str, TraceSpec] = {}
-            if pool is None:
-                for i in todo:
-                    shipped.setdefault(entries[i][0].key, entries[i][0])
+            # a per-call pool's workers start with the parent's built
+            # traces; tasks for a caller's long-lived pool carry the spec
+            built: Dict[str, Trace] = {} if pool is not None else {
+                entries[i][0].key: trace_of(entries[i][0]) for i in todo
+            }
             try:
                 executor = pool or ProcessPoolExecutor(
-                    max_workers=n_jobs, initializer=_pool_init, initargs=(shipped,)
+                    max_workers=n_jobs, initializer=_pool_init, initargs=(built,)
                 )
             except _POOL_ERRORS as exc:
                 print(
@@ -527,7 +535,7 @@ def execute(
                 abandon = True
                 try:
                     failed = _through_pool(
-                        executor, entries, todo, injections, shipped, cancel, emit, commit
+                        executor, entries, todo, injections, built, cancel, emit, commit
                     )
                     abandon = False
                 finally:
@@ -561,15 +569,15 @@ def _through_pool(
     entries: List[Entry],
     todo: List[int],
     injections: Mapping[int, Mapping[str, Any]],
-    shipped: Dict[str, TraceSpec],
+    built: Mapping[str, Trace],
     cancel: Optional[InterruptFlag],
     emit: Callable[..., None],
     commit: Callable[..., None],
 ) -> List[Tuple[int, BaseException]]:
     """Hand the ``todo`` points to ``pool``; commit each result as it lands.
 
-    A task carries its trace's key when the spec table was ``shipped``
-    through the pool initializer, the spec itself otherwise.  A failed
+    A task carries its trace's key when the trace was ``built`` and handed
+    over through the pool initializer, the spec itself otherwise.  A failed
     point is handed over once more while the pool is healthy; returns the
     points that failed for good.  A triggered ``cancel`` cancels every
     point not yet started and collects the running ones, then raises
@@ -582,7 +590,7 @@ def _through_pool(
 
     def hand_over(i: int) -> None:
         spec, point, config = entries[i]
-        ref = spec.key if spec.key in shipped else spec
+        ref = spec.key if spec.key in built else spec
         chaos = injections.get(i) or {}
         try:
             pending[pool.submit(_run_task, i, ref, point, config, chaos)] = i
@@ -655,9 +663,10 @@ def run_points(
     """Run experiment ``points`` against one trace, fanning out over workers.
 
     Results are returned in ``points`` order and are bit-identical across
-    ``jobs`` values.  ``trace_spec`` lets callers that know a cheaper recipe
-    for the trace (a profile name or a CSV path) avoid pickling it to every
-    worker; by default the trace itself is shipped once per worker.
+    ``jobs`` values.  ``trace_spec`` gives the trace a re-runnable recipe
+    (a profile name or a CSV path), which each point's provenance records;
+    without one the trace is run inline and points carry no scenario.
+    Either way ``trace`` itself is what runs: it is never rebuilt.
     ``progress`` streams per-point :class:`ProgressEvent` records.
     """
     spec = trace_spec if trace_spec is not None else TraceSpec.inline(trace)

@@ -21,16 +21,12 @@ DNET-style (bus AP-scan log with GPS), one sighting per line::
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, TextIO, Tuple, Union
+from typing import Dict, Iterable, List, NamedTuple, TextIO, Tuple, Union
 
 from repro.mobility.trace import VisitRecord
 
 
-@dataclass(frozen=True)
-class ApSighting:
-    """A raw AP association record with coordinates (DNET-style)."""
-
+class _SightingFields(NamedTuple):
     node: int
     ap: str
     lat: float
@@ -38,27 +34,42 @@ class ApSighting:
     start: float
     end: float
 
-    def __post_init__(self) -> None:
-        if self.end < self.start:
+
+class ApSighting(_SightingFields):
+    """A raw AP association record with coordinates (DNET-style)."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, node: int, ap: str, lat: float, lon: float, start: float, end: float
+    ) -> "ApSighting":
+        self = tuple.__new__(cls, (node, ap, lat, lon, start, end))
+        if end < start:
             raise ValueError(f"sighting ends before it starts: {self}")
+        return self
 
     @property
     def duration(self) -> float:
         return self.end - self.start
 
 
-@dataclass(frozen=True)
-class RawAssociation:
-    """A raw AP association record without coordinates (DART-style)."""
-
+class _AssociationFields(NamedTuple):
     node: int
     ap: str
     start: float
     end: float
 
-    def __post_init__(self) -> None:
-        if self.end < self.start:
+
+class RawAssociation(_AssociationFields):
+    """A raw AP association record without coordinates (DART-style)."""
+
+    __slots__ = ()
+
+    def __new__(cls, node: int, ap: str, start: float, end: float) -> "RawAssociation":
+        self = tuple.__new__(cls, (node, ap, start, end))
+        if end < start:
             raise ValueError(f"association ends before it starts: {self}")
+        return self
 
     @property
     def duration(self) -> float:

@@ -29,6 +29,7 @@ order-2/3, as the paper observes in Fig. 6(a).
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -56,6 +57,19 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Campus (DART-like) model
 # ---------------------------------------------------------------------------
+
+
+def choice_cdf(weights: np.ndarray) -> List[float]:
+    """The CDF ``Generator.choice(len(weights), p=weights)`` draws against.
+
+    Built exactly as ``choice`` builds it (``cumsum``, divided by its last
+    entry), so ``bisect_right(cdf, rng.random())`` picks the index
+    ``choice`` would from the same single draw, leaving the generator in
+    the same state, at a fraction of ``choice``'s per-call cost.
+    """
+    cdf = weights.cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
 
 
 @dataclass
@@ -153,7 +167,8 @@ class CampusMobilityModel:
         # landmark a small set of frequent visitors (O1).
         self.node_hub = np.zeros(cfg.n_nodes, dtype=np.int64)
         self.node_spokes: List[List[int]] = []
-        self.node_spoke_weights: List[np.ndarray] = []
+        #: per-node spoke CDFs (see :func:`choice_cdf`)
+        self.node_spoke_cdfs: List[List[float]] = []
         for n in range(cfg.n_nodes):
             dept = self.department_buildings[self.node_department[n]]
             self.node_hub[n] = dept[0]
@@ -165,7 +180,7 @@ class CampusMobilityModel:
             self.node_spokes.append(spokes)
             # Dirichlet with small alpha => strongly skewed personal tastes
             w = self.rng.dirichlet(np.full(len(spokes), 0.25))
-            self.node_spoke_weights.append(w)
+            self.node_spoke_cdfs.append(choice_cdf(w))
 
     # -- construction helpers --------------------------------------------------
     def _day_sequence(
@@ -186,7 +201,7 @@ class CampusMobilityModel:
         dorm = int(self.node_dorm[node])
         hub = int(self.node_hub[node])
         spokes = self.node_spokes[node]
-        weights = self.node_spoke_weights[node]
+        cdf = self.node_spoke_cdfs[node]
         n_excursions = max(1, int(rng.poisson((cfg.routine_length - 2) / 2.0)))
         # mornings sometimes start at a spoke, evenings sometimes end from
         # one: the variation keeps matching links symmetric in aggregate
@@ -201,7 +216,7 @@ class CampusMobilityModel:
                 else:
                     spoke = spokes[int(rng.integers(0, len(spokes)))]
             else:
-                spoke = spokes[int(rng.choice(len(spokes), p=weights))]
+                spoke = spokes[bisect_right(cdf, rng.random())]
             if spoke != seq[-1]:
                 seq.append(spoke)
             if i < n_excursions - 1 or rng.random() < 0.55:

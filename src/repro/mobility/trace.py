@@ -18,30 +18,38 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Sequence, Tuple
 
 ReplayEvent = Tuple[float, int, int, "VisitRecord"]
 
 
-@dataclass(frozen=True, order=True)
-class VisitRecord:
-    """One node↔landmark association interval.
-
-    Ordering is by ``(start, end, node, landmark)`` so that a sorted list of
-    records replays the trace in time order.
-    """
-
+class _VisitFields(NamedTuple):
     start: float
     end: float
     node: int
     landmark: int
 
-    def __post_init__(self) -> None:
-        if self.end < self.start:
+
+class VisitRecord(_VisitFields):
+    """One node↔landmark association interval.
+
+    A tuple of ``(start, end, node, landmark)``, so a sorted list of
+    records replays the trace in time order, and ordering, hashing and
+    unpacking run at C speed (trace builds sort and merge records by the
+    hundred thousand).
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, start: float, end: float, node: int, landmark: int
+    ) -> "VisitRecord":
+        if end < start:
             raise ValueError(
-                f"visit ends before it starts: node={self.node} "
-                f"landmark={self.landmark} [{self.start}, {self.end}]"
+                f"visit ends before it starts: node={node} "
+                f"landmark={landmark} [{start}, {end}]"
             )
+        return tuple.__new__(cls, (start, end, node, landmark))
 
     @property
     def duration(self) -> float:

@@ -6,11 +6,23 @@ part of most tests, and traces are immutable.
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.mobility import dart_like, deployment_trace, dnet_like
 from repro.mobility.trace import Trace, VisitRecord, days
 from repro.sim.engine import SimConfig
+
+
+@pytest.fixture(scope="session")
+def child_env() -> dict:
+    """The environment for a child interpreter importing this ``repro``."""
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
 
 
 @pytest.fixture(scope="session")

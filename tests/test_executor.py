@@ -11,6 +11,10 @@ executed point, and go quiet once :class:`SweepInterrupted` is raised.
 
 from __future__ import annotations
 
+import json
+import shutil
+import subprocess
+import sys
 import time
 
 import pytest
@@ -192,3 +196,47 @@ def test_job_manager(spec, reference, tmp_path, jobs):
     assert all(d["seconds"] > 0 for d in finished)
     # in-process points run in the server; pool hand-overs name no worker
     assert all((d["pid"] is None) == (jobs > 1) for d in started)
+
+
+SPAWN_GRID = r"""
+import json, multiprocessing, os, sys
+from repro.eval.runner import run_point_specs
+from repro.eval.scenario import ScenarioSpec
+
+multiprocessing.set_start_method("spawn")
+spec = ScenarioSpec.from_dict(json.loads(sys.argv[1])).validate()
+entries = spec.entries()
+trace_spec = entries[0][0]
+trace = trace_spec.materialize()
+os.unlink(trace_spec.path)  # from here on, only the built trace can run
+finished = []
+results = run_point_specs(
+    entries, jobs=2, materialized={trace_spec.key: trace},
+    progress=lambda e: finished.append(e.pid) if e.kind == "finished" else None,
+)
+metrics = []
+for r in results:
+    m = r.metrics.as_dict()
+    m.pop("provenance", None)
+    m.pop("phase_timings", None)
+    metrics.append(m)
+print(json.dumps({"metrics": metrics, "parent": os.getpid(), "pids": finished}))
+"""
+
+
+def test_spawned_pool_runs_the_parents_trace(spec, reference, tmp_path, child_env):
+    """Built traces travel to spawned workers by pickle (macOS, and the
+    forkserver default from Python 3.14) and give the jobs=1 metrics."""
+    doc = spec.as_dict()
+    doc["trace"] = {"path": str(tmp_path / "copy.csv")}
+    shutil.copy(spec.trace.path, doc["trace"]["path"])
+    proc = subprocess.run(
+        [sys.executable, "-c", SPAWN_GRID, json.dumps(doc)],
+        capture_output=True, text=True, env=child_env, timeout=WAIT,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["metrics"] == json.loads(json.dumps(reference))
+    # every point ran in a worker: none failed over to the parent
+    assert len(out["pids"]) == 3 and out["parent"] not in out["pids"]
+    assert "re-running serially" not in proc.stderr

@@ -1,6 +1,8 @@
 """Tests for trace serialisation, confidence intervals and the CLI."""
 
 import io
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -245,3 +247,15 @@ class TestCLIRobustness:
         )
         assert rc == 2
         assert "Bogus" in err
+
+
+def test_importing_the_cli_loads_no_scipy(child_env):
+    """scipy takes most of a second to import; only ``SubareaMap`` and
+    ``confidence_interval`` need it, and they import it when called."""
+    code = "import sys, repro.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=child_env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,0 +1,86 @@
+"""Golden trace digests: the built traces are pinned byte for byte.
+
+Every figure replays a trace built by a deterministic generator and the
+preprocessing pipeline, so a change to the visit records, the generators
+or the preprocessing that alters a trace would otherwise surface only in
+the slow metric-parity suite and the CI regression gates.  These digests
+(sha256 of :func:`~repro.mobility.io.dumps_trace`) fail it in seconds.
+Regenerate them only for a deliberate change to the traces, together with
+``ci/regression-baseline.json``.
+
+The campus model draws a spoke with ``bisect_right`` over
+:func:`~repro.mobility.synthetic.choice_cdf` instead of
+``Generator.choice(n, p=w)``; ``choice`` stays here as the reference the
+draw must match index for index and generator state for state.
+"""
+
+from __future__ import annotations
+
+import hashlib
+from bisect import bisect_right
+
+import numpy as np
+import pytest
+
+from repro.eval.config import trace_profile
+from repro.mobility.io import dumps_trace
+from repro.mobility.synthetic import (
+    BusConfig,
+    BusMobilityModel,
+    CampusConfig,
+    CampusMobilityModel,
+    choice_cdf,
+)
+
+PROFILE_DIGESTS = {
+    ("DART", 1): "c7190b2bee3907533272bbfc6b33e90ca100172b82d2a34d7412f2018a4e2762",
+    ("DART", 2): "dfd0f2ac8b0e5dba1ad1dd3d25783475acfc6cf41184354befd4d4e916152dde",
+    ("DNET", 1): "9dd5f09387a9f50196b913fd17d00fb15fdda1f7c317aee2f75eb60c74ff7634",
+    ("DNET", 2): "1b3a29b999922ff773b2f43b9a37d95a9ac54d70c70f42a1341f8d3437d9e3b9",
+}
+CAMPUS_STREAM_DIGEST = "11ba8e1274784a95f9c48671356ff225efdec5fefc285d2542f3dfc03aa6fa51"
+BUS_STREAM_DIGEST = "2581287dd6c3dd6fd39efc0aa4e0ff0feedcbb765b9ffc2eca46e3658ebabc7f"
+
+
+def digest(trace) -> str:
+    return hashlib.sha256(dumps_trace(trace).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(("name", "seed"), sorted(PROFILE_DIGESTS))
+def test_profile_trace_digest(name, seed):
+    trace = trace_profile(name, full_scale=False).build(seed)
+    assert digest(trace) == PROFILE_DIGESTS[name, seed]
+
+
+def test_campus_stream_digest():
+    model = CampusMobilityModel(CampusConfig(n_nodes=30, days=4), seed=3)
+    assert digest(model.trace_stream().materialize()) == CAMPUS_STREAM_DIGEST
+
+
+def test_bus_stream_digest():
+    config = BusConfig(n_buses=8, n_stops=8, n_routes=3, days=4)
+    model = BusMobilityModel(config, seed=3)
+    assert digest(model.trace_stream().materialize()) == BUS_STREAM_DIGEST
+
+
+@pytest.mark.parametrize("seed", range(0, 300, 10))
+def test_cdf_draw_matches_generator_choice(seed):
+    for k in range(2, 8):
+        # the model's spoke weights: Dirichlet with a small alpha, skewed
+        weights = np.random.default_rng(seed).dirichlet(np.full(k, 0.25))
+        cdf = choice_cdf(weights)
+        reference = np.random.default_rng(seed + 1)
+        drawn = np.random.default_rng(seed + 1)
+        picks = [int(reference.choice(k, p=weights)) for _ in range(200)]
+        assert [bisect_right(cdf, drawn.random()) for _ in range(200)] == picks
+        assert drawn.bit_generator.state == reference.bit_generator.state
+
+
+def test_cdf_draw_matches_choice_with_zero_weights():
+    weights = np.array([0.0, 0.5, 0.0, 0.5, 0.0])
+    cdf = choice_cdf(weights)
+    reference = np.random.default_rng(7)
+    drawn = np.random.default_rng(7)
+    picks = [int(reference.choice(5, p=weights)) for _ in range(500)]
+    assert [bisect_right(cdf, drawn.random()) for _ in range(500)] == picks
+    assert set(picks) == {1, 3}
