@@ -31,7 +31,7 @@ from typing import Dict
 
 import pytest
 
-from repro.eval.config import full_scale, trace_profile
+from repro.eval.config import full_scale, sweep_grid, trace_profile
 from repro.eval.runner import parse_jobs
 from repro.eval.scenario import preset_scenario, run_scenario
 from repro.mobility.trace import Trace
@@ -153,17 +153,7 @@ def dnet_trace(dnet_profile) -> Trace:
 @pytest.fixture(scope="session")
 def memory_grid():
     """Fig. 11/12 x-axis; the full 10-point grid under REPRO_FULL_SCALE."""
-    if full_scale():
-        return [float(m) for m in range(1200, 3001, 200)]
-    return [1200.0, 1600.0, 2000.0, 2400.0, 3000.0]
-
-
-@pytest.fixture(scope="session")
-def rate_grid():
-    """Fig. 13/14 x-axis; the full 10-point grid under REPRO_FULL_SCALE."""
-    if full_scale():
-        return [float(r) for r in range(100, 1001, 100)]
-    return [100.0, 300.0, 500.0, 700.0, 1000.0]
+    return list(sweep_grid("memory_kb", full_scale()))
 
 
 def emit(title: str, body: str) -> None:

@@ -1,7 +1,7 @@
 """Parallel sweep executor: wall-clock speedup benchmark.
 
-Runs a representative two-protocol memory sweep serially and through the
-process-pool executor, asserts bit-identical results, and records both
+Runs a representative two-protocol memory-sweep scenario serially and
+through the process-pool executor, asserts bit-identical results, and records both
 wall-clock times (and the speedup) into ``BENCH_sweeps.json`` via the
 conftest recorder — the perf trajectory future PRs build on.
 
@@ -15,7 +15,7 @@ from __future__ import annotations
 import os
 from time import perf_counter
 
-from repro.eval.sweeps import memory_sweep
+from repro.eval.scenario import run_scenario
 
 from .conftest import emit, record_bench
 
@@ -25,21 +25,17 @@ PROTOCOLS = ("DTN-FLOW", "PROPHET")
 def test_parallel_memory_sweep_speedup(dart_trace, dart_profile, memory_grid):
     n_cores = os.cpu_count() or 1
     n_jobs = min(4, n_cores)
+    spec = dart_profile.scenario(
+        protocols=PROTOCOLS, seeds=(3,), trace_seed=1, rate=500.0,
+        sweep={"parameter": "memory_kb", "values": memory_grid},
+    )
 
     t0 = perf_counter()
-    serial = memory_sweep(
-        dart_trace, dart_profile,
-        memories_kb=memory_grid, rate=500.0,
-        protocols=PROTOCOLS, seed=3, jobs=1,
-    )
+    serial = run_scenario(spec, jobs=1, trace=dart_trace).sweep_result()
     t_serial = perf_counter() - t0
 
     t0 = perf_counter()
-    parallel = memory_sweep(
-        dart_trace, dart_profile,
-        memories_kb=memory_grid, rate=500.0,
-        protocols=PROTOCOLS, seed=3, jobs=n_jobs,
-    )
+    parallel = run_scenario(spec, jobs=n_jobs, trace=dart_trace).sweep_result()
     t_parallel = perf_counter() - t0
 
     # determinism: parallel execution is bit-identical to serial

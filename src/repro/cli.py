@@ -25,7 +25,9 @@ rows carry full run provenance (config, seed, package version, resolved
 scenario) so result files are self-describing — ``repro rerun`` turns any
 such file back into the bit-identical experiment that produced it.
 ``run``, ``compare`` and ``sweep`` also accept ``--scenario FILE`` to take
-their whole configuration from a manifest (see ``docs/scenarios.md``).
+their whole configuration from a manifest (see ``docs/scenarios.md``);
+without one, their trace and workload flags build the equivalent scenario,
+so both forms run, validate and record the same way.
 
 ``run``, ``compare``, ``sweep``, ``scenario run`` and ``resilience`` accept
 ``--record [--db PATH]`` to persist their results into the SQLite
@@ -45,32 +47,22 @@ from typing import List, Optional, Sequence
 
 from repro.baselines import PAPER_PROTOCOLS, make_protocol, protocol_names
 from repro.core import evaluate_predictor
-from repro.eval.config import profile_for_trace, trace_profile
-from repro.eval.confidence import run_with_confidence
+from repro.eval.config import profile_for_trace, sweep_grid, trace_profile
 from repro.eval.deployment import run_deployment
-from repro.eval.experiment import run_matrix
 from repro.eval.resilience import (
     DEFAULT_INTENSITIES,
     degradation_curves,
     reconvergence_after_death,
 )
-from repro.eval.runner import (
-    PointSpec,
-    TraceSpec,
-    execute,
-    parse_jobs,
-    point_scenario_dict,
-)
+from repro.eval.runner import ProgressFn, execute, parse_jobs
 from repro.eval.scenario import (
     ScenarioResult,
     ScenarioSpec,
+    embedded_scenario,
     load_scenario,
     preset_catalog,
-    rerun_scenario,
-    run_scenario,
 )
 from repro.eval.profiling import profile_scenario
-from repro.eval.sweeps import memory_sweep, rate_sweep
 from repro.mobility import io as trace_io
 from repro.mobility import stats
 from repro.obs import ALL_EVENTS, Observability
@@ -89,7 +81,6 @@ from repro.store import (
     ingest_payload,
     ingest_profile,
     ingest_scenario_result,
-    ingest_sweep_result,
     latest_per_point,
     pin_baseline,
     query_points,
@@ -102,22 +93,17 @@ from repro.utils.tables import format_table
 
 
 def _resolve_trace(spec: str, seed: int) -> tuple:
-    """Return (trace, profile, trace_spec) for a profile name or a CSV path.
-
-    The :class:`TraceSpec` is the picklable recipe parallel workers use to
-    rebuild the trace without shipping it point-by-point.
-    """
+    """Return (trace, profile) for a profile name or a CSV path."""
     key = spec.upper()
     if key in ("DART", "DNET"):
         profile = trace_profile(key)
-        return profile.build(seed), profile, TraceSpec.from_profile(key, seed)
+        return profile.build(seed), profile
     trace = trace_io.load_trace(spec)
-    profile = profile_for_trace(trace, path=spec)
-    return trace, profile, TraceSpec.from_path(spec)
+    return trace, profile_for_trace(trace, path=spec)
 
 
 def cmd_summary(args: argparse.Namespace) -> int:
-    trace, profile, _ = _resolve_trace(args.trace, args.seed)
+    trace, profile = _resolve_trace(args.trace, args.seed)
     s = stats.trace_summary(trace)
     print(format_table(
         ["trace", "nodes", "landmarks", "days", "records", "transits"],
@@ -164,6 +150,60 @@ def _load_scenario_arg(source: str) -> ScenarioSpec:
         raise _ScenarioArgError(f"invalid scenario {source!r}: {exc}") from None
 
 
+def _flag_scenario(
+    args: argparse.Namespace,
+    *,
+    name: str,
+    protocols: Sequence[str],
+    seeds: Sequence[int] = (),
+    sweep: Optional[dict] = None,
+) -> ScenarioSpec:
+    """The scenario the ``run``/``compare``/``sweep`` workload flags describe.
+
+    The trace is ``--trace`` at seed ``--seed`` (a built-in profile's own
+    scenario trace block, or a CSV ``path``); ``seeds`` are the sim seeds
+    (default ``--seed``).  The spec is validated like a ``--scenario``
+    manifest, so a bad flag exits 2 before any trace is built.
+    """
+    key = args.trace.upper()
+    try:
+        trace = (
+            trace_profile(key).trace_field(args.seed)
+            if key in ("DART", "DNET")
+            else {"path": args.trace}
+        )
+        return ScenarioSpec.from_dict({
+            "name": name,
+            "trace": trace,
+            "sim": {"memory_kb": args.memory, "rate": args.rate},
+            "protocols": list(protocols),
+            "seeds": list(seeds) or [args.seed],
+            **({"sweep": sweep} if sweep else {}),
+        }).validate()
+    except ValueError as exc:
+        raise _ScenarioArgError(f"repro {args.command}: {exc}") from None
+
+
+def _execute_scenario(
+    spec: ScenarioSpec,
+    *,
+    jobs: int,
+    shards: Optional[int] = None,
+    progress: Optional[ProgressFn] = None,
+):
+    """Every point of ``spec`` through the executor: ``(result, infos)``.
+
+    The one way the CLI runs a scenario, whether a manifest, a preset, an
+    exported result or workload flags described it.
+    """
+    profile, tspec, materialized = spec.resolve_trace()
+    entries = spec.entries(profile, tspec)
+    results, infos = execute(
+        entries, jobs=jobs, shards=shards, progress=progress, traces=materialized
+    )
+    return ScenarioResult(spec, [p for _, p, _ in entries], results), infos
+
+
 def _print_metrics_table(result, title: str) -> None:
     rows = [
         ["packets generated", result.generated],
@@ -175,6 +215,24 @@ def _print_metrics_table(result, title: str) -> None:
         ["total cost", result.total_cost],
     ]
     print(format_table(["metric", "value"], rows, title=title))
+
+
+_COMPARE_HEADERS = ["protocol", "success rate", "avg delay (h)", "fwd ops", "total cost"]
+
+
+def _ci_rows(confidence) -> List[list]:
+    """One table row per protocol of ``ScenarioResult.confidence()``."""
+    return [
+        [
+            protocol,
+            str(cis["success_rate"]),
+            f"{cis['avg_delay'].mean / 3600:.1f} ± "
+            f"{cis['avg_delay'].half_width / 3600:.1f}",
+            str(cis["forwarding_ops"]),
+            str(cis["total_cost"]),
+        ]
+        for protocol, cis in confidence.items()
+    ]
 
 
 def _print_scenario_result(res: ScenarioResult) -> None:
@@ -202,166 +260,97 @@ def _print_scenario_result(res: ScenarioResult) -> None:
         title=f"{label} ({res.results[0].trace if res.results else spec.trace}):",
     ))
     if len(spec.seeds) > 1:
-        ci_rows = []
-        for protocol, cis in res.confidence().items():
-            ci_rows.append([
-                protocol,
-                str(cis["success_rate"]),
-                f"{cis['avg_delay'].mean / 3600:.1f} ± "
-                f"{cis['avg_delay'].half_width / 3600:.1f}",
-                str(cis["forwarding_ops"]),
-                str(cis["total_cost"]),
-            ])
         print()
         print(format_table(
-            ["protocol", "success rate", "avg delay (h)", "fwd ops", "total cost"],
-            ci_rows,
+            _COMPARE_HEADERS, _ci_rows(res.confidence()),
             title=f"95% confidence over seeds {list(spec.seeds)}:",
         ))
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     shards = args.shards if args.shards is not None and args.shards >= 2 else None
-    if args.run_dir:
-        # checkpointed execution works on a scenario; synthesize a
-        # single-point one from the workload flags when none was given
-        if args.scenario:
-            spec = _load_scenario_arg(args.scenario)
-        else:
-            key = args.trace.upper()
-            trace_block = (
-                {"profile": key, "seed": args.seed}
-                if key in ("DART", "DNET")
-                else {"path": args.trace}
-            )
-            spec = ScenarioSpec.from_dict({
-                "name": f"run-{args.protocol}",
-                "trace": trace_block,
-                "sim": {"memory_kb": args.memory, "rate": args.rate},
-                "protocols": [args.protocol],
-                "seeds": [args.seed],
-            }).validate()
-        return _run_resumable_cli(
-            args, spec, shards if shards is not None else spec.shards,
-            args.run_dir,
-        )
     if args.scenario:
         spec = _load_scenario_arg(args.scenario)
-        if spec.n_points() != 1:
-            print(
-                f"repro run --scenario needs a single-point scenario; "
-                f"{args.scenario!r} resolves to {spec.n_points()} points "
-                "(use 'repro scenario run' for grids)",
-                file=sys.stderr,
-            )
-            return 2
-        if shards is None and spec.shards is not None:
+        if shards is None:
             shards = spec.shards
-        res, _infos = _execute_scenario(spec, jobs=parse_jobs(args.jobs), shards=shards)
-        _maybe_record(args, ingest_scenario_result, res, kind="run")
-        result = res.results[0].metrics
-        point = res.points[0]
-        if args.json:
-            print(json.dumps(result.as_dict(), indent=2, sort_keys=True))
-            return 0
-        _print_metrics_table(
-            result, f"{point.protocol} on {res.results[0].trace}:"
+    else:
+        spec = _flag_scenario(
+            args, name=f"run-{args.protocol}", protocols=[args.protocol]
         )
-        return 0
-    trace, profile, tspec = _resolve_trace(args.trace, args.seed)
-    point = PointSpec(
-        protocol=args.protocol, memory_kb=args.memory, rate=args.rate, seed=args.seed
-    )
-    config = profile.sim_config(
-        memory_kb=point.memory_kb, rate=point.rate, seed=point.seed
-    )
-    point = dataclasses.replace(
-        point, scenario=point_scenario_dict(tspec, point, config)
-    )
-    results, _infos = execute(
-        [(tspec, point, config)], jobs=parse_jobs(args.jobs), shards=shards,
-        traces={tspec.key: trace},
-    )
+    if args.run_dir:
+        return _run_resumable_cli(args, spec, shards, args.run_dir)
+    if spec.n_points() != 1:
+        print(
+            f"repro run --scenario needs a single-point scenario; "
+            f"{args.scenario!r} resolves to {spec.n_points()} points "
+            "(use 'repro scenario run' for grids)",
+            file=sys.stderr,
+        )
+        return 2
+    res, _infos = _execute_scenario(spec, jobs=parse_jobs(args.jobs), shards=shards)
     _maybe_record(
-        args, ingest_experiment_results, results,
-        kind="run", label=f"run:{args.protocol}",
+        args, ingest_scenario_result, res,
+        kind="run", label="" if args.scenario else f"run:{args.protocol}",
     )
-    result = results[0].metrics
+    result = res.results[0].metrics
     if args.json:
         print(json.dumps(result.as_dict(), indent=2, sort_keys=True))
         return 0
-    _print_metrics_table(result, f"{args.protocol} on {trace.name}:")
+    _print_metrics_table(
+        result, f"{res.points[0].protocol} on {res.results[0].trace}:"
+    )
     return 0
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
     if args.scenario:
         spec = _load_scenario_arg(args.scenario)
-        res = run_scenario(spec, jobs=parse_jobs(args.jobs))
+    else:
+        spec = _flag_scenario(
+            args, name="compare", protocols=PAPER_PROTOCOLS,
+            seeds=range(args.seed, args.seed + args.seeds),
+        )
+    res, _infos = _execute_scenario(spec, jobs=parse_jobs(args.jobs))
+    if args.scenario:
         _maybe_record(args, ingest_scenario_result, res, kind="compare")
-        if args.json:
-            print(json.dumps(res.as_dict(), indent=2, sort_keys=True))
-            return 0
-        _print_scenario_result(res)
-        return 0
-    trace, profile, tspec = _resolve_trace(args.trace, args.seed)
-    jobs = parse_jobs(args.jobs)
-    rows = []
-    json_rows: List[dict] = []
+        return _scenario_output(args, res)
+    trace = res.results[0].trace
     if args.seeds > 1:
-        for name in PAPER_PROTOCOLS:
-            cis = run_with_confidence(
-                trace, profile, name,
-                seeds=tuple(range(args.seed, args.seed + args.seeds)),
-                memory_kb=args.memory, rate=args.rate,
-                jobs=jobs, trace_spec=tspec,
-            )
-            rows.append([
-                name,
-                str(cis["success_rate"]),
-                f"{cis['avg_delay'].mean / 3600:.1f} ± {cis['avg_delay'].half_width / 3600:.1f}",
-                str(cis["forwarding_ops"]),
-                str(cis["total_cost"]),
-            ])
-            json_rows.append({
-                "protocol": name,
-                "trace": trace.name,
+        confidence = res.confidence()
+        rows = _ci_rows(confidence)
+        json_rows = [
+            {
+                "protocol": protocol,
+                "trace": trace,
                 "memory_kb": args.memory,
                 "rate": args.rate,
-                "seeds": list(range(args.seed, args.seed + args.seeds)),
-                "metrics": {
-                    m: {"mean": ci.mean, "half_width": ci.half_width,
-                        "n": ci.n, "level": ci.level}
-                    for m, ci in cis.items()
-                },
-            })
-        _maybe_record(
-            args, ingest_payload, json_rows, label=f"compare:{trace.name}"
-        )
+                "seeds": list(spec.seeds),
+                "metrics": {m: dataclasses.asdict(ci) for m, ci in cis.items()},
+            }
+            for protocol, cis in confidence.items()
+        ]
+        # the CI rows carry half-widths, which db regress widens its bands by
+        _maybe_record(args, ingest_payload, json_rows, label=f"compare:{trace}")
     else:
-        results = run_matrix(
-            trace, profile, PAPER_PROTOCOLS,
-            memory_kb=args.memory, rate=args.rate, seed=args.seed,
-            jobs=jobs, trace_spec=tspec,
-        )
-        for name in PAPER_PROTOCOLS:
-            r = results[name].metrics
-            rows.append([
-                name, f"{r.success_rate:.3f}", f"{r.avg_delay / 3600:.1f}",
-                r.forwarding_ops, r.total_cost,
-            ])
-            json_rows.append(r.as_dict())
+        rows = [
+            [
+                r.protocol, f"{r.metrics.success_rate:.3f}",
+                f"{r.metrics.avg_delay / 3600:.1f}",
+                r.metrics.forwarding_ops, r.metrics.total_cost,
+            ]
+            for r in res.results
+        ]
+        json_rows = [r.metrics.as_dict() for r in res.results]
         _maybe_record(
-            args, ingest_experiment_results, list(results.values()),
-            kind="compare", label=f"compare:{trace.name}",
+            args, ingest_scenario_result, res,
+            kind="compare", label=f"compare:{trace}",
         )
     if args.json:
         print(json.dumps(json_rows, indent=2, sort_keys=True))
         return 0
     print(format_table(
-        ["protocol", "success rate", "avg delay (h)", "fwd ops", "total cost"],
-        rows,
-        title=f"{trace.name}, memory={args.memory:g} kB, rate={args.rate:g}/lm/day:",
+        _COMPARE_HEADERS, rows,
+        title=f"{trace}, memory={args.memory:g} kB, rate={args.rate:g}/lm/day:",
     ))
     return 0
 
@@ -372,7 +361,7 @@ def _format_phase_rows(rows) -> List[list]:
 
 
 def _print_sweep_result(result) -> None:
-    for metric in ("success_rate", "avg_delay", "forwarding_cost", "total_cost"):
+    for metric in result.METRICS:
         print(result.metric_table(metric))
         print()
     timing_rows = _format_phase_rows(result.phase_rows())
@@ -413,8 +402,6 @@ def _progress_printer(total: int):
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    jobs = parse_jobs(args.jobs)
-    progress = None
     if args.scenario:
         spec = _load_scenario_arg(args.scenario)
         if spec.sweep is None:
@@ -432,39 +419,35 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        if args.progress:
-            progress = _progress_printer(spec.n_points())
-        res = run_scenario(spec, jobs=jobs, progress=progress)
-        _maybe_record(args, ingest_scenario_result, res, kind="sweep")
-        _print_sweep_result(res.sweep_result())
-        return 0
-    if args.parameter is None:
+    elif args.parameter is None:
         print("repro sweep needs a parameter (memory|rate) or --scenario FILE",
               file=sys.stderr)
         return 2
-    trace, profile, tspec = _resolve_trace(args.trace, args.seed)
-    protocols = args.protocols.split(",") if args.protocols else list(PAPER_PROTOCOLS)
-    if args.parameter == "memory":
-        values = [float(v) for v in (args.values.split(",") if args.values else
-                                     ["1200", "1600", "2000", "2400", "3000"])]
-        if args.progress:
-            progress = _progress_printer(len(values) * len(protocols))
-        result = memory_sweep(trace, profile, memories_kb=values,
-                              rate=args.rate, protocols=protocols, seed=args.seed,
-                              jobs=jobs, trace_spec=tspec, progress=progress)
     else:
-        values = [float(v) for v in (args.values.split(",") if args.values else
-                                     ["100", "300", "500", "700", "1000"])]
-        if args.progress:
-            progress = _progress_printer(len(values) * len(protocols))
-        result = rate_sweep(trace, profile, rates=values,
-                            memory_kb=args.memory, protocols=protocols, seed=args.seed,
-                            jobs=jobs, trace_spec=tspec, progress=progress)
+        parameter = "memory_kb" if args.parameter == "memory" else "rate"
+        try:
+            values = (
+                [float(v) for v in args.values.split(",")]
+                if args.values
+                else list(sweep_grid(parameter, full=False))
+            )
+        except ValueError:
+            print(f"--values must be comma-separated numbers, got "
+                  f"{args.values!r}", file=sys.stderr)
+            return 2
+        spec = _flag_scenario(
+            args,
+            name=f"{args.parameter}-sweep",
+            protocols=args.protocols.split(",") if args.protocols else PAPER_PROTOCOLS,
+            sweep={"parameter": parameter, "values": values},
+        )
+    progress = _progress_printer(spec.n_points()) if args.progress else None
+    res, _infos = _execute_scenario(spec, jobs=parse_jobs(args.jobs), progress=progress)
     _maybe_record(
-        args, ingest_sweep_result, result,
-        label=f"{trace.name}:{args.parameter}",
+        args, ingest_scenario_result, res, kind="sweep",
+        label="" if args.scenario else f"{res.results[0].trace}:{args.parameter}",
     )
-    _print_sweep_result(result)
+    _print_sweep_result(res.sweep_result())
     return 0
 
 
@@ -539,14 +522,6 @@ def cmd_scenario(args: argparse.Namespace) -> int:
     return _scenario_output(args, res)
 
 
-def _execute_scenario(spec: ScenarioSpec, *, jobs: int, shards: Optional[int]):
-    """Every point of ``spec`` through the executor: ``(result, infos)``."""
-    profile, tspec, materialized = spec.resolve_trace()
-    entries = spec.entries(profile, tspec)
-    results, infos = execute(entries, jobs=jobs, shards=shards, traces=materialized)
-    return ScenarioResult(spec, [p for _, p, _ in entries], results), infos
-
-
 def _scenario_output(args: argparse.Namespace, res: ScenarioResult) -> int:
     """Shared output tail for scenario-shaped results (tables/--out/--json)."""
     payload = res.as_dict()
@@ -570,13 +545,13 @@ def _record_partial(args: argparse.Namespace, results, label: str) -> int:
     records the full sweep, the points recorded here are recognized and
     skipped.
     """
-    done = [r for r in results if r is not None]
+    done = sum(r is not None for r in results)
     if done:
         _maybe_record(
-            args, ingest_experiment_results, done,
+            args, ingest_experiment_results, results,
             kind="scenario", label=f"{label}:partial",
         )
-    return len(done)
+    return done
 
 
 def _run_resumable_cli(
@@ -701,15 +676,12 @@ def cmd_rerun(args: argparse.Namespace) -> int:
         print(f"{args.file} is not valid JSON: {exc}", file=sys.stderr)
         return 2
     try:
-        res = rerun_scenario(payload, index=args.index, jobs=parse_jobs(args.jobs))
+        spec = embedded_scenario(payload, index=args.index)
+        res, _infos = _execute_scenario(spec, jobs=parse_jobs(args.jobs))
     except ValueError as exc:
         print(f"cannot rerun from {args.file}: {exc}", file=sys.stderr)
         return 2
-    if args.json:
-        print(json.dumps(res.as_dict(), indent=2, sort_keys=True))
-        return 0
-    _print_scenario_result(res)
-    return 0
+    return _scenario_output(args, res)
 
 
 def cmd_resilience(args: argparse.Namespace) -> int:
@@ -735,7 +707,7 @@ def cmd_resilience(args: argparse.Namespace) -> int:
         print(f"--intensities must be comma-separated numbers, got "
               f"{args.intensities!r}", file=sys.stderr)
         return 2
-    trace, profile, _ = _resolve_trace(args.trace, args.seed)
+    trace, profile = _resolve_trace(args.trace, args.seed)
     config = profile.sim_config(memory_kb=args.memory, rate=args.rate, seed=args.seed)
     if args.workload_scale is not None:
         config = dataclasses.replace(config, workload_scale=args.workload_scale)
@@ -820,7 +792,7 @@ def cmd_deployment(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    trace, _, _ = _resolve_trace(args.trace, args.seed)
+    trace, _ = _resolve_trace(args.trace, args.seed)
     rows = []
     for k in (1, 2, 3):
         ev = evaluate_predictor(trace, k)
@@ -837,7 +809,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 def _run_traced(args: argparse.Namespace):
     """Run one experiment with full observability on; returns (trace, obs, summary)."""
-    trace, profile, _ = _resolve_trace(args.trace, args.seed)
+    trace, profile = _resolve_trace(args.trace, args.seed)
     config = profile.sim_config(memory_kb=args.memory, rate=args.rate, seed=args.seed)
     obs = Observability.tracing(event_capacity=args.capacity)
     protocol = make_protocol(args.protocol)
@@ -1379,7 +1351,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--memory", type=float, default=2000.0)
     p.add_argument("--rate", type=float, default=500.0)
-    p.add_argument("--seeds", type=int, default=1,
+    p.add_argument("--seeds", type=positive_int, default=1,
                    help="number of workload seeds (>1 adds 95%% CIs)")
     add_jobs(p)
     add_scenario_opt(p)

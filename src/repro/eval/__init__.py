@@ -9,10 +9,10 @@ from repro.eval.config import (
     profile_for_trace,
     trace_profile,
 )
-from repro.eval.confidence import MetricCI, confidence_interval, run_with_confidence
+from repro.eval.confidence import MetricCI, confidence_interval
 from repro.eval.coverage import CoveragePoint, table_coverage_series
 from repro.eval.deployment import LIBRARY, DeploymentResult, run_deployment
-from repro.eval.experiment import ExperimentResult, run_matrix, run_point
+from repro.eval.experiment import ExperimentResult
 from repro.eval.extensions import (
     DeadEndRow,
     LoadBalanceRow,
@@ -37,7 +37,6 @@ from repro.eval.runner import (
     TraceSpec,
     parse_jobs,
     run_point_specs,
-    run_points,
 )
 from repro.eval.scenario import (
     ProtocolSpec,
@@ -51,7 +50,7 @@ from repro.eval.scenario import (
     preset_scenario,
     run_scenario,
 )
-from repro.eval.sweeps import SweepResult, memory_sweep, rate_sweep
+from repro.eval.sweeps import SweepResult
 
 __all__ = [
     "ProtocolSpec",
@@ -70,7 +69,6 @@ __all__ = [
     "TraceSpec",
     "parse_jobs",
     "run_point_specs",
-    "run_points",
     "DEFAULT_INTENSITIES",
     "DegradationCurves",
     "DegradationPoint",
@@ -86,15 +84,12 @@ __all__ = [
     "trace_profile",
     "MetricCI",
     "confidence_interval",
-    "run_with_confidence",
     "CoveragePoint",
     "table_coverage_series",
     "LIBRARY",
     "DeploymentResult",
     "run_deployment",
     "ExperimentResult",
-    "run_matrix",
-    "run_point",
     "DeadEndRow",
     "LoadBalanceRow",
     "LoopRow",
@@ -103,6 +98,4 @@ __all__ = [
     "loadbalance_experiment",
     "loop_experiment",
     "SweepResult",
-    "memory_sweep",
-    "rate_sweep",
 ]

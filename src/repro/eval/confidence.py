@@ -1,21 +1,19 @@
 """Multi-seed experiment statistics with 95 % confidence intervals.
 
-The paper sets "the confidence interval to 95 %" for its experiments.  This
-module runs an experiment point across several workload seeds and reports
-mean ± half-width of the Student-t confidence interval for each metric.
+The paper sets "the confidence interval to 95 %" for its experiments.  A
+scenario run over several workload seeds reports, per metric, the mean ±
+half-width of the Student-t confidence interval
+(:meth:`~repro.eval.scenario.ScenarioResult.confidence`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
-from repro.eval.config import TraceProfile
-from repro.eval.runner import PointSpec, TraceSpec, run_points
-from repro.mobility.trace import Trace
-from repro.utils.validation import require_in_range, require_positive
+from repro.utils.validation import require_in_range
 
 
 @dataclass(frozen=True)
@@ -59,37 +57,3 @@ def confidence_interval(
 
 METRICS = ("success_rate", "avg_delay", "forwarding_ops", "total_cost")
 
-
-def run_with_confidence(
-    trace: Trace,
-    profile: TraceProfile,
-    protocol_name: str,
-    *,
-    seeds: Sequence[int] = (1, 2, 3),
-    memory_kb: float = 2000.0,
-    rate: float = 500.0,
-    level: float = 0.95,
-    jobs: Union[int, str, None] = 1,
-    trace_spec: Optional[TraceSpec] = None,
-) -> Dict[str, MetricCI]:
-    """Run one experiment point over ``seeds``; CI per metric.
-
-    Only the workload seed varies (the trace is fixed), matching the paper's
-    repeated-runs methodology.  ``jobs > 1`` fans the seeds out over worker
-    processes; the per-seed results (and hence the intervals) are
-    bit-identical to a serial run.
-    """
-    require_positive("n seeds", len(seeds))
-    points = [
-        PointSpec(protocol=protocol_name, memory_kb=memory_kb, rate=rate, seed=seed)
-        for seed in seeds
-    ]
-    results = run_points(trace, profile, points, jobs=jobs, trace_spec=trace_spec)
-    samples: Dict[str, List[float]] = {m: [] for m in METRICS}
-    for outcome in results:
-        res = outcome.metrics
-        samples["success_rate"].append(res.success_rate)
-        samples["avg_delay"].append(res.avg_delay)
-        samples["forwarding_ops"].append(float(res.forwarding_ops))
-        samples["total_cost"].append(float(res.total_cost))
-    return {m: confidence_interval(vals, level=level) for m, vals in samples.items()}

@@ -255,8 +255,23 @@ def trace_profile(name: str, *, full_scale: Optional[bool] = None) -> TraceProfi
 
 
 #: the paper's memory sweep, in kB (Fig. 11/12 x-axis)
-MEMORY_SWEEP_KB: Tuple[float, ...] = tuple(range(1200, 3001, 200))
+MEMORY_SWEEP_KB: Tuple[float, ...] = tuple(float(m) for m in range(1200, 3001, 200))
 #: the paper's packet-rate sweep (Fig. 13/14 x-axis)
-RATE_SWEEP: Tuple[float, ...] = tuple(range(100, 1001, 100))
+RATE_SWEEP: Tuple[float, ...] = tuple(float(r) for r in range(100, 1001, 100))
+#: the 5-point grids scaled-down runs sweep instead, keyed by sweep parameter
+_SMALL_SWEEPS: Dict[str, Tuple[float, ...]] = {
+    "memory_kb": (1200.0, 1600.0, 2000.0, 2400.0, 3000.0),
+    "rate": (100.0, 300.0, 500.0, 700.0, 1000.0),
+}
+
+
+def sweep_grid(parameter: str, full: bool) -> Tuple[float, ...]:
+    """The values of a ``memory_kb`` or ``rate`` sweep: the paper's 10-point
+    axis at full scale, its 5-point subset otherwise."""
+    if full:
+        return MEMORY_SWEEP_KB if parameter == "memory_kb" else RATE_SWEEP
+    return _SMALL_SWEEPS[parameter]
+
+
 #: overload rates used by the load-balancing tables (Tables VIII/IX)
 OVERLOAD_RATES: Tuple[float, ...] = (1100.0, 1200.0, 1300.0, 1400.0, 1500.0)

@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Optional
 
 from repro.baselines import make_protocol
-from repro.eval.config import TraceProfile
 from repro.mobility.trace import Trace
 from repro.obs import Observability
 from repro.sim.engine import SimConfig, Simulation
@@ -65,52 +64,3 @@ def execute_config(
         metrics=summary,
     )
 
-
-def run_point(
-    trace: Trace,
-    profile: TraceProfile,
-    protocol_name: str,
-    *,
-    memory_kb: float = 2000.0,
-    rate: float = 500.0,
-    seed: int = 0,
-    protocol_kwargs: Optional[dict] = None,
-) -> ExperimentResult:
-    """Run one (trace, protocol, memory, rate) experiment point."""
-    config = profile.sim_config(memory_kb=memory_kb, rate=rate, seed=seed)
-    return execute_config(
-        trace,
-        protocol_name,
-        config,
-        memory_kb=memory_kb,
-        rate=rate,
-        seed=seed,
-        protocol_kwargs=protocol_kwargs,
-    )
-
-
-def run_matrix(
-    trace: Trace,
-    profile: TraceProfile,
-    protocols: Sequence[str],
-    *,
-    memory_kb: float = 2000.0,
-    rate: float = 500.0,
-    seed: int = 0,
-    jobs: int = 1,
-    trace_spec=None,
-) -> Dict[str, ExperimentResult]:
-    """Run every protocol on the same workload; keyed by protocol name.
-
-    ``jobs > 1`` fans the protocols out over worker processes (see
-    :mod:`repro.eval.runner`); results are bit-identical to ``jobs=1``.
-    """
-    # runner imports this module; resolve the cycle lazily
-    from repro.eval.runner import PointSpec, run_points
-
-    points = [
-        PointSpec(protocol=name, memory_kb=memory_kb, rate=rate, seed=seed)
-        for name in protocols
-    ]
-    results = run_points(trace, profile, points, jobs=jobs, trace_spec=trace_spec)
-    return {p.protocol: r for p, r in zip(points, results)}

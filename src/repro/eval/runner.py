@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.eval.config import TraceProfile, trace_profile
+from repro.eval.config import trace_profile
 from repro.eval.config import full_scale as _resolve_full_scale
 from repro.eval.experiment import ExperimentResult, execute_config
 from repro.eval.sharded import execute_point_sharded
@@ -70,7 +70,6 @@ __all__ = [
     "parse_jobs",
     "point_scenario_dict",
     "run_point_specs",
-    "run_points",
 ]
 
 
@@ -635,10 +634,12 @@ def run_point_specs(
 ) -> List[ExperimentResult]:
     """Execute ``(trace_spec, point, config)`` entries, possibly in parallel.
 
-    The general, multi-trace form of :func:`run_points`, over
-    :func:`execute`.  ``materialized`` optionally seeds the in-process
-    trace cache with already-built traces (keyed by spec key) so a
-    single-trace caller never rebuilds the trace it already holds.
+    The results-only form of :func:`execute`, for hand-built entries
+    (in-memory traces, benchmarks; declarative grids go through
+    :func:`repro.eval.scenario.run_scenario`).  ``materialized``
+    optionally seeds the in-process trace cache with already-built traces
+    (keyed by spec key) so a caller never rebuilds a trace it already
+    holds.
     ``progress`` receives a :class:`ProgressEvent` as each point is handed
     over and as its result comes in.  A SIGINT mid-sweep raises
     :class:`SweepInterrupted` carrying the completed points
@@ -650,38 +651,3 @@ def run_point_specs(
     )
     return results
 
-
-def run_points(
-    trace: Trace,
-    profile: TraceProfile,
-    points: Sequence[PointSpec],
-    *,
-    jobs: Union[int, str, None] = 1,
-    trace_spec: Optional[TraceSpec] = None,
-    progress: Optional[ProgressFn] = None,
-) -> List[ExperimentResult]:
-    """Run experiment ``points`` against one trace, fanning out over workers.
-
-    Results are returned in ``points`` order and are bit-identical across
-    ``jobs`` values.  ``trace_spec`` gives the trace a re-runnable recipe
-    (a profile name or a CSV path), which each point's provenance records;
-    without one the trace is run inline and points carry no scenario.
-    Either way ``trace`` itself is what runs: it is never rebuilt.
-    ``progress`` streams per-point :class:`ProgressEvent` records.
-    """
-    spec = trace_spec if trace_spec is not None else TraceSpec.inline(trace)
-    entries: List[Entry] = []
-    for point in points:
-        config = profile.sim_config(
-            memory_kb=point.memory_kb, rate=point.rate, seed=point.seed
-        )
-        if point.scenario is None:
-            # stamp the resolved scenario so every profile/path-backed run is
-            # re-runnable from its provenance alone (inline traces yield None)
-            point = dataclasses.replace(
-                point, scenario=point_scenario_dict(spec, point, config)
-            )
-        entries.append((spec, point, config))
-    return run_point_specs(
-        entries, jobs=jobs, materialized={spec.key: trace}, progress=progress
-    )

@@ -39,7 +39,12 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.baselines import PAPER_PROTOCOLS, make_protocol
 from repro.eval.confidence import METRICS as CI_METRICS
 from repro.eval.confidence import MetricCI, confidence_interval
-from repro.eval.config import TraceProfile, profile_for_trace, trace_profile
+from repro.eval.config import (
+    TraceProfile,
+    profile_for_trace,
+    sweep_grid,
+    trace_profile,
+)
 from repro.eval.experiment import ExperimentResult
 from repro.eval.runner import (
     Entry,
@@ -60,6 +65,7 @@ __all__ = [
     "ScenarioSpec",
     "ScenarioTrace",
     "SweepSpec",
+    "embedded_scenario",
     "extract_scenarios",
     "load_scenario",
     "preset_catalog",
@@ -590,10 +596,8 @@ def extract_scenarios(payload: Any) -> List[Dict[str, Any]]:
     return found
 
 
-def rerun_scenario(
-    payload: Any, *, index: int = 0, jobs: Union[int, str, None] = 1
-) -> ScenarioResult:
-    """Re-run the ``index``-th scenario embedded in exported JSON."""
+def embedded_scenario(payload: Any, *, index: int = 0) -> ScenarioSpec:
+    """The ``index``-th scenario embedded in exported JSON, as a spec."""
     scenarios = extract_scenarios(payload)
     if not scenarios:
         raise ValueError(
@@ -604,36 +608,30 @@ def rerun_scenario(
         raise ValueError(
             f"scenario index {index} out of range (file holds {len(scenarios)})"
         )
-    spec = ScenarioSpec.from_dict(scenarios[index])
-    return run_scenario(spec, jobs=jobs)
+    return ScenarioSpec.from_dict(scenarios[index])
+
+
+def rerun_scenario(
+    payload: Any, *, index: int = 0, jobs: Union[int, str, None] = 1
+) -> ScenarioResult:
+    """Re-run the ``index``-th scenario embedded in exported JSON."""
+    return run_scenario(embedded_scenario(payload, index=index), jobs=jobs)
 
 
 # -- presets ------------------------------------------------------------------
 
 
-def _memory_grid(full: bool) -> List[float]:
-    if full:
-        return [float(m) for m in range(1200, 3001, 200)]
-    return [1200.0, 1600.0, 2000.0, 2400.0, 3000.0]
-
-
-def _rate_grid(full: bool) -> List[float]:
-    if full:
-        return [float(r) for r in range(100, 1001, 100)]
-    return [100.0, 300.0, 500.0, 700.0, 1000.0]
-
-
 def _figure_sweep(name: str, profile_key: str, parameter: str) -> ScenarioSpec:
     profile = trace_profile(profile_key)
-    grid = _memory_grid(bool(profile.full)) if parameter == "memory_kb" else _rate_grid(
-        bool(profile.full)
-    )
     return profile.scenario(
         name=name,
         protocols=PAPER_PROTOCOLS,
         trace_seed=1,
         seeds=(3,),
-        sweep={"parameter": parameter, "values": grid},
+        sweep={
+            "parameter": parameter,
+            "values": list(sweep_grid(parameter, bool(profile.full))),
+        },
     )
 
 

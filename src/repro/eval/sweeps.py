@@ -1,25 +1,18 @@
-"""Parameter sweeps regenerating Figs. 11-14 of the paper.
+"""Sweep results: the data behind the paper's Figs. 11-14.
 
-Each sweep returns a :class:`SweepResult`: per-protocol series of the four
-metrics (success rate, average delay, forwarding cost, total cost) across
-the swept parameter — exactly the data behind the paper's four-panel
-figures.
-
-Sweep points are independent simulations, so both sweeps submit all their
-points upfront to :func:`repro.eval.runner.run_points`; pass ``jobs > 1``
-(or ``"auto"``) to fan them out over worker processes.  Results are
-bit-identical across ``jobs`` values.
+A :class:`SweepResult` holds per-protocol series of the four metrics
+(success rate, average delay, forwarding cost, total cost) across the
+swept parameter — exactly the data behind the paper's four-panel figures.
+A sweep is a :class:`~repro.eval.scenario.ScenarioSpec` with a ``sweep``
+block; :meth:`~repro.eval.scenario.ScenarioResult.sweep_result` folds its
+run into a :class:`SweepResult`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
-from repro.baselines import PAPER_PROTOCOLS
-from repro.eval.config import MEMORY_SWEEP_KB, RATE_SWEEP, TraceProfile
-from repro.eval.runner import PointSpec, ProgressFn, TraceSpec, run_points
-from repro.mobility.trace import Trace
 from repro.utils.tables import format_table
 
 
@@ -145,58 +138,3 @@ class SweepResult:
             "phase_timings": {p: dict(t) for p, t in self.phase_timings.items()},
         }
 
-
-def memory_sweep(
-    trace: Trace,
-    profile: TraceProfile,
-    *,
-    memories_kb: Sequence[float] = MEMORY_SWEEP_KB,
-    rate: float = 500.0,
-    protocols: Sequence[str] = PAPER_PROTOCOLS,
-    seed: int = 0,
-    jobs: Union[int, str, None] = 1,
-    trace_spec: Optional[TraceSpec] = None,
-    progress: Optional[ProgressFn] = None,
-) -> SweepResult:
-    """Fig. 11/12: the four metrics vs per-node memory (paper kB units)."""
-    result = SweepResult(
-        trace=trace.name, parameter="memory_kb", values=tuple(memories_kb)
-    )
-    points = [
-        PointSpec(protocol=name, memory_kb=mem, rate=rate, seed=seed)
-        for name in protocols
-        for mem in memories_kb
-    ]
-    outcomes = run_points(
-        trace, profile, points, jobs=jobs, trace_spec=trace_spec, progress=progress
-    )
-    for point, outcome in zip(points, outcomes):
-        result.add(point.protocol, outcome.metrics, value=point.memory_kb)
-    return result
-
-
-def rate_sweep(
-    trace: Trace,
-    profile: TraceProfile,
-    *,
-    rates: Sequence[float] = RATE_SWEEP,
-    memory_kb: float = 2000.0,
-    protocols: Sequence[str] = PAPER_PROTOCOLS,
-    seed: int = 0,
-    jobs: Union[int, str, None] = 1,
-    trace_spec: Optional[TraceSpec] = None,
-    progress: Optional[ProgressFn] = None,
-) -> SweepResult:
-    """Fig. 13/14: the four metrics vs packet generation rate."""
-    result = SweepResult(trace=trace.name, parameter="rate", values=tuple(rates))
-    points = [
-        PointSpec(protocol=name, memory_kb=memory_kb, rate=rate, seed=seed)
-        for name in protocols
-        for rate in rates
-    ]
-    outcomes = run_points(
-        trace, profile, points, jobs=jobs, trace_spec=trace_spec, progress=progress
-    )
-    for point, outcome in zip(points, outcomes):
-        result.add(point.protocol, outcome.metrics, value=point.rate)
-    return result

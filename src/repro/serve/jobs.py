@@ -50,7 +50,7 @@ from typing import Any, Dict, List, Mapping, Optional, Union
 from repro.eval.experiment import ExperimentResult
 from repro.eval.resume import create_run, run_resumable
 from repro.eval.runner import ProgressEvent, SweepInterrupted, parse_jobs
-from repro.eval.scenario import ScenarioResult, ScenarioSpec, load_scenario
+from repro.eval.scenario import ScenarioSpec, load_scenario
 from repro.serve.sse import EventStream
 from repro.sim.checkpoint import (
     DEFAULT_EVERY_EVENTS,
@@ -500,9 +500,7 @@ class JobManager:
         except Exception as exc:
             self._fail(job, f"{type(exc).__name__}: {exc}")
             return
-        stats = self._record(job, res)
-        if stats is not None:
-            job.recorded = str(stats)
+        self._record(job, ingest_scenario_result, res)
         self._finish(job, "done", event="job.finished")
 
     # -- transitions -----------------------------------------------------------------
@@ -530,9 +528,10 @@ class JobManager:
         ``cancelled``; shutdown -> durable ``queued`` so the next start
         resumes it.
         """
-        stats = self._record_partial(job, results)
-        if stats is not None:
-            job.recorded = str(stats)
+        self._record(
+            job, ingest_experiment_results, results,
+            kind="scenario", label=f"{job.spec.name or 'scenario'}:partial",
+        )
         if self._abandoned:
             return  # emulated hard kill: no further persistence
         if job.cancel_requested:
@@ -547,22 +546,12 @@ class JobManager:
         job.stream.close()
 
     # -- store recording -------------------------------------------------------------
-    def _record(self, job: Job, res: ScenarioResult):
+    def _record(self, job: Job, ingest, *args, **kwargs) -> None:
+        """``ingest(db, *args, **kwargs)`` into the store, when serving one;
+        a recording that stored anything is noted on the job."""
         if self.db_path is None:
-            return None
-        with self._db_lock:
-            with ExperimentDB(self.db_path) as db:
-                return ingest_scenario_result(db, res)
-
-    def _record_partial(self, job: Job, results: List[Optional[ExperimentResult]]):
-        if self.db_path is None:
-            return None
-        done = [r for r in results if r is not None]
-        if not done:
-            return None
-        label = job.spec.name or "scenario"
-        with self._db_lock:
-            with ExperimentDB(self.db_path) as db:
-                return ingest_experiment_results(
-                    db, done, kind="scenario", label=f"{label}:partial"
-                )
+            return
+        with self._db_lock, ExperimentDB(self.db_path) as db:
+            stats = ingest(db, *args, **kwargs)
+        if stats.runs:
+            job.recorded = str(stats)

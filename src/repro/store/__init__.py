@@ -30,7 +30,6 @@ from repro.store.ingest import (
     ingest_payload,
     ingest_profile,
     ingest_scenario_result,
-    ingest_sweep_result,
 )
 from repro.store.query import (
     PointFilter,
@@ -73,7 +72,6 @@ __all__ = [
     "ingest_payload",
     "ingest_profile",
     "ingest_scenario_result",
-    "ingest_sweep_result",
     "latest_per_point",
     "pin_baseline",
     "query_points",

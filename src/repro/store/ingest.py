@@ -10,8 +10,8 @@ Sources understood (objects and their exported-JSON forms):
   scenario;
 * ``repro compare --seeds N`` confidence rows (metric means ride in with
   their CI half-widths, which the regression tolerance bands respect);
-* :class:`~repro.eval.sweeps.SweepResult` objects and their JSON exports
-  (per-point provenance rows aligned with the metric series);
+* :class:`~repro.eval.sweeps.SweepResult` JSON exports (per-point
+  provenance rows aligned with the metric series; ``repro db ingest``);
 * :class:`~repro.eval.resilience.DegradationCurves` and the
   ``repro resilience --out`` report JSON;
 * benchmark wall-clock snapshots (``BENCH_sweeps.json``, single snapshot
@@ -40,7 +40,6 @@ __all__ = [
     "ingest_payload",
     "ingest_profile",
     "ingest_scenario_result",
-    "ingest_sweep_result",
 ]
 
 
@@ -171,10 +170,16 @@ def ingest_experiment_results(
     kind: str = "run",
     label: str = "",
 ) -> IngestStats:
-    """Ingest :class:`ExperimentResult` objects (or bare metric summaries)."""
+    """Ingest :class:`ExperimentResult` objects (or bare metric summaries).
+
+    ``None`` entries — the unfinished points of an interrupted grid — are
+    skipped, so a partial result list records what did complete.
+    """
     stats = IngestStats()
     rows: List[Mapping[str, Any]] = []
     for r in results:
+        if r is None:
+            continue
         metrics = getattr(r, "metrics", r)
         rows.append(metrics.as_dict() if hasattr(metrics, "as_dict") else metrics)
     if not rows:
@@ -217,13 +222,6 @@ def ingest_scenario_result(
             stats.points_new += int(new)
             stats.points_dup += int(not new)
     return stats
-
-
-def ingest_sweep_result(
-    db: ExperimentDB, sweep: Any, *, label: str = ""
-) -> IngestStats:
-    """Ingest a :class:`~repro.eval.sweeps.SweepResult` (object form)."""
-    return _ingest_sweep_payload(db, sweep.as_dict(), label=label)
 
 
 def _ingest_sweep_payload(

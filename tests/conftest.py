@@ -50,6 +50,55 @@ def deployment() -> Trace:
     return deployment_trace(days=3, seed=7)
 
 
+@pytest.fixture(scope="session")
+def tiny_scenario(tmp_path_factory):
+    """Build scenarios over the tiny DART trace (seed 1), saved as a CSV.
+
+    The ``sim`` block reproduces the workload of the tests' ad-hoc tiny
+    profile (TTL 4 d, time unit 2 d, workload scale 0.02 at the default
+    memory pressure 0.25), so a grid declared this way runs exactly what
+    the in-memory trace runs.  Keyword arguments are manifest keys;
+    ``sim`` entries merge into the block, and the seeds default to [0].
+    """
+    from repro.eval.scenario import ScenarioSpec
+    from repro.mobility.io import dump_trace
+
+    path = tmp_path_factory.mktemp("tiny-trace") / "dart_tiny.csv"
+    dump_trace(dart_like("tiny", seed=1), path)
+
+    def make(*, sim=None, **manifest):
+        block = {
+            "ttl": days(4.0),
+            "time_unit": days(2.0),
+            "workload_scale": 0.02,
+            "memory_scale": 0.02 * 0.25,
+            **(sim or {}),
+        }
+        return ScenarioSpec.from_dict(
+            {"trace": {"path": str(path)}, "sim": block, "seeds": [0], **manifest}
+        )
+
+    return make
+
+
+@pytest.fixture(scope="session")
+def tiny_sweep(tiny_scenario):
+    """Run a single-seed sweep over the tiny trace; returns its SweepResult.
+
+    ``tiny_sweep(parameter, values, protocols, jobs=1, **sim)``.
+    """
+    from repro.eval.scenario import run_scenario
+
+    def run(parameter, values, protocols, *, jobs=1, **sim):
+        spec = tiny_scenario(
+            protocols=list(protocols), sim=sim,
+            sweep={"parameter": parameter, "values": list(values)},
+        )
+        return run_scenario(spec, jobs=jobs).sweep_result()
+
+    return run
+
+
 @pytest.fixture
 def tiny_sim_config() -> SimConfig:
     """A light workload suitable for the tiny traces."""

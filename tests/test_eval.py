@@ -8,18 +8,20 @@ from repro.eval.config import (
     RATE_SWEEP,
     TraceProfile,
     full_scale,
+    sweep_grid,
     trace_profile,
 )
 from repro.eval.coverage import table_coverage_series
 from repro.eval.deployment import LIBRARY, run_deployment
-from repro.eval.experiment import run_matrix, run_point
 from repro.eval.extensions import (
     deadend_experiment,
     deadend_trace,
     loadbalance_experiment,
     loop_experiment,
 )
-from repro.eval.sweeps import SweepResult, memory_sweep, rate_sweep
+from repro.eval.runner import PointSpec, TraceSpec, run_point_specs
+from repro.eval.scenario import preset_scenario, run_scenario
+from repro.eval.sweeps import SweepResult
 from repro.mobility.trace import days
 from repro.mobility.synthetic import dart_like
 
@@ -46,6 +48,17 @@ class TestConfig:
         assert len(MEMORY_SWEEP_KB) == 10
         assert RATE_SWEEP == tuple(range(100, 1001, 100))
         assert OVERLOAD_RATES == (1100.0, 1200.0, 1300.0, 1400.0, 1500.0)
+
+    def test_one_definition_per_sweep_grid(self):
+        assert sweep_grid("memory_kb", True) == MEMORY_SWEEP_KB
+        assert sweep_grid("rate", True) == RATE_SWEEP
+        assert sweep_grid("memory_kb", False) == (1200.0, 1600.0, 2000.0, 2400.0, 3000.0)
+        assert sweep_grid("rate", False) == (100.0, 300.0, 500.0, 700.0, 1000.0)
+        for name, parameter in (("fig11-dart-memory", "memory_kb"),
+                                ("fig13-dart-rate", "rate")):
+            spec = preset_scenario(name)
+            full = bool(spec.trace.full_scale)
+            assert spec.sweep.values == sweep_grid(parameter, full)
 
     def test_profiles_exist(self):
         for name in ("DART", "DNET"):
@@ -82,52 +95,52 @@ class TestConfig:
 
 class TestRunners:
     def test_run_point(self, tiny_trace, tiny_profile):
-        r = run_point(tiny_trace, tiny_profile, "DTN-FLOW", rate=100.0)
+        entry = (
+            TraceSpec.inline(tiny_trace),
+            PointSpec(protocol="DTN-FLOW", rate=100.0),
+            tiny_profile.sim_config(rate=100.0),
+        )
+        (r,) = run_point_specs([entry])
         assert r.protocol == "DTN-FLOW"
         assert r.metrics.generated > 0
 
-    def test_run_matrix_keys(self, tiny_trace, tiny_profile):
-        out = run_matrix(tiny_trace, tiny_profile, ["DTN-FLOW", "PROPHET"], rate=100.0)
-        assert set(out) == {"DTN-FLOW", "PROPHET"}
+    def test_run_matrix_keys(self, tiny_scenario):
+        res = run_scenario(
+            tiny_scenario(protocols=["DTN-FLOW", "PROPHET"], sim={"rate": 100.0})
+        )
+        assert set(res.by_protocol()) == {"DTN-FLOW", "PROPHET"}
 
 
 class TestSweeps:
-    def test_memory_sweep_structure(self, tiny_trace, tiny_profile):
-        res = memory_sweep(
-            tiny_trace, tiny_profile,
-            memories_kb=[500.0, 2000.0], rate=150.0,
-            protocols=["DTN-FLOW", "PROPHET"],
+    def test_memory_sweep_structure(self, tiny_sweep):
+        res = tiny_sweep(
+            "memory_kb", [500.0, 2000.0], ["DTN-FLOW", "PROPHET"], rate=150.0
         )
         assert res.values == (500.0, 2000.0)
         for proto in ("DTN-FLOW", "PROPHET"):
             for metric in SweepResult.METRICS:
                 assert len(res.series[proto][metric]) == 2
 
-    def test_success_rises_with_memory(self, tiny_trace, tiny_profile):
-        res = memory_sweep(
-            tiny_trace, tiny_profile,
-            memories_kb=[100.0, 4000.0], rate=300.0, protocols=["DTN-FLOW"],
-        )
+    def test_success_rises_with_memory(self, tiny_sweep):
+        res = tiny_sweep("memory_kb", [100.0, 4000.0], ["DTN-FLOW"], rate=300.0)
         series = res.series["DTN-FLOW"]["success_rate"]
         assert series[1] >= series[0]
 
-    def test_rate_sweep_structure(self, tiny_trace, tiny_profile):
-        res = rate_sweep(
-            tiny_trace, tiny_profile, rates=[100.0, 400.0], protocols=["DTN-FLOW"],
-        )
+    def test_rate_sweep_structure(self, tiny_sweep):
+        res = tiny_sweep("rate", [100.0, 400.0], ["DTN-FLOW"])
         assert res.parameter == "rate"
         fwd = res.series["DTN-FLOW"]["forwarding_cost"]
         assert fwd[1] > fwd[0]  # more packets, more forwarding
 
-    def test_metric_table_renders(self, tiny_trace, tiny_profile):
-        res = rate_sweep(tiny_trace, tiny_profile, rates=[100.0], protocols=["DTN-FLOW"])
+    def test_metric_table_renders(self, tiny_sweep):
+        res = tiny_sweep("rate", [100.0], ["DTN-FLOW"])
         text = res.metric_table("success_rate")
         assert "success_rate" in text
         with pytest.raises(ValueError):
             res.metric_table("bogus")
 
-    def test_mean_and_final_values(self, tiny_trace, tiny_profile):
-        res = rate_sweep(tiny_trace, tiny_profile, rates=[100.0, 200.0], protocols=["DTN-FLOW"])
+    def test_mean_and_final_values(self, tiny_sweep):
+        res = tiny_sweep("rate", [100.0, 200.0], ["DTN-FLOW"])
         assert set(res.final_values("success_rate")) == {"DTN-FLOW"}
         m = res.mean_values("success_rate")["DTN-FLOW"]
         s = res.series["DTN-FLOW"]["success_rate"]

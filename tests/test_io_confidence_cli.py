@@ -1,6 +1,7 @@
 """Tests for trace serialisation, confidence intervals and the CLI."""
 
 import io
+import json
 import subprocess
 import sys
 
@@ -8,10 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.eval.confidence import confidence_interval, run_with_confidence
-from repro.eval.config import TraceProfile
+from repro.baselines import PAPER_PROTOCOLS
+from repro.eval.confidence import confidence_interval
+from repro.eval.scenario import run_scenario
 from repro.mobility.io import dump_trace, dumps_trace, load_trace, loads_trace
-from repro.mobility.trace import Trace, VisitRecord, days
+from repro.mobility.trace import Trace, VisitRecord
 from repro.mobility.synthetic import dart_like
 
 
@@ -112,19 +114,31 @@ class TestConfidence:
         sem = np.std([0.0, 2.0], ddof=1) / np.sqrt(2)
         assert ci.half_width == pytest.approx(12.706 * sem, rel=1e-3)
 
-    def test_run_with_confidence(self, dart_tiny):
-        profile = TraceProfile(
-            name="tiny", build=lambda s: dart_tiny, ttl=days(4.0),
-            time_unit=days(2.0), workload_scale=0.02,
-        )
-        cis = run_with_confidence(
-            dart_tiny, profile, "DTN-FLOW", seeds=(1, 2), rate=150.0
-        )
+    def test_run_with_confidence(self, tiny_scenario):
+        spec = tiny_scenario(sim={"rate": 150.0}, seeds=[1, 2])
+        cis = run_scenario(spec).confidence()["DTN-FLOW"]
         assert set(cis) == {"success_rate", "avg_delay", "forwarding_ops", "total_cost"}
         sr = cis["success_rate"]
         assert 0.0 <= sr.mean <= 1.0
         assert sr.n == 2
         assert "±" in str(sr)
+
+
+def _manifest(tmp_path, trace, **knobs):
+    """Write the scenario manifest the CLI's default workload flags describe."""
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({
+        "trace": trace,
+        "sim": {"memory_kb": 2000, "rate": knobs.pop("rate", 500)},
+        "seeds": [1],
+        **knobs,
+    }))
+    return str(path)
+
+
+def _without_timings(rows):
+    """Metric dicts minus the wall-clock phase timings."""
+    return [{k: v for k, v in r.items() if k != "phase_timings"} for r in rows]
 
 
 class TestCLI:
@@ -134,34 +148,62 @@ class TestCLI:
         out = capsys.readouterr().out
         return rc, out
 
+    def _json(self, argv, capsys):
+        rc, out = self._run(argv + ["--json"], capsys)
+        assert rc == 0
+        return json.loads(out)
+
     def test_summary(self, capsys):
         rc, out = self._run(["summary", "--trace", "dnet", "--top", "3"], capsys)
         assert rc == 0
         assert "transit links" in out
         assert "busiest links:" in out
 
-    def test_run(self, capsys):
-        rc, out = self._run(
-            ["run", "--trace", "dnet", "--protocol", "PROPHET", "--rate", "100"],
-            capsys,
-        )
+    def test_run(self, tmp_path, capsys):
+        argv = ["run", "--trace", "dnet", "--protocol", "PROPHET", "--rate", "100"]
+        rc, out = self._run(argv, capsys)
         assert rc == 0
         assert "success rate" in out
+        # the flags build the scenario this manifest declares
+        manifest = _manifest(tmp_path, {"profile": "DNET", "seed": 1},
+                             protocol="PROPHET", rate=100)
+        flags = self._json(argv, capsys)
+        scenario = self._json(["run", "--scenario", manifest], capsys)
+        assert _without_timings([flags]) == _without_timings([scenario])
+
+    def test_compare_on_a_trace_file(self, tmp_path, capsys, dart_tiny):
+        csv = str(tmp_path / "tiny.csv")
+        dump_trace(dart_tiny, csv)
+        flags = self._json(["compare", "--trace", csv, "--rate", "20"], capsys)
+        assert [r["protocol"] for r in flags] == list(PAPER_PROTOCOLS)
+        manifest = _manifest(tmp_path, {"path": csv},
+                             protocols=list(PAPER_PROTOCOLS), rate=20)
+        scenario = self._json(["compare", "--scenario", manifest], capsys)
+        assert _without_timings(flags) == _without_timings(scenario["results"])
 
     def test_predict(self, capsys):
         rc, out = self._run(["predict", "--trace", "dnet"], capsys)
         assert rc == 0
         assert "mean accuracy" in out
 
-    def test_sweep_custom_values(self, capsys):
+    def test_sweep_custom_values(self, tmp_path, capsys):
         rc, out = self._run(
             ["sweep", "rate", "--trace", "dnet", "--values", "100,200",
-             "--protocols", "DTN-FLOW"],
+             "--protocols", "DTN-FLOW,Direct"],
             capsys,
         )
         assert rc == 0
         assert "success_rate" in out
         assert "forwarding_cost" in out
+        manifest = _manifest(
+            tmp_path, {"profile": "DNET", "seed": 1},
+            protocols=["DTN-FLOW", "Direct"],
+            sweep={"parameter": "rate", "values": [100, 200]},
+        )
+        rc, scenario = self._run(["sweep", "--scenario", manifest], capsys)
+        assert rc == 0
+        # the metric tables match; only the wall-clock phase timings differ
+        assert out.split("phase timings")[0] == scenario.split("phase timings")[0]
 
     def test_deployment(self, capsys):
         rc, out = self._run(["deployment", "--days", "4"], capsys)
@@ -247,6 +289,39 @@ class TestCLIRobustness:
         )
         assert rc == 2
         assert "Bogus" in err
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["sweep", "memory", "--values", "abc"], "--values"),
+        (["sweep", "memory", "--protocols", "bogus"], "bogus"),
+        (["sweep", "rate", "--protocols", "DTN-FLOW,DTN-FLOW"], "duplicate"),
+        (["run", "--trace", "missing.csv"], "missing.csv"),
+        (["run", "--trace", "missing.csv", "--run-dir", "RUN_DIR"], "missing.csv"),
+        (["run", "--memory", "0"], "node_memory_kb"),
+        (["compare", "--seeds", "0"], "--seeds"),
+        (["compare", "--seeds", "-1"], "--seeds"),
+    ])
+    def test_bad_workload_flags_exit_2_before_any_trace_is_built(
+        self, argv, expected, tmp_path, monkeypatch, capsys
+    ):
+        from repro.cli import main
+        from repro.eval.runner import TraceSpec
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("a trace was built for a bad flag")
+
+        monkeypatch.setattr(TraceSpec, "materialize", no_build)
+        monkeypatch.setattr("repro.mobility.io.load_trace", no_build)
+        argv = [str(tmp_path / "run") if a == "RUN_DIR" else a for a in argv]
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse rejects a bad --seeds itself
+            rc = exc.code
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "Traceback" not in err
+        assert expected in err.strip().splitlines()[-1]
+        if "--seeds" not in argv:
+            assert len(err.strip().splitlines()) == 1
 
 
 def test_importing_the_cli_loads_no_scipy(child_env):

@@ -137,10 +137,30 @@ class TestRouterSmallEdges:
 
 class TestCLIMultiSeed:
     def test_compare_with_cis(self, capsys):
+        import dataclasses
+        import json
+
+        from repro.baselines import PAPER_PROTOCOLS
         from repro.cli import main
-        rc = main([
-            "compare", "--trace", "dnet", "--rate", "100", "--seeds", "2",
-        ])
+        from repro.eval.scenario import ScenarioSpec, run_scenario
+
+        argv = ["compare", "--trace", "dnet", "--rate", "100", "--seeds", "2"]
+        rc = main(argv)
         out = capsys.readouterr().out
         assert rc == 0
         assert "±" in out
+        # the JSON rows are the per-protocol CIs of the equivalent manifest
+        assert main(argv + ["--json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        spec = ScenarioSpec.from_dict({
+            "trace": {"profile": "DNET", "seed": 1},
+            "sim": {"rate": 100},
+            "protocols": list(PAPER_PROTOCOLS),
+            "seeds": [1, 2],
+        })
+        expected = {
+            protocol: {m: dataclasses.asdict(ci) for m, ci in cis.items()}
+            for protocol, cis in run_scenario(spec).confidence().items()
+        }
+        assert {r["protocol"]: r["metrics"] for r in rows} == expected
+        assert all(r["seeds"] == [1, 2] for r in rows)

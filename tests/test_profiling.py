@@ -10,9 +10,8 @@ from repro.eval.profiling import (
     profile_scenario,
     timed_scenario_run,
 )
-from repro.eval.runner import ProgressEvent, run_points
+from repro.eval.runner import PointSpec, ProgressEvent, TraceSpec, run_point_specs
 from repro.eval.scenario import ScenarioSpec, run_scenario
-from repro.eval.sweeps import memory_sweep
 from repro.eval.config import TraceProfile
 from repro.mobility.synthetic import dart_like
 from repro.mobility.trace import days
@@ -150,10 +149,10 @@ class TestProfileStoreRoundTrip:
 
 
 class TestProgressTelemetry:
-    def _points(self, tiny_trace, tiny_profile, n=3):
-        from repro.eval.runner import PointSpec
-
-        return [
+    def _entries(self, tiny_trace, tiny_profile, n=3):
+        """``n`` Direct points on the in-memory trace, as executor entries."""
+        spec = TraceSpec.inline(tiny_trace)
+        points = [
             PointSpec(
                 protocol="Direct",
                 memory_kb=500.0 + 100 * i,
@@ -162,13 +161,15 @@ class TestProgressTelemetry:
             )
             for i in range(n)
         ]
+        return [
+            (spec, p, tiny_profile.sim_config(memory_kb=p.memory_kb, rate=p.rate, seed=0))
+            for p in points
+        ]
 
     def test_serial_progress_events(self, tiny_trace, tiny_profile):
         events = []
-        run_points(
-            tiny_trace,
-            tiny_profile,
-            self._points(tiny_trace, tiny_profile),
+        run_point_specs(
+            self._entries(tiny_trace, tiny_profile),
             jobs=1,
             progress=events.append,
         )
@@ -183,10 +184,8 @@ class TestProgressTelemetry:
 
     def test_pool_progress_events(self, tiny_trace, tiny_profile):
         events = []
-        run_points(
-            tiny_trace,
-            tiny_profile,
-            self._points(tiny_trace, tiny_profile),
+        run_point_specs(
+            self._entries(tiny_trace, tiny_profile),
             jobs=2,
             progress=events.append,
         )
@@ -199,10 +198,8 @@ class TestProgressTelemetry:
         def boom(event):
             raise RuntimeError("listener bug")
 
-        results = run_points(
-            tiny_trace,
-            tiny_profile,
-            self._points(tiny_trace, tiny_profile, n=2),
+        results = run_point_specs(
+            self._entries(tiny_trace, tiny_profile, n=2),
             jobs=1,
             progress=boom,
         )
@@ -211,27 +208,18 @@ class TestProgressTelemetry:
     def test_results_identical_with_and_without_progress(
         self, tiny_trace, tiny_profile
     ):
-        pts = self._points(tiny_trace, tiny_profile, n=2)
-        with_cb = run_points(
-            tiny_trace, tiny_profile, pts, jobs=1, progress=lambda e: None
-        )
-        without = run_points(tiny_trace, tiny_profile, pts, jobs=1)
+        pts = self._entries(tiny_trace, tiny_profile, n=2)
+        with_cb = run_point_specs(pts, jobs=1, progress=lambda e: None)
+        without = run_point_specs(pts, jobs=1)
         assert [r.metrics for r in with_cb] == [r.metrics for r in without]
 
 
 class TestPhaseKeyIdentity:
-    def test_jobs_n_and_serial_merge_identical_phase_keys(
-        self, tiny_trace, tiny_profile
-    ):
+    def test_jobs_n_and_serial_merge_identical_phase_keys(self, tiny_sweep):
         """Satellite: parallel merge must not rename or drop phase keys."""
-        kwargs = dict(
-            memories_kb=[500.0, 2000.0],
-            rate=150.0,
-            protocols=["DTN-FLOW"],
-            seed=0,
-        )
-        serial = memory_sweep(tiny_trace, tiny_profile, jobs=1, **kwargs)
-        parallel = memory_sweep(tiny_trace, tiny_profile, jobs=2, **kwargs)
+        args = ("memory_kb", [500.0, 2000.0], ["DTN-FLOW"])
+        serial = tiny_sweep(*args, jobs=1, rate=150.0)
+        parallel = tiny_sweep(*args, jobs=2, rate=150.0)
         assert set(serial.phase_timings) == set(parallel.phase_timings)
         for name in serial.phase_timings:
             assert (
@@ -239,15 +227,8 @@ class TestPhaseKeyIdentity:
                 == parallel.phase_timings[name]["calls"]
             )
 
-    def test_phase_rows_carry_floats(self, tiny_trace, tiny_profile):
-        result = memory_sweep(
-            tiny_trace,
-            tiny_profile,
-            memories_kb=[500.0],
-            rate=150.0,
-            protocols=["DTN-FLOW"],
-            jobs=1,
-        )
+    def test_phase_rows_carry_floats(self, tiny_sweep):
+        result = tiny_sweep("memory_kb", [500.0], ["DTN-FLOW"], rate=150.0)
         rows = result.phase_rows()
         assert rows
         for name, seconds, calls in rows:

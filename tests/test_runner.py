@@ -13,9 +13,8 @@ from repro.eval.runner import (
     TraceSpec,
     parse_jobs,
     run_point_specs,
-    run_points,
 )
-from repro.eval.sweeps import SweepResult, memory_sweep
+from repro.eval.sweeps import SweepResult
 from repro.mobility import io as trace_io
 from repro.mobility.synthetic import dart_like
 from repro.mobility.trace import days
@@ -38,6 +37,15 @@ def tiny_profile():
 @pytest.fixture(scope="module")
 def tiny_trace(tiny_profile):
     return tiny_profile.build(1)
+
+
+def inline_entries(trace, profile, points):
+    """Executor entries running ``points`` on the in-memory ``trace``."""
+    spec = TraceSpec.inline(trace)
+    return [
+        (spec, p, profile.sim_config(memory_kb=p.memory_kb, rate=p.rate, seed=p.seed))
+        for p in points
+    ]
 
 
 class TestParseJobs:
@@ -122,18 +130,20 @@ class TestRunPoints:
     ]
 
     def test_parallel_matches_serial_bit_identical(self, tiny_trace, tiny_profile):
-        serial = run_points(tiny_trace, tiny_profile, self.POINTS, jobs=1)
-        two = run_points(tiny_trace, tiny_profile, self.POINTS, jobs=2)
-        four = run_points(tiny_trace, tiny_profile, self.POINTS, jobs=4)
+        entries = inline_entries(tiny_trace, tiny_profile, self.POINTS)
+        serial = run_point_specs(entries, jobs=1)
+        two = run_point_specs(entries, jobs=2)
+        four = run_point_specs(entries, jobs=4)
         assert serial == two == four
 
     def test_results_keep_submission_order(self, tiny_trace, tiny_profile):
-        results = run_points(tiny_trace, tiny_profile, self.POINTS, jobs=2)
+        entries = inline_entries(tiny_trace, tiny_profile, self.POINTS)
+        results = run_point_specs(entries, jobs=2)
         assert [r.protocol for r in results] == [p.protocol for p in self.POINTS]
         assert [r.memory_kb for r in results] == [p.memory_kb for p in self.POINTS]
 
-    def test_empty_points(self, tiny_trace, tiny_profile):
-        assert run_points(tiny_trace, tiny_profile, [], jobs=4) == []
+    def test_empty_points(self):
+        assert run_point_specs([], jobs=4) == []
 
     def test_pool_failure_falls_back_to_serial(
         self, tiny_trace, tiny_profile, monkeypatch, capsys
@@ -144,8 +154,9 @@ class TestRunPoints:
             raise OSError("no processes for you")
 
         monkeypatch.setattr(runner_mod, "ProcessPoolExecutor", broken_pool)
-        results = run_points(tiny_trace, tiny_profile, self.POINTS, jobs=2)
-        serial = run_points(tiny_trace, tiny_profile, self.POINTS, jobs=1)
+        entries = inline_entries(tiny_trace, tiny_profile, self.POINTS)
+        results = run_point_specs(entries, jobs=2)
+        serial = run_point_specs(entries, jobs=1)
         assert results == serial
         assert "falling back to serial" in capsys.readouterr().err
 
@@ -192,22 +203,17 @@ class TestTraceSpec:
 
 
 class TestSweepParallel:
-    def test_memory_sweep_jobs_equivalent(self, tiny_trace, tiny_profile):
-        kwargs = dict(
-            memories_kb=[500.0, 2000.0], rate=150.0,
-            protocols=["DTN-FLOW", "PROPHET"], seed=0,
-        )
-        serial = memory_sweep(tiny_trace, tiny_profile, jobs=1, **kwargs)
-        parallel = memory_sweep(tiny_trace, tiny_profile, jobs=2, **kwargs)
+    def test_memory_sweep_jobs_equivalent(self, tiny_sweep):
+        args = ("memory_kb", [500.0, 2000.0], ["DTN-FLOW", "PROPHET"])
+        serial = tiny_sweep(*args, jobs=1, rate=150.0)
+        parallel = tiny_sweep(*args, jobs=2, rate=150.0)
         assert parallel.series == serial.series
         assert parallel.values == serial.values
         assert parallel.provenance == serial.provenance
 
-    def test_parallel_sweep_merges_phase_timings(self, tiny_trace, tiny_profile):
-        result = memory_sweep(
-            tiny_trace, tiny_profile,
-            memories_kb=[500.0, 2000.0], rate=150.0,
-            protocols=["DTN-FLOW"], jobs=2,
+    def test_parallel_sweep_merges_phase_timings(self, tiny_sweep):
+        result = tiny_sweep(
+            "memory_kb", [500.0, 2000.0], ["DTN-FLOW"], jobs=2, rate=150.0
         )
         assert result.phase_timings, "worker phase timings were not merged back"
         assert any(name.startswith("dispatch.") for name in result.phase_timings)
@@ -246,11 +252,8 @@ class TestSweepResultErrors:
         with pytest.raises(ValueError, match="unknown metric"):
             res.mean_values("bogus")
 
-    def test_provenance_rows_carry_sweep_value(self, tiny_trace, tiny_profile):
-        res = memory_sweep(
-            tiny_trace, tiny_profile,
-            memories_kb=[500.0, 2000.0], rate=150.0, protocols=["DTN-FLOW"],
-        )
+    def test_provenance_rows_carry_sweep_value(self, tiny_sweep):
+        res = tiny_sweep("memory_kb", [500.0, 2000.0], ["DTN-FLOW"], rate=150.0)
         rows = res.provenance["DTN-FLOW"]
         assert [r["sweep_value"] for r in rows] == [500.0, 2000.0]
         assert all(r["sweep_parameter"] == "memory_kb" for r in rows)
@@ -424,20 +427,12 @@ class TestChaosEnvHooks:
         for name in ("DTN-FLOW", "PROPHET", "Direct")
     ]
 
-    def _entries(self, tiny_trace, tiny_profile):
-        spec = TraceSpec.inline(tiny_trace)
-        return [
-            (spec, p, tiny_profile.sim_config(
-                memory_kb=p.memory_kb, rate=p.rate, seed=p.seed))
-            for p in self.POINTS
-        ]
-
     def test_worker_exit_recovers_via_serial_rerun(
         self, tiny_trace, tiny_profile, capsys
     ):
         from repro.eval.runner import execute
 
-        entries = self._entries(tiny_trace, tiny_profile)
+        entries = inline_entries(tiny_trace, tiny_profile, self.POINTS)
         serial = run_point_specs(entries, jobs=1)
         chaotic, _ = execute(entries, jobs=2, injections={1: {"pool_exit": True}})
         assert chaotic == serial
@@ -448,7 +443,7 @@ class TestChaosEnvHooks:
     ):
         from repro.eval.runner import execute
 
-        entries = self._entries(tiny_trace, tiny_profile)
+        entries = inline_entries(tiny_trace, tiny_profile, self.POINTS)
         serial = run_point_specs(entries, jobs=1)
         chaotic, _ = execute(entries, jobs=2, injections={0: {"pool_raise": True}})
         assert chaotic == serial
@@ -461,7 +456,7 @@ class TestSweepInterrupted:
     ):
         from repro.eval.runner import SweepInterrupted
 
-        entries = TestChaosEnvHooks()._entries(tiny_trace, tiny_profile)
+        entries = inline_entries(tiny_trace, tiny_profile, TestChaosEnvHooks.POINTS)
 
         def interrupting(event):
             # a SIGINT while the second point is handed over

@@ -26,9 +26,9 @@ from repro.store import (
     export_baseline,
     import_baseline,
     ingest_degradation,
+    ingest_experiment_results,
     ingest_payload,
     ingest_scenario_result,
-    ingest_sweep_result,
     latest_per_point,
     pin_baseline,
     query_points,
@@ -215,6 +215,13 @@ class TestIngest:
         row = query_points(store, protocol="DTN-FLOW")[0]
         assert row.memory_kb == 2000.0 and row.rate == 100.0 and row.seed == 1
 
+    def test_partial_results_skip_unfinished_points(self, store, fast_result):
+        # an interrupted grid's results: None marks a point that never ran
+        partial = [None, fast_result.results[0], None]
+        stats = ingest_experiment_results(store, partial, kind="scenario")
+        assert stats.runs == 1 and stats.points_new == 1
+        assert ingest_experiment_results(store, [None, None]).runs == 0
+
     def test_parallel_sweep_recorded_in_parent(self, store, fast_sweep_result):
         # the acceptance path: a --jobs 4 run recorded without contention
         # (workers never see the database; ingestion is parent-side)
@@ -225,7 +232,7 @@ class TestIngest:
 
     def test_sweep_object_and_payload_agree(self, store, fast_sweep_result):
         sweep = fast_sweep_result.sweep_result()
-        stats = ingest_sweep_result(store, sweep)
+        stats = ingest_payload(store, sweep.as_dict())
         assert stats.points_new == 2
         # the exported-JSON form of the same sweep deduplicates exactly
         again = ingest_payload(store, json.loads(json.dumps(sweep.as_dict())))
@@ -578,3 +585,35 @@ class TestStoreCLI:
         assert rc == 0 and "0 new, 1 already recorded" in err
         with ExperimentDB(db_path) as db:
             assert db.point_count() == 1
+
+    def test_flag_sweep_records_what_the_manifest_sweep_records(
+        self, tmp_path, capsys
+    ):
+        """``sweep rate`` flags and the equivalent ``sweep --scenario``
+        manifest record the same point with the same full metric set, so a
+        zero-tolerance regress of one against the other passes."""
+        manifest = tmp_path / "sweep.json"
+        manifest.write_text(json.dumps({
+            "trace": {"profile": "DNET", "seed": 1},
+            "sim": {"memory_kb": 2000, "rate": 500},
+            "protocols": ["DTN-FLOW"],
+            "seeds": [1],
+            "sweep": {"parameter": "rate", "values": [100]},
+        }))
+        db_path = str(tmp_path / "sweeps.sqlite")
+        rc, _, err = self._run(
+            ["sweep", "--scenario", str(manifest), "--record", "--db", db_path],
+            capsys)
+        assert rc == 0 and "1 new" in err
+        rc, _, _ = self._run(
+            ["db", "baseline", "pin", "manifest", "--db", db_path], capsys)
+        assert rc == 0
+        rc, _, err = self._run(
+            ["sweep", "rate", "--trace", "dnet", "--values", "100",
+             "--protocols", "DTN-FLOW", "--record", "--db", db_path], capsys)
+        assert rc == 0 and "0 new, 1 already recorded" in err
+        rc, out, _ = self._run(
+            ["db", "regress", "--baseline", "manifest", "--db", db_path,
+             "--abs", "0", "--rel", "0", "--fail-on-missing"], capsys)
+        assert rc == 0, out
+        assert "0 failed" in out and "0 missing" in out
