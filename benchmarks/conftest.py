@@ -13,7 +13,9 @@ Wall-clock tracking: the suite records its total duration and each
 benchmark's call-phase duration, plus whatever extra measurements tests
 register via :func:`record_bench` (the parallel-speedup benchmark uses
 this), and appends them to the ``BENCH_sweeps.json`` history at session
-end — the perf trajectory future PRs compare against.  Each new snapshot
+end — the perf trajectory future PRs compare against.  Every snapshot
+carries the same host fingerprint as a ``python -m bench`` output (cores,
+python, numpy, platform, ``full_scale`` and git SHA).  Each new snapshot
 is also ingested into the experiment store (``$REPRO_DB`` or
 ``experiments.sqlite``) so ``repro db report`` can chart suite wall-clock
 over time; ingest failures never fail the benchmark session.  ``--jobs N``
@@ -31,6 +33,7 @@ from typing import Dict
 
 import pytest
 
+from bench.harness import fingerprint
 from repro.eval.config import full_scale, sweep_grid, trace_profile
 from repro.eval.runner import parse_jobs
 from repro.eval.scenario import preset_scenario, run_scenario
@@ -111,8 +114,8 @@ def pytest_sessionfinish(session, exitstatus):
         # "memory stays bounded" claims are measured rather than asserted
         "max_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
         "jobs": str(session.config.getoption("--jobs", default="1")),
-        "cpu_count": os.cpu_count(),
-        "full_scale": full_scale(),
+        # the host fingerprint `python -m bench` stamps into its outputs
+        **fingerprint(),
         "figures": _BENCH["figures"],
         "parallel": _BENCH["extra"],
     }

@@ -11,12 +11,17 @@ layer shows up directly instead of being averaged into a 30-point sweep:
 * **routing-table merge** — the distance-vector relaxation
   (``RoutingTable.merge_snapshot``) over realistic snapshot sizes;
 * **trace build** — one small DART trace: generator, raw log and the
-  preprocessing pipeline, the cost every sweep, resume and job pays once;
+  preprocessing pipeline, the cost every sweep and job pays once;
 * **stream pass** — one pass over a 500-node campus ``TraceStream``:
-  per-node generators, the heap merge and the order check.
+  per-node generators, the heap merge and the order check;
+* **resume** — a resume reads back the trace its run directory stored at
+  the first checkpoint instead of rebuilding it: the read against the
+  build (small DART; paper-scale under ``REPRO_FULL_SCALE=1``), and
+  ``resume_run`` of one crashed small-DART point with and without the
+  stored trace.
 
-Each records an ops/second figure into ``BENCH_sweeps.json`` via the
-conftest recorder (the trace micros with the host's core count).
+Each records its figures into ``BENCH_sweeps.json`` via the conftest
+recorder, which stamps the host fingerprint on every snapshot.
 Assertions are sanity floors (the machinery actually ran), not
 wall-clock gates — CI wall-clock is gated by the perf-gate job on the ci
 scenario instead.
@@ -28,8 +33,12 @@ import os
 from time import perf_counter
 
 from repro.core.routing_table import RouteEntry, RoutingTable, TableSnapshot
+from repro.eval.resume import create_run, resume_run, run_resumable
+from repro.eval.runner import TraceSpec
+from repro.eval.scenario import ScenarioSpec
 from repro.mobility.synthetic import CampusConfig, CampusMobilityModel, dart_like
 from repro.mobility.trace import Trace, VisitRecord, days
+from repro.sim.checkpoint import RunDir, SimulatedCrash
 from repro.sim.engine import RoutingProtocol, SimConfig, Simulation
 
 from .conftest import record_bench
@@ -192,3 +201,58 @@ def test_stream_pass_micro():
         "cpu_count": os.cpu_count(),
     })
     assert n_records == len(stream) > 10_000
+
+
+def _crashed_run(path, spec: ScenarioSpec, every: int, cache) -> RunDir:
+    """A run directory whose point crashed after its 3rd checkpoint."""
+    rd = create_run(path, spec, every_events=every)
+    try:
+        run_resumable(spec, rd, every_events=every, trace_cache=cache,
+                      injections={0: {"crash_after_saves": 3}})
+    except SimulatedCrash:
+        return rd
+    raise AssertionError("the injected crash never fired")
+
+
+def test_resume_micro(tmp_path):
+    # the stored trace against a rebuild, at the scale REPRO_FULL_SCALE picks
+    tspec = TraceSpec.from_profile("DART", 1)
+    t0 = perf_counter()
+    trace = tspec.materialize()
+    build_s = perf_counter() - t0
+    rd = RunDir.create(tmp_path / "store", {})
+    rd.write_trace(tspec.key, trace)
+    t0 = perf_counter()
+    RunDir(rd.path).read_trace(tspec.key)
+    read_s = perf_counter() - t0
+
+    # one crashed small-DART point (the crash-resume bench's), resumed
+    spec = ScenarioSpec.from_dict({
+        "name": "resume-micro",
+        "trace": {"profile": "DART", "seed": 1, "full_scale": False},
+        "sim": {"memory_kb": 2000.0, "rate": 500.0},
+        "protocols": ["DTN-FLOW"],
+        "seeds": [1],
+    })
+    _, small, _ = spec.resolve_trace()
+    cache = {small.key: trace if small.key == tspec.key else small.materialize()}
+    kept = _crashed_run(tmp_path / "kept", spec, 5000, cache)
+    lost = _crashed_run(tmp_path / "lost", spec, 5000, cache)
+    lost.trace_path(small.key).unlink()  # as in a run dir that never stored it
+    t0 = perf_counter()
+    with_file, _, _ = resume_run(kept.path)
+    with_file_s = perf_counter() - t0
+    t0 = perf_counter()
+    without_file, _, _ = resume_run(lost.path)
+    without_file_s = perf_counter() - t0
+
+    record_bench("resume_trace", {
+        "trace": trace.name,
+        "records": len(trace),
+        "file_mb": round(rd.trace_path(tspec.key).stat().st_size / 1e6, 3),
+        "read_back_s": round(read_s, 4),
+        "rebuild_s": round(build_s, 4),
+        "resume_with_file_s": round(with_file_s, 4),
+        "resume_without_file_s": round(without_file_s, 4),
+    })
+    assert with_file.results[0].metrics == without_file.results[0].metrics

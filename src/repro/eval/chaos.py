@@ -197,7 +197,9 @@ def run_chaos(
 
     The report is ``ok`` only if every point's metric values match the
     baseline exactly *and* the expected ``executor.*`` recovery events
-    were emitted.  ``repro chaos`` exits non-zero otherwise.
+    were emitted; for a built-in profile trace, a serial crash's resume
+    must also have read the trace back from the run directory rather
+    than rebuilding it.  ``repro chaos`` exits non-zero otherwise.
     """
     effective_shards = shards if shards is not None else spec.shards
     plan = chaos.resolve(spec.n_points(), effective_shards)
@@ -249,8 +251,11 @@ def run_chaos(
             report.mismatches.append(f"point {i}: metrics differ on {diffs}")
 
     counts: Dict[str, int] = {}
+    trace_sources = set()
     for record in rd.recovery_log().records():
         counts[record["event"]] = counts.get(record["event"], 0) + 1
+        if record["event"] == event_types.EXECUTOR_RESUME and "trace" in record:
+            trace_sources.add(record["trace"])
     report.recovery_events = counts
 
     recovered = True
@@ -261,13 +266,18 @@ def run_chaos(
                 "was never supervised back"
             )
             recovered = False
-    else:
-        if not counts.get(event_types.EXECUTOR_RESUME):
-            report.mismatches.append(
-                "no executor.resume event — the crashed run never restored "
-                "from its checkpoint"
-            )
-            recovered = False
+    elif not counts.get(event_types.EXECUTOR_RESUME):
+        report.mismatches.append(
+            "no executor.resume event — the crashed run never restored "
+            "from its checkpoint"
+        )
+        recovered = False
+    elif spec.trace.profile is not None and "run-dir" not in trace_sources:
+        report.mismatches.append(
+            "the resume did not read its profile trace back from the run "
+            f"directory (trace sources: {sorted(trace_sources)})"
+        )
+        recovered = False
 
     report.ok = recovered and not report.mismatches
     return report, result

@@ -13,7 +13,11 @@ points, ``repro serve`` jobs) with four guarantees:
   unpickles the presorted records once per worker), so workers never
   rebuild; a caller's long-lived pool, created before the traces
   existed, receives the spec with each task and materializes it once per
-  worker;
+  worker; with a run directory, a cache miss on a built-in profile trace
+  reads the copy the run dir's first checkpoint stored
+  (:meth:`~repro.sim.checkpoint.RunDir.read_trace`) before building
+  anything, so a resume replays its checkpoints against the trace they
+  were taken on without regenerating it;
 * **deterministic ordering** — results come back in submission order no
   matter which worker finishes first;
 * **bit-identical paths** — in-process, pooled, checkpointed and sharded
@@ -40,6 +44,7 @@ import sys
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from functools import partial
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -52,6 +57,7 @@ from repro.obs import events as event_types
 from repro.obs.provenance import _jsonable
 from repro.sim.checkpoint import (
     DEFAULT_EVERY_EVENTS,
+    CheckpointError,
     ExecutionInterrupted,
     InterruptFlag,
     RunDir,
@@ -410,7 +416,11 @@ def execute(
       ``result.ckpt`` are restored instead of re-run, every finished point
       commits one, and in-process points checkpoint every
       ``every_events`` dispatched events (sharded ones at every epoch
-      barrier), resuming from the newest complete checkpoint.
+      barrier), resuming from the newest complete checkpoint.  A profile
+      trace is written into the run dir just before the first serial
+      checkpoint and read back on a later call's cache miss; a trace file
+      that fails its digest or names another key is rebuilt, with an
+      ``executor.fallback`` record of ``kind="trace"``.
     * ``cancel`` (an :class:`~repro.sim.checkpoint.InterruptFlag`) stops
       the grid once triggered: between points, mid-point when a run dir
       checkpoints it, and in the pool by cancelling the points not yet
@@ -434,6 +444,8 @@ def execute(
     injections = injections or {}
     recovery = run_dir.recovery_log() if run_dir is not None else None
     sharded = shards is not None and shards >= 2
+    # where each trace came from: "cache", "run-dir" or "rebuilt"
+    sources: Dict[str, str] = {}
     plan_cache: Dict[int, Any] = {}
 
     def emit(kind: str, i: int, seconds: Optional[float] = None,
@@ -457,9 +469,23 @@ def execute(
         emit("finished", i, seconds, pid, result)
 
     def trace_of(spec: TraceSpec) -> Trace:
+        """The cached trace, else the run dir's copy, else a fresh build."""
         trace = traces.get(spec.key)
+        if trace is not None:
+            sources.setdefault(spec.key, "cache")
+            return trace
+        source = "rebuilt"
+        if run_dir is not None and spec.kind == "profile":
+            try:
+                trace = run_dir.read_trace(spec.key)
+            except CheckpointError as exc:
+                recovery.emit(event_types.EXECUTOR_FALLBACK, kind="trace",
+                              key=spec.key, reason=str(exc))
+            if trace is not None:
+                source = "run-dir"
         if trace is None:
-            trace = traces[spec.key] = spec.materialize()
+            trace = spec.materialize()
+        traces[spec.key], sources[spec.key] = trace, source
         return trace
 
     def run_here(i: int, announce: bool = True) -> None:
@@ -482,6 +508,12 @@ def execute(
                 flag=cancel,
                 recovery=recovery,
                 crash_after_saves=inj.get("crash_after_saves"),
+                # path traces are re-read anyway; inline keys hold an id()
+                before_first_save=(
+                    partial(run_dir.write_trace, spec.key, trace)
+                    if spec.kind == "profile" else None
+                ),
+                trace_source=sources[spec.key],
             )
         t0 = perf_counter()
         if sharded:

@@ -55,10 +55,14 @@ fault injection (see docs/resilience.md)
 executor recovery (see docs/reliability.md)
 =========================== ==================================================
 ``executor.checkpoint``      a crash-safe checkpoint was committed to disk
-``executor.resume``          a run restarted from a checkpoint
+``executor.resume``          a run restarted from a checkpoint; a serial
+                             restore's ``trace`` field says where its trace
+                             came from (``run-dir``, ``cache``, ``rebuilt``)
 ``executor.worker_dead``     a shard worker died
 ``executor.worker_restart``  a dead shard worker was restarted from checkpoint
 ``executor.fallback``        shard recovery was exhausted; serial fallback
+                             (or, with ``kind="trace"``, a run dir's trace
+                             file was unusable and the trace was rebuilt)
 ``executor.interrupt``       SIGINT/SIGTERM flushed a final checkpoint
 ``executor.chaos``           the chaos harness injected an executor fault
 =========================== ==================================================

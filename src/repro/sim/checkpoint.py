@@ -21,15 +21,22 @@ Three building blocks live here:
 * **run directories** — a ``manifest.json`` hashing the resolved
   scenario, one sub-directory per sweep point (serial checkpoints or
   per-shard epoch checkpoints plus a barrier record), a framed result
-  file per completed point, and an append-only ``recovery.jsonl`` event
-  log mirroring every recovery action into ``executor.*`` counters.
+  file per completed point, the profile traces the serial checkpoints
+  replay, and an append-only ``recovery.jsonl`` event log mirroring
+  every recovery action into ``executor.*`` counters.
 
 Protocols participate through ``RoutingProtocol.detach_runtime`` /
 ``attach_runtime`` (drop and re-wire unpicklable observability closures
 around the pickle).  The compiled :class:`~repro.sim.faults.FaultSchedule`
 is deliberately *not* pickled — it is stateless and recompiled from the
-config — and the trace/event stream is re-derived deterministically, so
-checkpoints stay small.
+config — and neither is the trace, so checkpoints stay small.  A resume
+re-walks the trace's event stream and skips the events already
+dispatched, so a checkpoint only holds against the exact trace it was
+taken on: the serial checkpointer writes a built-in profile trace into
+the run directory (:meth:`RunDir.write_trace`, the ``repro.mobility.io``
+CSV in a frame, its ``TraceSpec`` key on the first line) just before its
+first checkpoint, and a resume reads it back (:meth:`RunDir.read_trace`)
+instead of regenerating it.
 """
 
 from __future__ import annotations
@@ -43,8 +50,10 @@ import tempfile
 import time
 from itertools import islice
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
+from repro.mobility.io import dumps_trace, loads_trace
+from repro.mobility.trace import Trace
 from repro.obs import events as event_types
 from repro.obs.registry import MetricsRegistry
 
@@ -280,6 +289,15 @@ class SerialCheckpointer:
     keeps the newest ``keep`` files so a truncated latest checkpoint can
     fall back to its predecessor, and turns a deferred SIGINT/SIGTERM
     (via ``flag``) into a final flush + :class:`ExecutionInterrupted`.
+    ``directory`` is created at the first save, so a run that never saves
+    leaves nothing behind.
+
+    ``before_first_save`` runs once, just before this process's first
+    checkpoint; the executor passes :meth:`RunDir.write_trace` for the
+    point's trace, so every checkpoint on disk has its trace beside it.
+    ``trace_source`` says where the trace came from (``"run-dir"``,
+    ``"cache"`` or ``"rebuilt"``); a restore stamps it into its
+    ``executor.resume`` record.
 
     ``crash_after_saves`` is the chaos hook: raise :class:`SimulatedCrash`
     immediately after committing the n-th checkpoint of this process.
@@ -294,16 +312,19 @@ class SerialCheckpointer:
         flag: Optional[InterruptFlag] = None,
         recovery: Optional[RecoveryLog] = None,
         crash_after_saves: Optional[int] = None,
+        before_first_save: Optional[Callable[[], None]] = None,
+        trace_source: Optional[str] = None,
     ) -> None:
         if every_events <= 0:
             raise ValueError(f"every_events must be positive, got {every_events}")
         self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
         self.every_events = int(every_events)
         self.keep = max(2, int(keep))
         self.flag = flag
         self.recovery = recovery
         self.crash_after_saves = crash_after_saves
+        self.before_first_save = before_first_save
+        self.trace_source = trace_source
         self.n_saves = 0
 
     def _paths(self) -> List[Path]:
@@ -317,12 +338,18 @@ class SerialCheckpointer:
                 continue
             skip = restore_simulation(sim, state)
             if self.recovery is not None:
-                self.recovery.emit(event_types.EXECUTOR_RESUME,
-                                   checkpoint=path.name, n_dispatched=skip)
+                fields: Dict[str, Any] = {"checkpoint": path.name, "n_dispatched": skip}
+                if self.trace_source is not None:
+                    fields["trace"] = self.trace_source
+                self.recovery.emit(event_types.EXECUTOR_RESUME, **fields)
             return skip
         return 0
 
     def _save(self, sim: Any, n_dispatched: int) -> Path:
+        if self.n_saves == 0:
+            if self.before_first_save is not None:
+                self.before_first_save()
+            self.directory.mkdir(parents=True, exist_ok=True)
         path = self.directory / f"serial-{n_dispatched:012d}.ckpt"
         write_frame(path, snapshot_simulation(sim, n_dispatched))
         self.n_saves += 1
@@ -376,20 +403,28 @@ class RunDir:
         <run-dir>/
           manifest.json             scenario + its content hash, mode knobs
           recovery.jsonl            executor.* recovery event log
+          traces/
+            <sha256(key)[:16]>.ckpt framed trace CSV, its TraceSpec key on
+                                    line 1 (profile traces, first save)
           points/
             000/                    one directory per sweep point
-              serial-*.ckpt         (serial execution)
+              serial/serial-*.ckpt  (serial execution, from the first save)
               shard0/epoch-*.ckpt   (sharded execution)
               barrier-*.ckpt        coordinator barrier commit records
               result.ckpt           framed pickle of the finished point
+
+    An instance remembers the trace keys it wrote or read back intact and
+    never writes those again, so each trace file is written once.
     """
 
     MANIFEST = "manifest.json"
     RECOVERY = "recovery.jsonl"
     RESULT = "result.ckpt"
+    TRACES = "traces"
 
     def __init__(self, path: "Path | str") -> None:
         self.path = Path(path)
+        self._traces_on_disk: Set[str] = set()
 
     @property
     def manifest_path(self) -> Path:
@@ -444,3 +479,39 @@ class RunDir:
     def load_result(self, index: int) -> Optional[Any]:
         """The finished point's result, or None if absent/corrupt."""
         return try_load_checkpoint(self.point_dir(index) / self.RESULT)
+
+    # -- traces ---------------------------------------------------------------------
+    def trace_path(self, key: str) -> Path:
+        digest = hashlib.sha256(key.encode("utf-8")).hexdigest()[:16]
+        return self.path / self.TRACES / f"{digest}.ckpt"
+
+    def write_trace(self, key: str, trace: Trace) -> None:
+        """Store ``trace`` under its spec ``key``, unless this instance
+        already wrote it or read it back intact."""
+        if key in self._traces_on_disk:
+            return
+        path = self.trace_path(key)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        write_frame(path, f"{key}\n{dumps_trace(trace)}".encode("utf-8"))
+        self._traces_on_disk.add(key)
+
+    def read_trace(self, key: str) -> Optional[Trace]:
+        """The trace stored under ``key``, or None if none was written.
+
+        Raises :class:`CheckpointError` for a file that fails its digest
+        or names another key.
+        """
+        path = self.trace_path(key)
+        if not path.is_file():
+            return None
+        stored, _, csv = read_frame(path).partition(b"\n")
+        if stored != key.encode("utf-8"):
+            raise CheckpointError(
+                f"trace file {path} holds {stored[:80]!r}, not {key!r}"
+            )
+        try:
+            trace = loads_trace(csv.decode("utf-8"))
+        except (UnicodeDecodeError, ValueError) as exc:
+            raise CheckpointError(f"trace file {path} is not a trace: {exc}") from exc
+        self._traces_on_disk.add(key)
+        return trace

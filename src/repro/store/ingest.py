@@ -369,6 +369,12 @@ def _flatten_numeric(prefix: str, node: Any, out: Dict[str, float]) -> None:
             _flatten_numeric(f"{prefix}.{key}" if prefix else str(key), value, out)
 
 
+#: snapshot keys kept in a bench run's ``extra``: when it ran, how, and the
+#: host fingerprint (cores, python, numpy, platform, scale, commit)
+_BENCH_EXTRA = ("timestamp", "jobs", "cpu_count", "python", "numpy", "platform",
+                "full_scale", "git_sha")
+
+
 def ingest_bench_snapshot(
     db: ExperimentDB, snapshot: Mapping[str, Any], *, label: str = ""
 ) -> IngestStats:
@@ -381,8 +387,7 @@ def ingest_bench_snapshot(
     run_id = db.record_run(
         "bench",
         label=label or str(snapshot.get("timestamp", "")),
-        extra={k: v for k, v in snapshot.items()
-               if k in ("timestamp", "jobs", "cpu_count", "full_scale")},
+        extra={k: v for k, v in snapshot.items() if k in _BENCH_EXTRA},
         run_hash=content_hash({"bench_snapshot": snapshot}),
         created_at=_bench_created_at(snapshot),
     )

@@ -19,8 +19,9 @@ from repro.eval.chaos import (
     run_chaos,
     truncate_newest_checkpoint,
 )
-from repro.eval.scenario import ScenarioSpec
+from repro.eval.scenario import ScenarioSpec, run_scenario
 from repro.mobility import io as trace_io
+from repro.sim.checkpoint import RunDir
 from repro.store.db import ExperimentDB
 
 
@@ -119,6 +120,50 @@ class TestSerialChaos:
 
     def test_truncate_helper_on_empty_dir(self, tmp_path):
         assert truncate_newest_checkpoint(tmp_path) is None
+
+
+# -- profile traces: the resume must read the trace back ------------------------
+
+
+@pytest.fixture(scope="module")
+def chaos_profile():
+    """A small-DART profile scenario and its undisturbed baseline."""
+    spec = ScenarioSpec.from_dict({
+        "name": "chaos-profile",
+        "trace": {"profile": "DART", "seed": 1, "full_scale": False},
+        "sim": {"memory_kb": 2000, "rate": 150, "workload_scale": 0.02},
+        "protocols": ["Direct"],
+        "seeds": [1],
+    }).validate()
+    return spec, run_scenario(spec)
+
+
+class TestProfileTraceChaos:
+    def test_resume_reads_the_trace_back(self, chaos_profile, tmp_path):
+        spec, baseline = chaos_profile
+        report, _ = run_chaos(
+            spec, ChaosSpec(point=0, interrupt_after=1), tmp_path / "rd",
+            every_events=2000, baseline=baseline,
+        )
+        assert report.ok, report.mismatches
+        resumes = [r for r in RunDir(tmp_path / "rd").recovery_log().records()
+                   if r["event"] == "executor.resume"]
+        assert [r["trace"] for r in resumes] == ["run-dir"]
+
+    def test_a_rebuilt_trace_fails_the_verdict(self, chaos_profile, tmp_path, monkeypatch):
+        # a run directory that never stores its trace: the resume rebuilds
+        # it, to the same metrics, but the read-back path went untested
+        monkeypatch.setattr(RunDir, "write_trace", lambda self, key, trace: None)
+        spec, baseline = chaos_profile
+        report, _ = run_chaos(
+            spec, ChaosSpec(point=0, interrupt_after=1), tmp_path / "rd",
+            every_events=2000, baseline=baseline,
+        )
+        assert not report.ok
+        assert report.mismatches == [
+            "the resume did not read its profile trace back from the run "
+            "directory (trace sources: ['rebuilt'])"
+        ]
 
 
 # -- store lock contention -----------------------------------------------------

@@ -9,13 +9,17 @@ loading garbage.
 
 from __future__ import annotations
 
+import json
 import os
 import signal
+import subprocess
+import sys
 
 import pytest
 
 from repro.eval.experiment import execute_config
 from repro.eval.resume import create_run, open_run, resume_run, run_resumable
+from repro.eval.runner import TraceSpec, execute
 from repro.eval.scenario import ScenarioSpec, run_scenario
 from repro.mobility import io as trace_io
 from repro.obs import events as event_types
@@ -281,3 +285,194 @@ class TestRunDirectories:
         assert rd.load_result(7) is None  # a point that never ran
         assert sorted(rd.path.rglob("*")) == before
         assert [p.name for p in rd.point_dirs()] == ["001"]
+
+
+# -- the trace a run directory keeps -------------------------------------------
+
+#: serial checkpoint cadence of the small-DART point below (~25k events)
+EVERY = 2000
+
+
+@pytest.fixture(scope="module")
+def dart_point():
+    """A small-DART profile point: spec, trace spec, built trace, and the
+    metrics of its uninterrupted run."""
+    spec = ScenarioSpec.from_dict({
+        "name": "ckpt-trace",
+        "trace": {"profile": "DART", "seed": 1, "full_scale": False},
+        "sim": {"memory_kb": 2000, "rate": 150, "workload_scale": 0.05},
+        "protocols": ["DTN-FLOW"],
+        "seeds": [1],
+    }).validate()
+    _, tspec, _ = spec.resolve_trace()
+    trace = tspec.materialize()
+    baseline = run_scenario(spec, trace=trace)
+    return spec, tspec, trace, baseline.results[0].metrics
+
+
+def crashed_run(path, dart_point):
+    """A run directory whose point crashed right after its 2nd save."""
+    spec, tspec, trace, _ = dart_point
+    rd = create_run(path, spec, every_events=EVERY)
+    with pytest.raises(SimulatedCrash):
+        run_resumable(
+            spec, rd, every_events=EVERY, trace_cache={tspec.key: trace},
+            injections={0: {"crash_after_saves": 2}},
+        )
+    return rd
+
+
+def records_of(rd, etype):
+    return [r for r in rd.recovery_log().records() if r["event"] == etype]
+
+
+def numeric(metrics):
+    return {k: v for k, v in metrics.items()
+            if isinstance(v, (int, float)) and not isinstance(v, bool)}
+
+
+def _no_rebuild(self):
+    raise AssertionError(f"trace {self.key} was rebuilt")
+
+
+class TestRunDirTrace:
+    def test_resume_reads_the_trace_back(self, dart_point, tmp_path, monkeypatch):
+        _, tspec, trace, want = dart_point
+        rd = crashed_run(tmp_path / "rd", dart_point)
+        assert [p.name for p in (rd.path / RunDir.TRACES).iterdir()] == [
+            rd.trace_path(tspec.key).name
+        ]
+        monkeypatch.setattr(TraceSpec, "materialize", _no_rebuild)
+        result, _, _ = resume_run(rd.path)
+        assert result.results[0].metrics == want
+        (resume,) = records_of(rd, event_types.EXECUTOR_RESUME)
+        assert resume["trace"] == "run-dir"
+        assert resume["checkpoint"] == f"serial-{2 * EVERY:012d}.ckpt"
+        assert not records_of(rd, event_types.EXECUTOR_FALLBACK)
+        assert RunDir(rd.path).read_trace(tspec.key).records == trace.records
+
+    @pytest.mark.parametrize("damage", ["truncate", "flip", "rekey"])
+    def test_damaged_trace_file_is_rebuilt(self, damage, dart_point, tmp_path):
+        _, tspec, trace, want = dart_point
+        rd = crashed_run(tmp_path / "rd", dart_point)
+        path = rd.trace_path(tspec.key)
+        blob = path.read_bytes()
+        if damage == "truncate":
+            path.write_bytes(blob[: len(blob) // 2])
+        elif damage == "flip":
+            i = len(blob) // 2
+            path.write_bytes(blob[:i] + bytes([blob[i] ^ 0x01]) + blob[i + 1:])
+        else:  # a well-framed file holding another spec's trace
+            other = TraceSpec.from_profile("DART", 2, full_scale=False).key
+            _, _, csv = read_frame(path).partition(b"\n")
+            write_frame(path, other.encode("utf-8") + b"\n" + csv)
+        result, _, _ = resume_run(rd.path)
+        assert result.results[0].metrics == want
+        (fallback,) = records_of(rd, event_types.EXECUTOR_FALLBACK)
+        assert fallback["kind"] == "trace" and fallback["key"] == tspec.key
+        (resume,) = records_of(rd, event_types.EXECUTOR_RESUME)
+        assert resume["trace"] == "rebuilt"
+        # the resume's first save stored the rebuilt trace again
+        assert RunDir(rd.path).read_trace(tspec.key).records == trace.records
+
+    def test_missing_trace_file_is_rebuilt_silently(self, dart_point, tmp_path):
+        # every run directory made before traces were stored looks like this
+        _, tspec, trace, want = dart_point
+        rd = crashed_run(tmp_path / "rd", dart_point)
+        rd.trace_path(tspec.key).unlink()
+        result, _, _ = resume_run(rd.path)
+        assert result.results[0].metrics == want
+        assert not records_of(rd, event_types.EXECUTOR_FALLBACK)
+        (resume,) = records_of(rd, event_types.EXECUTOR_RESUME)
+        assert resume["trace"] == "rebuilt"
+        assert RunDir(rd.path).read_trace(tspec.key).records == trace.records
+
+    def test_cli_resume_in_a_fresh_interpreter(self, dart_point, tmp_path, child_env):
+        spec, _, _, want = dart_point
+        rd, out = tmp_path / "rd", tmp_path / "resumed.json"
+        crash = (
+            "import json, sys\n"
+            "from repro.eval.resume import create_run, run_resumable\n"
+            "from repro.eval.scenario import ScenarioSpec\n"
+            "from repro.sim.checkpoint import SimulatedCrash\n"
+            "spec = ScenarioSpec.from_dict(json.loads(sys.argv[1]))\n"
+            f"rd = create_run(sys.argv[2], spec, every_events={EVERY})\n"
+            "try:\n"
+            f"    run_resumable(spec, rd, every_events={EVERY},\n"
+            "                  injections={0: {'crash_after_saves': 2}})\n"
+            "except SimulatedCrash:\n"
+            "    sys.exit(3)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", crash, json.dumps(spec.as_dict()), str(rd)],
+            env=child_env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 3, proc.stderr
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "resume", str(rd), "--out", str(out)],
+            env=child_env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        (got,) = json.loads(out.read_text())["results"]
+        assert numeric(got) == numeric(want.as_dict())
+        (resume,) = records_of(RunDir(rd), event_types.EXECUTOR_RESUME)
+        assert resume["trace"] == "run-dir"
+
+
+class TestRunDirHoldsOnlyWhatAResumeReads:
+    """Point directories hold ``serial/`` only once a checkpoint was saved,
+    and ``traces/`` holds profile traces only, written at a first save."""
+
+    @staticmethod
+    def leftovers(rd):
+        return sorted(
+            str(p.relative_to(rd.path)) for p in rd.path.rglob("*")
+            if p.is_dir() and p.name in ("serial", RunDir.TRACES)
+        )
+
+    def test_a_point_that_never_saves(self, dart_point, tmp_path):
+        spec, tspec, trace, want = dart_point
+        rd = create_run(tmp_path / "rd", spec)  # default cadence: no save
+        result, _ = run_resumable(spec, rd, trace_cache={tspec.key: trace})
+        assert result.results[0].metrics == want
+        assert rd.load_result(0) is not None
+        assert self.leftovers(rd) == []
+
+    def test_a_pool_run(self, dart_point, tmp_path):
+        spec, tspec, trace, _ = dart_point
+        spec = ScenarioSpec.from_dict(
+            {**spec.as_dict(), "protocols": ["Direct"], "seeds": [1, 2]}
+        ).validate()
+        rd = create_run(tmp_path / "rd", spec, every_events=EVERY)
+        results, infos = execute(
+            spec.entries(), jobs=2, run_dir=rd, every_events=EVERY,
+            traces={tspec.key: trace},
+        )
+        assert [info["execution"]["mode"] for info in infos] == ["pool", "pool"]
+        assert all(rd.load_result(i) is not None for i in range(2))
+        assert self.leftovers(rd) == []
+
+    def test_a_path_trace_scenario(self, tiny_csv, tmp_path):
+        spec = tiny_spec(tiny_csv)
+        rd = create_run(tmp_path / "rd", spec)
+        run_resumable(spec, rd)
+        assert self.leftovers(rd) == []
+
+    def test_path_traces_are_never_written(self, tiny_csv, tmp_path):
+        spec = tiny_spec(tiny_csv)
+        rd = create_run(tmp_path / "rd", spec, every_events=400)
+        run_resumable(spec, rd, every_events=400)
+        assert records_of(rd, event_types.EXECUTOR_CHECKPOINT)
+        assert not (rd.path / RunDir.TRACES).exists()
+
+    def test_one_trace_file_per_profile(self, dart_point, tmp_path):
+        spec, tspec, trace, _ = dart_point
+        spec = ScenarioSpec.from_dict(
+            {**spec.as_dict(), "protocols": ["Direct"], "seeds": [1, 2]}
+        ).validate()
+        rd = create_run(tmp_path / "rd", spec, every_events=EVERY)
+        run_resumable(spec, rd, every_events=EVERY, trace_cache={tspec.key: trace})
+        assert [p.name for p in (rd.path / RunDir.TRACES).iterdir()] == [
+            rd.trace_path(tspec.key).name
+        ]
+        assert self.leftovers(rd) == ["points/000/serial", "points/001/serial", "traces"]

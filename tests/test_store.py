@@ -310,6 +310,24 @@ class TestIngest:
         assert values["figures.test_fig11"] == 7.25
         assert values["parallel.speedup"] == 1.9
 
+    def test_bench_snapshot_keeps_the_host_fingerprint(self, store):
+        fingerprint = {
+            "cpu_count": 2, "python": "3.11.7", "numpy": "2.4.6",
+            "platform": "Linux-x86_64", "full_scale": False, "git_sha": "c278ff2",
+        }
+        snapshot = {
+            "suite": "benchmarks",
+            "timestamp": "2026-10-17T00:00:00+0000",
+            "jobs": "1",
+            "suite_seconds": 3.5,
+            **fingerprint,
+        }
+        ingest_payload(store, snapshot)
+        (run,) = store.runs(kind="bench")
+        assert run["extra"] == {
+            "timestamp": "2026-10-17T00:00:00+0000", "jobs": "1", **fingerprint,
+        }
+
     def test_unrecognized_payload_rejected(self, store):
         with pytest.raises(ValueError, match="no ingestible results"):
             ingest_payload(store, {"hello": "world"})
