@@ -188,20 +188,17 @@ def _execute_scenario(
     spec: ScenarioSpec,
     *,
     jobs: int,
-    shards: Optional[int] = None,
     progress: Optional[ProgressFn] = None,
 ):
-    """Every point of ``spec`` through the executor: ``(result, infos)``.
+    """Every point of ``spec`` through the executor, as one result.
 
     The one way the CLI runs a scenario, whether a manifest, a preset, an
     exported result or workload flags described it.
     """
     profile, tspec, materialized = spec.resolve_trace()
     entries = spec.entries(profile, tspec)
-    results, infos = execute(
-        entries, jobs=jobs, shards=shards, progress=progress, traces=materialized
-    )
-    return ScenarioResult(spec, [p for _, p, _ in entries], results), infos
+    results, _ = execute(entries, jobs=jobs, progress=progress, traces=materialized)
+    return ScenarioResult(spec, [p for _, p, _ in entries], results)
 
 
 def _print_metrics_table(result, title: str) -> None:
@@ -268,17 +265,14 @@ def _print_scenario_result(res: ScenarioResult) -> None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    shards = args.shards if args.shards is not None and args.shards >= 2 else None
     if args.scenario:
         spec = _load_scenario_arg(args.scenario)
-        if shards is None:
-            shards = spec.shards
     else:
         spec = _flag_scenario(
             args, name=f"run-{args.protocol}", protocols=[args.protocol]
         )
     if args.run_dir:
-        return _run_resumable_cli(args, spec, shards, args.run_dir)
+        return _run_resumable_cli(args, spec, args.run_dir)
     if spec.n_points() != 1:
         print(
             f"repro run --scenario needs a single-point scenario; "
@@ -287,7 +281,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    res, _infos = _execute_scenario(spec, jobs=parse_jobs(args.jobs), shards=shards)
+    res = _execute_scenario(spec, jobs=parse_jobs(args.jobs))
     _maybe_record(
         args, ingest_scenario_result, res,
         kind="run", label="" if args.scenario else f"run:{args.protocol}",
@@ -310,7 +304,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             args, name="compare", protocols=PAPER_PROTOCOLS,
             seeds=range(args.seed, args.seed + args.seeds),
         )
-    res, _infos = _execute_scenario(spec, jobs=parse_jobs(args.jobs))
+    res = _execute_scenario(spec, jobs=parse_jobs(args.jobs))
     if args.scenario:
         _maybe_record(args, ingest_scenario_result, res, kind="compare")
         return _scenario_output(args, res)
@@ -442,7 +436,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             sweep={"parameter": parameter, "values": values},
         )
     progress = _progress_printer(spec.n_points()) if args.progress else None
-    res, _infos = _execute_scenario(spec, jobs=parse_jobs(args.jobs), progress=progress)
+    res = _execute_scenario(spec, jobs=parse_jobs(args.jobs), progress=progress)
     _maybe_record(
         args, ingest_scenario_result, res, kind="sweep",
         label="" if args.scenario else f"{res.results[0].trace}:{args.parameter}",
@@ -496,28 +490,9 @@ def cmd_scenario(args: argparse.Namespace) -> int:
         print(spec.to_json())
         return 0
     # action == "run"
-    shards = args.shards if args.shards is not None else spec.shards
     if args.run_dir:
-        if shards is not None and shards < 2:
-            shards = None
-        return _run_resumable_cli(args, spec, shards, args.run_dir)
-    if shards is not None and shards < 2:
-        print(f"--shards {shards} < 2: running serially", file=sys.stderr)
-        shards = None
-    res, infos = _execute_scenario(spec, jobs=parse_jobs(args.jobs), shards=shards)
-    if shards is not None and args.span_tree:
-        tree_payload = [
-            {
-                "protocol": point.protocol,
-                "seed": point.seed,
-                "execution": info.get("execution"),
-                "span_tree": info.get("span_tree"),
-            }
-            for point, info in zip(res.points, infos)
-        ]
-        with open(args.span_tree, "w", encoding="utf-8") as fh:
-            json.dump(tree_payload, fh, indent=2, sort_keys=True)
-        print(f"wrote {len(tree_payload)} span trees to {args.span_tree}")
+        return _run_resumable_cli(args, spec, args.run_dir)
+    res = _execute_scenario(spec, jobs=parse_jobs(args.jobs))
     _maybe_record(args, ingest_scenario_result, res)
     return _scenario_output(args, res)
 
@@ -555,7 +530,7 @@ def _record_partial(args: argparse.Namespace, results, label: str) -> int:
 
 
 def _run_resumable_cli(
-    args: argparse.Namespace, spec: ScenarioSpec, shards, run_dir_path: str
+    args: argparse.Namespace, spec: ScenarioSpec, run_dir_path: str
 ) -> int:
     """Create-or-continue a checkpointed run directory (``--run-dir``)."""
     from repro.eval.resume import create_run, run_resumable
@@ -565,8 +540,8 @@ def _run_resumable_cli(
     every = getattr(args, "every_events", None) or DEFAULT_EVERY_EVENTS
     label = spec.name or "scenario"
     try:
-        rd = create_run(run_dir_path, spec, shards=shards, every_events=every)
-        res, _infos = run_resumable(spec, rd, shards=shards, every_events=every)
+        rd = create_run(run_dir_path, spec, every_events=every)
+        res, _infos = run_resumable(spec, rd, every_events=every)
     except CheckpointError as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -615,27 +590,17 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     )
 
     spec = _load_scenario_arg(args.scenario)
-    kill = None
-    if args.kill_shard:
-        try:
-            s, k = (int(x) for x in args.kill_shard.split(":"))
-        except ValueError:
-            print("--kill-shard wants SHARD:EPOCH (e.g. 1:1)", file=sys.stderr)
-            return 2
-        kill = (s, k)
     chaos = ChaosSpec(
         seed=args.seed,
         point=args.point,
-        kill_shard=kill,
         interrupt_after=args.interrupt_after,
         truncate_checkpoint=args.truncate_checkpoint,
         hold_store_lock_ms=args.hold_lock_ms,
     )
     run_dir = args.run_dir or tempfile.mkdtemp(prefix="repro-chaos-")
-    shards = args.shards if args.shards is not None else spec.shards
     try:
         report, result = run_chaos(
-            spec, chaos, run_dir, shards=shards, every_events=args.every_events
+            spec, chaos, run_dir, every_events=args.every_events
         )
     except RuntimeError as exc:  # recovery itself failed — that IS the verdict
         print(f"chaos: unrecovered executor failure: {exc!r}", file=sys.stderr)
@@ -677,7 +642,7 @@ def cmd_rerun(args: argparse.Namespace) -> int:
         return 2
     try:
         spec = embedded_scenario(payload, index=args.index)
-        res, _infos = _execute_scenario(spec, jobs=parse_jobs(args.jobs))
+        res = _execute_scenario(spec, jobs=parse_jobs(args.jobs))
     except ValueError as exc:
         print(f"cannot rerun from {args.file}: {exc}", file=sys.stderr)
         return 2
@@ -1339,9 +1304,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_jobs(p)
     add_scenario_opt(p)
     add_record(p)
-    p.add_argument("--shards", type=positive_int, default=None, metavar="N",
-                   help="split the run across N subarea-sharded processes "
-                        "(metrics identical to serial; see docs/scaling.md)")
     add_run_dir(p)
     p.add_argument("--json", action="store_true",
                    help="print machine-readable JSON (with run provenance)")
@@ -1446,13 +1408,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="scenario JSON file(s) or preset name(s)")
     add_jobs(p)
     add_record(p)
-    p.add_argument("--shards", type=positive_int, default=None, metavar="N",
-                   help="(run) split every point across N subarea-sharded "
-                        "processes; overrides the manifest's 'shards' block "
-                        "(metrics identical to serial; see docs/scaling.md)")
-    p.add_argument("--span-tree", default=None, metavar="FILE",
-                   help="(run, with --shards) write each point's merged "
-                        "span tree and shard topology as JSON")
     add_run_dir(p)
     p.add_argument("--out", default=None, metavar="FILE",
                    help="(run) write the full results JSON to FILE")
@@ -1480,20 +1435,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "chaos",
-        help="executor-fault injection: kill/crash/corrupt, then assert "
+        help="executor-fault injection: crash/corrupt, then assert "
              "recovery + metric parity",
         description="Run a scenario under an injected executor failure "
-                    "(shard worker killed mid-epoch, serial engine crashed "
-                    "between checkpoints, checkpoint truncated, store lock "
-                    "held) and verify the execution plane recovers to "
-                    "bit-identical metrics. 'repro resilience' injects "
-                    "faults into the simulated DTN; 'repro chaos' injects "
-                    "them into the runner itself (see docs/reliability.md). "
-                    "Exits non-zero when recovery or parity fails.",
+                    "(engine crashed between checkpoints, checkpoint "
+                    "truncated, store lock held) and verify the execution "
+                    "plane recovers to bit-identical metrics. 'repro "
+                    "resilience' injects faults into the simulated DTN; "
+                    "'repro chaos' injects them into the runner itself (see "
+                    "docs/reliability.md). Exits non-zero when recovery or "
+                    "parity fails.",
     )
     p.add_argument("scenario", help="scenario JSON file or preset name")
-    p.add_argument("--shards", type=positive_int, default=None, metavar="N",
-                   help="run points sharded; enables --kill-shard injection")
     p.add_argument("--run-dir", default=None, metavar="DIR",
                    help="run directory for checkpoints + recovery.jsonl "
                         "(default: a fresh temp dir)")
@@ -1501,8 +1454,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="derives any injection knob left unset (default 0)")
     p.add_argument("--point", type=int, default=None,
                    help="grid point index to target (default: from --seed)")
-    p.add_argument("--kill-shard", default=None, metavar="SHARD:EPOCH",
-                   help="kill this shard worker at this epoch (sharded runs)")
     p.add_argument("--interrupt-after", type=positive_int, default=None,
                    metavar="N",
                    help="crash the serial engine after its N-th checkpoint")

@@ -8,10 +8,9 @@ scenario execution crash-safe end to end:
 * every finished sweep point is committed as a framed
   ``points/<i>/result.ckpt`` the moment it completes — a later crash never
   re-runs it;
-* the in-flight point checkpoints incrementally (serial engine: every N
-  dispatched events via :class:`~repro.sim.checkpoint.SerialCheckpointer`;
-  sharded engine: every epoch barrier via the coordinator's commit
-  records), so even the interrupted point resumes mid-run;
+* the in-flight point checkpoints every N dispatched events
+  (:class:`~repro.sim.checkpoint.SerialCheckpointer`), so even the
+  interrupted point resumes mid-run;
 * all recovery actions land in ``recovery.jsonl`` as ``executor.*``
   events.
 
@@ -22,6 +21,11 @@ and restarts the rest from their newest checkpoints.  ``repro resume``
 :func:`resume_run`.  Metrics are bit-identical to an uninterrupted run —
 the regression gate (``repro db regress`` at zero tolerance) holds across
 any kill/resume sequence.  See docs/reliability.md.
+
+Run directories and ``repro serve`` job records written while sharded
+execution existed may hold a scenario with a ``shards`` key, which
+:class:`ScenarioSpec` now refuses; :func:`stored_scenario` reads them, and
+such a run continues on the serial engine.
 """
 
 from __future__ import annotations
@@ -46,16 +50,41 @@ __all__ = [
     "open_run",
     "resume_run",
     "run_resumable",
+    "stored_scenario",
 ]
 
 MANIFEST_VERSION = 1
+
+
+def stored_scenario(scenario: Any, declared: Any, where: str) -> ScenarioSpec:
+    """The spec a run directory or job record stored, hash-checked.
+
+    ``declared`` is the content hash stored beside ``scenario`` and is
+    checked against the scenario exactly as stored, so an edited or
+    corrupted record fails loudly instead of continuing a different
+    experiment.  A record written while sharded execution existed may
+    carry a ``shards`` key, which that hash covers; it is dropped after
+    the check and the run continues on the serial engine (any ``shard*/``
+    or ``barrier-*.ckpt`` files it left are never read).
+    """
+    if not isinstance(scenario, Mapping):
+        raise CheckpointError(f"{where}: no scenario block")
+    actual = content_hash(scenario)
+    if declared != actual:
+        raise CheckpointError(
+            f"{where}: content hash mismatch (declared {declared!r}, the "
+            f"stored scenario hashes to {actual!r}); it was edited or "
+            "corrupted — not resuming"
+        )
+    return ScenarioSpec.from_dict(
+        {key: value for key, value in scenario.items() if key != "shards"}
+    )
 
 
 def create_run(
     path: Union[str, Path],
     spec: ScenarioSpec,
     *,
-    shards: Optional[int] = None,
     every_events: int = DEFAULT_EVERY_EVENTS,
 ) -> RunDir:
     """Create a run directory for ``spec``; refuses to clobber another run.
@@ -69,7 +98,11 @@ def create_run(
     scenario = spec.validate().as_dict()
     if rd.exists():
         existing = rd.read_manifest()
-        if existing.get("content_hash") != content_hash(scenario):
+        held = stored_scenario(
+            existing.get("scenario"), existing.get("content_hash"),
+            f"{rd.path}: manifest",
+        ).as_dict()
+        if content_hash(held) != content_hash(scenario):
             raise CheckpointError(
                 f"{rd.path} already holds a different scenario "
                 f"(hash {existing.get('content_hash')!r}); refusing to reuse it"
@@ -80,18 +113,15 @@ def create_run(
         "kind": "scenario-run",
         "scenario": scenario,
         "content_hash": content_hash(scenario),
-        "shards": shards,
         "every_events": int(every_events),
     }
     return RunDir.create(path, manifest)
 
 
-def open_run(
-    path: Union[str, Path],
-) -> Tuple[RunDir, ScenarioSpec, Optional[int], int]:
+def open_run(path: Union[str, Path]) -> Tuple[RunDir, ScenarioSpec, int]:
     """Open an existing run directory, verifying its manifest hash.
 
-    Returns ``(run_dir, spec, shards, every_events)``.
+    Returns ``(run_dir, spec, every_events)``.
     """
     rd = RunDir(path)
     manifest = rd.read_manifest()
@@ -101,30 +131,19 @@ def open_run(
             f"{rd.path}: unsupported run-directory version {version!r} "
             f"(this package writes {MANIFEST_VERSION})"
         )
-    scenario = manifest.get("scenario")
-    if not isinstance(scenario, Mapping):
-        raise CheckpointError(f"{rd.path}: manifest has no scenario block")
-    spec = ScenarioSpec.from_dict(scenario)
-    declared = manifest.get("content_hash")
-    actual = content_hash(spec.as_dict())
-    if declared != actual:
-        raise CheckpointError(
-            f"{rd.path}: manifest content hash mismatch (declared "
-            f"{declared!r}, resolved scenario hashes to {actual!r}); "
-            "the manifest was edited or corrupted — not resuming"
-        )
-    shards = manifest.get("shards")
+    spec = stored_scenario(
+        manifest.get("scenario"), manifest.get("content_hash"),
+        f"{rd.path}: manifest",
+    )
     every = int(manifest.get("every_events") or DEFAULT_EVERY_EVENTS)
-    return rd, spec, shards, every
+    return rd, spec, every
 
 
 def run_resumable(
     spec: ScenarioSpec,
     run_dir: RunDir,
     *,
-    shards: Optional[int] = None,
     every_events: int = DEFAULT_EVERY_EVENTS,
-    restart_backoff: float = 0.5,
     injections: Optional[Mapping[int, Mapping[str, Any]]] = None,
     progress: Optional[ProgressFn] = None,
     flag: Optional[InterruptFlag] = None,
@@ -135,12 +154,10 @@ def run_resumable(
 
     The scenario-level form of :func:`~repro.eval.runner.execute` with a
     run directory: committed points are skipped outright; the rest execute
-    with checkpointing on — serial points through
-    :meth:`Simulation.run_checkpointed`, sharded points (``shards >= 2``)
-    through the supervised epoch-barrier coordinator, both resuming from
-    whatever checkpoints the directory already holds — or, given a
-    long-lived ``pool``, over its workers, each result committed as it
-    lands.
+    with checkpointing on, through :meth:`Simulation.run_checkpointed`
+    resuming from whatever checkpoints the directory already holds — or,
+    given a long-lived ``pool``, over its workers, each result committed as
+    it lands.
 
     A deferred SIGINT/SIGTERM flushes the in-flight point's state and
     raises :class:`~repro.eval.runner.SweepInterrupted` carrying the
@@ -149,8 +166,8 @@ def run_resumable(
     finishes it.
 
     ``injections`` is the chaos hook: a per-point-index mapping of the
-    executor's injection keys (``chaos_kill``, ``crash_after_saves``,
-    ``pool_exit``, ``pool_raise``).  Production callers leave it ``None``.
+    executor's injection keys (``crash_after_saves``, ``pool_exit``,
+    ``pool_raise``).  Production callers leave it ``None``.
 
     Job-level hooks (used by ``repro serve``, harmless elsewhere):
 
@@ -175,14 +192,12 @@ def run_resumable(
     with (flag if flag is not None else InterruptFlag()) as flag:
         results, infos = execute(
             entries,
-            shards=shards if shards is not None else spec.shards,
             run_dir=run_dir,
             every_events=every_events,
             progress=progress,
             cancel=flag,
             traces=traces,
             injections=injections,
-            restart_backoff=restart_backoff,
             pool=pool,
         )
     points = [point for _, point, _ in entries]
@@ -191,19 +206,12 @@ def run_resumable(
 
 def resume_run(
     path: Union[str, Path],
-    *,
-    restart_backoff: float = 0.5,
 ) -> Tuple[ScenarioResult, List[Optional[Dict[str, Any]]], ScenarioSpec]:
     """Continue the run in ``path`` from its last complete checkpoints.
 
-    The scenario, shard count and checkpoint cadence all come from the
-    manifest, so a resume cannot drift from the original invocation.
+    The scenario and checkpoint cadence both come from the manifest, so a
+    resume cannot drift from the original invocation.
     """
-    rd, spec, shards, every = open_run(path)
-    result, infos = run_resumable(
-        spec, rd,
-        shards=shards,
-        every_events=every,
-        restart_backoff=restart_backoff,
-    )
+    rd, spec, every = open_run(path)
+    result, infos = run_resumable(spec, rd, every_events=every)
     return result, infos, spec

@@ -3,8 +3,9 @@
 The paper's evaluation (Figs. 11-14, Tables 6-9) is dominated by parameter
 sweeps — every ``(trace, protocol, memory, rate, seed)`` point an
 independent discrete-event run.  :func:`execute` runs such a grid for
-every caller (sweeps, scenario runs, resumable run directories, sharded
-points, ``repro serve`` jobs) with four guarantees:
+every caller (sweeps, scenario runs, resumable run directories,
+``repro serve`` jobs) on the serial engine, in-process or over a process
+pool, with four guarantees:
 
 * **trace caching** — every distinct trace is built at most once per
   call: in-process points share one trace cache keyed by
@@ -20,8 +21,8 @@ points, ``repro serve`` jobs) with four guarantees:
   were taken on without regenerating it;
 * **deterministic ordering** — results come back in submission order no
   matter which worker finishes first;
-* **bit-identical paths** — in-process, pooled, checkpointed and sharded
-  points all produce identical
+* **bit-identical paths** — in-process, pooled and checkpointed points
+  all produce identical
   :class:`~repro.sim.metrics.MetricsSummary` values for the same seeds;
 * **failure containment** — a pool point that crashes its worker or
   raises is retried once in the pool, then re-run in-process, and only
@@ -51,7 +52,6 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.eval.config import trace_profile
 from repro.eval.config import full_scale as _resolve_full_scale
 from repro.eval.experiment import ExperimentResult, execute_config
-from repro.eval.sharded import execute_point_sharded
 from repro.mobility.trace import Trace
 from repro.obs import events as event_types
 from repro.obs.provenance import _jsonable
@@ -392,35 +392,32 @@ def execute(
     entries: Sequence[Entry],
     *,
     jobs: Union[int, str, None] = 1,
-    shards: Optional[int] = None,
     run_dir: Optional[RunDir] = None,
     every_events: int = DEFAULT_EVERY_EVENTS,
     progress: Optional[ProgressFn] = None,
     cancel: Optional[InterruptFlag] = None,
     traces: Optional[Dict[str, Trace]] = None,
     injections: Optional[Mapping[int, Mapping[str, Any]]] = None,
-    restart_backoff: float = 0.5,
     pool: Optional[ProcessPoolExecutor] = None,
 ) -> Tuple[List[ExperimentResult], List[Optional[Dict[str, Any]]]]:
     """Run every entry; returns index-aligned ``(results, infos)``.
 
-    Points run in-process when ``jobs`` is 1 or ``shards >= 2`` (each
-    sharded point fans out over its own shard processes), otherwise over a
-    process pool: a per-call pool of ``jobs`` workers, or the caller's
-    long-lived ``pool`` (``repro serve``).  A pool point that fails is
-    retried once in the pool while the pool is healthy, then re-run
-    in-process; only a point failing all three raises
-    :class:`PointExecutionError`.  In-process failures propagate as-is.
+    Points run in-process when ``jobs`` is 1, otherwise over a process
+    pool: a per-call pool of ``jobs`` workers, or the caller's long-lived
+    ``pool`` (``repro serve``).  A pool point that fails is retried once in
+    the pool while the pool is healthy, then re-run in-process; only a
+    point failing all three raises :class:`PointExecutionError`.
+    In-process failures propagate as-is.
 
     * ``run_dir`` makes the grid resumable: points with a committed
       ``result.ckpt`` are restored instead of re-run, every finished point
       commits one, and in-process points checkpoint every
-      ``every_events`` dispatched events (sharded ones at every epoch
-      barrier), resuming from the newest complete checkpoint.  A profile
-      trace is written into the run dir just before the first serial
-      checkpoint and read back on a later call's cache miss; a trace file
-      that fails its digest or names another key is rebuilt, with an
-      ``executor.fallback`` record of ``kind="trace"``.
+      ``every_events`` dispatched events, resuming from the newest
+      complete checkpoint.  A profile trace is written into the run dir
+      just before the first serial checkpoint and read back on a later
+      call's cache miss; a trace file that fails its digest or names
+      another key is rebuilt, with an ``executor.fallback`` record of
+      ``kind="trace"``.
     * ``cancel`` (an :class:`~repro.sim.checkpoint.InterruptFlag`) stops
       the grid once triggered: between points, mid-point when a run dir
       checkpoints it, and in the pool by cancelling the points not yet
@@ -430,9 +427,8 @@ def execute(
       pool's workers receive too; seed it with already-built traces, or
       keep it across calls.
     * ``injections`` maps a point index to chaos hooks: ``pool_exit`` and
-      ``pool_raise`` (see :func:`_run_task`), ``crash_after_saves`` (the
-      serial checkpointer) and ``chaos_kill`` (a ``(shard, epoch)`` shard
-      worker death); ``restart_backoff`` paces supervised shard restarts.
+      ``pool_raise`` (see :func:`_run_task`) and ``crash_after_saves``
+      (the serial checkpointer).
     * ``progress`` receives a :class:`ProgressEvent` per hand-over and per
       result; callback exceptions are swallowed.
     """
@@ -443,10 +439,8 @@ def execute(
     traces = {} if traces is None else traces
     injections = injections or {}
     recovery = run_dir.recovery_log() if run_dir is not None else None
-    sharded = shards is not None and shards >= 2
     # where each trace came from: "cache", "run-dir" or "rebuilt"
     sources: Dict[str, str] = {}
-    plan_cache: Dict[int, Any] = {}
 
     def emit(kind: str, i: int, seconds: Optional[float] = None,
              pid: Optional[int] = None, result: Optional[ExperimentResult] = None) -> None:
@@ -499,7 +493,6 @@ def execute(
         if announce:
             emit("started", i, pid=os.getpid())
         trace = trace_of(spec)
-        inj = injections.get(i) or {}
         checkpointer = None
         if run_dir is not None:
             checkpointer = SerialCheckpointer(
@@ -507,7 +500,7 @@ def execute(
                 every_events=every_events,
                 flag=cancel,
                 recovery=recovery,
-                crash_after_saves=inj.get("crash_after_saves"),
+                crash_after_saves=(injections.get(i) or {}).get("crash_after_saves"),
                 # path traces are re-read anyway; inline keys hold an id()
                 before_first_save=(
                     partial(run_dir.write_trace, spec.key, trace)
@@ -516,21 +509,9 @@ def execute(
                 trace_source=sources[spec.key],
             )
         t0 = perf_counter()
-        if sharded:
-            result, info = execute_point_sharded(
-                trace, point, config,
-                shards=shards,
-                plan_cache=plan_cache,
-                checkpoint_dir=run_dir.point_dir(i) if run_dir is not None else None,
-                recovery=recovery,
-                restart_backoff=restart_backoff,
-                chaos_kill=inj.get("chaos_kill"),
-                serial_checkpointer=checkpointer,
-            )
-        else:
-            result = _run_entry(trace, point, config, checkpointer)
-            info = {"execution": {"mode": "serial"}}
-        commit(i, result, info, perf_counter() - t0, os.getpid())
+        result = _run_entry(trace, point, config, checkpointer)
+        commit(i, result, {"execution": {"mode": "serial"}},
+               perf_counter() - t0, os.getpid())
 
     todo: List[int] = []
     for i, (_, point, _) in enumerate(entries):
@@ -546,7 +527,7 @@ def execute(
     failed: List[Tuple[int, BaseException]] = []
     try:
         n_jobs = min(parse_jobs(jobs), len(todo))
-        if todo and not sharded and (pool is not None or n_jobs > 1):
+        if todo and (pool is not None or n_jobs > 1):
             # a per-call pool's workers start with the parent's built
             # traces; tasks for a caller's long-lived pool carry the spec
             built: Dict[str, Trace] = {} if pool is not None else {

@@ -98,6 +98,12 @@ _SWEEP_FIELDS = {
 }
 _LIST_SIM_FIELDS = ("destinations", "sources")
 
+#: the one line a manifest with the retired ``shards`` key is refused with
+_SHARDS_REMOVED = (
+    "scenario key 'shards' was removed: sharded execution is gone and every "
+    "point runs on the serial engine (see docs/scaling.md)"
+)
+
 
 def _reject_unknown(what: str, given: Mapping[str, Any], allowed: Sequence[str]) -> None:
     unknown = sorted(set(given) - set(allowed))
@@ -239,10 +245,6 @@ class ScenarioSpec:
     #: deterministic fault plan applied to every grid point (see
     #: :mod:`repro.sim.faults` and docs/resilience.md); None = unfaulted
     faults: Optional[FaultPlan] = None
-    #: default shard count for subarea-sharded execution (``repro scenario
-    #: run`` without ``--shards``); purely an execution hint — metrics are
-    #: identical either way, so it never enters the point scenario identity
-    shards: Optional[int] = None
 
     # -- construction / serialization ----------------------------------------
     @classmethod
@@ -253,12 +255,14 @@ class ScenarioSpec:
         registry checks happen in :meth:`validate` / at resolution.
         """
         _require_type("scenario", data, (Mapping,), "a mapping")
+        if "shards" in data:
+            raise ValueError(_SHARDS_REMOVED)
         _reject_unknown(
             "scenario",
             data,
             [
                 "name", "trace", "sim", "protocol", "protocols", "seed",
-                "seeds", "sweep", "faults", "shards",
+                "seeds", "sweep", "faults",
             ],
         )
         if "trace" not in data:
@@ -324,18 +328,9 @@ class ScenarioSpec:
         faults = (
             FaultPlan.from_dict(data["faults"]) if data.get("faults") else None
         )
-        shards: Optional[int] = None
-        if data.get("shards") is not None:
-            raw_shards = data["shards"]
-            if isinstance(raw_shards, Mapping):
-                _reject_unknown("shards", raw_shards, ["count"])
-                raw_shards = raw_shards.get("count")
-            shards = _require_int("shards", raw_shards)
-            if shards < 2:
-                raise ValueError(f"shards must be >= 2, got {shards}")
         return cls(
             trace=trace, name=name, sim=sim, protocols=protocols, seeds=seeds,
-            sweep=sweep, faults=faults, shards=shards,
+            sweep=sweep, faults=faults,
         )
 
     def as_dict(self) -> Dict[str, Any]:
@@ -351,8 +346,6 @@ class ScenarioSpec:
             out["sweep"] = self.sweep.as_dict()
         if self.faults is not None:
             out["faults"] = self.faults.as_dict()
-        if self.shards is not None:
-            out["shards"] = self.shards
         return out
 
     def to_json(self, *, indent: int = 2) -> str:

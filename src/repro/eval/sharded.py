@@ -19,15 +19,18 @@ experiment point across processes split by landmark subarea:
    deterministic (shard, node-id) order;
 4. **merge** — delivery samples are replayed in global event order into a
    fresh collector (bit-identical aggregate metrics, float summation
-   order included), counters are summed, per-shard span trees fold into
-   one tree, and the shard topology is stamped into the run's provenance
-   ``execution`` block.
+   order included), counters and per-shard phase timings are summed, and
+   the shard topology is stamped into the run's provenance ``execution``
+   block.
 
 Points the decomposition cannot carry — contact-based or shard-unsafe
 protocols, fault plans, traces where a node hops across three shards at a
-single instant — fall back to the serial engine, marked
-``serial-fallback`` in provenance, so a sharded scenario run always
-completes with identical metrics.
+single instant — raise :class:`UnshardableTrace`.
+
+No ``repro`` command runs this engine: measured against one serial process
+it lost at every size (docs/scaling.md), so the serial engine is the only
+way ``repro`` runs a point.  The kernel stays as the comparison the
+benchmark's ``campus-stream`` workload runs, with its parity test.
 """
 
 from __future__ import annotations
@@ -35,62 +38,34 @@ from __future__ import annotations
 import dataclasses
 import multiprocessing
 import resource
-import time
 from bisect import bisect_left
 from dataclasses import dataclass
-from pathlib import Path
 from time import perf_counter
-from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.baselines import make_protocol
-from repro.eval.experiment import ExperimentResult, execute_config
+from repro.eval.experiment import ExperimentResult
 from repro.mobility.stream import TraceStream, landmark_partition
 from repro.mobility.trace import Trace, VisitRecord
-from repro.obs import events as event_types
 from repro.obs.provenance import RunProvenance
-from repro.obs.spans import SpanRecorder
-from repro.sim.checkpoint import (
-    CheckpointError,
-    RecoveryLog,
-    dump_checkpoint,
-    read_frame,
-    try_load_checkpoint,
-)
 from repro.sim.engine import _VISIT_END, _VISIT_START, SimConfig
 from repro.sim.metrics import MetricsCollector, MetricsSummary
 from repro.sim.packets import generate_workload
 from repro.sim.shard import PreparedGen, ShardInit, TraceView, shard_worker
 
-if TYPE_CHECKING:
-    from repro.eval.runner import PointSpec
-
 __all__ = [
     "UnshardableTrace",
-    "ShardRecoveryError",
     "ShardPlan",
     "plan_shards",
     "run_sharded_point",
-    "execute_point_sharded",
 ]
-
-#: supervised restarts of one shard worker before the point falls back to
-#: the serial engine
-MAX_RESTARTS = 2
 
 
 class UnshardableTrace(ValueError):
-    """The trace's visit structure cannot be split at epoch barriers."""
-
-
-class ShardRecoveryError(RuntimeError):
-    """Supervised recovery of a shard fleet was exhausted or impossible.
-
-    Raised by the coordinator after bounded restarts fail (or when a dead
-    worker has no checkpoint to restart from); callers fall back to the
-    serial engine exactly like an :class:`UnshardableTrace` point.
-    """
+    """The point cannot be split at epoch barriers (see
+    :func:`unshardable_reason` and :func:`plan_shards`)."""
 
 
 RecordsFactory = Callable[[], Iterable[VisitRecord]]
@@ -154,8 +129,7 @@ def plan_shards(
     can run the serial engine's ``_end_visit`` at export time.  The one
     structure that still cannot shard is a node whose consecutive handoffs
     collapse onto a single barrier (an instantaneous hop through an
-    intermediate shard); that raises :class:`UnshardableTrace` and callers
-    fall back to the serial engine.
+    intermediate shard); that raises :class:`UnshardableTrace`.
     """
     records = _records_factory(trace)
     counts: Dict[int, int] = {}
@@ -317,7 +291,7 @@ def unshardable_reason(
     n_shards: int,
     n_landmarks: int,
 ) -> Tuple[Optional[str], str]:
-    """Why this point must run serially (None = shardable) + display name."""
+    """Why this point cannot be sharded (None = shardable) + display name."""
     protocol = make_protocol(protocol_name, **(protocol_kwargs or {}))
     if n_shards > n_landmarks:
         return (
@@ -336,43 +310,6 @@ def unshardable_reason(
     return None, protocol.name
 
 
-class _ShardDead(Exception):
-    """Internal: a shard worker died."""
-
-    def __init__(self, shard: int, why: str) -> None:
-        super().__init__(f"shard {shard}: {why}")
-        self.shard = shard
-        self.why = why
-
-
-def _find_resume_epoch(
-    checkpoint_dir: Path, n_shards: int
-) -> Optional[Tuple[int, List[list], List[str]]]:
-    """Newest barrier whose commit record *and* all shard checkpoints verify.
-
-    Returns ``(epoch, pending imports for epoch+1, shard checkpoint paths)``
-    or None for a fresh start.  A truncated/corrupt file (chaos, crash
-    mid-write) simply disqualifies that barrier and the previous one is
-    tried — the framing makes partial state indistinguishable from absent.
-    """
-    for record_path in sorted(checkpoint_dir.glob("barrier-*.ckpt"), reverse=True):
-        state = try_load_checkpoint(record_path)
-        if state is None:
-            continue
-        epoch = int(state["epoch"])
-        paths = [
-            checkpoint_dir / f"shard{s}" / f"epoch-{epoch:06d}.ckpt"
-            for s in range(n_shards)
-        ]
-        try:
-            for p in paths:
-                read_frame(p)
-        except CheckpointError:
-            continue
-        return epoch, state["pending"], [str(p) for p in paths]
-    return None
-
-
 def _run_sharded(
     trace: Union[Trace, TraceStream],
     protocol_name: str,
@@ -381,24 +318,12 @@ def _run_sharded(
     plan: ShardPlan,
     protocol_kwargs: Optional[dict] = None,
     source_factory: Optional[RecordsFactory] = None,
-    checkpoint_dir: Optional["Path | str"] = None,
-    recovery: Optional[RecoveryLog] = None,
-    restart_backoff: float = 0.5,
-    chaos_kill: Optional[Tuple[int, int]] = None,
 ) -> Tuple[MetricsCollector, Dict[str, Any], Dict[str, Any], Dict[str, Any]]:
-    """Run the shard fleet; returns (merged collector, execution, phases, tree).
+    """Run the shard fleet; returns (merged collector, execution, phases, info).
 
-    With ``checkpoint_dir`` set the fleet is crash-safe: every worker
-    commits a framed checkpoint at each epoch barrier (before its
-    ``epoch_done`` reply), the coordinator commits a barrier record (the
-    routed imports for the next epoch) once all replies are in, and a
-    fresh coordinator resumes from the newest fully-verified barrier.
-    The supervisor restarts dead workers (pipe EOF) from the previous
-    barrier's checkpoint with exponential backoff, at most
-    :data:`MAX_RESTARTS` times per shard, then raises
-    :class:`ShardRecoveryError` for the caller's serial fallback.
-    ``chaos_kill=(shard, epoch)`` arms the worker-side chaos injection
-    (stripped on restart so recovery converges).
+    A worker that dies (its pipe reaches EOF) or reports an exception makes
+    this raise a ``RuntimeError`` naming the shard; every worker still
+    alive is then terminated, so a failed point leaves no process behind.
     """
     n_shards = plan.n_shards
     t_plan0 = perf_counter()
@@ -414,30 +339,39 @@ def _run_sharded(
         shard_nodes[shard].append(nid)
     plan_seconds = perf_counter() - t_plan0
 
-    ckpt_root = Path(checkpoint_dir) if checkpoint_dir is not None else None
-    if ckpt_root is not None:
-        ckpt_root.mkdir(parents=True, exist_ok=True)
-
-    ctx = multiprocessing.get_context()
-    inits: List[ShardInit] = []
-    pipes: List[Any] = [None] * n_shards
-    procs: List[Any] = [None] * n_shards
-    restarts = [0] * n_shards
-    t_run0 = perf_counter()
-
     if source_factory is None and plan.shard_records is None:
         raise ValueError("plan has no shard_records and no source_factory given")
-    for s in range(n_shards):
-        view = TraceView(
-            name=trace.name,
-            start_time=trace.start_time,
-            end_time=trace.end_time,
-            nodes=tuple(sorted(shard_nodes[s])),
-            landmarks=tuple(shard_landmarks[s]),
-            n_records=len(trace),
-        )
-        inits.append(
-            ShardInit(
+    ctx = multiprocessing.get_context()
+    pipes: List[Any] = []
+    procs: List[Any] = []
+    t_run0 = perf_counter()
+
+    def _send(s: int, msg: tuple) -> None:
+        try:
+            pipes[s].send(msg)
+        except (BrokenPipeError, ConnectionResetError, OSError) as exc:
+            raise RuntimeError(f"shard {s} worker died: {exc!r}") from exc
+
+    def _recv(s: int):
+        try:
+            msg = pipes[s].recv()
+        except (EOFError, ConnectionResetError, OSError) as exc:
+            raise RuntimeError(f"shard {s} worker died: {exc!r}") from exc
+        if msg[0] == "error":
+            raise RuntimeError(f"shard {s} failed:\n{msg[1]}")
+        return msg
+
+    try:
+        for s in range(n_shards):
+            view = TraceView(
+                name=trace.name,
+                start_time=trace.start_time,
+                end_time=trace.end_time,
+                nodes=tuple(sorted(shard_nodes[s])),
+                landmarks=tuple(shard_landmarks[s]),
+                n_records=len(trace),
+            )
+            init = ShardInit(
                 shard_id=s,
                 view=view,
                 config=config,
@@ -451,121 +385,22 @@ def _run_sharded(
                 ),
                 source=source_factory,
                 shard_of=plan.shard_of if source_factory is not None else None,
-                checkpoint_dir=(
-                    str(ckpt_root / f"shard{s}") if ckpt_root is not None else None
-                ),
-                chaos_exit_epoch=(
-                    chaos_kill[1] if chaos_kill is not None and chaos_kill[0] == s
-                    else None
-                ),
             )
-        )
+            parent_conn, child_conn = ctx.Pipe()
+            proc = ctx.Process(target=shard_worker, args=(child_conn, init), daemon=True)
+            proc.start()
+            # the worker holds the only other end, so its death reads as EOF
+            child_conn.close()
+            pipes.append(parent_conn)
+            procs.append(proc)
 
-    def _spawn(s: int, *, start_epoch: int = 0,
-               resume_from: Optional[str] = None, strip_chaos: bool = False) -> None:
-        init = inits[s]
-        if start_epoch or resume_from or strip_chaos:
-            init = dataclasses.replace(
-                init,
-                start_epoch=start_epoch,
-                resume_from=resume_from,
-                chaos_exit_epoch=None if strip_chaos else init.chaos_exit_epoch,
-            )
-        parent_conn, child_conn = ctx.Pipe()
-        proc = ctx.Process(target=shard_worker, args=(child_conn, init), daemon=True)
-        proc.start()
-        child_conn.close()
-        pipes[s] = parent_conn
-        procs[s] = proc
-
-    def _send(s: int, msg: tuple) -> None:
-        try:
-            pipes[s].send(msg)
-        except (BrokenPipeError, ConnectionResetError, OSError) as exc:
-            raise _ShardDead(s, f"send failed: {exc!r}") from exc
-
-    def _recv(s: int):
-        try:
-            msg = pipes[s].recv()
-        except (EOFError, ConnectionResetError, OSError) as exc:
-            raise _ShardDead(s, f"worker died: {exc!r}") from exc
-        if msg[0] == "error":
-            raise RuntimeError(f"shard {s} failed:\n{msg[1]}")
-        return msg
-
-    def _restart(s: int, epoch: int, why: str) -> None:
-        """Replace a dead worker, restored to the state before ``epoch``."""
-        if recovery is not None:
-            recovery.emit(event_types.EXECUTOR_WORKER_DEAD,
-                          shard=s, epoch=epoch, reason=why)
-        restarts[s] += 1
-        if restarts[s] > MAX_RESTARTS:
-            raise ShardRecoveryError(
-                f"shard {s} died {restarts[s]} times (epoch {epoch}: {why}); "
-                f"giving up after {MAX_RESTARTS} restarts"
-            )
-        resume_from: Optional[str] = None
-        if epoch > 0:
-            if ckpt_root is None:
-                raise ShardRecoveryError(
-                    f"shard {s} died at epoch {epoch} ({why}) and "
-                    "checkpointing is off — nothing to restart from"
-                )
-            path = ckpt_root / f"shard{s}" / f"epoch-{epoch - 1:06d}.ckpt"
-            try:
-                read_frame(path)
-            except CheckpointError as exc:
-                raise ShardRecoveryError(
-                    f"shard {s} died at epoch {epoch} ({why}) and its "
-                    f"checkpoint is unusable: {exc}"
-                ) from exc
-            resume_from = str(path)
-        proc = procs[s]
-        if proc is not None and proc.is_alive():
-            proc.terminate()
-            proc.join(timeout=5.0)
-        if pipes[s] is not None:
-            pipes[s].close()
-        backoff = restart_backoff * (2 ** (restarts[s] - 1))
-        time.sleep(backoff)
-        _spawn(s, start_epoch=epoch, resume_from=resume_from, strip_chaos=True)
-        if recovery is not None:
-            recovery.emit(event_types.EXECUTOR_WORKER_RESTART,
-                          shard=s, epoch=epoch, attempt=restarts[s],
-                          backoff_seconds=backoff)
-
-    try:
-        start_epoch = 0
         pending: List[list] = [[] for _ in range(n_shards)]
-        resume_ckpts: List[Optional[str]] = [None] * n_shards
-        if ckpt_root is not None:
-            resumed = _find_resume_epoch(ckpt_root, n_shards)
-            if resumed is not None:
-                epoch, pending, paths = resumed
-                start_epoch = epoch + 1
-                resume_ckpts = list(paths)
-                if recovery is not None:
-                    recovery.emit(event_types.EXECUTOR_RESUME,
-                                  epoch=epoch, shards=n_shards)
-        for s in range(n_shards):
-            _spawn(s, start_epoch=start_epoch, resume_from=resume_ckpts[s])
-
-        for k in range(start_epoch, plan.n_epochs):
+        for k in range(plan.n_epochs):
             for s in range(n_shards):
-                try:
-                    _send(s, ("epoch", k, pending[s]))
-                except _ShardDead as exc:
-                    _restart(s, k, exc.why)
-                    _send(s, ("epoch", k, pending[s]))
+                _send(s, ("epoch", k, pending[s]))
             incoming: List[list] = [[] for _ in range(n_shards)]
             for s in range(n_shards):
-                while True:
-                    try:
-                        msg = _recv(s)
-                        break
-                    except _ShardDead as exc:
-                        _restart(s, k, exc.why)
-                        _send(s, ("epoch", k, pending[s]))
+                msg = _recv(s)
                 if msg[0] != "epoch_done" or msg[1] != k:
                     raise RuntimeError(
                         f"shard {s}: unexpected barrier reply {msg[:2]}"
@@ -575,48 +410,20 @@ def _run_sharded(
             # deterministic application order regardless of sender shard
             for batch in incoming:
                 batch.sort(key=lambda pair: pair[0].nid)
-            if ckpt_root is not None:
-                # barrier commit record: with this + every shard's epoch-k
-                # checkpoint on disk, a fresh coordinator restarts at k+1
-                dump_checkpoint(
-                    ckpt_root / f"barrier-{k:06d}.ckpt",
-                    {"epoch": k, "pending": incoming},
-                )
-                if recovery is not None:
-                    recovery.emit(event_types.EXECUTOR_CHECKPOINT,
-                                  epoch=k, kind="barrier")
-                for old in sorted(ckpt_root.glob("barrier-*.ckpt"))[:-2]:
-                    try:
-                        old.unlink()
-                    except OSError:  # pragma: no cover - best-effort prune
-                        pass
             pending = incoming
 
-        payloads: List[Optional[dict]] = [None] * n_shards
         for s in range(n_shards):
-            try:
-                _send(s, ("finish",))
-            except _ShardDead as exc:
-                _restart(s, plan.n_epochs, exc.why)
-                _send(s, ("finish",))
-        for s in range(n_shards):
-            while True:
-                try:
-                    payloads[s] = _recv(s)[1]
-                    break
-                except _ShardDead as exc:
-                    _restart(s, plan.n_epochs, exc.why)
-                    _send(s, ("finish",))
+            _send(s, ("finish",))
+        payloads = [_recv(s)[1] for s in range(n_shards)]
         for proc in procs:
             proc.join()
     finally:
         for pipe in pipes:
-            if pipe is not None:
-                pipe.close()
+            pipe.close()
         for proc in procs:
-            if proc is not None and proc.is_alive():
+            if proc.is_alive():
                 proc.terminate()
-                proc.join()
+            proc.join()
     run_seconds = perf_counter() - t_run0
 
     # -- merge ---------------------------------------------------------------
@@ -639,23 +446,14 @@ def _run_sharded(
     merged._dropped_ttl.inc(sum(p["dropped_ttl"] for p in payloads))
     merge_seconds = perf_counter() - t_merge0
 
-    # -- merged span tree and flat phase timings ------------------------------
-    recorder = SpanRecorder()
-    run_node = recorder.node("sharded_run", recorder.root)
-    recorder.fold(run_node, plan_seconds + run_seconds + merge_seconds, 1)
-    recorder.fold(run_node.child("plan"), plan_seconds, 1)
-    recorder.fold(run_node.child("merge"), merge_seconds, 1)
+    # -- flat phase timings -----------------------------------------------------
     phases: Dict[str, Dict[str, float]] = {
         "shard.plan": {"seconds": plan_seconds, "calls": 1},
         "shard.run": {"seconds": run_seconds, "calls": 1},
         "shard.merge": {"seconds": merge_seconds, "calls": 1},
     }
     for payload in payloads:
-        shard_node = run_node.child(f"shard{payload['shard']}")
         for name, info in payload["phase_timings"].items():
-            recorder.fold(
-                shard_node.child(name), info["seconds"], int(info["calls"])
-            )
             slot = phases.setdefault(name, {"seconds": 0.0, "calls": 0})
             slot["seconds"] += info["seconds"]
             slot["calls"] += int(info["calls"])
@@ -667,13 +465,8 @@ def _run_sharded(
         "cross_shard_transits": plan.n_cross,
         "landmarks_per_shard": [len(lms) for lms in shard_landmarks],
     }
-    if any(restarts):
-        execution["worker_restarts"] = list(restarts)
-    if start_epoch:
-        execution["resumed_at_epoch"] = start_epoch
     info: Dict[str, Any] = {
         "execution": execution,
-        "span_tree": recorder.tree(recorder.root),
         "max_rss_kb": {
             "coordinator": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
             "shards": [p["max_rss_kb"] for p in payloads],
@@ -714,18 +507,14 @@ def run_sharded_point(
     scenario: Optional[dict] = None,
     plan: Optional[ShardPlan] = None,
     source_factory: Optional[RecordsFactory] = None,
-    checkpoint_dir: Optional["Path | str"] = None,
-    recovery: Optional[RecoveryLog] = None,
-    restart_backoff: float = 0.5,
-    chaos_kill: Optional[Tuple[int, int]] = None,
 ) -> Tuple[ExperimentResult, Dict[str, Any]]:
     """Run one point across ``shards`` processes; raises when unshardable.
 
     Pass ``source_factory`` (a fresh-record-iterator factory) to run in
     streaming mode: workers regenerate the stream and keep only their own
     subarea's records, so no process ever materializes the full trace.
-    The crash-safety knobs (``checkpoint_dir`` onwards) are documented on
-    :func:`_run_sharded`.
+    A dead shard worker raises a ``RuntimeError`` naming the shard (see
+    :func:`_run_sharded`).
     """
     reason, display_name = unshardable_reason(
         protocol_name, protocol_kwargs, config, shards, trace.n_landmarks
@@ -741,10 +530,6 @@ def run_sharded_point(
         plan=plan,
         protocol_kwargs=protocol_kwargs,
         source_factory=source_factory,
-        checkpoint_dir=checkpoint_dir,
-        recovery=recovery,
-        restart_backoff=restart_backoff,
-        chaos_kill=chaos_kill,
     )
     summary = _stamped_summary(
         merged, display_name, trace.name, config, scenario, execution, phases
@@ -758,99 +543,3 @@ def run_sharded_point(
         metrics=summary,
     )
     return result, info
-
-
-def _stamp_execution(
-    result: ExperimentResult, execution: Dict[str, Any]
-) -> ExperimentResult:
-    """Attach an execution block to an already-built serial result."""
-    prov = result.metrics.provenance
-    if prov is None:  # pragma: no cover - execute_config always stamps one
-        return result
-    summary = dataclasses.replace(
-        result.metrics, provenance=dataclasses.replace(prov, execution=execution)
-    )
-    return dataclasses.replace(result, metrics=summary)
-
-
-def execute_point_sharded(
-    trace: Trace,
-    point: PointSpec,
-    config: SimConfig,
-    *,
-    shards: int,
-    plan_cache: Optional[Dict[int, Any]] = None,
-    checkpoint_dir: Optional["Path | str"] = None,
-    recovery: Optional[RecoveryLog] = None,
-    restart_backoff: float = 0.5,
-    chaos_kill: Optional[Tuple[int, int]] = None,
-    serial_checkpointer=None,
-) -> Tuple[ExperimentResult, Dict[str, Any]]:
-    """One scenario point, sharded when possible, serial otherwise.
-
-    ``plan_cache`` (keyed by shard count) reuses the handoff schedule and
-    record buckets across every point of one scenario — the plan depends
-    only on the trace.  Serial fallbacks are marked in the provenance
-    ``execution`` block but produce byte-identical metric values, so
-    regression baselines hold either way.  The crash-safety knobs are
-    documented on :func:`_run_sharded`; ``serial_checkpointer`` makes the
-    serial path (fallback or unshardable) crash-safe too.  Exhausted
-    shard-worker recovery (:class:`ShardRecoveryError`) falls back to the
-    serial engine like any unshardable point.
-    """
-    reason, _ = unshardable_reason(
-        point.protocol, point.protocol_kwargs, config, shards, trace.n_landmarks
-    )
-    if reason is None:
-        plan: Optional[ShardPlan] = None
-        cache_hit = plan_cache is not None and shards in plan_cache
-        if cache_hit:
-            plan = plan_cache[shards]
-        try:
-            if plan is None:
-                plan = plan_shards(trace, shards)
-                if plan_cache is not None:
-                    plan_cache[shards] = plan
-            if isinstance(plan, UnshardableTrace):
-                raise plan
-            return run_sharded_point(
-                trace,
-                point.protocol,
-                config,
-                shards=shards,
-                memory_kb=point.memory_kb,
-                rate=point.rate,
-                seed=point.seed,
-                protocol_kwargs=point.protocol_kwargs,
-                scenario=point.scenario,
-                plan=plan,
-                checkpoint_dir=checkpoint_dir,
-                recovery=recovery,
-                restart_backoff=restart_backoff,
-                chaos_kill=chaos_kill,
-            )
-        except UnshardableTrace as exc:
-            reason = str(exc)
-            if plan_cache is not None and shards not in plan_cache:
-                plan_cache[shards] = exc  # don't re-plan a hopeless trace
-        except ShardRecoveryError as exc:
-            reason = str(exc)
-            if recovery is not None:
-                recovery.emit(event_types.EXECUTOR_FALLBACK, reason=reason)
-    result = execute_config(
-        trace,
-        point.protocol,
-        config,
-        memory_kb=point.memory_kb,
-        rate=point.rate,
-        seed=point.seed,
-        protocol_kwargs=point.protocol_kwargs,
-        scenario=point.scenario,
-        checkpointer=serial_checkpointer,
-    )
-    execution = {"mode": "serial-fallback", "shards": shards, "reason": reason}
-    return _stamp_execution(result, execution), {
-        "execution": execution,
-        "span_tree": None,
-        "max_rss_kb": None,
-    }

@@ -58,11 +58,8 @@ executor recovery (see docs/reliability.md)
 ``executor.resume``          a run restarted from a checkpoint; a serial
                              restore's ``trace`` field says where its trace
                              came from (``run-dir``, ``cache``, ``rebuilt``)
-``executor.worker_dead``     a shard worker died
-``executor.worker_restart``  a dead shard worker was restarted from checkpoint
-``executor.fallback``        shard recovery was exhausted; serial fallback
-                             (or, with ``kind="trace"``, a run dir's trace
-                             file was unusable and the trace was rebuilt)
+``executor.fallback``        with ``kind="trace"``: a run dir's trace file
+                             was unusable and the trace was rebuilt
 ``executor.interrupt``       SIGINT/SIGTERM flushed a final checkpoint
 ``executor.chaos``           the chaos harness injected an executor fault
 =========================== ==================================================
@@ -104,8 +101,6 @@ FAULT_CLEARED = "fault.cleared"
 # -- executor recovery --------------------------------------------------------
 EXECUTOR_CHECKPOINT = "executor.checkpoint"
 EXECUTOR_RESUME = "executor.resume"
-EXECUTOR_WORKER_DEAD = "executor.worker_dead"
-EXECUTOR_WORKER_RESTART = "executor.worker_restart"
 EXECUTOR_FALLBACK = "executor.fallback"
 EXECUTOR_INTERRUPT = "executor.interrupt"
 EXECUTOR_CHAOS = "executor.chaos"
@@ -129,8 +124,6 @@ EXECUTOR_EVENTS = frozenset(
     {
         EXECUTOR_CHECKPOINT,
         EXECUTOR_RESUME,
-        EXECUTOR_WORKER_DEAD,
-        EXECUTOR_WORKER_RESTART,
         EXECUTOR_FALLBACK,
         EXECUTOR_INTERRUPT,
         EXECUTOR_CHAOS,

@@ -73,7 +73,7 @@ class RunProvenance:
     #: the resolved scenario this run materialized from (repro.eval.scenario);
     #: ``repro rerun`` rebuilds a bit-identical run from this dict alone
     scenario: Optional[Dict[str, Any]] = None
-    #: how the run was executed (shard topology, fallback reasons); purely
+    #: how the run was executed (the sharded kernel's topology); purely
     #: descriptive — identical metrics regardless of its value — and thus
     #: *excluded* from the scenario identity the experiment store hashes
     execution: Optional[Dict[str, Any]] = None
@@ -117,7 +117,7 @@ class RunProvenance:
             "package_version": self.package_version,
             "python_version": self.python_version,
         }
-        # only stamped for sharded/fallback runs; absent keeps older
+        # only stamped for sharded runs; absent keeps older
         # provenance JSON byte-identical
         if self.execution is not None:
             out["execution"] = dict(self.execution)

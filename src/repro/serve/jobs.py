@@ -48,7 +48,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Union
 
 from repro.eval.experiment import ExperimentResult
-from repro.eval.resume import create_run, run_resumable
+from repro.eval.resume import create_run, run_resumable, stored_scenario
 from repro.eval.runner import ProgressEvent, SweepInterrupted, parse_jobs
 from repro.eval.scenario import ScenarioSpec, load_scenario
 from repro.serve.sse import EventStream
@@ -357,8 +357,10 @@ class JobManager:
                 continue
             try:
                 data = json.loads(job_file.read_text(encoding="utf-8"))
-                spec = ScenarioSpec.from_dict(data["scenario"])
-            except (OSError, ValueError, KeyError) as exc:
+                spec = stored_scenario(
+                    data["scenario"], data.get("content_hash"), JOB_FILE
+                )
+            except (OSError, ValueError, KeyError, CheckpointError) as exc:
                 raise CheckpointError(
                     f"unreadable job record {job_file}: {exc}"
                 ) from exc

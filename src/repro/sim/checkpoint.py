@@ -2,9 +2,8 @@
 
 The execution plane mirrors the delay-tolerant discipline of the routing
 layer it simulates: state only needs to be durable at well-defined
-custody-transfer points.  For the subarea-sharded engine that point is
-the epoch barrier (the only moment shards exchange state); for the
-serial engine it is any event boundary, taken every N dispatched events.
+custody-transfer points.  For the engine that point is any event
+boundary, taken every N dispatched events.
 
 Three building blocks live here:
 
@@ -19,9 +18,8 @@ Three building blocks live here:
   shared ``Packet`` references, which is what makes a resumed run
   *bit-identical* to an uninterrupted one;
 * **run directories** — a ``manifest.json`` hashing the resolved
-  scenario, one sub-directory per sweep point (serial checkpoints or
-  per-shard epoch checkpoints plus a barrier record), a framed result
-  file per completed point, the profile traces the serial checkpoints
+  scenario, one sub-directory per sweep point (its serial checkpoints), a
+  framed result file per completed point, the profile traces the serial checkpoints
   replay, and an append-only ``recovery.jsonl`` event log mirroring
   every recovery action into ``executor.*`` counters.
 
@@ -140,8 +138,7 @@ def try_load_checkpoint(path: "Path | str") -> Optional[Any]:
 # -- simulation snapshots -----------------------------------------------------
 
 
-def snapshot_simulation(sim: Any, n_dispatched: int,
-                        extra: Optional[Dict[str, Any]] = None) -> bytes:
+def snapshot_simulation(sim: Any, n_dispatched: int) -> bytes:
     """Serialize the full mutable state of a running Simulation.
 
     The protocol's runtime hooks (observability closures) are detached for
@@ -166,8 +163,6 @@ def snapshot_simulation(sim: Any, n_dispatched: int,
             "metrics": world.metrics,
             "protocol": protocol,
         }
-        if extra:
-            state.update(extra)
         return pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
     finally:
         protocol.attach_runtime(world)
@@ -401,16 +396,14 @@ class RunDir:
     ::
 
         <run-dir>/
-          manifest.json             scenario + its content hash, mode knobs
+          manifest.json             scenario + its content hash, cadence
           recovery.jsonl            executor.* recovery event log
           traces/
             <sha256(key)[:16]>.ckpt framed trace CSV, its TraceSpec key on
                                     line 1 (profile traces, first save)
           points/
             000/                    one directory per sweep point
-              serial/serial-*.ckpt  (serial execution, from the first save)
-              shard0/epoch-*.ckpt   (sharded execution)
-              barrier-*.ckpt        coordinator barrier commit records
+              serial/serial-*.ckpt  checkpoints, from the first save
               result.ckpt           framed pickle of the finished point
 
     An instance remembers the trace keys it wrote or read back intact and

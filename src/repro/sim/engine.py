@@ -483,7 +483,7 @@ class RoutingProtocol:
     #: migrate between shard processes when its carrier crosses a subarea
     #: boundary.  Protocols holding cross-landmark global state (loop
     #: correction, node-location registries, contact graphs) must leave
-    #: this False; the sharded coordinator then runs them serially.
+    #: this False; the sharded kernel then refuses them (``UnshardableTrace``).
     shard_safe = False
 
     def export_node_state(self, nid: int) -> object:

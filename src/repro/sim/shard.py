@@ -30,23 +30,14 @@ summation order and all).
 
 from __future__ import annotations
 
-import os
 import resource
 import traceback
 from dataclasses import dataclass, field
-from pathlib import Path
 from time import perf_counter
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Tuple
 
 from repro.mobility.trace import VisitRecord
 from repro.obs.runtime import Observability
-from repro.sim.checkpoint import (
-    CheckpointError,
-    load_checkpoint,
-    restore_simulation,
-    snapshot_simulation,
-    write_frame,
-)
 from repro.sim.engine import (
     _PACKET_GEN,
     _VISIT_END,
@@ -70,8 +61,6 @@ __all__ = [
     "ShardInit",
     "split_epochs",
     "shard_worker",
-    "write_shard_checkpoint",
-    "restore_shard_checkpoint",
 ]
 
 
@@ -283,8 +272,7 @@ class ShardEngine(Simulation):
         """Dispatch one epoch through the engine loop, deliveries tagged.
 
         Per-kind dispatch timing accumulates in ``_acc``/``_cnt`` across
-        epochs (and through epoch checkpoints); the worker folds it into
-        the profiler once, at finish.
+        epochs; the worker folds it into the profiler once, at finish.
         """
         events = self._tagged(events)
         if self.obs.profiler.enabled:
@@ -393,18 +381,6 @@ class ShardInit:
     records: Optional[List[Tuple[int, VisitRecord]]] = None
     source: Optional[Callable[[], Iterable[VisitRecord]]] = None
     shard_of: Optional[Mapping[int, int]] = None
-    # -- crash safety (docs/reliability.md) ------------------------------------
-    #: directory this shard commits an epoch checkpoint into at every
-    #: barrier (None disables checkpointing)
-    checkpoint_dir: Optional[str] = None
-    #: checkpoint file to restore before the loop; must hold the state of
-    #: epoch ``start_epoch - 1`` (a restarted/resumed worker)
-    resume_from: Optional[str] = None
-    #: first epoch this worker runs (0 for a fresh run)
-    start_epoch: int = 0
-    #: chaos injection: die with ``os._exit(1)`` mid-epoch ``k``, before
-    #: the barrier — stripped by the supervisor when restarting
-    chaos_exit_epoch: Optional[int] = None
 
 
 def _build_epochs(init: ShardInit) -> List[List[Tuple[float, int, int, object]]]:
@@ -427,40 +403,6 @@ def _build_epochs(init: ShardInit) -> List[List[Tuple[float, int, int, object]]]
         events.append((gen.time, _PACKET_GEN, gen.seq, gen))
     events.sort()
     return split_epochs(events, init.cuts)
-
-
-# -- epoch checkpoints (docs/reliability.md) ----------------------------------
-
-
-def write_shard_checkpoint(engine: ShardEngine, path: "Path | str", epoch: int) -> None:
-    """Commit the shard's post-epoch state (one framed atomic file).
-
-    Taken *after* the epoch's departures were exported, so the snapshot is
-    exactly the state a restarted worker needs to run epoch ``epoch + 1``
-    once the coordinator resends that barrier's imports.
-    """
-    payload = snapshot_simulation(
-        engine,
-        epoch,
-        extra={"epoch": int(epoch), "acc": list(engine._acc), "cnt": list(engine._cnt)},
-    )
-    write_frame(path, payload)
-
-
-def restore_shard_checkpoint(
-    engine: ShardEngine, path: "Path | str", expect_epoch: int
-) -> None:
-    """Install an epoch checkpoint into a freshly constructed engine."""
-    state = load_checkpoint(path)
-    if state.get("epoch") != expect_epoch:
-        raise CheckpointError(
-            f"shard {engine.shard_id}: checkpoint {path} holds epoch "
-            f"{state.get('epoch')}, expected {expect_epoch}"
-        )
-    restore_simulation(engine, state)
-    engine.metrics = engine.world.metrics
-    engine._acc = list(state["acc"])
-    engine._cnt = list(state["cnt"])
 
 
 def shard_worker(conn, init: ShardInit) -> None:
@@ -486,47 +428,23 @@ def shard_worker(conn, init: ShardInit) -> None:
                 init.protocol_name, **(init.protocol_kwargs or {})
             )
             engine = ShardEngine(init.shard_id, init.view, protocol, init.config, obs=obs)
-            if init.resume_from is not None:
-                # a restarted/resumed worker: skip setup, install the
-                # committed state of epoch start_epoch - 1 wholesale
-                restore_shard_checkpoint(engine, init.resume_from, init.start_epoch - 1)
-                protocol = engine.protocol
-            else:
-                protocol.setup(engine.world)
+            protocol.setup(engine.world)
         t0 = perf_counter()
         epochs = _build_epochs(init)
         prof.add("event_assembly", perf_counter() - t0)
 
-        ckpt_dir = Path(init.checkpoint_dir) if init.checkpoint_dir is not None else None
-        if ckpt_dir is not None:
-            ckpt_dir.mkdir(parents=True, exist_ok=True)
-
-        for k in range(init.start_epoch, len(init.cuts) + 1):
+        for k in range(len(init.cuts) + 1):
             msg = conn.recv()
             if msg[0] != "epoch" or msg[1] != k:
                 raise RuntimeError(f"shard {init.shard_id}: unexpected message {msg[:2]}")
             for transit, report in msg[2]:
                 engine.import_node(transit, report)
-            if init.chaos_exit_epoch == k:
-                # chaos: die like a SIGKILL mid-epoch, before the barrier —
-                # the supervisor must restart us from the previous checkpoint
-                os._exit(1)
             engine.run_epoch(epochs[k])
             outgoing: Dict[int, List[Tuple[NodeTransitMsg, Optional[BandwidthReportMsg]]]] = {}
             for nid, to_shard, force in init.exports.get(k, ()):
                 outgoing.setdefault(to_shard, []).append(
                     engine.export_node(nid, force=force)
                 )
-            if ckpt_dir is not None:
-                # commit before the barrier reply: once the coordinator sees
-                # epoch_done k, checkpoint k is guaranteed on disk
-                write_shard_checkpoint(engine, ckpt_dir / f"epoch-{k:06d}.ckpt", k)
-                stale = sorted(ckpt_dir.glob("epoch-*.ckpt"))[:-2]
-                for old in stale:
-                    try:
-                        old.unlink()
-                    except OSError:  # pragma: no cover - best-effort prune
-                        pass
             conn.send(("epoch_done", k, outgoing))
 
         msg = conn.recv()
@@ -542,7 +460,6 @@ def shard_worker(conn, init: ShardInit) -> None:
             (
                 "result",
                 {
-                    "shard": init.shard_id,
                     "samples": metrics.samples,
                     "generated": metrics.generated,
                     "forwarding_ops": metrics.forwarding_ops,

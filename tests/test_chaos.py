@@ -30,41 +30,32 @@ from repro.store.db import ExperimentDB
 
 class TestChaosSpec:
     def test_seed_pins_serial_knobs(self):
-        plan = ChaosSpec(seed=3).resolve(n_points=4, shards=None)
+        plan = ChaosSpec(seed=3).resolve(n_points=4)
         assert plan.point == 3
-        assert plan.kill_shard is None
         assert plan.interrupt_after in (1, 2)
 
-    def test_seed_pins_sharded_knobs(self):
-        plan = ChaosSpec(seed=5).resolve(n_points=4, shards=2)
-        assert plan.point == 1
-        shard, epoch = plan.kill_shard
-        assert 0 <= shard < 2 and epoch >= 1
-        assert plan.interrupt_after is None
-
     def test_resolution_is_deterministic(self):
-        a = ChaosSpec(seed=11).resolve(9, 4)
-        b = ChaosSpec(seed=11).resolve(9, 4)
+        a = ChaosSpec(seed=11).resolve(9)
+        b = ChaosSpec(seed=11).resolve(9)
         assert a == b
 
     def test_explicit_knobs_survive_resolution(self):
         spec = ChaosSpec(seed=0, point=2, interrupt_after=5)
-        plan = spec.resolve(n_points=4, shards=None)
+        plan = spec.resolve(n_points=4)
         assert plan.point == 2 and plan.interrupt_after == 5
 
     def test_truncate_implies_a_second_checkpoint(self):
-        plan = ChaosSpec(truncate_checkpoint=True).resolve(3, None)
+        plan = ChaosSpec(truncate_checkpoint=True).resolve(3)
         assert plan.interrupt_after >= 2
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError, match="empty grid"):
-            ChaosSpec().resolve(0, None)
+            ChaosSpec().resolve(0)
 
     def test_as_dict_omits_unset_knobs(self):
         assert ChaosSpec(seed=1).as_dict() == {"seed": 1, "point": None}
-        full = ChaosSpec(seed=1, point=0, kill_shard=(1, 2),
-                         truncate_checkpoint=True).as_dict()
-        assert full["kill_shard"] == [1, 2] and full["truncate_checkpoint"]
+        full = ChaosSpec(seed=1, point=0, truncate_checkpoint=True).as_dict()
+        assert full["truncate_checkpoint"]
 
 
 # -- end-to-end chaos runs -----------------------------------------------------

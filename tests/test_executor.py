@@ -2,8 +2,8 @@
 
 Every way of running a grid — ``run_point_specs`` in-process and over a
 pool, a fresh resumable run, a crash then ``resume_run``, a cancel then a
-resume, sharded points, and ``repro serve``'s job manager in-process and
-over its long-lived pool — goes through :func:`repro.eval.runner.execute`.
+resume, and ``repro serve``'s job manager in-process and over its
+long-lived pool — goes through :func:`repro.eval.runner.execute`.
 They must all land on identical metric values, report exactly one
 ``started`` and one ``finished`` event (with the measured ``seconds``) per
 executed point, and go quiet once :class:`SweepInterrupted` is raised.
@@ -20,7 +20,7 @@ import time
 import pytest
 
 from repro.eval.resume import create_run, resume_run, run_resumable
-from repro.eval.runner import SweepInterrupted, execute, run_point_specs
+from repro.eval.runner import SweepInterrupted, run_point_specs
 from repro.eval.scenario import ScenarioSpec
 from repro.mobility import io as trace_io
 from repro.obs import events as event_types
@@ -41,7 +41,7 @@ def spec(tmp_path_factory, dart_tiny):
         "name": "executor-parity",
         "trace": {"path": str(path)},
         "sim": {"memory_kb": 2000, "rate": 150, "workload_scale": 0.02},
-        # DTN-FLOW and Direct shard; Epidemic falls back to serial
+        # station relay, direct delivery and node-node contacts
         "protocols": ["DTN-FLOW", "Direct", "Epidemic"],
         "seeds": [1],
     }).validate()
@@ -163,16 +163,6 @@ def test_interrupted_pool_goes_quiet(spec, reference):
     done = [i for i, r in enumerate(err.value.results) if r is not None]
     assert len(done) == 1
     assert values([err.value.results[done[0]]]) == [reference[done[0]]]
-
-
-def test_shards(spec, reference):
-    rec = Recorder()
-    results, infos = execute(spec.entries(), shards=2, progress=rec)
-    assert values(results) == reference
-    rec.assert_one_pair_per_point([0, 1, 2])
-    modes = [info["execution"]["mode"] for info in infos]
-    assert modes == ["sharded", "sharded", "serial-fallback"]
-    assert all(info["n_events"] > 0 for info in infos[:2])
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

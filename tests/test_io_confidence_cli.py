@@ -290,6 +290,34 @@ class TestCLIRobustness:
         assert rc == 2
         assert "Bogus" in err
 
+    @pytest.mark.parametrize("command", [
+        ["scenario", "run", "MANIFEST"],
+        ["run", "--scenario", "MANIFEST"],
+        ["chaos", "MANIFEST"],
+    ])
+    def test_a_shards_key_exits_2_naming_the_removal(self, command, tmp_path, capsys):
+        path = tmp_path / "sharded.json"
+        path.write_text('{"trace": {"profile": "DART"}, "shards": 2}')
+        argv = [str(path) if a == "MANIFEST" else a for a in command]
+        rc, _, err = self._run(argv, capsys)
+        assert rc == 2
+        (line,) = err.strip().splitlines()
+        assert "'shards' was removed" in line
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--shards", "2"],
+        ["scenario", "run", "dart-run", "--shards", "2"],
+        ["scenario", "run", "dart-run", "--span-tree", "spans.json"],
+        ["chaos", "dart-run", "--shards", "2"],
+        ["chaos", "dart-run", "--kill-shard", "1:1"],
+    ])
+    def test_removed_shard_flags_are_argparse_errors(self, argv, capsys):
+        from repro.cli import main
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv, expected", [
         (["sweep", "memory", "--values", "abc"], "--values"),
         (["sweep", "memory", "--protocols", "bogus"], "bogus"),
@@ -322,6 +350,20 @@ class TestCLIRobustness:
         assert expected in err.strip().splitlines()[-1]
         if "--seeds" not in argv:
             assert len(err.strip().splitlines()) == 1
+
+
+def test_importing_the_cli_loads_no_sharded_engine(child_env):
+    """No CLI path shards a point, so the CLI never imports the kernel."""
+    code = (
+        "import sys, repro.cli; print(sorted(m for m in sys.modules "
+        "if m in ('repro.eval.sharded', 'repro.sim.shard')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=child_env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_importing_the_cli_loads_no_scipy(child_env):

@@ -87,6 +87,7 @@ class TestSchema:
           "sweep": {"parameter": "ttl", "values": [1]}}, "sweep.parameter"),
         ({"trace": {"profile": "DART"},
           "sweep": {"parameter": "rate", "values": []}}, "non-empty"),
+        ({"trace": {"profile": "DART"}, "shards": 2}, "'shards' was removed"),
     ])
     def test_structural_rejections(self, bad, match):
         with pytest.raises(ValueError, match=match):

@@ -282,6 +282,10 @@ def test_rest_error_and_catalog_surface(server):
         client.submit({"trace": {"profile": "DART"}, "protocols": ["NOPE"]})
     assert err.value.status == 400
     with pytest.raises(ServeError) as err:
+        client.submit({"trace": {"profile": "DART"}, "shards": 2})
+    assert err.value.status == 400
+    assert "'shards' was removed" in str(err.value)
+    with pytest.raises(ServeError) as err:
         client._request("GET", "/v1/nope")
     assert err.value.status == 404
     # regress endpoint validates its parameter contract

@@ -1,30 +1,36 @@
-"""Sharded execution parity: zero-tolerance against the committed baseline.
+"""The sharded kernel: value-for-value parity with the serial engine.
 
-The subarea-sharded engine (docs/scaling.md) claims its epoch-barriered
-decomposition is *bit-identical* to the serial engine — shard-safe
-protocols run split across processes, everything else falls back to
-serial, and either way every metric matches the committed CI baseline to
-the last bit.  This suite runs both ci scenarios through ``repro
-scenario run --shards N`` for N in {2, 4} and gates the recorded results
-with ``repro db regress`` at zero tolerance, exactly like the serial
-parity suite in ``test_metric_parity.py``.
+No ``repro`` command shards a point: measured against one serial process
+the sharded engine lost at every size (docs/scaling.md), so the serial
+engine is the only way ``repro`` runs one.  The kernel,
+:func:`repro.eval.sharded.run_sharded_point`, stays as the comparison the
+benchmark's ``campus-stream`` workload runs, and this suite keeps it
+honest:
 
-Also carries the fast (non-slow) plan-level invariant checks: cut
-monotonicity, export-epoch validity, and the ``shards`` manifest block
-round-trip.
+* for both ci grids at 2 and 4 shards, every point either matches the
+  serial engine value for value or raises :class:`UnshardableTrace` with
+  its reason — contact-based, global-state and faulted points raise;
+* a shard worker that dies mid-run makes ``run_sharded_point`` raise an
+  error naming the shard within seconds, and leaves no child process;
+* the handoff plan's invariants hold on a streamed campus trace.
 
-Marked ``slow`` (scenario-level tests): CI's shard-smoke job runs the
-same scenarios through the CLI for an exit-coded gate.
+Marked ``slow`` (every test but the plan check).
 """
 
 from __future__ import annotations
 
-import json
+import multiprocessing
+import os
+import time
 from pathlib import Path
 
 import pytest
 
-from repro.cli import main
+from repro.eval import sharded
+from repro.eval.runner import run_point_specs
+from repro.eval.scenario import ScenarioSpec, load_scenario
+from repro.eval.sharded import UnshardableTrace, plan_shards, run_sharded_point
+from repro.sim.shard import shard_worker
 
 REPO = Path(__file__).resolve().parent.parent
 CI = REPO / "ci"
@@ -34,39 +40,104 @@ SCENARIOS = [
     CI / "regression-faulted-scenario.json",
 ]
 
-
-# -- fast plan/spec invariants -------------------------------------------------
-
-
-def test_scenario_spec_shards_round_trip():
-    from repro.eval.scenario import ScenarioSpec
-
-    data = {"trace": {"profile": "DART", "seed": 1}, "shards": 2}
-    spec = ScenarioSpec.from_dict(data)
-    assert spec.shards == 2
-    assert ScenarioSpec.from_dict(spec.as_dict()).shards == 2
-    # the mapping form and the degenerate values
-    assert ScenarioSpec.from_dict(
-        {"trace": {"profile": "DART", "seed": 1}, "shards": {"count": 4}}
-    ).shards == 4
-    with pytest.raises(ValueError):
-        ScenarioSpec.from_dict(
-            {"trace": {"profile": "DART", "seed": 1}, "shards": 1}
-        )
+#: a global-state configuration: the loop-correction hold-down registry
+#: spans landmarks, so it cannot split by subarea
+GLOBAL_STATE = {"name": "DTN-FLOW", "config": {"enable_loop_correction": True}}
 
 
-def test_shards_never_enter_point_scenario_identity():
-    """The shard count is an execution hint: the resolved per-point
-    scenario (what the experiment store hashes) must not mention it."""
-    from repro.eval.scenario import ScenarioSpec
+def values(result) -> dict:
+    """Metric values only: provenance and phase timings differ by design."""
+    out = result.metrics.as_dict()
+    out.pop("provenance", None)
+    out.pop("phase_timings", None)
+    return out
 
-    spec = ScenarioSpec.from_dict(
-        {"trace": {"profile": "DART", "seed": 1}, "shards": 2,
-         "protocols": ["Direct"], "seeds": [1]}
-    ).validate()
+
+def _sharded(trace, entry, shards, plan):
+    _, point, config = entry
+    return run_sharded_point(
+        trace, point.protocol, config,
+        shards=shards, memory_kb=point.memory_kb, rate=point.rate,
+        seed=point.seed, protocol_kwargs=point.protocol_kwargs,
+        scenario=point.scenario, plan=plan,
+    )
+
+
+@pytest.fixture(scope="module", params=SCENARIOS, ids=lambda p: p.stem)
+def grid(request):
+    """A ci grid plus a global-state point, its trace, and serial results."""
+    spec = load_scenario(str(request.param)).validate()
+    extra = ScenarioSpec.from_dict({**spec.as_dict(), "protocols": [GLOBAL_STATE]})
     profile, tspec, _ = spec.resolve_trace()
-    for _t, point, _c in spec.entries(profile, tspec):
-        assert "shards" not in json.dumps(point.scenario)
+    entries = spec.entries(profile, tspec) + extra.validate().entries(profile, tspec)
+    trace = tspec.materialize()
+    serial = run_point_specs(entries, materialized={tspec.key: trace})
+    return spec, trace, entries, serial
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("shards", [2, 4])
+def test_every_point_matches_serial_or_says_why_not(grid, shards):
+    spec, trace, entries, serial = grid
+    plan = plan_shards(trace, shards)
+    sharded_points = []
+    for entry, want in zip(entries, serial):
+        _, point, config = entry
+        try:
+            result, info = _sharded(trace, entry, shards, plan)
+        except UnshardableTrace as exc:
+            reason = str(exc)
+            if spec.faults is not None:
+                assert "fault plans" in reason, (point.protocol, reason)
+            elif point.protocol_kwargs:
+                assert "does not decompose" in reason, (point.protocol, reason)
+            else:
+                assert "node-node contacts" in reason, (point.protocol, reason)
+            continue
+        assert info["execution"]["mode"] == "sharded"
+        assert info["execution"]["shards"] == shards
+        assert values(result) == values(want), point.protocol
+        sharded_points.append(point.protocol)
+    # the two station-only protocols shard whenever the grid is unfaulted
+    assert sharded_points == ([] if spec.faults else ["DTN-FLOW", "Direct"])
+
+
+class _DiesAtEpoch1:
+    """A worker's pipe end that kills shard 1 as epoch 1 arrives."""
+
+    def __init__(self, conn, shard_id: int) -> None:
+        self._conn = conn
+        self._shard_id = shard_id
+
+    def recv(self):
+        msg = self._conn.recv()
+        if self._shard_id == 1 and msg[0] == "epoch" and msg[1] == 1:
+            os._exit(1)  # abrupt death: no reply, no cleanup
+        return msg
+
+    def __getattr__(self, name):
+        return getattr(self._conn, name)
+
+
+def _worker_dying_at_epoch_1(conn, init) -> None:
+    shard_worker(_DiesAtEpoch1(conn, init.shard_id), init)
+
+
+@pytest.mark.slow
+def test_a_dead_shard_worker_fails_the_point_naming_it(tiny_scenario, monkeypatch):
+    spec = tiny_scenario(protocols=["DTN-FLOW"]).validate()
+    profile, tspec, materialized = spec.resolve_trace()
+    (entry,) = spec.entries(profile, tspec)
+    trace = materialized[tspec.key]
+    plan = plan_shards(trace, 2)
+    assert plan.n_epochs > 2, "the point must reach epoch 1"
+    before = set(multiprocessing.active_children())
+    monkeypatch.setattr(sharded, "shard_worker", _worker_dying_at_epoch_1)
+    t0 = time.monotonic()
+    with pytest.raises(RuntimeError, match=r"^shard 1 worker died"):
+        _sharded(trace, entry, 2, plan)
+    assert time.monotonic() - t0 < 10.0
+    assert set(multiprocessing.active_children()) <= before
 
 
 def test_plan_invariants_on_campus_stream():
@@ -96,66 +167,3 @@ def test_plan_invariants_on_campus_stream():
         assert len(set(epochs)) == len(epochs), (
             f"node {nid}: two handoffs on one epoch barrier"
         )
-
-
-# -- scenario-level zero-tolerance parity --------------------------------------
-
-pytestmark_slow = pytest.mark.slow
-
-
-@pytest.fixture(scope="module", params=[2, 4], ids=["shards2", "shards4"])
-def sharded_db(request, tmp_path_factory):
-    """Both ci scenarios run with ``--shards N`` into a fresh store."""
-    shards = request.param
-    db = tmp_path_factory.mktemp(f"sharded{shards}") / "sharded.sqlite"
-    for scenario in SCENARIOS:
-        rc = main([
-            "scenario", "run", str(scenario),
-            "--shards", str(shards),
-            "--record", "--db", str(db),
-        ])
-        assert rc == 0, f"sharded scenario run failed for {scenario.name}"
-    return db
-
-
-@pytest.mark.slow
-def test_sharded_metrics_bit_identical_to_committed_baseline(sharded_db, capsys):
-    rc = main([
-        "db", "regress",
-        "--db", str(sharded_db),
-        "--baseline-file", str(CI / "regression-baseline.json"),
-        "--abs", "0", "--rel", "0", "--fail-on-missing",
-    ])
-    out = capsys.readouterr().out
-    assert rc == 0, f"zero-tolerance regress failed under sharding:\n{out}"
-    assert "0 failed" in out and "0 missing" in out
-
-
-# -- crash safety: supervised worker restart (docs/reliability.md) -------------
-
-
-@pytest.mark.slow
-def test_killed_shard_worker_restarts_to_identical_metrics(tmp_path):
-    """A shard worker SIGKILL-style death mid-run (abrupt ``os._exit`` at an
-    epoch barrier) must be supervised back from its last epoch checkpoint
-    and still land on serial-identical metrics — the ``repro chaos``
-    kill-worker contract."""
-    from repro.eval.chaos import ChaosSpec, run_chaos
-    from repro.eval.scenario import ScenarioSpec
-
-    spec = ScenarioSpec.from_dict({
-        "name": "kill-worker",
-        "trace": {"profile": "DART", "seed": 1},
-        "sim": {"memory_kb": 2000, "rate": 100, "workload_scale": 0.004},
-        "protocols": ["DTN-FLOW"],
-        "seeds": [1],
-        "shards": 2,
-    }).validate()
-    report, result = run_chaos(
-        spec, ChaosSpec(point=0, kill_shard=(1, 1)),
-        tmp_path / "rd", shards=2, every_events=5000, restart_backoff=0.05,
-    )
-    assert report.ok, report.mismatches
-    assert report.recovery_events.get("executor.worker_dead", 0) >= 1
-    assert report.recovery_events.get("executor.worker_restart", 0) >= 1
-    assert result.results[0] is not None
