@@ -1,9 +1,10 @@
 #!/usr/bin/env python
 """CI perf gate: serial wall-clock budget for the ci fig11 scenario.
 
-Runs ``ci/profile-fig11.json`` serially (best-of-N, warm trace cache,
-trace materialization outside the timed window) and fails if the fastest
-run exceeds a pinned wall-clock budget.  The pin carries roughly 2x
+Runs ``ci/profile-fig11.json`` in-process through ``runner.execute``
+(best-of-N, warm trace cache, trace materialization outside the timed
+window, no phase timing) and fails if the fastest run exceeds a pinned
+wall-clock budget.  The pin carries roughly 2x
 headroom over the post-overhaul floor (~1.3 s on the benchmark machine,
 call it ~3 s on a shared runner), so it trips on a real hot-path
 regression — the pre-overhaul engine took ~5.2 s locally, well past the
@@ -20,8 +21,9 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from time import perf_counter
 
-from repro.eval.profiling import timed_scenario_run
+from repro.eval.runner import execute
 from repro.eval.scenario import load_scenario
 
 SCENARIO = os.environ.get("REPRO_PERF_SCENARIO", "ci/profile-fig11.json")
@@ -34,10 +36,14 @@ SPAN_TREE = "perf_gate_span_tree.json"
 
 def main() -> int:
     spec = load_scenario(SCENARIO).validate()
-    timed_scenario_run(spec, profile_enabled=False)  # warm trace caches
+    profile, tspec, traces = spec.resolve_trace()
+    entries = spec.entries(profile, tspec)
+    execute(entries, traces=traces)  # warm-up: fills the trace cache
     times = []
     for i in range(RUNS):
-        times.append(timed_scenario_run(spec, profile_enabled=False)[0])
+        t0 = perf_counter()
+        execute(entries, traces=traces)
+        times.append(perf_counter() - t0)
         print(f"[perf-gate] run {i + 1}/{RUNS}: {times[-1]:.3f}s")
     best = min(times)
     verdict = "OK" if best <= BUDGET else "FAIL"

@@ -3,10 +3,11 @@
 
 Two checks on the CI-scale fig11 manifest (``ci/profile-fig11.json``):
 
-1. **Overhead** — the span-instrumented serial run must stay within
-   ``REPRO_PROFILE_OVERHEAD`` (default 5%) of the instrumentation-free
-   run, best-of-3 each, plus an absolute slack floor for sub-second runs
-   on noisy CI machines.
+1. **Overhead** — the grid run through ``runner.execute`` with every
+   point's phases timed on a span recorder must stay within
+   ``REPRO_PROFILE_OVERHEAD`` (default 5%) of the same grid run with no
+   recorder, best of 4 interleaved pairs, plus an absolute slack floor
+   for sub-second runs on noisy CI machines.
 2. **Accounting** — ``repro profile`` must emit a flamegraph and a span
    tree whose root cumulative seconds match the reported wall-clock
    within 5%.
@@ -21,9 +22,12 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import nullcontext
+from time import perf_counter
 
-from repro.eval.profiling import timed_scenario_run
+from repro.eval.runner import execute
 from repro.eval.scenario import load_scenario
+from repro.obs import Observability, SpanRecorder
 
 SCENARIO = os.environ.get("REPRO_PROFILE_SCENARIO", "ci/profile-fig11.json")
 #: relative overhead budget for span instrumentation (fraction)
@@ -32,21 +36,38 @@ OVERHEAD = float(os.environ.get("REPRO_PROFILE_OVERHEAD", "0.05"))
 SLACK = float(os.environ.get("REPRO_PROFILE_SLACK", "0.25"))
 
 
+def timed_run(entries, traces, timed: bool) -> float:
+    """Wall seconds of one in-process grid run; ``timed`` gives every
+    point its own span recorder."""
+    observe = None
+    if timed:
+        def observe(index, point):
+            return nullcontext(Observability(spans=SpanRecorder()))
+
+    t0 = perf_counter()
+    execute(entries, traces=traces, observe=observe)
+    return perf_counter() - t0
+
+
 def check_overhead(spec) -> int:
+    profile, tspec, traces = spec.resolve_trace()
+    entries = spec.entries(profile, tspec)
+    # the warm-up fills ``traces``, so no timed run builds a trace; then
     # interleave base/instrumented pairs so slow-machine noise (easily
     # +-20% on shared CI runners) hits both sides equally; best-of-N
     # approximates the noise-free floor
-    timed_scenario_run(spec, profile_enabled=False)  # warm trace caches
+    timed_run(entries, traces, timed=False)
     base, spans = [], []
     for _ in range(4):
-        base.append(timed_scenario_run(spec, profile_enabled=False)[0])
-        spans.append(timed_scenario_run(spec, profile_enabled=True)[0])
+        base.append(timed_run(entries, traces, timed=False))
+        spans.append(timed_run(entries, traces, timed=True))
     best_base, best_spans = min(base), min(spans)
     budget = best_base * (1 + OVERHEAD) + SLACK
     verdict = "OK" if best_spans <= budget else "FAIL"
     print(
-        f"[overhead] base {best_base:.3f}s, spans {best_spans:.3f}s, "
-        f"budget {budget:.3f}s -> {verdict}"
+        f"[overhead] base {best_base:.3f}s, spans {best_spans:.3f}s "
+        f"({(best_spans / best_base - 1) * 100:+.1f}% on {os.cpu_count()} "
+        f"cores), budget {budget:.3f}s -> {verdict}"
     )
     return 0 if best_spans <= budget else 1
 

@@ -96,8 +96,8 @@ class UtilityProtocol(RoutingProtocol):
         nodes = world.connected_nodes(station)
         if not nodes:
             return
-        prof = world.obs.profiler
-        t_start = perf_counter() if prof.enabled else 0.0
+        spans = world.obs.spans
+        t_start = perf_counter() if spans is not None else 0.0
         # Utilities depend only on (node, destination, t) — never on buffer
         # contents — and no learning happens inside a push, so one value per
         # (node, destination) pair serves every packet in the queue.  (A
@@ -127,8 +127,8 @@ class UtilityProtocol(RoutingProtocol):
                     best, best_util = nd, u
             if best is not None:
                 world.station_to_node(station, best, p)
-        if prof.enabled:
-            prof.add("baseline.carrier_selection", perf_counter() - t_start)
+        if spans is not None:
+            spans.add("baseline.carrier_selection", perf_counter() - t_start)
 
     def _push_skip_sound(self, world: World, station: LandmarkStation) -> bool:
         """Whether skipping utility calls for incumbent nodes is side-effect
@@ -164,8 +164,8 @@ class UtilityProtocol(RoutingProtocol):
         self, world: World, station: LandmarkStation, node: MobileNode, t: float
     ) -> None:
         """Offer every queued packet to just the arriving node."""
-        prof = world.obs.profiler
-        t_start = perf_counter() if prof.enabled else 0.0
+        spans = world.obs.spans
+        t_start = perf_counter() if spans is not None else 0.0
         utility = self.utility
         threshold = self.station_threshold
         memo: dict = {}
@@ -184,8 +184,8 @@ class UtilityProtocol(RoutingProtocol):
                 memo[dst] = u
             if u > threshold:
                 world.station_to_node(station, node, p)
-        if prof.enabled:
-            prof.add("baseline.carrier_selection", perf_counter() - t_start)
+        if spans is not None:
+            spans.add("baseline.carrier_selection", perf_counter() - t_start)
 
     def _compare_and_forward(
         self, world: World, holder: MobileNode, peer: MobileNode, t: float
@@ -269,8 +269,8 @@ class UtilityProtocol(RoutingProtocol):
         nodes = world.connected_nodes(station)
         if not nodes:
             return
-        prof = world.obs.profiler
-        t_start = perf_counter() if prof.enabled else 0.0
+        spans = world.obs.spans
+        t_start = perf_counter() if spans is not None else 0.0
         utility = self.utility
         best: Optional[MobileNode] = None
         best_util = self.station_threshold
@@ -286,5 +286,5 @@ class UtilityProtocol(RoutingProtocol):
                 best, best_util = nd, u
         if best is not None:
             world.station_to_node(station, best, packet)
-        if prof.enabled:
-            prof.add("baseline.carrier_selection", perf_counter() - t_start)
+        if spans is not None:
+            spans.add("baseline.carrier_selection", perf_counter() - t_start)

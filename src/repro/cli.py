@@ -43,9 +43,10 @@ import argparse
 import dataclasses
 import json
 import sys
+from contextlib import nullcontext
 from typing import List, Optional, Sequence
 
-from repro.baselines import PAPER_PROTOCOLS, make_protocol, protocol_names
+from repro.baselines import PAPER_PROTOCOLS, protocol_names
 from repro.core import evaluate_predictor
 from repro.eval.config import profile_for_trace, sweep_grid, trace_profile
 from repro.eval.deployment import run_deployment
@@ -54,7 +55,7 @@ from repro.eval.resilience import (
     degradation_curves,
     reconvergence_after_death,
 )
-from repro.eval.runner import ProgressFn, execute, parse_jobs
+from repro.eval.runner import ObserveFn, ProgressFn, execute, parse_jobs
 from repro.eval.scenario import (
     ScenarioResult,
     ScenarioSpec,
@@ -65,7 +66,7 @@ from repro.eval.scenario import (
 from repro.eval.profiling import profile_scenario
 from repro.mobility import io as trace_io
 from repro.mobility import stats
-from repro.obs import ALL_EVENTS, Observability
+from repro.obs import ALL_EVENTS, Observability, ObsConfig, SpanRecorder
 from repro.obs.export import render_span_tree, write_flamegraph, write_profile
 from repro.obs.provenance import _jsonable
 from repro.store import (
@@ -88,17 +89,23 @@ from repro.store import (
     snapshot_rows,
     write_report,
 )
-from repro.sim.engine import Simulation
+from repro.sim.engine import SimConfig
 from repro.utils.tables import format_table
 
 
 def _resolve_trace(spec: str, seed: int) -> tuple:
-    """Return (trace, profile) for a profile name or a CSV path."""
+    """Return (trace, profile) for a profile name or a CSV path.
+
+    A missing, unreadable or malformed CSV exits 2 with one line.
+    """
     key = spec.upper()
     if key in ("DART", "DNET"):
         profile = trace_profile(key)
         return profile.build(seed), profile
-    trace = trace_io.load_trace(spec)
+    try:
+        trace = trace_io.load_trace(spec)
+    except (OSError, ValueError) as exc:
+        raise _ScenarioArgError(f"cannot read trace {spec!r}: {exc}") from None
     return trace, profile_for_trace(trace, path=spec)
 
 
@@ -158,7 +165,8 @@ def _flag_scenario(
     seeds: Sequence[int] = (),
     sweep: Optional[dict] = None,
 ) -> ScenarioSpec:
-    """The scenario the ``run``/``compare``/``sweep`` workload flags describe.
+    """The scenario the workload flags of ``run``, ``compare``, ``sweep``,
+    ``trace`` and ``stats`` describe.
 
     The trace is ``--trace`` at seed ``--seed`` (a built-in profile's own
     scenario trace block, or a CSV ``path``); ``seeds`` are the sim seeds
@@ -189,15 +197,23 @@ def _execute_scenario(
     *,
     jobs: int,
     progress: Optional[ProgressFn] = None,
+    observe: Optional[ObserveFn] = None,
+    traces: Optional[dict] = None,
 ):
     """Every point of ``spec`` through the executor, as one result.
 
     The one way the CLI runs a scenario, whether a manifest, a preset, an
-    exported result or workload flags described it.
+    exported result or workload flags described it.  ``observe`` is the
+    executor's per-point observability hook; ``traces``, when given, is
+    the trace cache, left holding the trace the points ran on.
     """
     profile, tspec, materialized = spec.resolve_trace()
     entries = spec.entries(profile, tspec)
-    results, _ = execute(entries, jobs=jobs, progress=progress, traces=materialized)
+    traces = {} if traces is None else traces
+    traces.update(materialized)
+    results, _ = execute(
+        entries, jobs=jobs, progress=progress, traces=traces, observe=observe
+    )
     return ScenarioResult(spec, [p for _, p, _ in entries], results)
 
 
@@ -349,21 +365,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _format_phase_rows(rows) -> List[list]:
-    """Format ``(phase, seconds, calls)`` float rows for table printing."""
-    return [[name, f"{seconds:.4f}", calls] for name, seconds, calls in rows]
-
-
-def _print_sweep_result(result) -> None:
-    for metric in result.METRICS:
-        print(result.metric_table(metric))
-        print()
-    timing_rows = _format_phase_rows(result.phase_rows())
-    if timing_rows:
-        print(format_table(
-            ["phase", "seconds", "calls"], timing_rows,
-            title="phase timings (wall-clock, merged over all points):",
-        ))
+def _print_phase_table(phases, title: str) -> None:
+    """A ``{phase: {"seconds", "calls"}}`` report as a table."""
+    print(format_table(
+        ["phase", "seconds", "calls"],
+        [[name, f"{rec['seconds']:.4f}", int(rec["calls"])]
+         for name, rec in phases.items()],
+        title=title,
+    ))
 
 
 def _progress_printer(total: int):
@@ -441,7 +450,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         args, ingest_scenario_result, res, kind="sweep",
         label="" if args.scenario else f"{res.results[0].trace}:{args.parameter}",
     )
-    _print_sweep_result(res.sweep_result())
+    _print_scenario_result(res)
     return 0
 
 
@@ -672,6 +681,14 @@ def cmd_resilience(args: argparse.Namespace) -> int:
         print(f"--intensities must be comma-separated numbers, got "
               f"{args.intensities!r}", file=sys.stderr)
         return 2
+    try:
+        SimConfig(
+            node_memory_kb=args.memory,
+            rate_per_landmark_per_day=args.rate,
+            workload_scale=1.0 if args.workload_scale is None else args.workload_scale,
+        )
+    except ValueError as exc:
+        raise _ScenarioArgError(f"repro resilience: {exc}") from None
     trace, profile = _resolve_trace(args.trace, args.seed)
     config = profile.sim_config(memory_kb=args.memory, rate=args.rate, seed=args.seed)
     if args.workload_scale is not None:
@@ -772,14 +789,22 @@ def cmd_predict(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_traced(args: argparse.Namespace):
-    """Run one experiment with full observability on; returns (trace, obs, summary)."""
-    trace, profile = _resolve_trace(args.trace, args.seed)
-    config = profile.sim_config(memory_kb=args.memory, rate=args.rate, seed=args.seed)
-    obs = Observability.tracing(event_capacity=args.capacity)
-    protocol = make_protocol(args.protocol)
-    summary = Simulation(trace, protocol, config, obs=obs).run()
-    return trace, obs, summary
+def _observed_point(args: argparse.Namespace, spans: Optional[SpanRecorder] = None):
+    """The point the ``trace``/``stats`` flags describe, run through the
+    executor with event tracing on (and phase timing when ``spans`` is
+    given); returns ``(trace, obs, summary)``."""
+    spec = _flag_scenario(
+        args, name=f"{args.command}-{args.protocol}", protocols=[args.protocol]
+    )
+    obs = Observability(
+        ObsConfig(enabled=True, event_capacity=args.capacity), spans=spans
+    )
+    traces: dict = {}
+    res = _execute_scenario(
+        spec, jobs=1, observe=lambda index, point: nullcontext(obs), traces=traces
+    )
+    (trace,) = traces.values()
+    return trace, obs, res.results[0].metrics
 
 
 def _event_rows(events, t0: float) -> List[list]:
@@ -814,7 +839,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
             print(f"unknown event type(s): {', '.join(unknown)}; "
                   f"known types: {known}", file=sys.stderr)
             return 2
-    trace, obs, summary = _run_traced(args)
+    trace, obs, summary = _observed_point(args)
     log = obs.events
     t0 = trace.start_time
     if args.out:
@@ -866,7 +891,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    trace, obs, summary = _run_traced(args)
+    trace, obs, summary = _observed_point(args, spans=SpanRecorder())
     if args.json:
         out = summary.as_dict()
         out["observability"] = obs.stats_dict()
@@ -883,11 +908,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     print(format_table(["metric", "value"], rows,
                        title=f"{args.protocol} on {trace.name}:"))
     print()
-    print(format_table(
-        ["phase", "seconds", "calls"],
-        _format_phase_rows(obs.profiler.rows()),
-        title="phase timings (wall-clock):",
-    ))
+    _print_phase_table(obs.spans.flat(), "phase timings (wall-clock):")
     print()
     ev = obs.events
     evicted = f", {ev.n_evicted} evicted" if ev.n_evicted else ""
@@ -930,12 +951,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
     print(render_span_tree(tree, max_rows=args.max_spans))
     print()
-    print(format_table(
-        ["phase", "seconds", "calls"],
-        [[name, f"{rec['seconds']:.4f}", int(rec["calls"])]
-         for name, rec in run.phases().items()],
-        title="per-phase totals (merged over all points):",
-    ))
+    _print_phase_table(run.phases(), "per-phase totals (merged over all points):")
 
     root_seconds = float(tree.get("seconds") or 0.0)
     drift = (

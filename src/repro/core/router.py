@@ -180,7 +180,7 @@ class DTNFlowProtocol(RoutingProtocol):
         self._nodes: Dict[int, _NodeState] = {}
         # observability plumbing, wired in setup(); None while disabled
         self._obs = None
-        self._prof = None
+        self._spans = None
 
     # -- plumbing ---------------------------------------------------------------
     def setup(self, world: World) -> None:
@@ -191,7 +191,7 @@ class DTNFlowProtocol(RoutingProtocol):
             for lid in world.stations
         }
         self._nodes = {nid: _NodeState(self.config) for nid in world.nodes}
-        self._prof = world.obs.profiler if world.obs.profiler.enabled else None
+        self._spans = world.obs.spans
         self._obs = world.obs if world.obs_enabled else None
         if self._obs is not None:
             for lid, st in self._stations.items():
@@ -226,10 +226,10 @@ class DTNFlowProtocol(RoutingProtocol):
 
     # -- checkpoint API (see docs/reliability.md) ---------------------------------
     def detach_runtime(self) -> None:
-        """Drop the profiler/event-log handles and observer closures so the
+        """Drop the span-recorder/event-log handles and observer closures so the
         protocol (and the station/node state it owns) pickles cleanly."""
         self._obs = None
-        self._prof = None
+        self._spans = None
         for st in self._stations.values():
             st.bw.observer = None
         for ns in self._nodes.values():
@@ -237,7 +237,7 @@ class DTNFlowProtocol(RoutingProtocol):
 
     def attach_runtime(self, world: World) -> None:
         """Re-run setup()'s observability wiring against ``world``."""
-        self._prof = world.obs.profiler if world.obs.profiler.enabled else None
+        self._spans = world.obs.spans
         self._obs = world.obs if world.obs_enabled else None
         if self._obs is not None:
             for lid, st in self._stations.items():
@@ -300,8 +300,8 @@ class DTNFlowProtocol(RoutingProtocol):
     def _deliver_maintenance(
         self, world: World, node: MobileNode, station: LandmarkStation, t: float
     ) -> None:
-        prof = self._prof
-        t_start = perf_counter() if prof is not None else 0.0
+        spans = self._spans
+        t_start = perf_counter() if spans is not None else 0.0
         ns = self._nodes[node.nid]
         st = self._stations[station.lid]
         snap = ns.carried_snapshot
@@ -332,16 +332,16 @@ class DTNFlowProtocol(RoutingProtocol):
                     kind="backward_report", origin=report.observer,
                     n_entries=report.n_entries,
                 )
-        if prof is not None:
-            prof.add("router.table_exchange", perf_counter() - t_start)
+        if spans is not None:
+            spans.add("router.table_exchange", perf_counter() - t_start)
 
     # -- forwarding core ---------------------------------------------------------------
     def _handover_from_node(
         self, world: World, node: MobileNode, station: LandmarkStation, t: float
     ) -> None:
         """IV-D.1: upload carried packets when this landmark reduces delay."""
-        prof = self._prof
-        t_start = perf_counter() if prof is not None else 0.0
+        spans = self._spans
+        t_start = perf_counter() if spans is not None else 0.0
         st = self._stations[station.lid]
         ns = self._nodes[node.nid]
         uploaded = 0
@@ -388,8 +388,8 @@ class DTNFlowProtocol(RoutingProtocol):
                             # becomes responsible for the packet
                             p.meta.pop(META_NEXT_HOP, None)
                             p.meta.pop(META_EXPECTED_DELAY, None)
-        if prof is not None:
-            prof.add("router.handover", perf_counter() - t_start)
+        if spans is not None:
+            spans.add("router.handover", perf_counter() - t_start)
 
     def _forward_station_packets(
         self, world: World, station: LandmarkStation, t: float
@@ -398,13 +398,13 @@ class DTNFlowProtocol(RoutingProtocol):
         nodes = world.connected_nodes(station)
         if not nodes:
             return
-        prof = self._prof
-        t_start = perf_counter() if prof is not None else 0.0
+        spans = self._spans
+        t_start = perf_counter() if spans is not None else 0.0
         st = self._stations[station.lid]
         self._refresh_direct_links(st, t)
         if not len(station.buffer):
-            if prof is not None:
-                prof.add("router.carrier_selection", perf_counter() - t_start)
+            if spans is not None:
+                spans.add("router.carrier_selection", perf_counter() - t_start)
             return
         table = st.table
         sched = st.scheduler
@@ -515,8 +515,8 @@ class DTNFlowProtocol(RoutingProtocol):
             p.meta[META_ASSIGNED_BY] = station.lid
             if world.station_to_node(station, best, p):
                 st.load.record_carried_out(next_hop, t)
-        if prof is not None:
-            prof.add("router.carrier_selection", perf_counter() - t_start)
+        if spans is not None:
+            spans.add("router.carrier_selection", perf_counter() - t_start)
 
     # -- protocol hooks -----------------------------------------------------------------
     def on_visit_start(

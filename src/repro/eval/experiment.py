@@ -44,7 +44,7 @@ def execute_config(
     once in the parent yields bit-identical results wherever it runs.
     ``scenario`` (a resolved-scenario dict) is stamped into the run's
     provenance for exact reruns.  ``obs`` overrides the run's observability
-    context (``repro profile`` injects one whose spans share a recorder).
+    context (the executor passes the one its ``observe`` hook yields).
     ``checkpointer`` (a :class:`~repro.sim.checkpoint.SerialCheckpointer`)
     switches to the crash-safe loop: restore from the newest complete
     checkpoint, snapshot every N events — bit-identical either way.

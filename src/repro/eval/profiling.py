@@ -1,36 +1,35 @@
 """Deep-profiling runs: one scenario, one span tree, one sampler.
 
-``repro profile <scenario>`` needs a different execution shape than a
-sweep: every point runs serially **in this process** so a single
-:class:`~repro.obs.spans.SpanRecorder` can nest each point's engine
-phases under a per-point span, and a single
+``repro profile <scenario>`` runs every point of a scenario in this
+process through :func:`repro.eval.runner.execute`, whose ``observe``
+hook opens a ``point[...]`` span on one shared
+:class:`~repro.obs.spans.SpanRecorder` around each point, so every
+point's engine phases nest under its own span, and a single
 :class:`~repro.obs.sampler.SamplingProfiler` can watch the whole run's
 call stacks.  Each point still gets a *fresh*
 :class:`~repro.obs.runtime.Observability` (metrics registries must stay
-per-run) whose profiler is anchored on the shared recorder.
+per-run) carrying the shared recorder.
 
 :func:`profile_scenario` returns a :class:`ProfileRun` whose
-:meth:`~ProfileRun.payload` is the ingestible profile document;
-:func:`timed_scenario_run` is the instrumentation-free twin used to
-measure profiler overhead (the CI smoke gate).
+:meth:`~ProfileRun.payload` is the ingestible profile document.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from time import perf_counter
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
-from repro.eval.experiment import ExperimentResult, execute_config
-from repro.eval.runner import PointSpec
+from repro.eval.experiment import ExperimentResult
+from repro.eval.runner import PointSpec, execute
 from repro.eval.scenario import ScenarioSpec
-from repro.mobility.trace import Trace
-from repro.obs import Observability, ObsConfig, PhaseProfiler, SamplingProfiler
+from repro.obs import Observability, SamplingProfiler
 from repro.obs.export import profile_payload
 from repro.obs.spans import SpanRecorder
 
-__all__ = ["ProfileRun", "point_label", "profile_scenario", "timed_scenario_run"]
+__all__ = ["ProfileRun", "point_label", "profile_scenario"]
 
 
 def point_label(point: PointSpec) -> str:
@@ -59,14 +58,11 @@ class ProfileRun:
 
     def phases(self) -> Dict[str, Dict[str, float]]:
         """Flat per-phase totals aggregated over every profiled point."""
-        flat = self.recorder.flat()
         # per-point wrapper spans duplicate the phase totals they contain;
         # the flat view keeps engine/protocol phases only
         return {
             name: rec
-            for name, rec in sorted(
-                flat.items(), key=lambda kv: -kv[1]["seconds"]
-            )
+            for name, rec in self.recorder.flat().items()
             if not name.startswith("point[") and name != "profile"
         }
 
@@ -95,54 +91,33 @@ def profile_scenario(
     allocations: bool = False,
     label: Optional[str] = None,
 ) -> ProfileRun:
-    """Run every point of ``spec`` serially under one profiling context.
+    """Run every point of ``spec`` in-process under one profiling context.
 
-    The root ``profile`` span brackets the whole loop, so its cumulative
+    The root ``profile`` span brackets the whole grid, so its cumulative
     seconds are the run's wall-clock (the acceptance check for span
     accounting).  ``sample=False`` keeps only the span tree (used when
     measuring span overhead in isolation).
     """
-    profile, tspec, materialized = spec.resolve_trace()
+    profile, tspec, traces = spec.resolve_trace()
     entries = spec.entries(profile, tspec)
-    traces: Dict[str, Trace] = dict(materialized)
     recorder = SpanRecorder()
     sampler = (
         SamplingProfiler(hz=hz, trace_allocations=allocations) if sample else None
     )
-    results: List[ExperimentResult] = []
-    points: List[PointSpec] = []
+
+    @contextmanager
+    def observe(index: int, point: PointSpec) -> Iterator[Observability]:
+        # the span covers protocol and world construction too
+        with recorder.span(point_label(point)):
+            yield Observability(spans=recorder)
+
     recorded_at = _utc_now()
     if sampler is not None:
         sampler.start()
     t0 = perf_counter()
     try:
         with recorder.span("profile"):
-            for trace_spec, point, config in entries:
-                trace = traces.get(trace_spec.key)
-                if trace is None:
-                    trace = trace_spec.materialize()
-                    traces[trace_spec.key] = trace
-                with recorder.span(point_label(point)):
-                    # constructed inside the point span: the profiler
-                    # anchors there, so this run's phases nest under it
-                    obs = Observability(
-                        ObsConfig(profile=True),
-                        profiler=PhaseProfiler(enabled=True, recorder=recorder),
-                    )
-                    results.append(
-                        execute_config(
-                            trace,
-                            point.protocol,
-                            config,
-                            memory_kb=point.memory_kb,
-                            rate=point.rate,
-                            seed=point.seed,
-                            protocol_kwargs=point.protocol_kwargs,
-                            scenario=point.scenario,
-                            obs=obs,
-                        )
-                    )
-                points.append(point)
+            results, _ = execute(entries, traces=traces, observe=observe)
     finally:
         wall_seconds = perf_counter() - t0
         if sampler is not None:
@@ -155,41 +130,5 @@ def profile_scenario(
         recorder=recorder,
         results=results,
         sampler=sampler,
-        points=points,
+        points=[point for _, point, _ in entries],
     )
-
-
-def timed_scenario_run(
-    spec: ScenarioSpec, *, profile_enabled: bool
-) -> tuple:
-    """Serial scenario run returning ``(wall_seconds, results)``.
-
-    With ``profile_enabled=False`` every point runs with phase timers off
-    — the baseline the CI smoke job compares span overhead against.
-    """
-    profile, tspec, materialized = spec.resolve_trace()
-    entries = spec.entries(profile, tspec)
-    traces: Dict[str, Trace] = dict(materialized)
-    # materialize outside the timed window: trace construction cost is
-    # identical either way and would drown the overhead signal
-    for trace_spec, _, _ in entries:
-        if trace_spec.key not in traces:
-            traces[trace_spec.key] = trace_spec.materialize()
-    results: List[ExperimentResult] = []
-    t0 = perf_counter()
-    for trace_spec, point, config in entries:
-        obs = Observability(ObsConfig(profile=profile_enabled))
-        results.append(
-            execute_config(
-                traces[trace_spec.key],
-                point.protocol,
-                config,
-                memory_kb=point.memory_kb,
-                rate=point.rate,
-                seed=point.seed,
-                protocol_kwargs=point.protocol_kwargs,
-                scenario=point.scenario,
-                obs=obs,
-            )
-        )
-    return perf_counter() - t0, results

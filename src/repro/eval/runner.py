@@ -4,8 +4,9 @@ The paper's evaluation (Figs. 11-14, Tables 6-9) is dominated by parameter
 sweeps — every ``(trace, protocol, memory, rate, seed)`` point an
 independent discrete-event run.  :func:`execute` runs such a grid for
 every caller (sweeps, scenario runs, resumable run directories,
-``repro serve`` jobs) on the serial engine, in-process or over a process
-pool, with four guarantees:
+``repro serve`` jobs and replays, and the observed points of ``repro
+profile``, ``trace`` and ``stats``) on the serial engine, in-process or
+over a process pool, with four guarantees:
 
 * **trace caching** — every distinct trace is built at most once per
   call: in-process points share one trace cache keyed by
@@ -44,10 +45,13 @@ import os
 import sys
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    Any, Callable, ContextManager, Dict, List, Mapping, Optional, Sequence, Tuple, Union,
+)
 
 from repro.eval.config import trace_profile
 from repro.eval.config import full_scale as _resolve_full_scale
@@ -55,6 +59,7 @@ from repro.eval.experiment import ExperimentResult, execute_config
 from repro.mobility.trace import Trace
 from repro.obs import events as event_types
 from repro.obs.provenance import _jsonable
+from repro.obs.runtime import Observability
 from repro.sim.checkpoint import (
     DEFAULT_EVERY_EVENTS,
     CheckpointError,
@@ -66,6 +71,7 @@ from repro.sim.checkpoint import (
 from repro.sim.engine import SimConfig
 
 __all__ = [
+    "ObserveFn",
     "PointExecutionError",
     "PointSpec",
     "ProgressEvent",
@@ -108,6 +114,11 @@ class ProgressEvent:
 
 #: progress callback; exceptions it raises are swallowed, never failing a sweep
 ProgressFn = Callable[[ProgressEvent], None]
+
+#: per-point observability hook: ``observe(index, point)`` returns a context
+#: manager yielding that point's :class:`~repro.obs.runtime.Observability`;
+#: the point runs inside it
+ObserveFn = Callable[[int, "PointSpec"], ContextManager[Observability]]
 
 
 def parse_jobs(value: Union[int, str, None]) -> int:
@@ -346,7 +357,8 @@ def _worker_trace(ref: Union[str, TraceSpec]) -> Trace:
 
 
 def _run_entry(
-    trace: Trace, point: PointSpec, config: SimConfig, checkpointer=None
+    trace: Trace, point: PointSpec, config: SimConfig, checkpointer=None,
+    obs: Optional[Observability] = None,
 ) -> ExperimentResult:
     return execute_config(
         trace,
@@ -357,6 +369,7 @@ def _run_entry(
         seed=point.seed,
         protocol_kwargs=point.protocol_kwargs,
         scenario=point.scenario,
+        obs=obs,
         checkpointer=checkpointer,
     )
 
@@ -399,6 +412,7 @@ def execute(
     traces: Optional[Dict[str, Trace]] = None,
     injections: Optional[Mapping[int, Mapping[str, Any]]] = None,
     pool: Optional[ProcessPoolExecutor] = None,
+    observe: Optional[ObserveFn] = None,
 ) -> Tuple[List[ExperimentResult], List[Optional[Dict[str, Any]]]]:
     """Run every entry; returns index-aligned ``(results, infos)``.
 
@@ -431,7 +445,18 @@ def execute(
       (the serial checkpointer).
     * ``progress`` receives a :class:`ProgressEvent` per hand-over and per
       result; callback exceptions are swallowed.
+    * ``observe`` is the per-point observability hook (:data:`ObserveFn`):
+      each point runs inside ``observe(index, point)`` with the
+      :class:`~repro.obs.runtime.Observability` it yields, after its trace
+      is built.  Without it a point records no events and times no
+      phases.  An ``Observability`` cannot cross a process boundary, so
+      ``observe`` with ``jobs > 1`` or a ``pool`` raises ``ValueError``.
     """
+    if observe is not None and (pool is not None or parse_jobs(jobs) > 1):
+        raise ValueError(
+            "observe needs in-process points: an Observability cannot "
+            "cross a process boundary (use jobs=1 and no pool)"
+        )
     entries = list(entries)
     total = len(entries)
     results: List[Optional[ExperimentResult]] = [None] * total
@@ -509,7 +534,8 @@ def execute(
                 trace_source=sources[spec.key],
             )
         t0 = perf_counter()
-        result = _run_entry(trace, point, config, checkpointer)
+        with observe(i, point) if observe is not None else nullcontext() as obs:
+            result = _run_entry(trace, point, config, checkpointer, obs)
         commit(i, result, {"execution": {"mode": "serial"}},
                perf_counter() - t0, os.getpid())
 

@@ -29,15 +29,11 @@ class SweepResult:
     #: (config, seed, sweep value, package version — makes exported JSON
     #: self-describing)
     provenance: Dict[str, List[Optional[dict]]] = field(default_factory=dict)
-    #: wall-clock seconds/calls per engine phase, merged over every added
-    #: point — per-worker PhaseProfiler reports folded back together, so
-    #: parallel sweeps keep their phase breakdown
-    phase_timings: Dict[str, Dict[str, float]] = field(default_factory=dict)
 
     METRICS = ("success_rate", "avg_delay", "forwarding_cost", "total_cost")
 
     def add(self, protocol: str, summary, *, value: Optional[float] = None) -> None:
-        """Record one point's summary (and its provenance/phase timings)."""
+        """Record one point's summary (and its provenance)."""
         rec = self.series.setdefault(
             protocol, {m: [] for m in self.METRICS}
         )
@@ -48,7 +44,6 @@ class SweepResult:
         self.provenance.setdefault(protocol, []).append(
             self._provenance_row(summary, value)
         )
-        self._merge_phase_timings(summary)
 
     def _provenance_row(self, summary, value: Optional[float]) -> Optional[dict]:
         """One JSON-shaped provenance row, stamped with the sweep point."""
@@ -60,29 +55,6 @@ class SweepResult:
         if value is not None:
             row["sweep_value"] = value
         return row
-
-    def _merge_phase_timings(self, summary) -> None:
-        timings = getattr(summary, "phase_timings", None)
-        if not timings:
-            return
-        for phase, rec in timings.items():
-            slot = self.phase_timings.setdefault(
-                phase, {"seconds": 0.0, "calls": 0}
-            )
-            slot["seconds"] += float(rec.get("seconds", 0.0))
-            slot["calls"] += int(rec.get("calls", 0))
-
-    def phase_rows(self) -> List[Tuple[str, float, int]]:
-        """``(phase, seconds, calls)`` rows, sorted by seconds descending.
-
-        Seconds are raw floats; display formatting is the printer's job.
-        """
-        return [
-            (name, float(rec["seconds"]), int(rec["calls"]))
-            for name, rec in sorted(
-                self.phase_timings.items(), key=lambda kv: -kv[1]["seconds"]
-            )
-        ]
 
     def metric_table(self, metric: str) -> str:
         """Render one metric panel as an ASCII table (a paper sub-figure)."""
@@ -135,6 +107,5 @@ class SweepResult:
             "values": list(self.values),
             "series": {p: dict(m) for p, m in self.series.items()},
             "provenance": {p: list(v) for p, v in self.provenance.items()},
-            "phase_timings": {p: dict(t) for p, t in self.phase_timings.items()},
         }
 

@@ -6,15 +6,14 @@ Four pieces, bundled per-run by :class:`Observability`:
   event tracing with a ring buffer and JSONL export;
 * :mod:`repro.obs.registry` — named counters/gauges/histograms protocols
   register into instead of ad-hoc dicts;
-* :mod:`repro.obs.profiler` — ``perf_counter`` phase timers (where does
-  the wall-clock go?), a shim over :mod:`repro.obs.spans`;
+* :mod:`repro.obs.spans` — hierarchical phase timing (where does the
+  wall-clock go?) with self vs. cumulative seconds, on only for runs
+  given a recorder (``Observability(spans=...)``);
 * :mod:`repro.obs.provenance` — config/seed/version stamps making result
   rows self-describing.
 
 Plus the deep-profiling layer:
 
-* :mod:`repro.obs.spans` — hierarchical span trees with self vs.
-  cumulative seconds;
 * :mod:`repro.obs.sampler` — background stack sampling and allocation
   snapshots;
 * :mod:`repro.obs.export` — collapsed-stack flamegraphs and ingestible
@@ -43,7 +42,6 @@ from repro.obs.export import (
     write_flamegraph,
     write_profile,
 )
-from repro.obs.profiler import PhaseProfiler
 from repro.obs.provenance import RunProvenance, package_version
 from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.runtime import Observability, ObsConfig
@@ -65,7 +63,6 @@ __all__ = [
     "ObsConfig",
     "Observability",
     "PACKET_EVENTS",
-    "PhaseProfiler",
     "RunProvenance",
     "SamplingProfiler",
     "SpanNode",

@@ -1,11 +1,10 @@
 """Hierarchical timed spans: where the wall-clock goes, with structure.
 
-The flat :class:`~repro.obs.profiler.PhaseProfiler` accumulators answer
-"how many seconds did phase X take?" but not "inside what?" — the
-``router.*`` phases run *inside* ``dispatch.visit_start``, so their
-seconds overlap and no self-time exists.  A :class:`SpanRecorder` keeps
-the same cheap accounting (floats folded into nodes, no per-call object
-allocation) but arranges it as a tree:
+A :class:`SpanRecorder` is the one owner of phase timing.  A run asks
+for it by passing ``Observability(spans=recorder)``; without one the
+engine, the DTN-FLOW router and the utility baselines read no clock.
+The recorder keeps cheap accounting (floats folded into nodes, no
+per-call object allocation) arranged as a tree:
 
 * every span is a node addressed by its *name path* (``root >
   dispatch.visit_start > router.carrier_selection``); re-entering the
@@ -19,15 +18,16 @@ allocation) but arranges it as a tree:
   plain attribute assignment per event) and folding the accumulated
   deltas afterwards.
 
-Two usage styles mirror the old profiler:
+Two usage styles:
 
 * ``with recorder.span("name"):`` — timed scope, nests automatically;
 * ``recorder.add("name", dt)`` — fold a precomputed delta as a child of
   the current span (hot loops: two ``perf_counter`` calls, no ``with``).
 
-:class:`~repro.obs.profiler.PhaseProfiler` is now a thin shim over a
-recorder subtree; its flat ``report()`` aggregates the tree by span name
-so existing ``phase_timings`` consumers see identical keys.
+Several runs may share one recorder (``repro profile`` nests every point
+under its own span).  A run's flat ``phase_timings`` are
+:meth:`SpanRecorder.flat` of the span that was current when the run
+started, so they cover that run alone.
 """
 
 from __future__ import annotations
@@ -171,12 +171,11 @@ class SpanRecorder:
     def flat(
         self, anchor: Optional[SpanNode] = None
     ) -> Dict[str, Dict[str, float]]:
-        """Per-name totals aggregated over the subtree: the legacy flat view.
+        """Per-name totals over the subtree under ``anchor``: a run's report.
 
         Returns ``{name: {"seconds": s, "calls": n}}`` summing every node
-        with that name, so a phase timed under several parents (e.g.
-        ``drop_expired`` under both visit_start and visit_end) reports one
-        total — exactly the old :class:`PhaseProfiler` accounting.
+        with that name, so a phase timed under several parents reports one
+        total; float seconds, int calls, sorted by seconds descending.
         """
         out: Dict[str, Dict[str, float]] = {}
         base = anchor if anchor is not None else self.root
@@ -186,7 +185,7 @@ class SpanRecorder:
             slot = out.setdefault(node.name, {"seconds": 0.0, "calls": 0})
             slot["seconds"] += node.seconds
             slot["calls"] += node.calls
-        return out
+        return dict(sorted(out.items(), key=lambda kv: -kv[1]["seconds"]))
 
     def tree(self, anchor: Optional[SpanNode] = None) -> Dict[str, Any]:
         """JSON-shaped span tree with ids, parent ids and self/cum seconds.

@@ -25,13 +25,13 @@ resolved-scenario dict).
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from contextlib import nullcontext
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
+from repro.eval.runner import execute
 from repro.eval.scenario import ScenarioSpec, load_scenario
 from repro.obs import events as event_types
 from repro.obs.runtime import Observability
-from repro.sim.engine import SimConfig  # noqa: F401  (type context for entries)
-from repro.eval.experiment import execute_config
 from repro.store import ExperimentDB, scenario_for_hash
 
 __all__ = ["ReplayRequest", "replay_stream"]
@@ -140,27 +140,18 @@ def replay_stream(
     for every selected event, after the wall-clock pacing sleep; each
     payload carries the simulation timestamp ``t``, a 1-based ``seq``, and
     the elapsed wall clock ``wall_s``.  An exception raised by the sink
-    (client went away) aborts the run and propagates.
+    (client went away) aborts the run and propagates.  The point runs
+    through :func:`repro.eval.runner.execute` with ``trace_cache`` (the
+    server's, shared with its jobs) as its trace cache.
 
     Returns the replay summary: events streamed/emitted plus the finished
     run's metrics — bit-identical to the same scenario run in batch.
     """
     profile, tspec, materialized = request.spec.resolve_trace()
-    entries = request.spec.entries(profile, tspec)
-    _tspec, point, config = entries[0]
-    trace = None
-    if trace_cache is not None:
-        trace = trace_cache.get(tspec.key)
-    if trace is None:
-        trace = materialized.get(tspec.key)
-    if trace is None:
-        trace = tspec.materialize()
-    if trace_cache is not None:
-        trace_cache.setdefault(tspec.key, trace)
-
-    obs = Observability.tracing(
-        event_capacity=request.event_capacity, profile=False
-    )
+    traces = trace_cache if trace_cache is not None else {}
+    for key, trace in materialized.items():
+        traces.setdefault(key, trace)
+    obs = Observability.tracing(event_capacity=request.event_capacity)
     wanted = frozenset(request.etypes)
     state = {"n": 0, "t0": None, "wall0": 0.0}
 
@@ -187,16 +178,10 @@ def replay_stream(
         sink(event.etype, payload)
 
     obs.events.tap = tap
-    result = execute_config(
-        trace,
-        point.protocol,
-        config,
-        memory_kb=point.memory_kb,
-        rate=point.rate,
-        seed=point.seed,
-        protocol_kwargs=point.protocol_kwargs,
-        scenario=point.scenario,
-        obs=obs,
+    (result,), _ = execute(
+        request.spec.entries(profile, tspec),
+        traces=traces,
+        observe=lambda index, point: nullcontext(obs),
     )
     metrics = result.metrics.as_dict()
     metrics.pop("provenance", None)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
@@ -472,8 +473,8 @@ class RoutingProtocol:
         """
         if getattr(self, "_obs", None) is not None:
             self._obs = None
-        if getattr(self, "_prof", None) is not None:
-            self._prof = None
+        if getattr(self, "_spans", None) is not None:
+            self._spans = None
 
     def attach_runtime(self, world: World) -> None:
         """Re-wire runtime references after a snapshot or restore."""
@@ -770,15 +771,15 @@ class Simulation:
         self, events: Iterable[Tuple[float, int, int, object]],
         acc: List[float], cnt: List[int],
     ) -> Iterator[Tuple[float, int, int, object]]:
-        """Per-kind dispatch timing: the wrapper for profiled runs.
+        """Per-kind dispatch timing: the wrapper for runs given a recorder.
 
         Parks the span cursor on the kind's dispatch node while the event's
-        handler runs, so protocol-side ``prof.add()`` calls (router.*,
+        handler runs, so protocol-side ``spans.add()`` calls (router.*,
         baseline.*) nest under the dispatch span that triggered them, and
         accumulates each handler's seconds and calls into ``acc``/``cnt``
-        (folded into the profiler once, by :meth:`_fold_dispatch`).
+        (folded into the recorder once, by :meth:`_fold_dispatch`).
         """
-        rec = self.obs.profiler.recorder
+        rec = self.obs.spans
         anchor = rec.current
         nodes = [rec.node(name, anchor) for name in self._DISPATCH_PHASES]
         clock = perf_counter
@@ -794,10 +795,10 @@ class Simulation:
             rec.current = anchor
 
     def _fold_dispatch(self, acc: List[float], cnt: List[int]) -> None:
-        prof = self.obs.profiler
+        spans = self.obs.spans
         for kind, name in enumerate(self._DISPATCH_PHASES):
             if cnt[kind]:
-                prof.add(name, acc[kind], cnt[kind])
+                spans.add(name, acc[kind], cnt[kind])
 
     def run(self) -> MetricsSummary:
         return self._replay(None)
@@ -819,26 +820,34 @@ class Simulation:
         return self._replay(checkpointer)
 
     def _replay(self, checkpointer) -> MetricsSummary:
-        prof = self.obs.profiler
+        """One run; its phases are timed only when ``obs.spans`` is set.
+
+        A timed run records under the span current when it starts, and
+        its ``phase_timings`` are that span's flat report, so runs
+        sharing a recorder each report only their own phases.
+        """
+        spans = self.obs.spans
+        phase = spans.span if spans is not None else _untimed
+        anchor = spans.current if spans is not None else None
         world = self.world
         skip = checkpointer.restore(self) if checkpointer is not None else 0
         if skip == 0:
-            with prof.phase("setup"):
+            with phase("setup"):
                 self.protocol.setup(world)
-        t0 = perf_counter()
-        events = self._events()
-        prof.add("event_assembly", perf_counter() - t0)
+        with phase("event_assembly"):
+            events = self._events()
 
         if checkpointer is not None:
             events = checkpointer.replay(self, events, skip)
         acc, cnt = [0.0] * 5, [0] * 5
-        if prof.enabled:
+        if spans is not None:
             events = self._timed(events, acc, cnt)
         self._dispatch(events)
-        self._fold_dispatch(acc, cnt)
+        if spans is not None:
+            self._fold_dispatch(acc, cnt)
 
         world.now = self.trace.end_time
-        with prof.phase("finalize"):
+        with phase("finalize"):
             self.protocol.finalize(world)
         provenance = RunProvenance.from_run(
             self.protocol.name, self.trace.name, self.config, scenario=self.scenario
@@ -847,8 +856,13 @@ class Simulation:
             self.protocol.name,
             self.trace.name,
             provenance=provenance,
-            phase_timings=prof.report() if prof.enabled else None,
+            phase_timings=spans.flat(anchor) if spans is not None else None,
         )
+
+
+def _untimed(name: str) -> nullcontext:
+    """The phase scope of a run given no span recorder: reads no clock."""
+    return nullcontext()
 
 
 def run_simulation(

@@ -58,7 +58,8 @@ class MetricsSummary:
     #: config/seed/version stamp making the row self-describing (run
     #: provenance); None for hand-built summaries
     provenance: Optional[RunProvenance] = None
-    #: wall-clock seconds per engine phase for this run (PhaseProfiler);
+    #: wall-clock seconds per engine phase for this run, set only when
+    #: the run was given a span recorder (``Observability(spans=...)``);
     #: excluded from equality — identical runs differ in wall-clock
     phase_timings: Optional[Dict[str, Dict[str, float]]] = field(
         default=None, compare=False

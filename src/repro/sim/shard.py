@@ -38,6 +38,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple
 
 from repro.mobility.trace import VisitRecord
 from repro.obs.runtime import Observability
+from repro.obs.spans import SpanRecorder
 from repro.sim.engine import (
     _PACKET_GEN,
     _VISIT_END,
@@ -272,10 +273,10 @@ class ShardEngine(Simulation):
         """Dispatch one epoch through the engine loop, deliveries tagged.
 
         Per-kind dispatch timing accumulates in ``_acc``/``_cnt`` across
-        epochs; the worker folds it into the profiler once, at finish.
+        epochs; the worker folds it into its span recorder once, at finish.
         """
         events = self._tagged(events)
-        if self.obs.profiler.enabled:
+        if self.obs.spans is not None:
             events = self._timed(events, self._acc, self._cnt)
         self._dispatch(events)
 
@@ -421,9 +422,9 @@ def shard_worker(conn, init: ShardInit) -> None:
     try:
         from repro.baselines import make_protocol  # lazy: sim must not import baselines
 
-        obs = Observability()  # events off, profiler on
-        prof = obs.profiler
-        with prof.phase("setup"):
+        spans = SpanRecorder()
+        obs = Observability(spans=spans)  # events off, phases timed
+        with spans.span("setup"):
             protocol = make_protocol(
                 init.protocol_name, **(init.protocol_kwargs or {})
             )
@@ -431,7 +432,7 @@ def shard_worker(conn, init: ShardInit) -> None:
             protocol.setup(engine.world)
         t0 = perf_counter()
         epochs = _build_epochs(init)
-        prof.add("event_assembly", perf_counter() - t0)
+        spans.add("event_assembly", perf_counter() - t0)
 
         for k in range(len(init.cuts) + 1):
             msg = conn.recv()
@@ -452,7 +453,7 @@ def shard_worker(conn, init: ShardInit) -> None:
             raise RuntimeError(f"shard {init.shard_id}: unexpected message {msg[:1]}")
         engine.world.now = init.view.end_time
         engine.metrics.begin_event((float("inf"), 9, init.shard_id))
-        with prof.phase("finalize"):
+        with spans.span("finalize"):
             protocol.finalize(engine.world)
         engine._fold_dispatch(engine._acc, engine._cnt)
         metrics = engine.metrics
@@ -467,7 +468,7 @@ def shard_worker(conn, init: ShardInit) -> None:
                     "dropped_ttl": metrics.dropped_ttl,
                     "n_events": sum(engine._cnt),
                     "max_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
-                    "phase_timings": prof.report(),
+                    "phase_timings": spans.flat(),
                 },
             )
         )

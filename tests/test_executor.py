@@ -16,14 +16,16 @@ import shutil
 import subprocess
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 
 import pytest
 
 from repro.eval.resume import create_run, resume_run, run_resumable
-from repro.eval.runner import SweepInterrupted, run_point_specs
+from repro.eval.runner import SweepInterrupted, execute, run_point_specs
 from repro.eval.scenario import ScenarioSpec
 from repro.mobility import io as trace_io
-from repro.obs import events as event_types
+from repro.obs import Observability, events as event_types
 from repro.serve import JobManager
 from repro.sim.checkpoint import InterruptFlag, SimulatedCrash
 
@@ -230,3 +232,38 @@ def test_spawned_pool_runs_the_parents_trace(spec, reference, tmp_path, child_en
     # every point ran in a worker: none failed over to the parent
     assert len(out["pids"]) == 3 and out["parent"] not in out["pids"]
     assert "re-running serially" not in proc.stderr
+
+
+@pytest.mark.parametrize("where", ["jobs=2", "pool"])
+def test_observe_refuses_points_outside_the_process(spec, where):
+    """An Observability cannot cross a process boundary."""
+    def observe(index, point):
+        return nullcontext(Observability())
+
+    if where == "jobs=2":
+        with pytest.raises(ValueError, match="observe"):
+            execute(spec.entries(), jobs=2, observe=observe)
+        return
+    pool = ProcessPoolExecutor(max_workers=1)
+    try:
+        with pytest.raises(ValueError, match="observe"):
+            execute(spec.entries(), pool=pool, observe=observe)
+    finally:
+        pool.shutdown()
+
+
+def test_observed_points_match_the_plain_run(spec, reference):
+    """The hook hands each point its own Observability, in grid order."""
+    seen = []
+
+    def observe(index, point):
+        obs = Observability()
+        seen.append((index, point.protocol, obs))
+        return nullcontext(obs)
+
+    results, _ = execute(spec.entries(), observe=observe)
+    assert values(results) == reference
+    assert [(i, p) for i, p, _ in seen] == [
+        (0, "DTN-FLOW"), (1, "Direct"), (2, "Epidemic")
+    ]
+    assert all(obs.registry.counter("packets.generated").value for *_, obs in seen)

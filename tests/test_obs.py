@@ -11,8 +11,8 @@ from repro.obs import (
     MetricsRegistry,
     Observability,
     ObsConfig,
-    PhaseProfiler,
     RunProvenance,
+    SpanRecorder,
     event_types as ev,
 )
 from repro.sim.engine import SimConfig
@@ -154,37 +154,31 @@ class TestMetricsRegistry:
         assert rows[1][1] == "counter"
 
 
-class TestPhaseProfiler:
+class TestPhaseReport:
+    """A run's ``phase_timings``: the flat report of a span recorder."""
+
     def test_add_and_report(self):
-        prof = PhaseProfiler()
-        prof.add("hot", 0.5, calls=10)
-        prof.add("hot", 0.5, calls=10)
-        prof.add("cold", 0.1)
-        assert prof.seconds("hot") == 1.0
-        assert prof.calls("hot") == 20
-        report = prof.report()
+        spans = SpanRecorder()
+        spans.add("hot", 0.5, calls=10)
+        spans.add("hot", 0.5, calls=10)
+        spans.add("cold", 0.1)
+        report = spans.flat()
         assert list(report) == ["hot", "cold"]  # sorted by seconds desc
+        assert report["hot"] == {"seconds": 1.0, "calls": 20}
         assert report["cold"] == {"seconds": 0.1, "calls": 1}
 
     def test_context_manager(self):
-        prof = PhaseProfiler()
-        with prof.phase("block"):
+        spans = SpanRecorder()
+        with spans.span("block"):
             pass
-        assert prof.calls("block") == 1
-        assert prof.seconds("block") >= 0.0
-
-    def test_disabled_profiler_accumulates_nothing(self):
-        prof = PhaseProfiler(enabled=False)
-        prof.add("x", 1.0)
-        with prof.phase("y"):
-            pass
-        assert prof.report() == {}
+        assert spans.flat()["block"]["calls"] == 1
+        assert spans.flat()["block"]["seconds"] >= 0.0
 
     def test_clear(self):
-        prof = PhaseProfiler()
-        prof.add("x", 1.0)
-        prof.clear()
-        assert prof.report() == {}
+        spans = SpanRecorder()
+        spans.add("x", 1.0)
+        spans.clear()
+        assert spans.flat() == {}
 
 
 class TestProvenance:
@@ -258,7 +252,7 @@ class TestObservability:
         obs = Observability()
         assert not obs.enabled
         assert not obs.events.enabled
-        assert obs.profiler.enabled  # cheap phase timers stay on
+        assert obs.spans is None  # phase timing is asked for, never default
 
     def test_tracing_constructor(self):
         obs = Observability.tracing(event_capacity=128)
@@ -270,10 +264,10 @@ class TestObservability:
             ObsConfig(event_capacity=-1)
 
     def test_stats_dict_shape(self):
-        obs = Observability.tracing()
+        obs = Observability(ObsConfig(enabled=True), spans=SpanRecorder())
         obs.events.emit(1.0, ev.GENERATED, packet=0)
         obs.registry.counter("c").inc()
-        obs.profiler.add("p", 0.1)
+        obs.spans.add("p", 0.1)
         d = obs.stats_dict()
         assert d["events"]["recorded"] == 1
         assert d["events"]["by_type"] == {"generated": 1}

@@ -3,8 +3,12 @@
 import pytest
 
 from repro.baselines import make_protocol
+from repro.eval.resume import create_run, run_resumable
+from repro.eval.runner import run_point_specs
+from repro.eval.scenario import ScenarioSpec
+from repro.mobility import io as trace_io
 from repro.mobility.trace import days
-from repro.obs import EventLog, Observability, event_types as ev
+from repro.obs import EventLog, Observability, ObsConfig, SpanRecorder, event_types as ev
 from repro.sim.engine import SimConfig, Simulation
 
 
@@ -23,9 +27,9 @@ def _tiny_config() -> SimConfig:
 
 @pytest.fixture(scope="module")
 def traced_run(dart_tiny):
-    """One fully traced DTN-FLOW run on the tiny DART trace."""
+    """One fully traced, phase-timed DTN-FLOW run on the tiny DART trace."""
     config = _tiny_config()
-    obs = Observability.tracing()
+    obs = Observability(ObsConfig(enabled=True), spans=SpanRecorder())
     summary = Simulation(dart_tiny, make_protocol("DTN-FLOW"), config,
                          obs=obs).run()
     return dart_tiny, obs, summary
@@ -72,7 +76,7 @@ class TestTracedRun:
 
     def test_phase_timings_cover_the_run(self, traced_run):
         _, obs, _ = traced_run
-        report = obs.profiler.report()
+        report = obs.spans.flat()
         for phase in ("setup", "event_assembly", "dispatch.visit_start",
                       "router.carrier_selection", "finalize"):
             assert phase in report, f"missing phase {phase}"
@@ -128,3 +132,41 @@ class TestDisabledTracing:
                             tiny_sim_config,
                             obs=Observability.tracing()).run()
         assert plain == traced  # phase_timings excluded from equality
+
+    @pytest.mark.parametrize("path", ["simulation", "jobs=1", "jobs=2", "resumable"])
+    def test_default_run_times_nothing(self, path, dart_tiny, tiny_sim_config,
+                                       tmp_path, monkeypatch):
+        """Without a span recorder no path reads a phase timer: make every
+        timing entry point explode, then run."""
+
+        def boom(*a, **k):  # pragma: no cover - must never run
+            raise AssertionError("a run given no span recorder timed a phase")
+
+        monkeypatch.setattr(SpanRecorder, "add", boom)
+        monkeypatch.setattr(SpanRecorder, "span", boom)
+        monkeypatch.setattr(Simulation, "_timed", boom)
+        if path == "simulation":
+            summary = Simulation(
+                dart_tiny, make_protocol("DTN-FLOW"), tiny_sim_config
+            ).run()
+            assert summary.generated > 0 and summary.phase_timings is None
+            return
+        csv = tmp_path / "tiny.csv"
+        trace_io.dump_trace(dart_tiny, csv)
+        spec = ScenarioSpec.from_dict({
+            "trace": {"path": str(csv)},
+            "sim": {"memory_kb": 2000, "rate": 150, "workload_scale": 0.02},
+            "protocols": ["DTN-FLOW", "PROPHET"],
+            "seeds": [1],
+        }).validate()
+        if path == "resumable":
+            run_dir = create_run(tmp_path / "run", spec, every_events=400)
+            res, _ = run_resumable(spec, run_dir, every_events=400)
+            results = res.results
+            assert any(
+                r["event"] == ev.EXECUTOR_CHECKPOINT
+                for r in run_dir.recovery_log().records()
+            ), "no checkpoint was saved"
+        else:
+            results = run_point_specs(spec.entries(), jobs=int(path[-1]))
+        assert [r.metrics.phase_timings for r in results] == [None, None]

@@ -5,11 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.eval.profiling import (
-    point_label,
-    profile_scenario,
-    timed_scenario_run,
-)
+from repro.eval.profiling import point_label, profile_scenario
 from repro.eval.runner import PointSpec, ProgressEvent, TraceSpec, run_point_specs
 from repro.eval.scenario import ScenarioSpec, run_scenario
 from repro.eval.config import TraceProfile
@@ -77,6 +73,20 @@ class TestProfileScenario:
         child_names = {c["name"] for c in pt.get("children", [])}
         assert "dispatch.visit_start" in child_names
 
+    def test_each_result_reports_only_its_point(self):
+        """Points share one recorder; each result's phase_timings are the
+        flat report of its own point span."""
+        spec = ScenarioSpec.from_dict(
+            fast_manifest(protocols=["DTN-FLOW", "PROPHET"])
+        ).validate()
+        run = profile_scenario(spec, sample=False)
+        profile_node = run.recorder.root.children["profile"]
+        assert len(run.results) == 2
+        for point, result in zip(run.points, run.results):
+            node = profile_node.children[point_label(point)]
+            assert result.metrics.phase_timings == run.recorder.flat(node)
+            assert result.metrics.phase_timings["setup"]["calls"] == 1
+
     def test_phases_drop_wrapper_spans(self, profiled):
         phases = profiled.phases()
         assert phases
@@ -105,10 +115,6 @@ class TestProfileScenario:
         assert point_label(profiled.points[0]) == (
             "point[DTN-FLOW mem=2000 rate=100 seed=1]"
         )
-
-    def test_timed_scenario_run_returns_wall_and_results(self, fast_spec):
-        wall, results = timed_scenario_run(fast_spec, profile_enabled=False)
-        assert wall > 0 and len(results) == 1
 
 
 class TestProfileStoreRoundTrip:
@@ -213,24 +219,3 @@ class TestProgressTelemetry:
         without = run_point_specs(pts, jobs=1)
         assert [r.metrics for r in with_cb] == [r.metrics for r in without]
 
-
-class TestPhaseKeyIdentity:
-    def test_jobs_n_and_serial_merge_identical_phase_keys(self, tiny_sweep):
-        """Satellite: parallel merge must not rename or drop phase keys."""
-        args = ("memory_kb", [500.0, 2000.0], ["DTN-FLOW"])
-        serial = tiny_sweep(*args, jobs=1, rate=150.0)
-        parallel = tiny_sweep(*args, jobs=2, rate=150.0)
-        assert set(serial.phase_timings) == set(parallel.phase_timings)
-        for name in serial.phase_timings:
-            assert (
-                serial.phase_timings[name]["calls"]
-                == parallel.phase_timings[name]["calls"]
-            )
-
-    def test_phase_rows_carry_floats(self, tiny_sweep):
-        result = tiny_sweep("memory_kb", [500.0], ["DTN-FLOW"], rate=150.0)
-        rows = result.phase_rows()
-        assert rows
-        for name, seconds, calls in rows:
-            assert isinstance(seconds, float)
-            assert isinstance(calls, int)

@@ -211,15 +211,6 @@ class TestSweepParallel:
         assert parallel.values == serial.values
         assert parallel.provenance == serial.provenance
 
-    def test_parallel_sweep_merges_phase_timings(self, tiny_sweep):
-        result = tiny_sweep(
-            "memory_kb", [500.0, 2000.0], ["DTN-FLOW"], jobs=2, rate=150.0
-        )
-        assert result.phase_timings, "worker phase timings were not merged back"
-        assert any(name.startswith("dispatch.") for name in result.phase_timings)
-        rows = result.phase_rows()
-        assert rows and all(len(r) == 3 for r in rows)
-
 
 def _summary(success=0.5, delay=100.0):
     return MetricsSummary(

@@ -467,6 +467,26 @@ def test_replay_metrics_match_batch_and_pacing_dilates(tmp_path):
         assert d["wall_s"] >= (d["t"] - t0) / speed - 0.05
 
 
+def test_replay_runs_on_the_servers_trace_cache(monkeypatch):
+    """The replayed point builds its trace into the cache it is handed
+    (the server's, shared with its jobs) and reuses it from there."""
+    from repro.eval.runner import TraceSpec
+
+    manifest = scenario("replay-cache")
+    cache: dict = {}
+    request = ReplayRequest.from_payload({"scenario": manifest, "limit": 5})
+    first = replay_stream(request, lambda e, d: None, trace_cache=cache)
+    (key,) = cache
+    assert key.startswith("profile:DART:1:")
+
+    def no_build(self):  # pragma: no cover - must never run
+        raise AssertionError("replay rebuilt a cached trace")
+
+    monkeypatch.setattr(TraceSpec, "materialize", no_build)
+    again = replay_stream(request, lambda e, d: None, trace_cache=cache)
+    assert again["metrics"] == first["metrics"]
+
+
 def test_replay_http_endpoint_streams_and_finishes(server):
     srv, client = server
     frames = list(client.replay(scenario("replay-http"), speed=0, limit=25))

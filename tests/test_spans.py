@@ -1,5 +1,6 @@
-"""Tests for hierarchical spans (repro.obs.spans), the PhaseProfiler shim,
-the sampling profiler, and the flamegraph/span-tree exports."""
+"""Tests for hierarchical spans (repro.obs.spans) and the per-run phase
+reports they give, the sampling profiler, and the flamegraph/span-tree
+exports."""
 
 from __future__ import annotations
 
@@ -7,7 +8,8 @@ import json
 import threading
 import time
 
-from repro.obs import Observability, ObsConfig
+from repro.baselines import make_protocol
+from repro.obs import Observability
 from repro.obs.export import (
     collapsed_lines,
     profile_payload,
@@ -15,9 +17,9 @@ from repro.obs.export import (
     span_tree_rows,
     write_flamegraph,
 )
-from repro.obs.profiler import PhaseProfiler
 from repro.obs.sampler import SamplingProfiler, frame_label
 from repro.obs.spans import SpanRecorder
+from repro.sim.engine import Simulation
 
 
 class TestSpanRecorder:
@@ -133,45 +135,42 @@ class TestSpanRecorder:
         assert rec.current is rec.root
 
 
-class TestPhaseProfilerShim:
+class TestPerRunReports:
     def test_rows_returns_float_seconds(self):
-        """Satellite fix: rows() carries floats; formatting is the CLI's job."""
-        prof = PhaseProfiler(enabled=True)
-        prof.add("phase", 0.125)
-        rows = prof.rows()
-        assert rows == [("phase", 0.125, 1)]
-        assert isinstance(rows[0][1], float)
+        """A report carries float seconds and int calls; formatting is the
+        CLI's job."""
+        rec = SpanRecorder()
+        rec.add("phase", 0.125)
+        assert rec.flat() == {"phase": {"seconds": 0.125, "calls": 1}}
+        (row,) = rec.flat().values()
+        assert isinstance(row["seconds"], float)
+        assert isinstance(row["calls"], int)
 
     def test_report_sorted_by_seconds_desc(self):
-        prof = PhaseProfiler(enabled=True)
-        prof.add("cheap", 0.1)
-        prof.add("dear", 0.9)
-        assert list(prof.report()) == ["dear", "cheap"]
-
-    def test_disabled_profiler_records_nothing(self):
-        prof = PhaseProfiler(enabled=False)
-        prof.add("phase", 1.0)
-        with prof.phase("scoped"):
-            pass
-        assert prof.report() == {}
-
-    def test_anchor_isolates_runs_on_shared_recorder(self):
-        """Two profilers on one recorder see only their own subtree."""
         rec = SpanRecorder()
-        with rec.span("run1"):
-            p1 = PhaseProfiler(enabled=True, recorder=rec)
-            p1.add("phase", 0.1)
-        with rec.span("run2"):
-            p2 = PhaseProfiler(enabled=True, recorder=rec)
-            p2.add("phase", 0.2)
-        assert p1.report()["phase"]["seconds"] == 0.1
-        assert p2.report()["phase"]["seconds"] == 0.2
+        rec.add("cheap", 0.1)
+        rec.add("dear", 0.9)
+        assert list(rec.flat()) == ["dear", "cheap"]
 
-    def test_observability_accepts_injected_profiler(self):
+    def test_anchor_isolates_runs_on_shared_recorder(
+        self, dart_tiny, tiny_sim_config
+    ):
+        """Two runs on one recorder each report only their own phases."""
         rec = SpanRecorder()
-        prof = PhaseProfiler(enabled=True, recorder=rec)
-        obs = Observability(ObsConfig(profile=False), profiler=prof)
-        assert obs.profiler is prof
+        summaries = []
+        for name in ("run1", "run2"):
+            with rec.span(name):
+                summaries.append(Simulation(
+                    dart_tiny, make_protocol("DTN-FLOW"), tiny_sim_config,
+                    obs=Observability(spans=rec),
+                ).run())
+        first, second = (s.phase_timings for s in summaries)
+        assert first == rec.flat(rec.root.children["run1"])
+        assert second == rec.flat(rec.root.children["run2"])
+        # same run twice: the same events, each counted once per report
+        calls = {name: r["calls"] for name, r in first.items()}
+        assert calls == {name: r["calls"] for name, r in second.items()}
+        assert rec.flat()["setup"]["calls"] == 2
 
 
 class TestSamplingProfiler:

@@ -101,9 +101,9 @@ def test_resume_finishes_a_sharded_run_dir_serially(two_points, tmp_path, monkey
     ran = []
     run_entry = runner._run_entry
 
-    def counting(trace, point, config, checkpointer=None):
+    def counting(trace, point, config, *rest):
         ran.append(point.protocol)
-        return run_entry(trace, point, config, checkpointer)
+        return run_entry(trace, point, config, *rest)
 
     monkeypatch.setattr(runner, "_run_entry", counting)
     out = tmp_path / "resumed.json"
