@@ -14,6 +14,9 @@ layer shows up directly instead of being averaged into a 30-point sweep:
   preprocessing pipeline, the cost every sweep and job pays once;
 * **stream pass** — one pass over a 500-node campus ``TraceStream``:
   per-node generators, the heap merge and the order check;
+* **streamed DTN-FLOW point** — one serial DTN-FLOW run over that stream
+  (the ``campus-stream`` benchmark's point): stream replay, dispatch and
+  the DTN-FLOW control plane, with the routing-table writes it made;
 * **resume** — a resume reads back the trace its run directory stored at
   the first checkpoint instead of rebuilding it: the read against the
   build (small DART; paper-scale under ``REPRO_FULL_SCALE=1``), and
@@ -32,6 +35,7 @@ from __future__ import annotations
 import os
 from time import perf_counter
 
+from repro.baselines import make_protocol
 from repro.core.routing_table import RouteEntry, RoutingTable, TableSnapshot
 from repro.eval.resume import create_run, resume_run, run_resumable
 from repro.eval.runner import TraceSpec
@@ -201,6 +205,38 @@ def test_stream_pass_micro():
         "cpu_count": os.cpu_count(),
     })
     assert n_records == len(stream) > 10_000
+
+
+def test_streamed_dtnflow_point_micro():
+    # the campus-stream point: DTN-FLOW over the 500-node stream with a
+    # 0.5-day time unit (the 3-day default spans the whole 5-day trace)
+    stream = CampusMobilityModel(CAMPUS_500, seed=1).trace_stream()
+    config = SimConfig(
+        seed=1, rate_per_landmark_per_day=20.0, workload_scale=0.1,
+        node_memory_kb=2000.0, generation_end_fraction=0.7,
+        time_unit=days(0.5), ttl=days(2.0),
+    )
+    protocol = make_protocol("DTN-FLOW")
+
+    t0 = perf_counter()
+    summary = Simulation(stream, protocol, config).run()
+    elapsed = perf_counter() - t0
+
+    n_events = 2 * len(stream) + summary.generated  # visits and births
+    rate = n_events / elapsed if elapsed > 0 else float("inf")
+    record_bench("streamed_dtnflow_point", {
+        "nodes": CAMPUS_500.n_nodes,
+        "records": len(stream),
+        "events": n_events,
+        "seconds": round(elapsed, 4),
+        "events_per_second": round(rate, 1),
+        # routing-table writes that changed an entry, over all stations
+        "table_versions": sum(t.version for t in protocol.routing_tables().values()),
+        "success_rate": round(summary.success_rate, 4),
+        "cpu_count": os.cpu_count(),
+    })
+    assert summary.generated > 0
+    assert summary.success_rate >= 0.5  # the regime the benchmark gates on
 
 
 def _crashed_run(path, spec: ScenarioSpec, every: int, cache) -> RunDir:

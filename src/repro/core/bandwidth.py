@@ -29,8 +29,7 @@ needs: delay is inversely proportional to measured bandwidth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.utils.validation import require_in_range, require_positive
 
@@ -38,13 +37,13 @@ from repro.utils.validation import require_in_range, require_positive
 EPSILON_BANDWIDTH = 1e-6
 
 
-@dataclass(frozen=True)
-class BackwardReport:
+class BackwardReport(NamedTuple):
     """Out-bandwidth feedback carried from landmark ``observer`` to ``target``.
 
-    ``bandwidths`` maps source landmark -> smoothed bandwidth of the link
-    ``target -> observer`` as measured at ``observer``... concretely, the
-    report tells ``target`` its *outgoing* bandwidth toward ``observer``.
+    ``bandwidth`` is the smoothed bandwidth of the link ``target ->
+    observer`` as measured at ``observer`` (its incoming bandwidth from
+    ``target``), i.e. ``target``'s *outgoing* bandwidth toward
+    ``observer``; ``seq`` is the observer's time-unit sequence number.
     """
 
     observer: int
@@ -175,9 +174,7 @@ class BandwidthEstimator:
         bw = self._in_bw.get(target)
         if bw is None:
             return None
-        return BackwardReport(
-            observer=self.landmark_id, target=target, seq=self._seq, bandwidth=bw
-        )
+        return BackwardReport(self.landmark_id, target, self._seq, bw)
 
     # -- queries --------------------------------------------------------------------
     def incoming_bandwidth(self, src_landmark: int) -> float:

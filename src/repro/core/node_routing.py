@@ -30,7 +30,10 @@ class NodeLocationRegistry:
 
     # -- learning ---------------------------------------------------------------
     def record_visit(self, node: int, landmark: int) -> None:
-        self._visits.setdefault(node, Counter())[landmark] += 1
+        counts = self._visits.get(node)
+        if counts is None:
+            counts = self._visits[node] = Counter()
+        counts[landmark] += 1
 
     def bulk_load(self, node: int, landmark_counts: Dict[int, int]) -> None:
         """Register a node's self-reported visit summary."""

@@ -158,8 +158,12 @@ class MarkovPredictor:
         dist = self.distribution(joint=joint)
         if not dist:
             return None
-        lm = max(dist, key=lambda x: (dist[x], -x))
-        return lm, dist[lm]
+        # highest probability; ties go to the smallest landmark id
+        best, best_p = None, -1.0
+        for lm, p in dist.items():
+            if p > best_p or (p == best_p and lm < best):
+                best, best_p = lm, p
+        return best, best_p
 
     def probability_of(self, landmark: int, *, joint: bool = False) -> float:
         """P(next transit goes to ``landmark``), 0.0 if unknown."""

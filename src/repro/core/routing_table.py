@@ -17,32 +17,46 @@ delay via a different next hop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
-
 import math
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 
-@dataclass(frozen=True)
-class RouteEntry:
-    """One routing-table row (Table V layout: primary + backup next hop)."""
-
+class _RouteFields(NamedTuple):
     dest: int
     next_hop: int
     delay: float
     backup_next_hop: Optional[int] = None
     backup_delay: float = math.inf
 
-    def __post_init__(self) -> None:
-        if self.delay < 0:
-            raise ValueError(f"negative delay for dest {self.dest}: {self.delay}")
+
+class RouteEntry(_RouteFields):
+    """One routing-table row (Table V layout: primary + backup next hop).
+
+    A tuple of ``(dest, next_hop, delay, backup_next_hop, backup_delay)``:
+    built without a frozen dataclass's per-field ``object.__setattr__`` (a
+    run builds tens of thousands), and compared, hashed and pickled as a
+    tuple.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        dest: int,
+        next_hop: int,
+        delay: float,
+        backup_next_hop: Optional[int] = None,
+        backup_delay: float = math.inf,
+    ) -> "RouteEntry":
+        if delay < 0:
+            raise ValueError(f"negative delay for dest {dest}: {delay}")
         # NB: within the table's switch hysteresis band the backup may carry
         # a marginally lower delay than the primary (a near-equal alternative
         # that was not worth switching to), so no ordering invariant here.
+        return tuple.__new__(cls, (dest, next_hop, delay, backup_next_hop, backup_delay))
 
 
-@dataclass(frozen=True)
-class TableSnapshot:
+class TableSnapshot(NamedTuple):
     """An immutable copy of a landmark's table, as carried by mobile nodes."""
 
     origin: int
@@ -73,12 +87,12 @@ class RoutingTable:
         self._entries: Dict[int, RouteEntry] = {}
         # freshest table seq seen per neighbour (staleness check)
         self._neighbor_seq: Dict[int, int] = {}
-        #: bumped on every entry mutation; memoized readers (the sorted
-        #: entries list here, per-packet lookups in the router/scheduler)
-        #: invalidate against it instead of recomputing per packet
+        #: moves when an entry changes (a write that would rebuild an equal
+        #: entry returns first); the sorted-entries cache behind
+        #: :meth:`entries` and :meth:`snapshot` is keyed on it
         self.version = 0
         self._entries_cache_version = -1
-        self._entries_cache: List[RouteEntry] = []
+        self._entries_cache: Tuple[RouteEntry, ...] = ()
 
     # -- local link updates -------------------------------------------------------
     def set_direct_link(self, neighbor: int, delay: float) -> None:
@@ -91,35 +105,36 @@ class RoutingTable:
         if neighbor == self.landmark_id:
             return
         cur = self._entries.get(neighbor)
-        if cur is not None and cur.next_hop != neighbor and delay >= cur.delay:
-            # a learned multi-hop route is better; keep the direct link as
-            # the backup alternative
-            self._offer_route(neighbor, neighbor, delay)
-            return
-        if cur is None or delay < cur.delay or cur.next_hop == neighbor:
-            backup_hop, backup_delay = (None, math.inf)
-            if cur is not None and cur.next_hop != neighbor:
-                backup_hop, backup_delay = cur.next_hop, cur.delay
-            elif cur is not None:
-                backup_hop, backup_delay = cur.backup_next_hop, cur.backup_delay
-            if backup_hop is not None and backup_delay < self.switch_hysteresis * delay:
-                # direct link got clearly worse than the alternative: swap
-                self._entries[neighbor] = RouteEntry(
-                    dest=neighbor,
-                    next_hop=backup_hop,
-                    delay=backup_delay,
-                    backup_next_hop=neighbor,
-                    backup_delay=delay,
-                )
-            else:
-                self._entries[neighbor] = RouteEntry(
-                    dest=neighbor,
-                    next_hop=neighbor,
-                    delay=delay,
-                    backup_next_hop=backup_hop,
-                    backup_delay=backup_delay,
-                )
+        if cur is None:
+            self._entries[neighbor] = RouteEntry(neighbor, neighbor, delay)
             self.version += 1
+            return
+        _, cur_hop, cur_delay, backup_hop, backup_delay = cur
+        if cur_hop != neighbor:
+            if delay >= cur_delay:
+                # a learned multi-hop route is better; keep the direct link
+                # as the backup alternative
+                self._offer_route(neighbor, neighbor, delay)
+            elif delay < cur_delay:  # not ``else``: a NaN delay takes neither
+                # the direct link beats the learned route, which becomes the
+                # backup (never swapped back: hysteresis * delay < cur_delay)
+                self._entries[neighbor] = RouteEntry(
+                    neighbor, neighbor, delay, cur_hop, cur_delay
+                )
+                self.version += 1
+            return
+        if backup_hop is not None and backup_delay < self.switch_hysteresis * delay:
+            # direct link got clearly worse than the alternative: swap
+            self._entries[neighbor] = RouteEntry(
+                neighbor, backup_hop, backup_delay, neighbor, delay
+            )
+        elif delay == cur_delay:
+            return  # the refresh measured the same delay: entry unchanged
+        else:
+            self._entries[neighbor] = RouteEntry(
+                neighbor, neighbor, delay, backup_hop, backup_delay
+            )
+        self.version += 1
 
     # -- distance-vector merging ------------------------------------------------
     def merge_snapshot(self, snap: TableSnapshot, link_delay: float) -> bool:
@@ -152,38 +167,32 @@ class RoutingTable:
         """Consider routing to ``dest`` through neighbour ``via``."""
         cur = self._entries.get(dest)
         if cur is None:
-            self._entries[dest] = RouteEntry(dest=dest, next_hop=via, delay=delay)
+            self._entries[dest] = RouteEntry(dest, via, delay)
             self.version += 1
             return
-        if via == cur.next_hop:
+        _, cur_hop, cur_delay, backup_hop, backup_delay = cur
+        if via == cur_hop:
             # fresher info over the same next hop replaces the delay outright
-            if delay != cur.delay:
-                backup_hop, backup_delay = cur.backup_next_hop, cur.backup_delay
-                if backup_hop is not None and backup_delay < self.switch_hysteresis * delay:
-                    self._entries[dest] = RouteEntry(
-                        dest=dest, next_hop=backup_hop, delay=backup_delay,
-                        backup_next_hop=via, backup_delay=delay,
-                    )
-                else:
-                    self._entries[dest] = RouteEntry(
-                        dest=dest, next_hop=via, delay=delay,
-                        backup_next_hop=backup_hop, backup_delay=backup_delay,
-                    )
-                self.version += 1
-            return
-        if delay < self.switch_hysteresis * cur.delay:
+            if delay == cur_delay:
+                return  # the same delay again: entry unchanged
+            if backup_hop is not None and backup_delay < self.switch_hysteresis * delay:
+                self._entries[dest] = RouteEntry(
+                    dest, backup_hop, backup_delay, via, delay
+                )
+            else:
+                self._entries[dest] = RouteEntry(
+                    dest, via, delay, backup_hop, backup_delay
+                )
+        elif delay < self.switch_hysteresis * cur_delay:
             # clearly better: new primary; old primary becomes the backup
-            self._entries[dest] = RouteEntry(
-                dest=dest, next_hop=via, delay=delay,
-                backup_next_hop=cur.next_hop, backup_delay=cur.delay,
-            )
-            self.version += 1
-        elif via == cur.backup_next_hop or delay < cur.backup_delay:
-            self._entries[dest] = RouteEntry(
-                dest=dest, next_hop=cur.next_hop, delay=cur.delay,
-                backup_next_hop=via, backup_delay=delay,
-            )
-            self.version += 1
+            self._entries[dest] = RouteEntry(dest, via, delay, cur_hop, cur_delay)
+        elif via == backup_hop and delay == backup_delay:
+            return  # the offer repeats the backup route: entry unchanged
+        elif via == backup_hop or delay < backup_delay:
+            self._entries[dest] = RouteEntry(dest, cur_hop, cur_delay, via, delay)
+        else:
+            return
+        self.version += 1
 
     # -- queries --------------------------------------------------------------------
     def lookup(self, dest: int) -> Optional[RouteEntry]:
@@ -208,18 +217,20 @@ class RoutingTable:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def entries(self) -> List[RouteEntry]:
+    def _sorted_entries(self) -> Tuple[RouteEntry, ...]:
         if self._entries_cache_version != self.version:
-            self._entries_cache = [self._entries[d] for d in sorted(self._entries)]
+            entries = self._entries
+            self._entries_cache = tuple([entries[d] for d in sorted(entries)])
             self._entries_cache_version = self.version
-        return list(self._entries_cache)
+        return self._entries_cache
+
+    def entries(self) -> List[RouteEntry]:
+        return list(self._sorted_entries())
 
     # -- snapshots -----------------------------------------------------------------
     def snapshot(self, seq: int) -> TableSnapshot:
         """Produce the immutable copy handed to departing mobile nodes."""
-        return TableSnapshot(
-            origin=self.landmark_id, seq=seq, entries=tuple(self.entries())
-        )
+        return TableSnapshot(self.landmark_id, seq, self._sorted_entries())
 
     # -- Fig. 8 metrics -------------------------------------------------------------
     def coverage(self, n_landmarks: int) -> float:

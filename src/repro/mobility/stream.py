@@ -7,8 +7,9 @@ This module adds the streaming counterpart:
 
 * :class:`TraceStream` — a re-iterable, time-ordered record stream with
   explicit metadata (span, node/landmark sets), a streaming
-  :meth:`TraceStream.replay_events` that emits the engine's event tuples
-  in exactly the order the serial engine's global sort would produce
+  :meth:`TraceStream.replay_events` that emits the engine's event tuples,
+  with the run's packet births, probes and fault edges interleaved, in
+  exactly the order the serial engine's global sort would produce
   (proved in the method docstring), and chunked iteration;
 * ``CampusMobilityModel.stream_visits`` / ``BusMobilityModel.stream_visits``
   (defined in :mod:`repro.mobility.synthetic`) produce such streams from
@@ -191,13 +192,21 @@ class TraceStream:
         if chunk:
             yield chunk
 
-    def replay_events(self, start_kind: int, end_kind: int) -> Iterator[ReplayEvent]:
+    def replay_events(
+        self,
+        start_kind: int,
+        end_kind: int,
+        extra: Sequence[Tuple[float, int, int, object]] = (),
+    ) -> Iterator[Tuple[float, int, int, object]]:
         """The engine's visit events, streamed in globally sorted order.
 
         Yields ``(time, kind, seq, record)`` tuples with the same sequence
         numbering as :meth:`Trace.replay_events` (record ``i`` gets seqs
         ``2i``/``2i+1``), but already in ``(time, kind, seq)`` sort order so
-        the engine can consume them without a global sort.
+        the engine can consume them without a global sort.  ``extra`` is a
+        sorted list of the run's other events (packet births, probes,
+        fault edges: ``(time, kind, seq, payload)`` with seqs from
+        ``2 * len(stream)`` on), interleaved as the replay yields.
 
         Correctness: records stream in start order, so the only events that
         can sort before a start event not yet seen are the *end* events of
@@ -206,7 +215,13 @@ class TraceStream:
         sorts *before* its start at equal time, since ``end_kind <
         start_kind``) and drain every held event that orders below
         ``(start, start_kind, 2i)``.  The heap holds one entry per open
-        visit — O(concurrent visits), not O(records).
+        visit — O(concurrent visits), not O(records).  The visit events
+        thus come out sorted, and so does ``extra``; a cursor into
+        ``extra`` yields its head whenever it orders below the next visit
+        event (the heap top or the pending start), which is a two-way
+        merge of sorted sequences.  Every seq is unique, so no comparison
+        reaches a payload and the merged order is the one a sort of all
+        the events gives.
 
         Raises the same :class:`ValueError` as ``Trace.replay_events`` on
         non-monotonic or NaN timestamps.
@@ -218,35 +233,57 @@ class TraceStream:
                 "must sort before starts"
             )
         heap: List[ReplayEvent] = []
+        push, pop = heapq.heappush, heapq.heappop
+        # the head of ``extra``; past its end, a sentinel every event sorts below
+        n_extra = len(extra)
+        k = 0
+        nxt = extra[0] if n_extra else _LAST
         seq = 0
         prev_start = -math.inf
-        i = 0
         for rec in self._source():
+            start = rec.start
             # negated >= so NaN timestamps (all comparisons False) are
             # caught too, matching Trace.replay_events
-            if not (rec.start >= prev_start):
+            if not (start >= prev_start):
                 raise ValueError(
                     f"non-monotonic visit times in stream {self.name!r}: "
-                    f"record {i} starts at {rec.start} after a record "
+                    f"record {seq // 2} starts at {start} after a record "
                     f"starting at {prev_start}"
                 )
-            if not (rec.end >= rec.start):
+            if not (rec.end >= start):
                 raise ValueError(
                     f"non-monotonic visit times in stream {self.name!r}: "
-                    f"record {i} ends at {rec.end}, before its start "
-                    f"{rec.start}"
+                    f"record {seq // 2} ends at {rec.end}, before its start "
+                    f"{start}"
                 )
-            prev_start = rec.start
-            start_ev: ReplayEvent = (rec.start, start_kind, seq, rec)
-            heapq.heappush(heap, (rec.end, end_kind, seq + 1, rec))
-            # tuple compare never reaches the record: seqs are unique
-            while heap and heap[0] < start_ev:
-                yield heapq.heappop(heap)
+            prev_start = start
+            start_ev: ReplayEvent = (start, start_kind, seq, rec)
+            push(heap, (rec.end, end_kind, seq + 1, rec))
+            # yield what sorts below the pending start: the next visit event
+            # (held end or the start itself) against the head of ``extra``;
+            # tuple compare never reaches a payload: seqs are unique
+            while True:
+                head = heap[0] if heap and heap[0] < start_ev else start_ev
+                if nxt < head:
+                    yield nxt
+                    k += 1
+                    nxt = extra[k] if k < n_extra else _LAST
+                elif head is start_ev:
+                    break
+                else:
+                    yield pop(heap)
             yield start_ev
             seq += 2
-            i += 1
-        while heap:
-            yield heapq.heappop(heap)
+        # the source is done: the held ends and the rest of ``extra`` are
+        # all that is left, and one sort orders them
+        heap.extend(extra[k:])
+        heap.sort()
+        yield from heap
+
+
+#: sorts after every replay event: ``inf`` ties only an infinite timestamp,
+#: and then ``inf`` beats any event kind
+_LAST = (math.inf, math.inf)
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,15 @@ __all__ = [
 # Campus (DART-like) model
 # ---------------------------------------------------------------------------
 
+#: per-visit draws of the campus generators: a lognormal dwell around a
+#: one-hour median, capped at four hours, then a 4-18 minute walk.  The
+#: median stays a numpy float: ``Generator.lognormal`` takes it faster
+#: than a Python float of the same value.
+_LOG_DWELL_MEDIAN = np.log(hours(1.0))
+_DWELL_SIGMA = 0.5
+_MAX_DWELL = hours(4)
+_MIN_TRAVEL, _MAX_TRAVEL = 4 * 60, 18 * 60
+
 
 def choice_cdf(weights: np.ndarray) -> List[float]:
     """The CDF ``Generator.choice(len(weights), p=weights)`` draws against.
@@ -243,6 +252,7 @@ class CampusMobilityModel:
         """Generate clean landmark-level visit records (no logging noise)."""
         cfg = self.config
         rng = self.rng
+        lognormal, uniform = rng.lognormal, rng.uniform
         records: List[VisitRecord] = []
         for node in range(cfg.n_nodes):
             for day in range(cfg.days):
@@ -261,12 +271,9 @@ class CampusMobilityModel:
                     continue
                 t = day * SECONDS_PER_DAY + hours(7.5) + rng.uniform(0, hours(1.5))
                 for lm in self._day_sequence(node):
-                    dwell = float(rng.lognormal(mean=np.log(hours(1.0)), sigma=0.5))
-                    dwell = min(dwell, hours(4))
-                    records.append(
-                        VisitRecord(start=t, end=t + dwell, node=node, landmark=int(lm))
-                    )
-                    travel = rng.uniform(4 * 60, 18 * 60)
+                    dwell = min(lognormal(_LOG_DWELL_MEDIAN, _DWELL_SIGMA), _MAX_DWELL)
+                    records.append(VisitRecord(t, t + dwell, node, int(lm)))
+                    travel = uniform(_MIN_TRAVEL, _MAX_TRAVEL)
                     t += dwell + travel
         return sorted(records)
 
@@ -288,15 +295,13 @@ class CampusMobilityModel:
                     landmark=int(self.node_dorm[node]),
                 )
             ]
+        lognormal, uniform = rng.lognormal, rng.uniform
         records: List[VisitRecord] = []
-        t = day * SECONDS_PER_DAY + hours(7.5) + rng.uniform(0, hours(1.5))
+        t = day * SECONDS_PER_DAY + hours(7.5) + uniform(0, hours(1.5))
         for lm in self._day_sequence(node, rng=rng):
-            dwell = float(rng.lognormal(mean=np.log(hours(1.0)), sigma=0.5))
-            dwell = min(dwell, hours(4))
-            records.append(
-                VisitRecord(start=t, end=t + dwell, node=node, landmark=int(lm))
-            )
-            travel = rng.uniform(4 * 60, 18 * 60)
+            dwell = min(lognormal(_LOG_DWELL_MEDIAN, _DWELL_SIGMA), _MAX_DWELL)
+            records.append(VisitRecord(t, t + dwell, node, int(lm)))
+            travel = uniform(_MIN_TRAVEL, _MAX_TRAVEL)
             t += dwell + travel
         return records
 

@@ -59,7 +59,10 @@ executor recovery (see docs/reliability.md)
                              restore's ``trace`` field says where its trace
                              came from (``run-dir``, ``cache``, ``rebuilt``)
 ``executor.fallback``        with ``kind="trace"``: a run dir's trace file
-                             was unusable and the trace was rebuilt
+                             was unusable and the trace was rebuilt; with
+                             ``kind="checkpoint"``: a checkpoint or result
+                             file failed its digest or no longer unpickles,
+                             and was set aside as ``<name>.bad``
 ``executor.interrupt``       SIGINT/SIGTERM flushed a final checkpoint
 ``executor.chaos``           the chaos harness injected an executor fault
 =========================== ==================================================

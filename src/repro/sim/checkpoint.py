@@ -9,9 +9,11 @@ Three building blocks live here:
 
 * **framed checkpoint files** — ``MAGIC + sha256(payload) + payload``
   written atomically (temp file in the same directory, fsync, then
-  ``os.replace``).  A truncated or corrupted file fails the digest check
-  and is treated as absent, so recovery falls back to the previous
-  complete checkpoint instead of loading garbage;
+  ``os.replace``).  A truncated or corrupted file fails the digest check,
+  and an intact one written by code whose classes have since changed
+  fails to unpickle; either is set aside as ``<name>.bad`` and treated as
+  absent, so recovery falls back to the previous usable checkpoint (or a
+  fresh start) instead of loading garbage;
 * **simulation snapshots** — one pickle blob per checkpoint holding the
   entire mutable world (nodes, stations, RNG, metrics collector with its
   registry, packet factory, protocol state).  A single blob preserves
@@ -124,14 +126,35 @@ def dump_checkpoint(path: "Path | str", obj: Any) -> None:
 
 
 def load_checkpoint(path: "Path | str") -> Any:
-    return pickle.loads(read_frame(path))
+    payload = read_frame(path)
+    try:
+        return pickle.loads(payload)
+    except Exception as exc:
+        # an intact frame written by code whose classes have since changed
+        raise CheckpointError(f"checkpoint {path} does not unpickle: {exc!r}") from exc
 
 
-def try_load_checkpoint(path: "Path | str") -> Optional[Any]:
-    """``load_checkpoint`` that treats broken/missing files as absent."""
+def _load_or_set_aside(
+    path: Path, recovery: Optional["RecoveryLog"], **fields: Any
+) -> Optional[Any]:
+    """The checkpoint at ``path``; None when there is none or it is unusable.
+
+    A file that fails its digest or no longer unpickles is renamed to
+    ``<name>.bad``, so no later listing picks it up again, and reported
+    once as an ``executor.fallback`` record of ``kind="checkpoint"``.
+    """
+    if not path.is_file():
+        return None
     try:
         return load_checkpoint(path)
-    except CheckpointError:
+    except CheckpointError as exc:
+        try:
+            os.replace(path, path.with_name(path.name + ".bad"))
+        except OSError:
+            pass
+        if recovery is not None:
+            recovery.emit(event_types.EXECUTOR_FALLBACK, kind="checkpoint",
+                          checkpoint=path.name, reason=str(exc), **fields)
         return None
 
 
@@ -326,9 +349,14 @@ class SerialCheckpointer:
         return sorted(self.directory.glob("serial-*.ckpt"), key=_checkpoint_index)
 
     def restore(self, sim: Any) -> int:
-        """Restore the newest complete checkpoint; 0 means a fresh start."""
+        """Restore the newest usable checkpoint; 0 means a fresh start.
+
+        Newer files that fail their digest or no longer unpickle are set
+        aside (see :func:`_load_or_set_aside`), so they neither shadow
+        nor, through the keep policy, evict this run's own checkpoints.
+        """
         for path in reversed(self._paths()):
-            state = try_load_checkpoint(path)
+            state = _load_or_set_aside(path, self.recovery)
             if state is None:
                 continue
             skip = restore_simulation(sim, state)
@@ -470,8 +498,11 @@ class RunDir:
         return path
 
     def load_result(self, index: int) -> Optional[Any]:
-        """The finished point's result, or None if absent/corrupt."""
-        return try_load_checkpoint(self.point_dir(index) / self.RESULT)
+        """The finished point's result, or None if absent or unusable (an
+        unusable file is set aside and logged, and its point re-runs)."""
+        return _load_or_set_aside(
+            self.point_dir(index) / self.RESULT, self.recovery_log(), index=index
+        )
 
     # -- traces ---------------------------------------------------------------------
     def trace_path(self, key: str) -> Path:

@@ -22,7 +22,6 @@ trace to construct routing tables).
 
 from __future__ import annotations
 
-import heapq
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -567,12 +566,12 @@ class Simulation:
     # -- event assembly -----------------------------------------------------------
     def _events(self) -> Iterable[Tuple[float, int, int, object]]:
         # the visit-start/visit-end stream depends only on the trace, so it
-        # is memoized there (Trace.replay_events); workload and probe events
-        # depend on the config and are appended per run, with sequence
-        # numbers continuing past the cached stream's 2*len(trace).
-        # A TraceStream is never materialized: its replay generator is
-        # already globally sorted, so the (small) extra-event list is sorted
-        # alone and lazily merged in.
+        # is memoized there (Trace.replay_events); births, probes and fault
+        # edges depend on the config and are appended per run, with
+        # sequence numbers continuing past the visit events' 2*len(trace).
+        # A TraceStream is never materialized: the (small) list of the
+        # run's own events is sorted alone and handed to its replay, which
+        # interleaves it as it yields the already sorted visit events.
         streaming = isinstance(self.trace, TraceStream)
         events: List[Tuple[float, int, int, object]] = (
             [] if streaming
@@ -610,10 +609,9 @@ class Simulation:
         # without materializing a key object per event
         events.sort()
         if streaming:
-            replay = self.trace.replay_events(_VISIT_START, _VISIT_END)
             # both inputs are sorted and seqs are globally unique, so the
-            # merge reproduces exactly the order the sort above would give
-            return heapq.merge(replay, events) if events else replay
+            # interleave reproduces exactly the order one sort would give
+            return self.trace.replay_events(_VISIT_START, _VISIT_END, events)
         return events
 
     # -- handlers ------------------------------------------------------------------

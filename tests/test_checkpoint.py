@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
 import signal
 import subprocess
 import sys
 
 import pytest
 
+from repro.core.routing_table import RouteEntry
 from repro.eval.experiment import execute_config
 from repro.eval.resume import create_run, open_run, resume_run, run_resumable
 from repro.eval.runner import TraceSpec, execute
@@ -33,7 +35,6 @@ from repro.sim.checkpoint import (
     dump_checkpoint,
     load_checkpoint,
     read_frame,
-    try_load_checkpoint,
     write_frame,
 )
 
@@ -60,7 +61,8 @@ class TestFrames:
         path.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(CheckpointError, match="integrity|truncated"):
             read_frame(path)
-        assert try_load_checkpoint(path) is None
+        with pytest.raises(CheckpointError, match="integrity|truncated"):
+            load_checkpoint(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "a.ckpt"
@@ -72,7 +74,8 @@ class TestFrames:
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError, match="cannot read"):
             read_frame(tmp_path / "nope.ckpt")
-        assert try_load_checkpoint(tmp_path / "nope.ckpt") is None
+        with pytest.raises(CheckpointError, match="cannot read"):
+            load_checkpoint(tmp_path / "nope.ckpt")
 
     def test_atomic_write_leaves_no_temp_files(self, tmp_path):
         path = tmp_path / "a.ckpt"
@@ -189,6 +192,96 @@ class TestSerialCheckpointer:
         assert restores and restores[0]["checkpoint"] != newest.name
 
 
+class _PreTupleEntry:
+    """Pickles as ``RouteEntry()``, which no longer loads: the failure a
+    checkpoint written while ``RouteEntry`` was a frozen dataclass (whose
+    pickle rebuilds it without arguments) meets after it became a tuple."""
+
+    def __reduce__(self):
+        return RouteEntry, ()
+
+
+def make_unpicklable(path):
+    """Re-frame checkpoint ``path`` so its digest holds but its pickle
+    fails to load."""
+    state = pickle.loads(read_frame(path))
+    state["protocol"] = _PreTupleEntry()
+    write_frame(path, pickle.dumps(state))
+    with pytest.raises(CheckpointError, match="does not unpickle"):
+        load_checkpoint(path)
+
+
+def fallbacks_in(log):
+    return [r for r in log.records() if r["event"] == event_types.EXECUTOR_FALLBACK]
+
+
+class TestUnpicklableCheckpoints:
+    """A checkpoint whose frame is intact but whose pickle no longer loads
+    is skipped like a corrupted one: set aside, logged, never fatal."""
+
+    def crashed(self, directory, dart_tiny, tiny_sim_config):
+        crashing = SerialCheckpointer(directory, every_events=400, crash_after_saves=3)
+        with pytest.raises(SimulatedCrash):
+            _execute(dart_tiny, tiny_sim_config, checkpointer=crashing)
+        paths = sorted(directory.glob("serial-*.ckpt"))
+        assert [p.name for p in paths] == [
+            f"serial-{800:012d}.ckpt", f"serial-{1200:012d}.ckpt"
+        ]
+        return paths
+
+    def test_newest_restores_from_its_predecessor(
+        self, dart_tiny, tiny_sim_config, tmp_path
+    ):
+        baseline = _execute(dart_tiny, tiny_sim_config)
+        directory = tmp_path / "ck"
+        older, newest = self.crashed(directory, dart_tiny, tiny_sim_config)
+        make_unpicklable(newest)
+        log = RecoveryLog(tmp_path / "recovery.jsonl")
+        resumed = _execute(
+            dart_tiny, tiny_sim_config,
+            checkpointer=SerialCheckpointer(directory, every_events=400, recovery=log),
+        )
+        assert resumed.metrics == baseline.metrics
+        (fallback,) = fallbacks_in(log)
+        assert fallback["kind"] == "checkpoint"
+        assert fallback["checkpoint"] == newest.name
+        assert "does not unpickle" in fallback["reason"]
+        restore = next(r for r in log.records()
+                       if r["event"] == event_types.EXECUTOR_RESUME)
+        assert restore["checkpoint"] == older.name
+        assert (directory / (newest.name + ".bad")).is_file()
+
+    def test_all_unpicklable_starts_fresh_and_keeps_its_own_saves(
+        self, dart_tiny, tiny_sim_config, tmp_path
+    ):
+        baseline = _execute(dart_tiny, tiny_sim_config)
+        directory = tmp_path / "ck"
+        stale = self.crashed(directory, dart_tiny, tiny_sim_config)
+        for path in stale:
+            make_unpicklable(path)
+        log = RecoveryLog(tmp_path / "recovery.jsonl")
+        # a fresh start behind the stale files, crashing after its first save
+        with pytest.raises(SimulatedCrash):
+            _execute(dart_tiny, tiny_sim_config, checkpointer=SerialCheckpointer(
+                directory, every_events=400, recovery=log, crash_after_saves=1,
+            ))
+        assert sorted(r["checkpoint"] for r in fallbacks_in(log)) == [
+            p.name for p in stale
+        ]
+        assert not any(r["event"] == event_types.EXECUTOR_RESUME for r in log.records())
+        first = f"serial-{400:012d}.ckpt"
+        assert [p.name for p in directory.glob("serial-*.ckpt")] == [first]
+        resumed = _execute(
+            dart_tiny, tiny_sim_config,
+            checkpointer=SerialCheckpointer(directory, every_events=400, recovery=log),
+        )
+        assert resumed.metrics == baseline.metrics
+        (restore,) = [r for r in log.records()
+                      if r["event"] == event_types.EXECUTOR_RESUME]
+        assert restore["checkpoint"] == first
+        assert len(fallbacks_in(log)) == 2
+
+
 # -- resumable run directories -------------------------------------------------
 
 
@@ -276,6 +369,24 @@ class TestRunDirectories:
         path = rd.point_dir(0) / RunDir.RESULT
         path.write_bytes(path.read_bytes()[:30])
         assert rd.load_result(0) is None
+
+    def test_unpicklable_point_result_reruns_its_point(self, tiny_csv, tmp_path):
+        spec = tiny_spec(tiny_csv)
+        rd = create_run(tmp_path / "rd", spec, every_events=400)
+        first, _ = run_resumable(spec, rd, every_events=400)
+        path = rd.point_dir(0) / RunDir.RESULT
+        write_frame(path, pickle.dumps(_PreTupleEntry()))
+        again, _ = run_resumable(spec, rd, every_events=400)
+        assert [r.metrics for r in again.results] == [
+            r.metrics for r in first.results
+        ]
+        (fallback,) = records_of(rd, event_types.EXECUTOR_FALLBACK)
+        assert fallback["kind"] == "checkpoint"
+        assert fallback["checkpoint"] == RunDir.RESULT and fallback["index"] == 0
+        skipped = [r["index"] for r in records_of(rd, event_types.EXECUTOR_RESUME)
+                   if r.get("kind") == "point"]
+        assert skipped == [1]
+        assert rd.load_result(0) is not None  # the re-run committed a new one
 
     def test_reading_results_leaves_the_tree_unchanged(self, tmp_path):
         rd = RunDir.create(tmp_path / "rd", {"version": 1})

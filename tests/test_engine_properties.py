@@ -1,8 +1,9 @@
 """End-to-end engine invariants over hypothesis-generated traces.
 
 For any mobility trace and any protocol, a simulation must conserve
-packets (delivered + TTL-dropped + still-buffered == generated, counting
-unique packet ids), never exceed buffer capacities, and never deliver a
+packets (delivered + TTL-dropped + still-held == generated, counting
+unique packet ids, a held id only when no copy of it was delivered or
+TTL-dropped), never exceed buffer capacities, and never deliver a
 packet before it was created or after its deadline.
 """
 
@@ -61,15 +62,20 @@ def test_conservation_and_deadlines(trace, proto_idx, ttl, seed):
     summary = sim.run()
     world = sim.world
 
-    # unique in-flight packet ids still sitting in buffers
-    in_flight = set()
+    # unique packet ids still held in some buffer and not yet accounted
+    # for: a replica left behind by a delivered or TTL-dropped copy is not
+    held = set()
     for holder in list(world.nodes.values()) + list(world.stations.values()):
         for p in holder.buffer:
             if p.in_flight:
-                in_flight.add(p.pid)
-    # conservation over unique ids
-    assert summary.delivered + summary.dropped_ttl + len(in_flight) >= summary.generated
-    assert summary.delivered + summary.dropped_ttl <= summary.generated
+                held.add(p.pid)
+    held -= world._delivered_pids | world._dropped_pids
+    # conservation over unique ids: every generated packet is delivered,
+    # TTL-dropped or still held, and exactly one of the three
+    assert len(world._delivered_pids) == summary.delivered
+    assert len(world._dropped_pids) == summary.dropped_ttl
+    assert not world._delivered_pids & world._dropped_pids
+    assert summary.delivered + summary.dropped_ttl + len(held) == summary.generated
 
     # capacity invariant
     for node in world.nodes.values():

@@ -114,6 +114,22 @@ class TestDistributionNormalisation:
             dist = p.distribution()
             assert guess[1] == max(dist.values())
 
+    @given(st.lists(st.integers(0, 5), max_size=60), st.integers(1, 3),
+           st.booleans(), st.booleans())
+    def test_predict_matches_the_max_key_form(self, seq, k, fallback, joint):
+        """After every visit, the winner is ``max`` over ``(probability,
+        -landmark)``: the most likely landmark, the smallest id on ties
+        (short histories over six landmarks tie often)."""
+        p = MarkovPredictor(k, fallback=fallback)
+        for lm in seq:
+            p.update(lm)
+            dist = p.distribution(joint=joint)
+            want = None
+            if dist:
+                best = max(dist, key=lambda x: (dist[x], -x))
+                want = (best, dist[best])
+            assert p.predict(joint=joint) == want
+
 
 class TestAccuracyTracker:
     def test_initial_value(self):

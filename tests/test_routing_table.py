@@ -1,10 +1,12 @@
 """Tests for distance-vector routing tables (repro.core.routing_table)."""
 
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.bandwidth import BackwardReport
 from repro.core.routing_table import RouteEntry, RoutingTable, TableSnapshot
 
 
@@ -21,6 +23,31 @@ class TestRouteEntry:
         e = RouteEntry(dest=1, next_hop=2, delay=3.0)
         with pytest.raises(AttributeError):
             e.delay = 5.0
+
+    @pytest.mark.parametrize("record", [
+        RouteEntry(1, 2, 3.0),
+        RouteEntry(dest=4, next_hop=5, delay=0.0, backup_next_hop=6, backup_delay=7.5),
+        TableSnapshot(3, 9, (RouteEntry(1, 2, 3.0), RouteEntry(4, 4, 1.0, 2, 9.0))),
+        TableSnapshot(origin=0, seq=0, entries=()),
+        BackwardReport(observer=2, target=1, seq=3, bandwidth=7.5),
+    ])
+    def test_records_pickle_round_trip(self, record):
+        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(record, protocol=protocol))
+            assert back == record and type(back) is type(record)
+
+    def test_records_keep_their_fields_and_order(self):
+        assert RouteEntry._fields == (
+            "dest", "next_hop", "delay", "backup_next_hop", "backup_delay"
+        )
+        assert TableSnapshot._fields == ("origin", "seq", "entries")
+        assert BackwardReport._fields == ("observer", "target", "seq", "bandwidth")
+        e = RouteEntry(1, 2, 3.0)
+        assert (e.backup_next_hop, e.backup_delay) == (None, math.inf)
+        with pytest.raises(AttributeError):
+            e.extra = 1
+        assert TableSnapshot(0, 1, (e,)).n_entries == 1
+        assert BackwardReport(2, 1, 3, 7.5).n_entries == 1
 
 
 class TestDirectLinks:
@@ -227,3 +254,127 @@ def test_offer_route_invariants(offers):
         # backup swap); offers via other hops never worsen the table
         if via != prev_hop:
             assert cur <= prev
+
+
+class _AlwaysRewriteTable(RoutingTable):
+    """Reference: the write paths as they were before identical rewrites
+    were skipped, rebuilding (and bumping ``version`` for) every entry
+    they touch."""
+
+    def set_direct_link(self, neighbor: int, delay: float) -> None:
+        if neighbor == self.landmark_id:
+            return
+        cur = self._entries.get(neighbor)
+        if cur is not None and cur.next_hop != neighbor and delay >= cur.delay:
+            self._offer_route(neighbor, neighbor, delay)
+            return
+        if cur is None or delay < cur.delay or cur.next_hop == neighbor:
+            backup_hop, backup_delay = (None, math.inf)
+            if cur is not None and cur.next_hop != neighbor:
+                backup_hop, backup_delay = cur.next_hop, cur.delay
+            elif cur is not None:
+                backup_hop, backup_delay = cur.backup_next_hop, cur.backup_delay
+            if backup_hop is not None and backup_delay < self.switch_hysteresis * delay:
+                self._entries[neighbor] = RouteEntry(
+                    dest=neighbor,
+                    next_hop=backup_hop,
+                    delay=backup_delay,
+                    backup_next_hop=neighbor,
+                    backup_delay=delay,
+                )
+            else:
+                self._entries[neighbor] = RouteEntry(
+                    dest=neighbor,
+                    next_hop=neighbor,
+                    delay=delay,
+                    backup_next_hop=backup_hop,
+                    backup_delay=backup_delay,
+                )
+            self.version += 1
+
+    def _offer_route(self, dest: int, via: int, delay: float) -> None:
+        cur = self._entries.get(dest)
+        if cur is None:
+            self._entries[dest] = RouteEntry(dest=dest, next_hop=via, delay=delay)
+            self.version += 1
+            return
+        if via == cur.next_hop:
+            if delay != cur.delay:
+                backup_hop, backup_delay = cur.backup_next_hop, cur.backup_delay
+                if backup_hop is not None and backup_delay < self.switch_hysteresis * delay:
+                    self._entries[dest] = RouteEntry(
+                        dest=dest, next_hop=backup_hop, delay=backup_delay,
+                        backup_next_hop=via, backup_delay=delay,
+                    )
+                else:
+                    self._entries[dest] = RouteEntry(
+                        dest=dest, next_hop=via, delay=delay,
+                        backup_next_hop=backup_hop, backup_delay=backup_delay,
+                    )
+                self.version += 1
+            return
+        if delay < self.switch_hysteresis * cur.delay:
+            self._entries[dest] = RouteEntry(
+                dest=dest, next_hop=via, delay=delay,
+                backup_next_hop=cur.next_hop, backup_delay=cur.delay,
+            )
+            self.version += 1
+        elif via == cur.backup_next_hop or delay < cur.backup_delay:
+            self._entries[dest] = RouteEntry(
+                dest=dest, next_hop=cur.next_hop, delay=cur.delay,
+                backup_next_hop=via, backup_delay=delay,
+            )
+            self.version += 1
+
+
+#: few distinct delays, so refreshes often repeat the delay they replace
+_delays = st.sampled_from([0.0, 1.0, 2.5, 4.0, 10.0, 11.0, 40.0]) | st.floats(0.0, 60.0)
+_ids = st.integers(0, 5)  # the table under test is landmark 0
+
+
+@st.composite
+def _merges(draw):
+    """A snapshot as a table issues one: one row per destination, none for
+    its origin.  Next hop 0 rows are split horizon; a dest 0 row routes to
+    the receiving table itself."""
+    origin = draw(st.integers(1, 5))
+    rows = draw(st.dictionaries(_ids.filter(lambda d: d != origin),
+                                st.tuples(_ids, _delays), max_size=5))
+    seq = draw(st.integers(0, 4))  # repeats and stale seqs included
+    return "merge", origin, seq, sorted(rows.items()), draw(_delays)
+
+
+_ops = st.one_of(
+    st.tuples(st.just("direct"), _ids, _delays),
+    _merges(),
+    st.tuples(st.just("drop"), _ids),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([0.5, 0.9, 1.0]), st.lists(_ops, max_size=60))
+def test_skipping_identical_rewrites_changes_no_entry(hysteresis, ops):
+    """The table equals the always-rewrite reference after every step, and
+    its ``version`` moves exactly when ``entries()`` changes."""
+    table = RoutingTable(0, switch_hysteresis=hysteresis)
+    ref = _AlwaysRewriteTable(0, switch_hysteresis=hysteresis)
+    for op in ops:
+        before, version = table.entries(), table.version
+        if op[0] == "direct":
+            table.set_direct_link(op[1], op[2])
+            ref.set_direct_link(op[1], op[2])
+        elif op[0] == "merge":
+            _, origin, seq, rows, link_delay = op
+            snap = TableSnapshot(
+                origin, seq, tuple(RouteEntry(d, h, dl) for d, (h, dl) in rows)
+            )
+            assert table.merge_snapshot(snap, link_delay) == ref.merge_snapshot(
+                snap, link_delay
+            )
+        else:
+            table.drop_destination(op[1])
+            ref.drop_destination(op[1])
+        assert table.entries() == ref.entries()
+        assert table.next_hop_map() == ref.next_hop_map()
+        assert [table.lookup(d) for d in range(6)] == [ref.lookup(d) for d in range(6)]
+        assert (table.version != version) == (table.entries() != before)

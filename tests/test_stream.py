@@ -12,6 +12,9 @@ metrics to the last bit.  These tests pin that promise at every layer:
   is a *different sample* than the legacy single-RNG ``generate_visits``
   — equivalence holds within the streaming path, not across samplers);
 * chunked consumption (``iter_chunks``) loses and reorders nothing;
+* the streamed replay interleaves a run's own events (births, probes,
+  fault edges) exactly where a sort of all events puts them, and probes
+  over a stream see the states they see over the materialized trace;
 * the serial engine fed a ``TraceStream`` reproduces the materialized
   run bit-for-bit on both committed ci scenarios (the zero-tolerance
   surface the regression gate gates on).
@@ -33,7 +36,8 @@ from repro.mobility.synthetic import (
     CampusConfig,
     CampusMobilityModel,
 )
-from repro.sim.engine import Simulation
+from repro.mobility.trace import days
+from repro.sim.engine import SimConfig, Simulation
 
 REPO = Path(__file__).resolve().parent.parent
 CI = REPO / "ci"
@@ -80,6 +84,75 @@ def test_stream_is_reiterable():
     """A model-backed stream must rebuild identically on every pass."""
     stream = CampusMobilityModel(SMALL_CAMPUS, seed=5).trace_stream()
     assert list(stream.iter_records()) == list(stream.iter_records())
+
+
+def test_replay_interleaves_extra_events_in_sort_order():
+    """Extra events at visit instants, of every kind, land where one sort
+    of all events puts them (kinds tie on time, seqs break the ties)."""
+    stream = CampusMobilityModel(SMALL_CAMPUS, seed=4).trace_stream()
+    trace = stream.materialize()
+    visits = list(trace.replay_events(3, 1))
+    seq = len(visits)
+    extra = []
+    for i, (t, _, _, _) in enumerate(visits[::7]):
+        extra.append((t, i % 5, seq, f"extra-{i}"))
+        seq += 1
+    extra.append((trace.start_time - 1.0, 2, seq, "before-all"))
+    extra.append((trace.end_time + 1.0, 4, seq + 1, "after-all"))
+    extra.sort()
+    want = sorted(visits + extra)
+    assert list(stream.replay_events(3, 1, extra)) == want
+    assert list(stream.replay_events(3, 1)) == sorted(visits)
+
+
+@pytest.mark.parametrize("faulted", [False, True])
+def test_probes_over_a_stream_see_the_materialized_states(faulted):
+    """Probes at visit-start instants (so probe, start, end, birth and,
+    when faulted, fault-edge kinds tie on time) observe the same world
+    states in the same order over a TraceStream as over its Trace."""
+    stream = CampusMobilityModel(SMALL_CAMPUS, seed=1).trace_stream()
+    trace = stream.materialize()
+    records = trace.records
+    instants = [records[i].start for i in range(0, len(records), 23)]
+    faults = None
+    if faulted:  # windows are fractions of the trace span
+        faults = {"seed": 3, "specs": [
+            {"kind": "node_churn", "start": 0.3, "end": 0.7, "fraction": 0.3},
+            {"kind": "landmark_outage", "start": 0.45, "end": 0.8, "count": 2},
+        ]}
+    config = SimConfig(
+        seed=2, rate_per_landmark_per_day=60.0, workload_scale=0.2,
+        time_unit=days(0.5), ttl=days(1.0), faults=faults,
+    )
+
+    def observed(source):
+        seen = []
+
+        def probe_at(t):
+            def probe(world):
+                seen.append((
+                    t, world.now,
+                    sorted((n.nid, n.at_landmark) for n in world.nodes.values()
+                           if n.at_landmark is not None),
+                    sorted((lid, len(s.buffer)) for lid, s in world.stations.items()),
+                    len(world._delivered_pids), len(world._dropped_pids),
+                ))
+            return probe
+
+        probes = [(t, probe_at(t)) for t in instants]
+        summary = Simulation(
+            source, make_protocol("DTN-FLOW"), config, probes=probes
+        ).run()
+        return seen, summary
+
+    got, streamed = observed(stream)
+    want, base = observed(trace)
+    assert len(got) == len(instants)
+    assert got == want
+    assert dataclasses.replace(
+        streamed, trace=base.trace, provenance=base.provenance,
+        phase_timings=base.phase_timings,
+    ) == base
 
 
 def _scenario_entries(path):
