@@ -12,6 +12,11 @@ layer shows up directly instead of being averaged into a 30-point sweep:
   (``RoutingTable.merge_snapshot``) over realistic snapshot sizes;
 * **trace build** — one small DART trace: generator, raw log and the
   preprocessing pipeline, the cost every sweep and job pays once;
+* **event assembly** — ``Simulation._events()`` built and iterated for
+  the fig11 DART point (small DART, 2000 kB, rate 500): over a fresh
+  ``Trace`` (the sorted visit events built and memoized), over the same
+  ``Trace`` again (memoized, the run's own events merged in), and over
+  ``TraceStream.from_trace`` of it (streamed);
 * **stream pass** — one pass over a 500-node campus ``TraceStream``:
   per-node generators, the heap merge and the order check;
 * **streamed DTN-FLOW point** — one serial DTN-FLOW run over that stream
@@ -33,6 +38,7 @@ scenario instead.
 from __future__ import annotations
 
 import os
+import statistics
 from time import perf_counter
 
 from repro.baselines import make_protocol
@@ -40,6 +46,7 @@ from repro.core.routing_table import RouteEntry, RoutingTable, TableSnapshot
 from repro.eval.resume import create_run, resume_run, run_resumable
 from repro.eval.runner import TraceSpec
 from repro.eval.scenario import ScenarioSpec
+from repro.mobility.stream import TraceStream
 from repro.mobility.synthetic import CampusConfig, CampusMobilityModel, dart_like
 from repro.mobility.trace import Trace, VisitRecord, days
 from repro.sim.checkpoint import RunDir, SimulatedCrash
@@ -180,6 +187,41 @@ def test_trace_build_micro():
         "cpu_count": os.cpu_count(),
     })
     assert len(trace) > 1000
+
+
+def _assembly(make_trace, config, reps: int = 7):
+    """Median seconds to build and iterate ``Simulation._events()``, and
+    the last event sequence (a fresh simulation per repeat)."""
+    seconds = []
+    for _ in range(reps):
+        sim = Simulation(make_trace(), _NoopProtocol(), config)
+        t0 = perf_counter()
+        events = list(sim._events())
+        seconds.append(perf_counter() - t0)
+    return statistics.median(seconds), events
+
+
+def test_event_assembly_micro(dart_profile, dart_trace):
+    # the fig11 default point; the assembled events do not depend on the
+    # protocol, only on the trace and the config's workload
+    config = dart_profile.sim_config(memory_kb=2000.0, rate=500.0, seed=1)
+    records = list(dart_trace)
+    cold_s, cold = _assembly(
+        lambda: Trace(records, name=dart_trace.name, presorted=True), config
+    )
+    warm_s, warm = _assembly(lambda: dart_trace, config)
+    stream = TraceStream.from_trace(dart_trace)
+    stream_s, streamed = _assembly(lambda: stream, config)
+    record_bench("event_assembly", {
+        "trace": dart_trace.name,
+        "records": len(dart_trace),
+        "events": len(warm),
+        "trace_cold_s": round(cold_s, 4),
+        "trace_memoized_s": round(warm_s, 4),
+        "stream_s": round(stream_s, 4),
+        "cpu_count": os.cpu_count(),
+    })
+    assert cold == warm == streamed
 
 
 #: the benchmark's campus-stream map: 50 landmarks, 500 nodes, 5 days

@@ -290,10 +290,6 @@ class PERProtocol(UtilityProtocol):
         self._cache[key] = absorbed
         return absorbed
 
-    def _steps_for_deadline(self, nid: int, remaining: float) -> int:
-        step_time = self._model(nid).mean_step_time(self.default_step_time)
-        return max(0, int(remaining / step_time))
-
     # -- forwarding: utilities are per-packet (deadline-dependent) ----------------------
     def utility(self, world: World, node: MobileNode, dest: int, t: float) -> float:
         # generic form used by station pushes: assume a medium horizon

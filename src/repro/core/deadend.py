@@ -47,10 +47,6 @@ class DeadEndDetector:
 
     # -- queries --------------------------------------------------------------------
     @property
-    def n_stays(self) -> int:
-        return self._n_stays
-
-    @property
     def ready(self) -> bool:
         """Whether enough history exists to detect dead ends reliably."""
         return self._n_stays >= self.min_history

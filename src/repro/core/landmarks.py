@@ -111,10 +111,6 @@ class SubareaMap:
         ids = np.asarray(self._ids)
         return ids[idx]
 
-    def nearest_landmark_distance(self, x: float, y: float) -> float:
-        d, _ = self._tree.query([x, y])
-        return float(d)
-
     def adjacency(self, resolution: int = 64) -> Dict[int, set]:
         """Approximate Voronoi adjacency via grid sampling.
 

@@ -237,10 +237,6 @@ class PredictorEvaluation:
             return 0.0
         return float(np.mean(list(self.per_node_accuracy.values())))
 
-    @property
-    def overall_accuracy(self) -> float:
-        return self.n_correct / self.n_predictions if self.n_predictions else 0.0
-
     def summary(self) -> FiveNumberSummary:
         """Min/Q1/mean/Q3/max over per-node accuracies (Fig. 6b)."""
         return five_number_summary(self.per_node_accuracy.values())

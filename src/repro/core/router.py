@@ -191,14 +191,7 @@ class DTNFlowProtocol(RoutingProtocol):
             for lid in world.stations
         }
         self._nodes = {nid: _NodeState(self.config) for nid in world.nodes}
-        self._spans = world.obs.spans
-        self._obs = world.obs if world.obs_enabled else None
-        if self._obs is not None:
-            for lid, st in self._stations.items():
-                st.bw.observer = self._make_bw_observer(world, lid)
-            acc_cb = self._make_accuracy_observer(world)
-            for ns in self._nodes.values():
-                ns.acc.observer = acc_cb
+        self.attach_runtime(world)
 
     def _make_bw_observer(self, world: World, lid: int):
         """Feed bandwidth-estimator changes into the event log + registry."""
@@ -236,7 +229,8 @@ class DTNFlowProtocol(RoutingProtocol):
             ns.acc.observer = None
 
     def attach_runtime(self, world: World) -> None:
-        """Re-run setup()'s observability wiring against ``world``."""
+        """Wire spans and observers to ``world``: at setup, and again
+        after a checkpoint restore."""
         self._spans = world.obs.spans
         self._obs = world.obs if world.obs_enabled else None
         if self._obs is not None:
@@ -274,10 +268,6 @@ class DTNFlowProtocol(RoutingProtocol):
                     f"bw.out[{st.bw.landmark_id}->{neighbor}]"
                 ).set(st.bw.outgoing_bandwidth(neighbor))
         st._refreshed_version = st.bw.version
-
-    def _overall_transit_prob(self, ns: _NodeState, landmark: int) -> float:
-        """IV-D.4: predicted transit probability x prediction accuracy."""
-        return ns.pred.probability_of(landmark) * ns.acc.value
 
     def _stamp_at_station(self, world: World, station: LandmarkStation, packet: Packet) -> None:
         """Record the station on the packet's path; run loop correction."""

@@ -58,6 +58,7 @@ from repro.eval.sweeps import SweepResult
 from repro.mobility.trace import Trace
 from repro.sim.engine import SimConfig
 from repro.sim.faults import FaultPlan
+from repro.utils.validation import require_int, require_number
 
 __all__ = [
     "ProtocolSpec",
@@ -121,14 +122,6 @@ def _require_type(what: str, value: Any, types: tuple, type_name: str) -> Any:
     return value
 
 
-def _require_int(what: str, value: Any) -> int:
-    return int(_require_type(what, value, (int,), "an integer"))
-
-
-def _require_number(what: str, value: Any) -> float:
-    return float(_require_type(what, value, (int, float), "a number"))
-
-
 # -- spec dataclasses ---------------------------------------------------------
 
 
@@ -163,7 +156,7 @@ class ScenarioTrace:
         return cls(
             profile=profile,
             path=path,
-            seed=_require_int("trace.seed", data.get("seed", 1)),
+            seed=require_int("trace.seed", data.get("seed", 1)),
             full_scale=full,
         )
 
@@ -223,7 +216,7 @@ class SweepSpec:
         return cls(
             parameter=parameter,
             values=tuple(
-                _require_number(f"sweep.values[{i}]", v) for i, v in enumerate(values)
+                require_number(f"sweep.values[{i}]", v) for i, v in enumerate(values)
             ),
         )
 
@@ -290,7 +283,7 @@ class ScenarioSpec:
             if canon in _LIST_SIM_FIELDS:
                 if value is not None:
                     _require_type(f"sim.{key}", value, (Sequence,), "a list of ids")
-                    value = [_require_int(f"sim.{key}[{i}]", v) for i, v in enumerate(value)]
+                    value = [require_int(f"sim.{key}[{i}]", v) for i, v in enumerate(value)]
             elif value is not None:
                 value = _require_type(
                     f"sim.{key}", value, (int, float), "a number"
@@ -319,7 +312,7 @@ class ScenarioSpec:
             if not raw_seeds:
                 raise ValueError("'seeds' must not be empty")
             seeds = tuple(
-                _require_int(f"seeds[{i}]", s) for i, s in enumerate(raw_seeds)
+                require_int(f"seeds[{i}]", s) for i, s in enumerate(raw_seeds)
             )
         else:
             seeds = (1,)

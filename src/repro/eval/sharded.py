@@ -98,12 +98,6 @@ class ShardPlan:
         return len(self.cuts) + 1
 
 
-def _records_factory(trace: Union[Trace, TraceStream]) -> RecordsFactory:
-    if isinstance(trace, TraceStream):
-        return trace.iter_records
-    return lambda: iter(trace.records)
-
-
 def plan_shards(
     trace: Union[Trace, TraceStream],
     n_shards: int,
@@ -131,9 +125,8 @@ def plan_shards(
     collapse onto a single barrier (an instantaneous hop through an
     intermediate shard); that raises :class:`UnshardableTrace`.
     """
-    records = _records_factory(trace)
     counts: Dict[int, int] = {}
-    for rec in records():
+    for rec in trace:
         counts[rec.landmark] = counts.get(rec.landmark, 0) + 1
     shard_of = landmark_partition(counts, n_shards)
 
@@ -172,13 +165,7 @@ def plan_shards(
         last_handoff[nid] = k
         n_cross += 1
         exports[from_shard].setdefault(k, []).append((nid, to_shard, force))
-    # TraceStream.replay_events is already globally sorted; Trace's variant
-    # emits per-record (start, end) pairs in record order and relies on the
-    # consumer to sort — the state machine below needs true time order
-    events = trace.replay_events(_VISIT_START, _VISIT_END)
-    if not isinstance(trace, TraceStream):
-        events = sorted(events, key=lambda ev: ev[:3])
-    for t, kind, seq, rec in events:
+    for t, kind, seq, rec in trace.replay_events(_VISIT_START, _VISIT_END):
         nid = rec.node
         if kind == _VISIT_START:
             lm = rec.landmark

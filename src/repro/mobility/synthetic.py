@@ -192,9 +192,7 @@ class CampusMobilityModel:
             self.node_spoke_cdfs.append(choice_cdf(w))
 
     # -- construction helpers --------------------------------------------------
-    def _day_sequence(
-        self, node: int, rng: Optional[np.random.Generator] = None
-    ) -> List[int]:
+    def _day_sequence(self, node: int, rng: np.random.Generator) -> List[int]:
         """One day's landmark sequence: dorm -> (hub -> spoke)* -> dorm.
 
         Spokes are drawn from the node's personal weights; with probability
@@ -205,8 +203,6 @@ class CampusMobilityModel:
         reproducing the paper's k=1 superiority (Fig. 6a).
         """
         cfg = self.config
-        if rng is None:
-            rng = self.rng
         dorm = int(self.node_dorm[node])
         hub = int(self.node_hub[node])
         spokes = self.node_spokes[node]
@@ -248,44 +244,18 @@ class CampusMobilityModel:
         return 1.0
 
     # -- generation ----------------------------------------------------------------
-    def generate_visits(self) -> List[VisitRecord]:
-        """Generate clean landmark-level visit records (no logging noise)."""
-        cfg = self.config
-        rng = self.rng
-        lognormal, uniform = rng.lognormal, rng.uniform
-        records: List[VisitRecord] = []
-        for node in range(cfg.n_nodes):
-            for day in range(cfg.days):
-                act = self._activity(day)
-                if rng.random() > act and act < 1.0:
-                    # node stays home: one long dorm visit, maybe unlogged
-                    t0 = day * SECONDS_PER_DAY + hours(9) + rng.uniform(0, hours(2))
-                    records.append(
-                        VisitRecord(
-                            start=t0,
-                            end=t0 + hours(10),
-                            node=node,
-                            landmark=int(self.node_dorm[node]),
-                        )
-                    )
-                    continue
-                t = day * SECONDS_PER_DAY + hours(7.5) + rng.uniform(0, hours(1.5))
-                for lm in self._day_sequence(node):
-                    dwell = min(lognormal(_LOG_DWELL_MEDIAN, _DWELL_SIGMA), _MAX_DWELL)
-                    records.append(VisitRecord(t, t + dwell, node, int(lm)))
-                    travel = uniform(_MIN_TRAVEL, _MAX_TRAVEL)
-                    t += dwell + travel
-        return sorted(records)
-
-    # -- streaming generation -------------------------------------------------------
     def _node_day_records(
         self, node: int, day: int, rng: np.random.Generator
     ) -> List[VisitRecord]:
-        """One node's visit records for one day (same scheme as
-        :meth:`generate_visits`, driven by the given RNG)."""
-        cfg = self.config
+        """One node's visit records for one day, drawn from ``rng``.
+
+        The one day generator: :meth:`generate_visits` drives it with the
+        model's RNG, node by node and day by day; :meth:`stream_visits`
+        with each node's own spawned RNG.
+        """
         act = self._activity(day)
         if rng.random() > act and act < 1.0:
+            # node stays home: one long dorm visit, maybe unlogged
             t0 = day * SECONDS_PER_DAY + hours(9) + rng.uniform(0, hours(2))
             return [
                 VisitRecord(
@@ -298,13 +268,23 @@ class CampusMobilityModel:
         lognormal, uniform = rng.lognormal, rng.uniform
         records: List[VisitRecord] = []
         t = day * SECONDS_PER_DAY + hours(7.5) + uniform(0, hours(1.5))
-        for lm in self._day_sequence(node, rng=rng):
+        for lm in self._day_sequence(node, rng):
             dwell = min(lognormal(_LOG_DWELL_MEDIAN, _DWELL_SIGMA), _MAX_DWELL)
             records.append(VisitRecord(t, t + dwell, node, int(lm)))
             travel = uniform(_MIN_TRAVEL, _MAX_TRAVEL)
             t += dwell + travel
         return records
 
+    def generate_visits(self) -> List[VisitRecord]:
+        """Generate clean landmark-level visit records (no logging noise)."""
+        cfg, rng = self.config, self.rng
+        records: List[VisitRecord] = []
+        for node in range(cfg.n_nodes):
+            for day in range(cfg.days):
+                records += self._node_day_records(node, day, rng)
+        return sorted(records)
+
+    # -- streaming generation -------------------------------------------------------
     def _node_visit_stream(self, node: int) -> Iterator[VisitRecord]:
         """One node's records as a nondecreasing generator.
 
@@ -518,120 +498,36 @@ class BusMobilityModel:
             self.routes.append(route)
         self.bus_route = [r % cfg.n_routes for r in range(cfg.n_buses)]
 
-    def generate_sightings(self) -> List[ApSighting]:
-        """Emit the raw DNET-style AP sighting log (with defects)."""
-        cfg = self.config
-        rng = self.rng
-        out: List[ApSighting] = []
-        for bus in range(cfg.n_buses):
-            main_route = self.bus_route[bus]
-            if cfg.shared_garage:
-                garage_ap = self.garage_aps[0]
-            else:
-                garage_ap = self.garage_aps[main_route % len(self.garage_aps)]
-            pos = int(rng.integers(0, 32))
-            # alternate direction within each route's fleet: buses are dealt
-            # to routes round-robin, so the parity of bus // n_routes
-            # alternates *within* a route rather than *across* routes
-            preferred_reverse = (bus // max(1, cfg.n_routes)) % 2 == 1
-            for day in range(cfg.days):
-                # daily rostering: usually the main route, sometimes another
-                if cfg.n_routes > 1 and rng.random() >= cfg.main_route_prob:
-                    others = [r for r in range(cfg.n_routes) if r != main_route]
-                    route = self.routes[others[int(rng.integers(0, len(others)))]]
-                else:
-                    route = self.routes[main_route]
-                reverse = preferred_reverse == (rng.random() < cfg.direction_consistency)
-                if reverse:
-                    route = route[::-1]
-                t = day * SECONDS_PER_DAY + hours(cfg.service_start_hour)
-                t += rng.uniform(0, 1200)  # staggered pull-out
-                day_end = day * SECONDS_PER_DAY + hours(cfg.service_end_hour)
-                # unscheduled maintenance happens on a few days per month:
-                # pick the step at which the bus will pull into the garage
-                garage_step = -1
-                if rng.random() < cfg.garage_prob:
-                    garage_step = int(rng.integers(5, 30))
-                breakdown_step = -1
-                if rng.random() < cfg.breakdown_prob:
-                    breakdown_step = int(rng.integers(5, 30))
-                step = 0
-                while t < day_end:
-                    stop = route[pos % len(route)]
-                    dwell = rng.uniform(*cfg.dwell_range)
-                    if rng.random() >= cfg.miss_prob:
-                        # radio overlap: occasionally log the next stop's AP
-                        if rng.random() < cfg.overlap_prob:
-                            log_stop = route[(pos + 1) % len(route)]
-                        else:
-                            log_stop = stop
-                        aps = self.stop_aps[log_stop]
-                        ap = aps[int(rng.integers(0, len(aps)))]
-                        lat, lon = self.ap_coords[ap]
-                        out.append(
-                            ApSighting(
-                                node=bus, ap=ap, lat=lat, lon=lon,
-                                start=t, end=t + dwell,
-                            )
-                        )
-                    t += dwell + rng.uniform(*cfg.travel_range)
-                    pos += 1
-                    step += 1
-                    if step == breakdown_step:
-                        # breakdown: the bus stalls at the stop it just
-                        # reached, still associated with the stop's AP
-                        stall = rng.uniform(*cfg.breakdown_stay_range)
-                        stop_now = route[pos % len(route)]
-                        aps = self.stop_aps[stop_now]
-                        ap = aps[int(rng.integers(0, len(aps)))]
-                        lat, lon = self.ap_coords[ap]
-                        out.append(
-                            ApSighting(
-                                node=bus, ap=ap, lat=lat, lon=lon,
-                                start=t, end=t + stall,
-                            )
-                        )
-                        t += stall
-                    if step == garage_step:
-                        # unscheduled maintenance: long silent stay at garage
-                        stay = rng.uniform(*cfg.garage_stay_range)
-                        lat, lon = self.ap_coords[garage_ap]
-                        out.append(
-                            ApSighting(
-                                node=bus, ap=garage_ap, lat=lat, lon=lon,
-                                start=t, end=t + stay,
-                            )
-                        )
-                        t += stay
-        return sorted(out, key=lambda s: (s.start, s.node))
+    def _bus_stays(
+        self, bus: int, rng: np.random.Generator
+    ) -> Iterator[Tuple[int, float, float, int, Optional[int]]]:
+        """One bus's motion, lazily: ``(day, start, end, landmark, next_stop)``.
 
-    # -- streaming generation -------------------------------------------------------
-    def _bus_visit_stream(self, bus: int) -> Iterator[VisitRecord]:
-        """One bus's *clean* stop visits as a nondecreasing generator.
+        The one motion loop: daily rostering (usually the main route),
+        direction preference, staggered pull-out, then stop after stop
+        until the service day ends, with the day's breakdown (a long stall
+        at the stop just reached) and unscheduled garage trip at their
+        drawn steps.  A stop stay carries the route's next stop (the AP a
+        radio overlap logs); breakdown and garage stays carry ``None``.
+        Landmarks are stop indices, and ``n_stops + g`` for garage ``g``.
 
-        Landmark ids are stop indices (``0..n_stops-1``) plus garage
-        landmarks at ``n_stops + g``.  The motion model matches
-        :meth:`generate_sightings` (rostering, direction preference,
-        breakdowns, garage trips) but skips the radio-log defects (missed
-        and overlapping sightings) — this is the mobility ground truth the
-        preprocessing pipeline tries to recover.  Driven by the bus's own
-        spawned RNG stream so buses generate independently; a breakdown or
-        garage stay can spill past the service day, so records are released
-        through a small heap once no later day can precede them.
+        Draws come from ``rng`` as the generator advances, so a consumer
+        may draw from the same RNG between stays: :meth:`generate_sightings`
+        draws each sighting's log defects there.
         """
         cfg = self.config
-        rng = np.random.default_rng(
-            np.random.SeedSequence(self.seed, spawn_key=(bus,))
-        )
+        uniform = rng.uniform
         main_route = self.bus_route[bus]
-        if cfg.shared_garage:
-            garage_lm = cfg.n_stops
-        else:
-            garage_lm = cfg.n_stops + main_route % len(self.garage_aps)
+        garage_lm = cfg.n_stops
+        if not cfg.shared_garage:
+            garage_lm += main_route % len(self.garage_aps)
         pos = int(rng.integers(0, 32))
+        # alternate direction within each route's fleet: buses are dealt
+        # to routes round-robin, so the parity of bus // n_routes
+        # alternates *within* a route rather than *across* routes
         preferred_reverse = (bus // max(1, cfg.n_routes)) % 2 == 1
-        pending: List[VisitRecord] = []
         for day in range(cfg.days):
+            # daily rostering: usually the main route, sometimes another
             if cfg.n_routes > 1 and rng.random() >= cfg.main_route_prob:
                 others = [r for r in range(cfg.n_routes) if r != main_route]
                 route = self.routes[others[int(rng.integers(0, len(others)))]]
@@ -640,9 +536,12 @@ class BusMobilityModel:
             reverse = preferred_reverse == (rng.random() < cfg.direction_consistency)
             if reverse:
                 route = route[::-1]
+            n = len(route)
             t = day * SECONDS_PER_DAY + hours(cfg.service_start_hour)
-            t += rng.uniform(0, 1200)
+            t += uniform(0, 1200)  # staggered pull-out
             day_end = day * SECONDS_PER_DAY + hours(cfg.service_end_hour)
+            # unscheduled maintenance happens on a few days per month:
+            # pick the step at which the bus will pull into the garage
             garage_step = -1
             if rng.random() < cfg.garage_prob:
                 garage_step = int(rng.integers(5, 30))
@@ -651,37 +550,75 @@ class BusMobilityModel:
                 breakdown_step = int(rng.integers(5, 30))
             step = 0
             while t < day_end:
-                stop = route[pos % len(route)]
-                dwell = rng.uniform(*cfg.dwell_range)
-                heapq.heappush(
-                    pending,
-                    VisitRecord(start=t, end=t + dwell, node=bus, landmark=stop),
-                )
-                t += dwell + rng.uniform(*cfg.travel_range)
+                dwell = uniform(*cfg.dwell_range)
+                yield day, t, t + dwell, route[pos % n], route[(pos + 1) % n]
+                t += dwell + uniform(*cfg.travel_range)
                 pos += 1
                 step += 1
                 if step == breakdown_step:
-                    stall = rng.uniform(*cfg.breakdown_stay_range)
-                    stop_now = route[pos % len(route)]
-                    heapq.heappush(
-                        pending,
-                        VisitRecord(
-                            start=t, end=t + stall, node=bus, landmark=stop_now
-                        ),
-                    )
+                    # breakdown: the bus stalls at the stop it just reached,
+                    # still within range of the stop's APs
+                    stall = uniform(*cfg.breakdown_stay_range)
+                    yield day, t, t + stall, route[pos % n], None
                     t += stall
                 if step == garage_step:
-                    stay = rng.uniform(*cfg.garage_stay_range)
-                    heapq.heappush(
-                        pending,
-                        VisitRecord(
-                            start=t, end=t + stay, node=bus, landmark=garage_lm
-                        ),
-                    )
+                    # unscheduled maintenance: long silent stay at the garage
+                    stay = uniform(*cfg.garage_stay_range)
+                    yield day, t, t + stay, garage_lm, None
                     t += stay
-            horizon = (day + 1) * SECONDS_PER_DAY + hours(cfg.service_start_hour)
-            while pending and pending[0].start < horizon:
-                yield heapq.heappop(pending)
+
+    def generate_sightings(self) -> List[ApSighting]:
+        """Emit the raw DNET-style AP sighting log (with defects).
+
+        Each bus's motion (:meth:`_bus_stays`) and its log defects draw
+        from the model's RNG in turn: a stop goes unlogged or, through
+        radio overlap, logs the next stop's AP, and every logged stop or
+        breakdown picks one of the stop's APs.
+        """
+        cfg = self.config
+        rng = self.rng
+        out: List[ApSighting] = []
+        for bus in range(cfg.n_buses):
+            for _, start, end, lm, next_stop in self._bus_stays(bus, rng):
+                if lm >= cfg.n_stops:  # a garage has one AP
+                    ap = self.garage_aps[lm - cfg.n_stops]
+                else:
+                    if next_stop is not None:  # a stop, not a breakdown
+                        if rng.random() < cfg.miss_prob:
+                            continue
+                        if rng.random() < cfg.overlap_prob:
+                            lm = next_stop
+                    aps = self.stop_aps[lm]
+                    ap = aps[int(rng.integers(0, len(aps)))]
+                lat, lon = self.ap_coords[ap]
+                out.append(ApSighting(bus, ap, lat, lon, start, end))
+        return sorted(out, key=lambda s: (s.start, s.node))
+
+    # -- streaming generation -------------------------------------------------------
+    def _bus_visit_stream(self, bus: int) -> Iterator[VisitRecord]:
+        """One bus's *clean* stop visits as a nondecreasing generator.
+
+        The :meth:`_bus_stays` motion without the radio-log defects of
+        :meth:`generate_sightings` — the mobility ground truth the
+        preprocessing pipeline tries to recover — driven by the bus's own
+        spawned RNG stream so buses generate independently.  A breakdown
+        or garage stay can spill past the service day, so records are
+        released through a small heap once no later day can precede them.
+        """
+        rng = np.random.default_rng(
+            np.random.SeedSequence(self.seed, spawn_key=(bus,))
+        )
+        service_start = hours(self.config.service_start_hour)
+        pending: List[VisitRecord] = []
+        today = 0
+        for day, start, end, lm, _ in self._bus_stays(bus, rng):
+            if day != today:
+                # no stay of this day or a later one starts before it began
+                horizon = day * SECONDS_PER_DAY + service_start
+                while pending and pending[0].start < horizon:
+                    yield heapq.heappop(pending)
+                today = day
+            heapq.heappush(pending, VisitRecord(start, end, bus, lm))
         while pending:
             yield heapq.heappop(pending)
 

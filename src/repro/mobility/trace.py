@@ -16,11 +16,13 @@ Two derived notions:
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Sequence, Tuple
 
-ReplayEvent = Tuple[float, int, int, "VisitRecord"]
+#: ``(time, kind, seq, payload)``; a visit event's payload is its VisitRecord
+ReplayEvent = Tuple[float, int, int, object]
 
 
 class _VisitFields(NamedTuple):
@@ -109,10 +111,10 @@ class Trace:
         self._by_node: Dict[int, List[VisitRecord]] = {}
         for rec in self._records:
             self._by_node.setdefault(rec.node, []).append(rec)
-        #: memoized replay schedules keyed by (start_kind, end_kind); safe
-        #: because the record list is immutable after construction
+        #: memoized sorted visit events keyed by (start_kind, end_kind);
+        #: safe because the record list is immutable after construction
         self._replay_cache: Dict[Tuple[int, int], Tuple[ReplayEvent, ...]] = {}
-        #: number of schedule rebuilds (exposed so tests can assert the
+        #: number of visit-event builds (exposed so tests can assert the
         #: memoization actually skips work on repeated simulations)
         self.n_replay_builds: int = 0
 
@@ -185,57 +187,39 @@ class Trace:
         return [r.landmark for r in self._by_node.get(node, ())]
 
     def replay_events(
-        self, start_kind: int, end_kind: int
-    ) -> Tuple[ReplayEvent, ...]:
-        """The trace's visit events as ``(time, kind, seq, record)`` tuples.
+        self,
+        start_kind: int,
+        end_kind: int,
+        extra: Sequence[ReplayEvent] = (),
+    ) -> Sequence[ReplayEvent]:
+        """The trace's visit events, sorted, with ``extra`` merged in.
 
-        For each record, in record order, emits ``(start, start_kind, i)``
-        then ``(end, end_kind, i+1)`` with a monotonically increasing ``seq``
-        — exactly the stream the simulation engine folds into its event
-        queue.  The result is memoized per ``(start_kind, end_kind)`` pair,
-        so repeated simulations of the same trace skip the rebuild; callers
-        must treat the returned tuple as read-only and continue their own
-        sequence numbers from ``2 * len(trace)``.
+        The sorted visit events (:func:`visit_events` over the records)
+        depend only on the trace, so they are memoized per ``(start_kind,
+        end_kind)`` pair and repeated simulations of the same trace skip
+        the rebuild.  Without ``extra`` the memoized tuple itself is
+        returned (read-only); with a sorted ``extra`` (the run's own
+        events, seqs from ``2 * len(trace)`` on) the result is a new list
+        of both: one sort of two sorted runs, which Python's sort merges
+        in a single linear pass.
 
-        Raises
-        ------
-        ValueError
-            If record times are non-monotonic (out-of-order or NaN start
-            times, or a NaN end time).  Records are sorted on construction,
-            so this only fires on corrupt timestamps — which would otherwise
-            silently produce an out-of-order schedule.
+        Raises the :class:`ValueError` of :func:`visit_events` on NaN
+        timestamps or ``end_kind >= start_kind``.
         """
-        key = (int(start_kind), int(end_kind))
-        cached = self._replay_cache.get(key)
-        if cached is not None:
-            return cached
-        events: List[ReplayEvent] = []
-        counter = 0
-        prev_start = -math.inf
-        for i, rec in enumerate(self._records):
-            # written as negated >= so NaN timestamps (all comparisons
-            # False) are caught too, not just strict disorder
-            if not (rec.start >= prev_start):
-                raise ValueError(
-                    f"non-monotonic visit times in trace {self.name!r}: "
-                    f"record {i} starts at {rec.start} after a record "
-                    f"starting at {prev_start}"
-                )
-            if not (rec.end >= rec.start):
-                raise ValueError(
-                    f"non-monotonic visit times in trace {self.name!r}: "
-                    f"record {i} ends at {rec.end}, before its start "
-                    f"{rec.start}"
-                )
-            prev_start = rec.start
-            events.append((rec.start, start_kind, counter, rec))
-            counter += 1
-            events.append((rec.end, end_kind, counter, rec))
-            counter += 1
-        result = tuple(events)
-        self._replay_cache[key] = result
-        self.n_replay_builds += 1
-        return result
+        key = (start_kind, end_kind)
+        visits = self._replay_cache.get(key)
+        if visits is None:
+            visits = tuple(
+                visit_events(self._records, start_kind, end_kind, name=self.name)
+            )
+            self._replay_cache[key] = visits
+            self.n_replay_builds += 1
+        if not extra:
+            return visits
+        events = list(visits)
+        events += extra
+        events.sort()
+        return events
 
     # -- derived quantities ---------------------------------------------------------
     def transits(self) -> List[Transit]:
@@ -280,6 +264,111 @@ class Trace:
             f"nodes={self.n_nodes}, landmarks={self.n_landmarks}, "
             f"span=[{self.start_time:g}, {self.end_time:g}])"
         )
+
+
+def visit_events(
+    records: Iterable[VisitRecord],
+    start_kind: int,
+    end_kind: int,
+    extra: Sequence[ReplayEvent] = (),
+    *,
+    name: str = "trace",
+) -> Iterator[ReplayEvent]:
+    """The engine's visit events for start-ordered ``records``, sorted.
+
+    Record ``i`` (in ``records`` order) contributes ``(start, start_kind,
+    2i, rec)`` and ``(end, end_kind, 2i+1, rec)``; they are yielded in
+    ``(time, kind, seq)`` order, with ``extra`` — a sorted sequence of
+    the run's other events (packet births, probes, fault edges:
+    ``(time, kind, seq, payload)`` with seqs from ``2 * len(records)``
+    on) — interleaved.  Both :meth:`Trace.replay_events` (memoized) and
+    :meth:`~repro.mobility.stream.TraceStream.replay_events` (streamed)
+    are this function.
+
+    Correctness: records arrive in start order and a visit ends no
+    earlier than it starts, so once a record starting at ``s`` is read,
+    every event of the records still to come sorts after every event at
+    an earlier instant.  The ends of the visits read so far are held in a
+    min-heap and the starts at the latest instant in ``group``; when a
+    record at a later instant arrives, the group is complete.  Its starts
+    are contiguous in sort order (ends sort before starts at equal time,
+    since ``end_kind < start_kind``, and seqs only break ties), so every
+    held end and ``extra`` event below the group's first start is yielded,
+    in merged order, and then the group.  Holding the starts until the
+    instant is complete puts a zero-length visit's end before the starts
+    read earlier at the same instant.  The heap holds one entry per open
+    visit — O(concurrent visits), not O(records).  Every seq is unique,
+    so no comparison reaches a payload and the merged order is the one a
+    sort of all the events gives.
+
+    Raises
+    ------
+    ValueError
+        If ``end_kind >= start_kind``, or a start time is out of order or
+        NaN, or an end time is NaN — corrupt timestamps that would
+        otherwise silently produce an out-of-order schedule.
+    """
+    if not end_kind < start_kind:
+        raise ValueError(
+            f"replay needs end_kind < start_kind (got {end_kind} >= "
+            f"{start_kind}): ends at equal timestamps must sort before starts"
+        )
+    heap: List[ReplayEvent] = []  # the ends of the visits read so far
+    group: List[ReplayEvent] = []  # the starts at instant ``prev_start``
+    push, pop = heapq.heappush, heapq.heappop
+    # the head of ``extra``; past its end, a sentinel every event sorts below
+    n_extra = len(extra)
+    k = 0
+    nxt = extra[0] if n_extra else _LAST
+    seq = 0
+    prev_start = -math.inf
+    for rec in records:
+        start = rec.start
+        # negated >= so NaN timestamps (all comparisons False) are caught
+        # too, not just strict disorder
+        if not (start >= prev_start):
+            raise ValueError(
+                f"non-monotonic visit times in trace {name!r}: record "
+                f"{seq // 2} starts at {start} after a record starting at "
+                f"{prev_start}"
+            )
+        if not (rec.end >= start):
+            raise ValueError(
+                f"non-monotonic visit times in trace {name!r}: record "
+                f"{seq // 2} ends at {rec.end}, before its start {start}"
+            )
+        if start != prev_start and group:
+            # the previous instant is complete: what sorts below its
+            # starts goes first; tuple compare never reaches a payload
+            first = group[0]
+            while True:
+                if heap and heap[0] < nxt:
+                    if not heap[0] < first:
+                        break
+                    yield pop(heap)
+                elif nxt < first:
+                    yield nxt
+                    k += 1
+                    nxt = extra[k] if k < n_extra else _LAST
+                else:
+                    break
+            yield from group
+            group = []
+        prev_start = start
+        group.append((start, start_kind, seq, rec))
+        push(heap, (rec.end, end_kind, seq + 1, rec))
+        seq += 2
+    # the records are done: the held ends, the last instant's starts and
+    # the rest of ``extra`` are all that is left, and one sort orders them
+    heap += group
+    heap += extra[k:]
+    heap.sort()
+    yield from heap
+
+
+#: sorts after every replay event: ``inf`` ties only an infinite timestamp,
+#: and then ``inf`` beats any event kind
+_LAST = (math.inf, math.inf)
 
 
 SECONDS_PER_DAY = 86400.0

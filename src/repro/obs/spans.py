@@ -15,8 +15,8 @@ per-call object allocation) arranged as a tree:
   cumulative — the time spent in the span's own code;
 * the engine's hot loop avoids context-manager overhead by parking the
   recorder's cursor on a pre-resolved node (:meth:`SpanRecorder.node`,
-  plain attribute assignment per event) and folding the accumulated
-  deltas afterwards.
+  plain attribute assignment per event) and adding the accumulated
+  deltas afterwards (:meth:`SpanRecorder.add`, once per dispatch kind).
 
 Two usage styles:
 
@@ -44,8 +44,7 @@ class SpanNode:
 
     ``seconds`` is cumulative (includes children); ``calls`` counts how
     many timed scopes / folded deltas landed here.  Nodes are created
-    lazily per ``(parent, name)`` pair and never removed except by
-    :meth:`SpanRecorder.clear`.
+    lazily per ``(parent, name)`` pair and never removed.
     """
 
     __slots__ = ("name", "parent", "seconds", "calls", "children")
@@ -98,7 +97,7 @@ class SpanRecorder:
     The cursor (:attr:`current`) is what :meth:`add` and :meth:`span`
     attach to.  Hot loops may park it directly on a pre-resolved node
     (``recorder.current = node``) — one attribute store per event — and
-    fold their accumulated deltas afterwards via :meth:`fold`.
+    add their accumulated deltas afterwards via :meth:`add`.
     """
 
     __slots__ = ("root", "current")
@@ -137,20 +136,6 @@ class SpanRecorder:
     def node(self, name: str, parent: Optional[SpanNode] = None) -> SpanNode:
         """Resolve (creating if needed) a child node for cursor parking."""
         return (parent if parent is not None else self.current).child(name)
-
-    @staticmethod
-    def fold(node: SpanNode, dt: float, calls: int = 1) -> None:
-        """Fold accumulated seconds directly into a pre-resolved node."""
-        node.seconds += dt
-        node.calls += calls
-
-    def clear(self, anchor: Optional[SpanNode] = None) -> None:
-        """Drop the subtree under ``anchor`` (default: the whole tree)."""
-        node = anchor if anchor is not None else self.root
-        node.children.clear()
-        node.seconds = 0.0
-        node.calls = 0
-        self.current = node
 
     # -- queries ---------------------------------------------------------------
     def walk(

@@ -55,7 +55,6 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Set,
 from repro.mobility.io import dumps_trace, loads_trace
 from repro.mobility.trace import Trace
 from repro.obs import events as event_types
-from repro.obs.registry import MetricsRegistry
 
 MAGIC = b"repro-ckpt-v1\n"
 _DIGEST_LEN = 64  # hex sha256
@@ -259,21 +258,15 @@ class InterruptFlag:
 
 
 class RecoveryLog:
-    """Append-only JSONL log of executor recovery actions + counters.
+    """Append-only JSONL log of executor recovery actions
+    (``recovery.jsonl``, the CI artifact)."""
 
-    Every record lands both in ``recovery.jsonl`` (the CI artifact) and
-    in an ``executor.*`` counter on the attached registry.
-    """
-
-    def __init__(self, path: "Path | str",
-                 registry: Optional[MetricsRegistry] = None) -> None:
+    def __init__(self, path: "Path | str") -> None:
         self.path = Path(path)
-        self.registry = registry if registry is not None else MetricsRegistry()
 
     def emit(self, etype: str, **data: Any) -> None:
         if etype not in event_types.EXECUTOR_EVENTS:
             raise ValueError(f"unknown executor event type: {etype!r}")
-        self.registry.counter(etype).inc()
         record = {"ts": round(time.time(), 3), "event": etype}
         record.update(data)
         with open(self.path, "a", encoding="utf-8") as fh:
@@ -477,8 +470,8 @@ class RunDir:
     def exists(self) -> bool:
         return self.manifest_path.is_file()
 
-    def recovery_log(self, registry: Optional[MetricsRegistry] = None) -> RecoveryLog:
-        return RecoveryLog(self.recovery_path, registry)
+    def recovery_log(self) -> RecoveryLog:
+        return RecoveryLog(self.recovery_path)
 
     # -- per-point state -----------------------------------------------------------
     def point_dir(self, index: int) -> Path:

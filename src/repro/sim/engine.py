@@ -215,12 +215,6 @@ class World:
             return True
         return not self.faults.station_down(lid, self.now)
 
-    def node_available(self, nid: int) -> bool:
-        """Whether node ``nid`` is currently alive (not churned out)."""
-        if not self._faults_active:
-            return True
-        return not self.faults.node_down(nid, self.now)
-
     def _transfer_faulted(self, station_lid: Optional[int], packet: Packet) -> bool:
         """Whether the fault plane blocks this transfer attempt.
 
@@ -565,18 +559,12 @@ class Simulation:
 
     # -- event assembly -----------------------------------------------------------
     def _events(self) -> Iterable[Tuple[float, int, int, object]]:
-        # the visit-start/visit-end stream depends only on the trace, so it
-        # is memoized there (Trace.replay_events); births, probes and fault
-        # edges depend on the config and are appended per run, with
-        # sequence numbers continuing past the visit events' 2*len(trace).
-        # A TraceStream is never materialized: the (small) list of the
-        # run's own events is sorted alone and handed to its replay, which
-        # interleaves it as it yields the already sorted visit events.
-        streaming = isinstance(self.trace, TraceStream)
-        events: List[Tuple[float, int, int, object]] = (
-            [] if streaming
-            else list(self.trace.replay_events(_VISIT_START, _VISIT_END))
-        )
+        # the visit events depend only on the trace, which replays them
+        # sorted (memoized by a Trace, streamed by a TraceStream); births,
+        # probes and fault edges depend on the config, so they are sorted
+        # here, with sequence numbers continuing past the visit events'
+        # 2*len(trace), and handed to the replay to merge in
+        events: List[Tuple[float, int, int, object]] = []
         counter = 2 * len(self.trace)
         warmup_end = self.trace.start_time + self.config.warmup_fraction * self.trace.duration
         gen_end = self.trace.start_time + self.config.generation_end_fraction * self.trace.duration
@@ -605,14 +593,9 @@ class Simulation:
                 events.append((edge.t, _FAULT_EDGE, counter, edge))
                 counter += 1
         # tuple-native sort: sequence numbers are unique, so comparison never
-        # reaches the payload — identical order to the old (t, kind, seq) key
-        # without materializing a key object per event
+        # reaches the payload
         events.sort()
-        if streaming:
-            # both inputs are sorted and seqs are globally unique, so the
-            # interleave reproduces exactly the order one sort would give
-            return self.trace.replay_events(_VISIT_START, _VISIT_END, events)
-        return events
+        return self.trace.replay_events(_VISIT_START, _VISIT_END, events)
 
     # -- handlers ------------------------------------------------------------------
     def _end_visit(self, node: MobileNode, t: float) -> None:

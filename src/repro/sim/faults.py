@@ -42,7 +42,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.utils.validation import require_in_range
+from repro.utils.validation import require_in_range, require_int, require_number
 
 __all__ = [
     "FAULT_KINDS",
@@ -75,18 +75,6 @@ _KIND_FIELDS: Dict[str, Tuple[str, ...]] = {
     LINK_DEGRADATION: ("landmark", "factor"),
     TRANSFER_LOSS: ("prob",),
 }
-
-
-def _require_number(what: str, value: Any) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{what} must be a number, got {value!r}")
-    return float(value)
-
-
-def _require_int(what: str, value: Any) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -176,23 +164,23 @@ class FaultSpec:
                 f"unknown key(s) in {kind} fault: {unknown}; allowed: {sorted(allowed)}"
             )
         kwargs: Dict[str, Any] = {"kind": kind}
-        kwargs["start"] = _require_number("fault start", data.get("start", 0.0))
+        kwargs["start"] = require_number("fault start", data.get("start", 0.0))
         if data.get("end") is not None:
-            kwargs["end"] = _require_number("fault end", data["end"])
+            kwargs["end"] = require_number("fault end", data["end"])
         if data.get("landmark") is not None:
-            kwargs["landmark"] = _require_int("fault landmark", data["landmark"])
+            kwargs["landmark"] = require_int("fault landmark", data["landmark"])
         if data.get("count") is not None:
-            kwargs["count"] = _require_int("fault count", data["count"])
+            kwargs["count"] = require_int("fault count", data["count"])
         if data.get("nodes") is not None:
             nodes = data["nodes"]
             if isinstance(nodes, (str, bytes)) or not isinstance(nodes, Sequence):
                 raise ValueError(f"fault nodes must be a list of ids, got {nodes!r}")
             kwargs["nodes"] = tuple(
-                _require_int(f"fault nodes[{i}]", n) for i, n in enumerate(nodes)
+                require_int(f"fault nodes[{i}]", n) for i, n in enumerate(nodes)
             )
         for key in ("fraction", "factor", "prob"):
             if data.get(key) is not None:
-                kwargs[key] = _require_number(f"fault {key}", data[key])
+                kwargs[key] = require_number(f"fault {key}", data[key])
         return cls(**kwargs)
 
     def as_dict(self) -> Dict[str, Any]:
@@ -234,7 +222,7 @@ class FaultPlan:
         if isinstance(raw, (str, bytes)) or not isinstance(raw, Sequence):
             raise ValueError(f"faults.specs must be a list, got {raw!r}")
         specs = tuple(FaultSpec.from_dict(s) for s in raw)
-        return cls(specs=specs, seed=_require_int("faults.seed", data.get("seed", 0)))
+        return cls(specs=specs, seed=require_int("faults.seed", data.get("seed", 0)))
 
     def as_dict(self) -> Dict[str, Any]:
         return {"seed": self.seed, "specs": [s.as_dict() for s in self.specs]}
@@ -482,7 +470,3 @@ class FaultSchedule:
     def affected_landmarks(self) -> List[int]:
         """Landmarks with at least one outage/death window."""
         return self._stations.entities
-
-    def affected_nodes(self) -> List[int]:
-        """Nodes with at least one churn window."""
-        return self._nodes.entities

@@ -7,7 +7,25 @@ simulation run.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Optional
+
+
+def require_number(what: str, value: Any) -> float:
+    """``value`` as a float if it is an int or float (not a bool), else raise.
+
+    For values read from JSON manifests, where ``true`` would otherwise
+    pass as the number 1.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def require_int(what: str, value: Any) -> int:
+    """``value`` if it is an int (not a bool), else raise ``ValueError``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 def require_positive(name: str, value: float) -> float:

@@ -174,12 +174,6 @@ class TestPhaseReport:
         assert spans.flat()["block"]["calls"] == 1
         assert spans.flat()["block"]["seconds"] >= 0.0
 
-    def test_clear(self):
-        spans = SpanRecorder()
-        spans.add("x", 1.0)
-        spans.clear()
-        assert spans.flat() == {}
-
 
 class TestProvenance:
     def test_from_sim_config(self):

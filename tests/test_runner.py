@@ -112,14 +112,18 @@ class TestReplayCache:
         b = shuttle_trace.replay_events(2, 0)
         assert a is b
         assert len(a) == 2 * len(shuttle_trace)
-        # ordering contract: per record, start then end, seq 0..2N-1
-        assert [e[2] for e in a] == list(range(2 * len(shuttle_trace)))
+        # ordering contract: sorted by (t, kind, seq), and record i's
+        # start and end carry seqs 2i and 2i+1, so seqs are 0..2N-1
+        keys = [e[:3] for e in a]
+        assert keys == sorted(keys)
+        assert sorted(e[2] for e in a) == list(range(2 * len(shuttle_trace)))
 
     def test_distinct_kinds_cached_separately(self, shuttle_trace):
         a = shuttle_trace.replay_events(2, 0)
-        c = shuttle_trace.replay_events(5, 7)
+        c = shuttle_trace.replay_events(7, 5)
         assert a is not c
-        assert c[0][1] == 5 and c[1][1] == 7
+        assert {e[1] for e in a} == {0, 2}
+        assert {e[1] for e in c} == {5, 7}
 
 
 class TestRunPoints:

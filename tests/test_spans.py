@@ -50,14 +50,16 @@ class TestSpanRecorder:
         assert leaf.calls == 3
 
     def test_cursor_parking_and_fold(self):
-        """The engine's hot-loop idiom: park current, fold deltas after."""
+        """The engine's hot-loop idiom: park current, add deltas after
+        (``Simulation._fold_dispatch`` adds each kind's total under the
+        anchor, landing on the node the cursor was parked on)."""
         rec = SpanRecorder()
         anchor = rec.current
         node = rec.node("dispatch.visit_start", anchor)
         rec.current = node
         rec.add("router.carrier_selection", 0.1)
         rec.current = anchor
-        rec.fold(node, 0.5, calls=10)
+        rec.add("dispatch.visit_start", 0.5, calls=10)
         assert node.calls == 10
         assert node.seconds == 0.5
         assert node.children["router.carrier_selection"].seconds == 0.1
@@ -125,14 +127,6 @@ class TestSpanRecorder:
         names = [c["name"] for c in tree.get("children", [])]
         assert "never_entered" not in names
         assert "real" in names
-
-    def test_clear_resets_subtree(self):
-        rec = SpanRecorder()
-        with rec.span("x"):
-            pass
-        rec.clear()
-        assert not rec.root.children
-        assert rec.current is rec.root
 
 
 class TestPerRunReports:

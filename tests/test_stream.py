@@ -6,14 +6,14 @@ trace* as its materialized twin — same records, same engine events, same
 metrics to the last bit.  These tests pin that promise at every layer:
 
 * the mobility models' ``stream_visits`` generators are deterministic
-  and re-iterable: consuming one lazily, chunked, or materialized into a
+  and re-iterable: consuming one lazily or materialized into a
   :class:`~repro.mobility.trace.Trace` yields exactly the same records
   (``stream_visits`` deliberately draws from per-node RNG streams, so it
   is a *different sample* than the legacy single-RNG ``generate_visits``
   — equivalence holds within the streaming path, not across samplers);
-* chunked consumption (``iter_chunks``) loses and reorders nothing;
-* the streamed replay interleaves a run's own events (births, probes,
-  fault edges) exactly where a sort of all events puts them, and probes
+* the replay of a trace and of its stream interleaves a run's own events
+  (births, probes, fault edges) exactly where one sort of all events puts
+  them, both reject corrupt timestamps with the same error, and probes
   over a stream see the states they see over the materialized trace;
 * the serial engine fed a ``TraceStream`` reproduces the materialized
   run bit-for-bit on both committed ci scenarios (the zero-tolerance
@@ -27,6 +27,7 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.baselines import make_protocol
 from repro.mobility.stream import TraceStream
@@ -36,7 +37,7 @@ from repro.mobility.synthetic import (
     CampusConfig,
     CampusMobilityModel,
 )
-from repro.mobility.trace import days
+from repro.mobility.trace import Trace, VisitRecord, days
 from repro.sim.engine import SimConfig, Simulation
 
 REPO = Path(__file__).resolve().parent.parent
@@ -73,13 +74,6 @@ def test_stream_records_are_start_ordered():
     assert starts == sorted(starts)
 
 
-def test_chunked_consumption_is_lossless():
-    model = CampusMobilityModel(SMALL_CAMPUS, seed=2)
-    stream = model.trace_stream()
-    chunked = [rec for chunk in stream.iter_chunks(97) for rec in chunk]
-    assert chunked == list(stream.iter_records())
-
-
 def test_stream_is_reiterable():
     """A model-backed stream must rebuild identically on every pass."""
     stream = CampusMobilityModel(SMALL_CAMPUS, seed=5).trace_stream()
@@ -102,7 +96,103 @@ def test_replay_interleaves_extra_events_in_sort_order():
     extra.sort()
     want = sorted(visits + extra)
     assert list(stream.replay_events(3, 1, extra)) == want
+    assert list(trace.replay_events(3, 1, extra)) == want
     assert list(stream.replay_events(3, 1)) == sorted(visits)
+
+
+@st.composite
+def replay_cases(draw):
+    """A trace with overlapping, zero-length and same-instant visits, and a
+    sorted list of extra events of every kind, many at visit instants."""
+    records = [
+        VisitRecord(float(start), float(start + length), node, landmark)
+        for start, length, node, landmark in draw(st.lists(
+            st.tuples(st.integers(0, 12), st.integers(0, 5),
+                      st.integers(0, 3), st.integers(0, 3)),
+            min_size=1, max_size=25,
+        ))
+    ]
+    trace = Trace(records, name="hypo")
+    instants = sorted({r.start for r in records} | {r.end for r in records})
+    times = draw(st.lists(
+        st.one_of(st.sampled_from(instants), st.integers(-1, 20).map(float)),
+        max_size=15,
+    ))
+    seq = 2 * len(trace)
+    extra = sorted(
+        (t, draw(st.integers(0, 4)), seq + i, f"extra-{i}")
+        for i, t in enumerate(times)
+    )
+    return trace, extra
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=replay_cases(), kinds=st.sampled_from([(3, 1), (2, 0), (4, 1), (1, 0)]))
+# two zero-length visits at one instant: the second one's end sorts
+# before the first one's start
+@example(
+    case=(Trace([VisitRecord(0.0, 0.0, 0, 0), VisitRecord(0.0, 0.0, 1, 1)]), []),
+    kinds=(3, 1),
+)
+def test_trace_and_stream_replays_are_one_sort_of_all_events(case, kinds):
+    trace, extra = case
+    start_kind, end_kind = kinds
+    visits = [
+        ev
+        for i, rec in enumerate(trace)
+        for ev in ((rec.start, start_kind, 2 * i, rec),
+                   (rec.end, end_kind, 2 * i + 1, rec))
+    ]
+    want = sorted(visits + extra)
+    stream = TraceStream.from_trace(trace)
+    assert list(trace.replay_events(start_kind, end_kind, extra)) == want
+    assert list(stream.replay_events(start_kind, end_kind, extra)) == want
+    assert list(trace.replay_events(start_kind, end_kind)) == sorted(visits)
+
+
+NAN = float("nan")
+#: a NaN start (after a healthy record, and first) and a NaN end
+CORRUPT = {
+    "nan-start": [VisitRecord(0.0, 10.0, 0, 0), VisitRecord(NAN, 20.0, 1, 1)],
+    "nan-first-start": [VisitRecord(NAN, 20.0, 1, 1), VisitRecord(0.0, 10.0, 0, 0)],
+    "nan-end": [VisitRecord(0.0, 10.0, 0, 0), VisitRecord(5.0, NAN, 1, 1)],
+}
+
+
+def _replay_errors(trace, start_kind, end_kind):
+    """The replay error of ``trace`` and of its stream, as messages."""
+    errors = []
+    for source in (trace, TraceStream.from_trace(trace)):
+        with pytest.raises(ValueError) as exc:
+            list(source.replay_events(start_kind, end_kind))
+        errors.append(str(exc.value))
+    return errors
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPT))
+def test_trace_and_stream_reject_nan_timestamps_alike(case):
+    errors = _replay_errors(Trace(CORRUPT[case], name="corrupt"), 3, 1)
+    assert errors[0] == errors[1]
+    assert "non-monotonic visit times in trace 'corrupt'" in errors[0]
+
+
+@pytest.mark.parametrize("kinds", [(1, 3), (2, 2)])
+def test_trace_and_stream_reject_end_kinds_not_below_start_kinds(kinds):
+    trace = Trace([VisitRecord(0.0, 10.0, 0, 0)], name="healthy")
+    errors = _replay_errors(trace, *kinds)
+    assert errors[0] == errors[1]
+    assert "end_kind < start_kind" in errors[0]
+
+
+def test_runs_over_a_nan_start_raise_for_trace_and_stream():
+    trace = Trace(CORRUPT["nan-start"], name="corrupt")
+    config = SimConfig(seed=1, rate_per_landmark_per_day=100.0, ttl=days(1.0))
+    errors = []
+    for source in (trace, TraceStream.from_trace(trace)):
+        with pytest.raises(ValueError, match="non-monotonic") as exc:
+            Simulation(source, make_protocol("DTN-FLOW"), config).run()
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1]
 
 
 @pytest.mark.parametrize("faulted", [False, True])

@@ -8,6 +8,11 @@ the slow metric-parity suite and the CI regression gates.  These digests
 Regenerate them only for a deliberate change to the traces, together with
 ``ci/regression-baseline.json``.
 
+The bus and campus models each have one motion loop that both their
+log-or-visits path and their stream consume, so the digests also pin
+configurations the DNET profile never draws (breakdowns, per-route
+garages), and the campus model's visits before any preprocessing.
+
 The campus model draws a spoke with ``bisect_right`` over
 :func:`~repro.mobility.synthetic.choice_cdf` instead of
 ``Generator.choice(n, p=w)``; ``choice`` stays here as the reference the
@@ -30,6 +35,7 @@ from repro.mobility.synthetic import (
     CampusConfig,
     CampusMobilityModel,
     choice_cdf,
+    dart_like,
 )
 
 PROFILE_DIGESTS = {
@@ -41,9 +47,43 @@ PROFILE_DIGESTS = {
 CAMPUS_STREAM_DIGEST = "11ba8e1274784a95f9c48671356ff225efdec5fefc285d2542f3dfc03aa6fa51"
 BUS_STREAM_DIGEST = "2581287dd6c3dd6fd39efc0aa4e0ff0feedcbb765b9ffc2eca46e3658ebabc7f"
 
+#: bus configs the DNET profile never draws: the Table VI dead-end trace's
+#: frequent breakdowns (``deadend_trace``), and one garage per route with
+#: a garage trip every other day
+BUS_CONFIGS = {
+    "breakdowns": (
+        BusConfig(n_buses=16, n_stops=12, n_routes=4, days=14, breakdown_prob=0.3),
+        11,
+    ),
+    "route-garages": (
+        BusConfig(n_buses=8, n_stops=8, n_routes=3, days=10,
+                  shared_garage=False, garage_prob=0.5),
+        3,
+    ),
+}
+SIGHTINGS_DIGESTS = {
+    "breakdowns": "f3d0d1441d8fd040273c65cb8caac1dba58ee16bf6d1d68493859e3c554c1588",
+    "route-garages": "090658413434f901f4fe074958e36a1285a7375c8f3477742aff9b0c3d054ce5",
+}
+BUS_CONFIG_STREAM_DIGESTS = {
+    "breakdowns": "4763df9c0ce0481b19cda488f9cc662a04d5cfd9115451c9e5a8fb1a30cdf944",
+    "route-garages": "1b52d97615f3fd3d02671f9ec482ab3c91a5653ea1d7b842dd78aff200c76f00",
+}
+#: ``dart_like("tiny", seed, preprocess=False)``: ``generate_visits`` as is
+CAMPUS_VISITS_DIGESTS = {
+    0: "2c389c2a3255792ee279f20aad5766e9b75228fe6f87f0e7c9101e70415226a6",
+    1: "24ef908573668beb0b7c9be728c2c813e7300b8b152660ba9538e90f81c40c4f",
+}
+
 
 def digest(trace) -> str:
     return hashlib.sha256(dumps_trace(trace).encode()).hexdigest()
+
+
+def sightings_digest(sightings) -> str:
+    """sha256 over one ``repr`` line per sighting (floats round-trip)."""
+    lines = "".join(f"{tuple(s)!r}\n" for s in sightings)
+    return hashlib.sha256(lines.encode()).hexdigest()
 
 
 @pytest.mark.parametrize(("name", "seed"), sorted(PROFILE_DIGESTS))
@@ -61,6 +101,26 @@ def test_bus_stream_digest():
     config = BusConfig(n_buses=8, n_stops=8, n_routes=3, days=4)
     model = BusMobilityModel(config, seed=3)
     assert digest(model.trace_stream().materialize()) == BUS_STREAM_DIGEST
+
+
+@pytest.mark.parametrize("name", sorted(BUS_CONFIGS))
+def test_bus_sightings_digest(name):
+    config, seed = BUS_CONFIGS[name]
+    sightings = BusMobilityModel(config, seed=seed).generate_sightings()
+    assert sightings_digest(sightings) == SIGHTINGS_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(BUS_CONFIGS))
+def test_bus_config_stream_digest(name):
+    config, seed = BUS_CONFIGS[name]
+    stream = BusMobilityModel(config, seed=seed).trace_stream()
+    assert digest(stream.materialize()) == BUS_CONFIG_STREAM_DIGESTS[name]
+
+
+@pytest.mark.parametrize("seed", sorted(CAMPUS_VISITS_DIGESTS))
+def test_campus_visits_digest(seed):
+    trace = dart_like("tiny", seed=seed, preprocess=False)
+    assert digest(trace) == CAMPUS_VISITS_DIGESTS[seed]
 
 
 @pytest.mark.parametrize("seed", range(0, 300, 10))
