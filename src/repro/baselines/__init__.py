@@ -2,23 +2,17 @@
 
 The five paper baselines (Section V-A.1) plus two bracketing references.
 :func:`make_protocol` builds a fresh protocol instance by name — experiment
-configs refer to protocols by these names.
-
-Each registry entry carries the protocol's constructor *and* its config
-surface: either a config dataclass (DTN-FLOW's :class:`DTNFlowConfig`) or
-the constructor's keyword parameters.  :func:`make_protocol` validates
-every keyword against that surface, so a typo in a scenario manifest fails
-loudly with the protocol's name and the accepted parameters, and
-:func:`make_protocol_from_spec` builds a protocol straight from a scenario
-``{"name": ..., "config": {...}}`` block.
+configs refer to protocols by these names — and is the one place a
+scenario's protocol ``config`` is checked.  Only DTN-FLOW takes one: its
+keywords are :class:`DTNFlowConfig` fields, and every other protocol
+rejects any keyword, so a manifest typo fails loudly with the protocol's
+name and the key.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import inspect
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Mapping, Optional
+from typing import Any, Callable, Dict, List, Mapping
 
 from repro.baselines.base import UtilityProtocol
 from repro.baselines.extras import DirectDeliveryProtocol, EpidemicProtocol
@@ -29,44 +23,19 @@ from repro.baselines.prophet import ProphetProtocol
 from repro.baselines.simbet import SimBetProtocol
 from repro.baselines.spraywait import SprayAndWaitProtocol
 from repro.core.router import DTNFlowConfig, DTNFlowProtocol
+from repro.core.scheduler import SchedulerConfig
 from repro.sim.engine import RoutingProtocol
 
-
-@dataclass(frozen=True)
-class ProtocolEntry:
-    """One registry row: a constructor plus its configuration surface."""
-
-    factory: Callable[..., RoutingProtocol]
-    #: config dataclass consumed by the constructor's ``config=`` parameter
-    #: (None = the constructor takes plain keyword arguments)
-    config_cls: Optional[type] = None
-
-    def param_names(self) -> List[str]:
-        """The keyword parameters this protocol accepts."""
-        if self.config_cls is not None:
-            return sorted(
-                ["config"] + [f.name for f in dataclasses.fields(self.config_cls)]
-            )
-        sig = inspect.signature(self.factory.__init__)
-        return sorted(
-            p.name
-            for p in sig.parameters.values()
-            if p.name != "self"
-            and p.kind
-            in (inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.KEYWORD_ONLY)
-        )
-
-
-_REGISTRY: Dict[str, ProtocolEntry] = {
-    "DTN-FLOW": ProtocolEntry(DTNFlowProtocol, DTNFlowConfig),
-    "SimBet": ProtocolEntry(SimBetProtocol),
-    "PROPHET": ProtocolEntry(ProphetProtocol),
-    "PGR": ProtocolEntry(PGRProtocol),
-    "GeoComm": ProtocolEntry(GeoCommProtocol),
-    "PER": ProtocolEntry(PERProtocol),
-    "Direct": ProtocolEntry(DirectDeliveryProtocol),
-    "Epidemic": ProtocolEntry(EpidemicProtocol),
-    "SprayWait": ProtocolEntry(SprayAndWaitProtocol),
+_REGISTRY: Dict[str, Callable[[], RoutingProtocol]] = {
+    "DTN-FLOW": DTNFlowProtocol,
+    "SimBet": SimBetProtocol,
+    "PROPHET": ProphetProtocol,
+    "PGR": PGRProtocol,
+    "GeoComm": GeoCommProtocol,
+    "PER": PERProtocol,
+    "Direct": DirectDeliveryProtocol,
+    "Epidemic": EpidemicProtocol,
+    "SprayWait": SprayAndWaitProtocol,
 }
 
 #: the six methods compared throughout Section V, in the paper's order
@@ -78,87 +47,51 @@ def protocol_names() -> List[str]:
     return sorted(_REGISTRY)
 
 
-def protocol_entry(name: str) -> ProtocolEntry:
-    """The registry entry for ``name`` (ValueError for unknown protocols)."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
+def _check_keys(cls: type, values: Mapping[str, Any], prefix: str = "") -> None:
+    accepted = [f.name for f in dataclasses.fields(cls)]
+    unknown = sorted(set(values) - set(accepted))
+    if unknown:
         raise ValueError(
-            f"unknown protocol {name!r}; available: {protocol_names()}"
-        ) from None
+            f"unknown config key(s) {[prefix + k for k in unknown]}; "
+            f"accepted: {sorted(prefix + k for k in accepted)}"
+        )
 
 
-def protocol_config_fields(name: str) -> List[str]:
-    """The keyword parameters ``make_protocol(name, ...)`` accepts."""
-    return protocol_entry(name).param_names()
-
-
-def _build_dataclass(cls: type, values: Mapping[str, Any]):
-    """Build a config dataclass, recursing into dataclass-typed fields so a
-    JSON scenario can spell e.g. ``{"scheduler": {"priority": "fifo"}}``."""
-    by_name = {f.name: f for f in dataclasses.fields(cls)}
-    kwargs: Dict[str, Any] = {}
-    for key, value in values.items():
-        f = by_name[key]
-        if isinstance(value, Mapping) and dataclasses.is_dataclass(f.type):
-            value = _build_dataclass(f.type, value)
-        elif isinstance(value, Mapping):
-            # dataclass fields declared via string annotations: resolve from
-            # the default factory's product
-            default = (
-                f.default_factory()
-                if f.default_factory is not dataclasses.MISSING  # type: ignore[misc]
-                else f.default
+def _dtnflow_config(values: Mapping[str, Any]) -> DTNFlowConfig:
+    """A :class:`DTNFlowConfig` from scenario keywords; ``scheduler`` may be
+    given as a nested mapping, as JSON manifests spell it."""
+    _check_keys(DTNFlowConfig, values)
+    kwargs = dict(values)
+    scheduler = kwargs.get("scheduler")
+    if "scheduler" in kwargs and not isinstance(scheduler, SchedulerConfig):
+        if not isinstance(scheduler, Mapping):
+            raise ValueError(
+                f"'scheduler' must be a mapping such as {{\"priority\": \"fifo\"}}, "
+                f"got {type(scheduler).__name__}"
             )
-            if dataclasses.is_dataclass(default) and not isinstance(default, type):
-                value = _build_dataclass(type(default), value)
-        kwargs[key] = value
-    return cls(**kwargs)
+        _check_keys(SchedulerConfig, scheduler, prefix="scheduler.")
+        kwargs["scheduler"] = SchedulerConfig(**scheduler)
+    return DTNFlowConfig(**kwargs)
 
 
-def make_protocol(name: str, **kwargs) -> RoutingProtocol:
+def make_protocol(name: str, **config: Any) -> RoutingProtocol:
     """Instantiate a registered protocol by name (fresh state every call).
 
-    Keyword arguments are validated against the protocol's configuration
-    surface; unknown keywords raise a ``ValueError`` naming the protocol
-    and the accepted parameters (so scenario typos fail loudly).
+    ``config`` is checked here and only here: unknown names, keywords a
+    protocol does not take and out-of-range values all raise a one-line
+    ``ValueError`` naming the protocol.
     """
-    entry = protocol_entry(name)
-    accepted = set(entry.param_names())
-    unknown = sorted(set(kwargs) - accepted)
-    if unknown:
-        raise ValueError(
-            f"unknown parameter(s) for protocol {name!r}: {unknown}; "
-            f"accepted: {sorted(accepted)}"
-        )
-    if entry.config_cls is not None and kwargs:
-        if "config" in kwargs:
-            if len(kwargs) > 1:
-                extra = sorted(set(kwargs) - {"config"})
-                raise ValueError(
-                    f"protocol {name!r}: pass either a prebuilt config= or "
-                    f"individual fields, not both (got config= plus {extra})"
-                )
-            return entry.factory(config=kwargs["config"])
-        return entry.factory(config=_build_dataclass(entry.config_cls, kwargs))
-    return entry.factory(**kwargs)
-
-
-def make_protocol_from_spec(spec: Mapping[str, Any]) -> RoutingProtocol:
-    """Build a protocol from a scenario ``{"name": ..., "config": {...}}``."""
-    if "name" not in spec:
-        raise ValueError(f"protocol spec needs a 'name' key, got {dict(spec)!r}")
-    unknown = sorted(set(spec) - {"name", "config"})
-    if unknown:
-        raise ValueError(
-            f"unknown key(s) in protocol spec: {unknown}; allowed: ['config', 'name']"
-        )
-    config = spec.get("config") or {}
-    if not isinstance(config, Mapping):
-        raise ValueError(
-            f"protocol 'config' must be a mapping, got {type(config).__name__}"
-        )
-    return make_protocol(str(spec["name"]), **dict(config))
+    factory = _REGISTRY.get(name)
+    if factory is None:
+        raise ValueError(f"unknown protocol {name!r}; available: {protocol_names()}")
+    if factory is not DTNFlowProtocol:
+        if config:
+            raise ValueError(f"protocol {name!r} takes no config, got {sorted(config)}")
+        return factory()
+    try:
+        return DTNFlowProtocol(_dtnflow_config(config))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"protocol {name!r}: {exc}") from None
 
 
 __all__ = [
@@ -174,10 +107,6 @@ __all__ = [
     "DTNFlowProtocol",
     "DTNFlowConfig",
     "PAPER_PROTOCOLS",
-    "ProtocolEntry",
-    "protocol_entry",
-    "protocol_config_fields",
     "protocol_names",
     "make_protocol",
-    "make_protocol_from_spec",
 ]

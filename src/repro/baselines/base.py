@@ -9,7 +9,7 @@ holders:
 * a landmark station hands a queued packet to the connected node with the
   highest positive utility for the packet's destination;
 * at a node-node contact, a packet moves when the peer's utility exceeds
-  the holder's by more than ``forward_margin``;
+  the holder's;
 * delivery happens when a carrier connects to the destination landmark
   (handled by the engine).
 
@@ -36,10 +36,6 @@ class UtilityProtocol(RoutingProtocol):
 
     name = "utility"
     uses_contacts = True
-    #: minimum utility advantage before a node-node forward happens
-    forward_margin = 0.0
-    #: station hands a packet over only when the carrier utility exceeds this
-    station_threshold = 0.0
     #: True when ``utility`` never *increases* between learning events (it is
     #: constant or decays with ``t``).  Learning only happens inside visit
     #: handling, node free space only shrinks and node packet sets only grow
@@ -107,8 +103,9 @@ class UtilityProtocol(RoutingProtocol):
         memo: dict = {}
         memo_get = memo.get
         for p in station.buffer.packets():
+            # a station hands a packet only to a carrier of positive utility
             best: Optional[MobileNode] = None
-            best_util = self.station_threshold
+            best_util = 0.0
             dst = p.dst
             size = p.size
             pid = p.pid
@@ -167,7 +164,6 @@ class UtilityProtocol(RoutingProtocol):
         spans = world.obs.spans
         t_start = perf_counter() if spans is not None else 0.0
         utility = self.utility
-        threshold = self.station_threshold
         memo: dict = {}
         memo_get = memo.get
         buf = node.buffer
@@ -182,7 +178,7 @@ class UtilityProtocol(RoutingProtocol):
             if u is None:
                 u = utility(world, node, dst, t)
                 memo[dst] = u
-            if u > threshold:
+            if u > 0.0:
                 world.station_to_node(station, node, p)
         if spans is not None:
             spans.add("baseline.carrier_selection", perf_counter() - t_start)
@@ -192,7 +188,6 @@ class UtilityProtocol(RoutingProtocol):
     ) -> None:
         """Move ``holder``'s packets to ``peer`` when the peer ranks higher."""
         utility = self.utility
-        margin = self.forward_margin
         memo_h: dict = {}
         memo_p: dict = {}
         for p in holder.buffer.packets():
@@ -205,7 +200,7 @@ class UtilityProtocol(RoutingProtocol):
             if u_peer is None:
                 u_peer = utility(world, peer, dst, t)
                 memo_p[dst] = u_peer
-            if u_peer > u_holder + margin:
+            if u_peer > u_holder:
                 world.node_to_node(holder, peer, p)
 
     # -- hooks -------------------------------------------------------------------------
@@ -273,7 +268,7 @@ class UtilityProtocol(RoutingProtocol):
         t_start = perf_counter() if spans is not None else 0.0
         utility = self.utility
         best: Optional[MobileNode] = None
-        best_util = self.station_threshold
+        best_util = 0.0
         dst = packet.dst
         size = packet.size
         pid = packet.pid

@@ -21,7 +21,9 @@ from repro.baselines.base import UtilityProtocol
 from repro.mobility.trace import days
 from repro.sim.engine import World
 from repro.sim.entities import LandmarkStation, MobileNode
-from repro.utils.validation import require_positive
+
+#: the time unit of the per-unit contact probability
+TIME_UNIT = days(0.5)
 
 
 class GeoCommProtocol(UtilityProtocol):
@@ -29,15 +31,13 @@ class GeoCommProtocol(UtilityProtocol):
 
     name = "GeoComm"
 
-    def __init__(self, *, time_unit: float = days(0.5)) -> None:
-        require_positive("time_unit", time_unit)
-        self.time_unit = float(time_unit)
+    def __init__(self) -> None:
         #: node -> landmark -> set of time-unit indices with a contact
         self._contact_units: Dict[int, Dict[int, Set[int]]] = {}
         self._first_seen: Dict[int, float] = {}
 
     def _unit_of(self, t: float) -> int:
-        return int(t // self.time_unit)
+        return int(t // TIME_UNIT)
 
     # -- learning ---------------------------------------------------------------
     def learn_visit(
@@ -53,7 +53,7 @@ class GeoCommProtocol(UtilityProtocol):
         first = self._first_seen.get(nid)
         if first is None:
             return 0.0
-        unit = self.time_unit  # _unit_of inlined on this per-packet path
+        unit = TIME_UNIT  # _unit_of inlined on this per-packet path
         elapsed_units = int(t // unit) - int(first // unit) + 1
         if elapsed_units < 1:
             elapsed_units = 1

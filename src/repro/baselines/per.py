@@ -22,7 +22,14 @@ from repro.baselines.base import UtilityProtocol
 from repro.mobility.trace import days
 from repro.sim.engine import World
 from repro.sim.entities import LandmarkStation, MobileNode
-from repro.utils.validation import require_positive
+
+#: longest horizon, in transits, the reachability DP looks ahead
+MAX_STEPS = 64
+#: step time assumed for a node with no observed sojourn or travel yet
+DEFAULT_STEP_TIME = days(0.25)
+#: horizons are quantised to this many steps so deadline jitter doesn't
+#: defeat the DP cache
+STEP_QUANTUM = max(1, MAX_STEPS // 8)
 
 
 class _SemiMarkov:
@@ -130,11 +137,7 @@ class PERProtocol(UtilityProtocol):
     #: crossing.
     time_monotone_utilities = False
 
-    def __init__(self, *, max_steps: int = 64, default_step_time: float = days(0.25)) -> None:
-        require_positive("max_steps", max_steps)
-        require_positive("default_step_time", default_step_time)
-        self.max_steps = int(max_steps)
-        self.default_step_time = float(default_step_time)
+    def __init__(self) -> None:
         self._models: Dict[int, _SemiMarkov] = {}
         # (node, at_landmark, dest, steps) -> probability
         self._cache: Dict[Tuple[int, Optional[int], int, int], float] = {}
@@ -199,12 +202,10 @@ class PERProtocol(UtilityProtocol):
             return 0.0
         if here == dest:
             return 1.0
-        steps = min(steps, self.max_steps)
+        steps = min(steps, MAX_STEPS)
         if steps <= 0:
             return 0.0
-        # quantise the horizon so deadline jitter doesn't defeat the cache
-        quantum = max(1, self.max_steps // 8)
-        steps = max(1, (steps // quantum) * quantum)
+        steps = max(1, (steps // STEP_QUANTUM) * STEP_QUANTUM)
         key = (nid, here, dest, steps)
         hit = self._cache.get(key)
         if hit is not None:
@@ -294,7 +295,7 @@ class PERProtocol(UtilityProtocol):
     def utility(self, world: World, node: MobileNode, dest: int, t: float) -> float:
         # generic form used by station pushes: assume a medium horizon
         here = node.at_landmark if node.at_landmark is not None else node.prev_landmark
-        return self.visit_probability(node.nid, here, dest, self.max_steps // 2)
+        return self.visit_probability(node.nid, here, dest, MAX_STEPS // 2)
 
     def _compare_and_forward(
         self, world: World, holder: MobileNode, peer: MobileNode, t: float
@@ -302,18 +303,17 @@ class PERProtocol(UtilityProtocol):
         packets = holder.buffer.packets()
         if not packets:
             return
-        # step time, position, and margin are invariant across the packet
-        # loop (utilities never depend on buffer contents, and no learning
+        # step time and position are invariant across the packet loop
+        # (utilities never depend on buffer contents, and no learning
         # happens mid-contact) — hoist them out of the per-packet work
-        step_h = self._model(holder.nid).mean_step_time(self.default_step_time)
-        step_p = self._model(peer.nid).mean_step_time(self.default_step_time)
+        step_h = self._model(holder.nid).mean_step_time(DEFAULT_STEP_TIME)
+        step_p = self._model(peer.nid).mean_step_time(DEFAULT_STEP_TIME)
         here_h = holder.at_landmark if holder.at_landmark is not None else holder.prev_landmark
         here_p = peer.at_landmark if peer.at_landmark is not None else peer.prev_landmark
-        margin = self.forward_margin
         visit_probability = self.visit_probability
         cache_get = self._cache.get
-        max_steps = self.max_steps
-        quantum = max(1, max_steps // 8)
+        max_steps = MAX_STEPS
+        quantum = STEP_QUANTUM
         hid, pid = holder.nid, peer.nid
         for p in packets:
             remaining = p.deadline - t
@@ -344,7 +344,7 @@ class PERProtocol(UtilityProtocol):
                 u_p = cache_get((pid, here_p, dst, q if q else 1))
                 if u_p is None:
                     u_p = visit_probability(pid, here_p, dst, s)
-            if u_p > u_h + margin:
+            if u_p > u_h:
                 world.node_to_node(holder, peer, p)
 
     def _station_push(self, world: World, station: LandmarkStation, t: float) -> None:
@@ -357,15 +357,14 @@ class PERProtocol(UtilityProtocol):
         # matching the historical call pattern exactly
         step_of: Dict[int, float] = {}
         step_get = step_of.get
-        default_step = self.default_step_time
         visit_probability = self.visit_probability
         cache_get = self._cache.get
-        max_steps = self.max_steps
-        quantum = max(1, max_steps // 8)
+        max_steps = MAX_STEPS
+        quantum = STEP_QUANTUM
         next_t = inf
         for p in station.buffer.packets():
             best = None
-            best_util = self.station_threshold
+            best_util = 0.0
             remaining = p.deadline - t
             deadline = p.deadline
             dst = p.dst
@@ -381,7 +380,7 @@ class PERProtocol(UtilityProtocol):
                 nid = nd.nid
                 step = step_get(nid)
                 if step is None:
-                    step = self._model(nid).mean_step_time(default_step)
+                    step = self._model(nid).mean_step_time(DEFAULT_STEP_TIME)
                     step_of[nid] = step
                 s = int(remaining / step)
                 here = nd.at_landmark
@@ -430,13 +429,12 @@ class PERProtocol(UtilityProtocol):
         self, world: World, station: LandmarkStation, node: MobileNode, t: float
     ) -> None:
         nid = node.nid
-        step = self._model(nid).mean_step_time(self.default_step_time)
+        step = self._model(nid).mean_step_time(DEFAULT_STEP_TIME)
         here = node.at_landmark
         visit_probability = self.visit_probability
         cache_get = self._cache.get
-        max_steps = self.max_steps
-        quantum = max(1, max_steps // 8)
-        threshold = self.station_threshold
+        max_steps = MAX_STEPS
+        quantum = STEP_QUANTUM
         buf = node.buffer
         next_t = inf
         for p in station.buffer.packets():
@@ -462,7 +460,7 @@ class PERProtocol(UtilityProtocol):
                 if u is None:
                     u = visit_probability(nid, here, dst, s)
                 boundary = deadline - b * step
-            if u > threshold:
+            if u > 0.0:
                 world.station_to_node(station, node, p)
             elif boundary < next_t:
                 next_t = boundary
@@ -491,13 +489,12 @@ class PERProtocol(UtilityProtocol):
             return
         step_of: Dict[int, float] = {}
         step_get = step_of.get
-        default_step = self.default_step_time
         visit_probability = self.visit_probability
         cache_get = self._cache.get
-        max_steps = self.max_steps
-        quantum = max(1, max_steps // 8)
+        max_steps = MAX_STEPS
+        quantum = STEP_QUANTUM
         best = None
-        best_util = self.station_threshold
+        best_util = 0.0
         remaining = packet.deadline - t
         deadline = packet.deadline
         dst = packet.dst
@@ -511,7 +508,7 @@ class PERProtocol(UtilityProtocol):
             nid = nd.nid
             step = step_get(nid)
             if step is None:
-                step = self._model(nid).mean_step_time(default_step)
+                step = self._model(nid).mean_step_time(DEFAULT_STEP_TIME)
                 step_of[nid] = step
             s = int(remaining / step)
             here = nd.at_landmark

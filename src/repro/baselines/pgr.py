@@ -8,7 +8,7 @@ per-step prediction error, so PGR ends up with the lowest success rate (and,
 because nodes look alike under this metric, the lowest forwarding cost).
 
 Implementation: each node feeds an order-1 Markov model; its predicted route
-is the argmax chain from its current landmark, up to ``horizon`` steps.  The
+is the argmax chain from its current landmark, up to ``HORIZON`` steps.  The
 utility toward destination ``L`` is the probability of the chain prefix that
 first reaches ``L`` (product of step probabilities), and 0 when ``L`` is not
 on the predicted route.
@@ -22,7 +22,9 @@ from repro.baselines.base import UtilityProtocol
 from repro.core.predictor import MarkovPredictor
 from repro.sim.engine import World
 from repro.sim.entities import LandmarkStation, MobileNode
-from repro.utils.validation import require_positive
+
+#: landmarks a predicted route looks ahead
+HORIZON = 5
 
 
 class PGRProtocol(UtilityProtocol):
@@ -30,9 +32,7 @@ class PGRProtocol(UtilityProtocol):
 
     name = "PGR"
 
-    def __init__(self, *, horizon: int = 5) -> None:
-        require_positive("horizon", horizon)
-        self.horizon = int(horizon)
+    def __init__(self) -> None:
         self._pred: Dict[int, MarkovPredictor] = {}
         # route cache invalidated whenever the node's location changes:
         # node -> (position, route, first-occurrence dest -> cum prob)
@@ -59,7 +59,7 @@ class PGRProtocol(UtilityProtocol):
         """The argmax chain from the node's position: [(landmark, cum_prob)].
 
         The chain greedily follows the most likely transition at each step,
-        multiplying probabilities; it stops at ``horizon`` steps or when the
+        multiplying probabilities; it stops at ``HORIZON`` steps or when the
         model has no information, and avoids immediate back-and-forth cycles
         by stopping when a landmark repeats.
         """
@@ -87,7 +87,7 @@ class PGRProtocol(UtilityProtocol):
             sim.history = sim.history + [here]
         cum = 1.0
         seen = {here}
-        for _ in range(self.horizon):
+        for _ in range(HORIZON):
             guess = sim.predict()
             if guess is None:
                 break

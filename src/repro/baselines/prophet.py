@@ -2,12 +2,14 @@
 
 The paper uses PROPHET to represent probabilistic routing: a node's
 delivery predictability toward a landmark is updated on every encounter
-with that landmark, aged over time, and (optionally) boosted transitively
-through encounters with other nodes::
+with that landmark and aged over time::
 
-    encounter:    P(n,L) <- P(n,L) + (1 - P(n,L)) * P_init
-    aging:        P(n,L) <- P(n,L) * gamma ** (dt / aging_unit)
-    transitivity: P(a,L) <- max(P(a,L), P(a,b) * P(b,L) * beta)
+    encounter:    P(n,L) <- P(n,L) + (1 - P(n,L)) * P_INIT
+    aging:        P(n,L) <- P(n,L) * GAMMA ** (dt / AGING_UNIT)
+
+Classic PROPHET's transitive boost through node-node encounters is left
+out: the paper's adaptation "simply employs the visiting records with
+landmarks to calculate the future meeting probability" (Section V-A.1).
 
 Packets always flow toward nodes with higher predictability for their
 destination landmark, which is the paper's "forwards packets greedily by
@@ -22,38 +24,41 @@ from repro.baselines.base import UtilityProtocol
 from repro.mobility.trace import days
 from repro.sim.engine import World
 from repro.sim.entities import LandmarkStation, MobileNode
-from repro.utils.validation import require_in_range, require_positive
+
+#: encounter increment, aging base and aging time unit
+P_INIT = 0.75
+GAMMA = 0.98
+AGING_UNIT = days(1.0) / 24.0  # one hour
 
 
 class _Predictability:
-    """One node's aged predictability table (toward landmarks or nodes)."""
+    """One node's aged predictability table toward landmarks."""
 
-    __slots__ = ("p", "last_update", "p_init", "gamma", "aging_unit")
+    __slots__ = ("p", "last_update")
 
-    def __init__(self, p_init: float, gamma: float, aging_unit: float) -> None:
+    def __init__(self) -> None:
         self.p: Dict[int, float] = {}
         self.last_update: Dict[int, float] = {}
-        self.p_init = p_init
-        self.gamma = gamma
-        self.aging_unit = aging_unit
+
+    def __setstate__(self, state) -> None:
+        # a slotted object unpickles from (None, {slot: value}); checkpoints
+        # written while the constants were constructor parameters also
+        # carry p_init/gamma/aging_unit slots, which held these values
+        slots = state[1]
+        self.p = slots["p"]
+        self.last_update = slots["last_update"]
 
     def _aged(self, key: int, t: float) -> float:
         val = self.p.get(key, 0.0)
         if val == 0.0:
             return 0.0
         dt = max(0.0, t - self.last_update.get(key, t))
-        return val * self.gamma ** (dt / self.aging_unit)
+        return val * GAMMA ** (dt / AGING_UNIT)
 
     def encounter(self, key: int, t: float) -> None:
         val = self._aged(key, t)
-        self.p[key] = val + (1.0 - val) * self.p_init
+        self.p[key] = val + (1.0 - val) * P_INIT
         self.last_update[key] = t
-
-    def boost(self, key: int, value: float, t: float) -> None:
-        val = self._aged(key, t)
-        if value > val:
-            self.p[key] = value
-            self.last_update[key] = t
 
     def get(self, key: int, t: float) -> float:
         return self._aged(key, t)
@@ -67,42 +72,14 @@ class ProphetProtocol(UtilityProtocol):
 
     name = "PROPHET"
 
-    def __init__(
-        self,
-        *,
-        p_init: float = 0.75,
-        gamma: float = 0.98,
-        beta: float = 0.25,
-        aging_unit: float = days(1.0) / 24.0,  # one hour
-        transitivity: bool = False,
-    ) -> None:
-        # transitivity defaults off: the paper's adaptation "simply employs
-        # the visiting records with landmarks to calculate the future meeting
-        # probability" (Section V-A.1); enable it for full classic PROPHET.
-        require_in_range("p_init", p_init, 0.0, 1.0, inclusive_low=False)
-        require_in_range("gamma", gamma, 0.0, 1.0, inclusive_low=False)
-        require_in_range("beta", beta, 0.0, 1.0)
-        require_positive("aging_unit", aging_unit)
-        self.p_init = p_init
-        self.gamma = gamma
-        self.beta = beta
-        self.aging_unit = aging_unit
-        self.transitivity = transitivity
+    def __init__(self) -> None:
         self._landmark_p: Dict[int, _Predictability] = {}
-        self._node_p: Dict[int, _Predictability] = {}
 
     def _lm_table(self, nid: int) -> _Predictability:
         tab = self._landmark_p.get(nid)
         if tab is None:
-            tab = _Predictability(self.p_init, self.gamma, self.aging_unit)
+            tab = _Predictability()
             self._landmark_p[nid] = tab
-        return tab
-
-    def _nd_table(self, nid: int) -> _Predictability:
-        tab = self._node_p.get(nid)
-        if tab is None:
-            tab = _Predictability(self.p_init, self.gamma, self.aging_unit)
-            self._node_p[nid] = tab
         return tab
 
     # -- learning ---------------------------------------------------------------
@@ -110,17 +87,6 @@ class ProphetProtocol(UtilityProtocol):
         self, world: World, node: MobileNode, station: LandmarkStation, t: float
     ) -> None:
         self._lm_table(node.nid).encounter(station.lid, t)
-
-    def learn_contact(self, world: World, a: MobileNode, b: MobileNode, t: float) -> None:
-        self._nd_table(a.nid).encounter(b.nid, t)
-        self._nd_table(b.nid).encounter(a.nid, t)
-        if not self.transitivity:
-            return
-        pa, pb = self._lm_table(a.nid), self._lm_table(b.nid)
-        p_ab = self._nd_table(a.nid).get(b.nid, t)
-        for lm in set(pa.p) | set(pb.p):
-            pa.boost(lm, p_ab * pb.get(lm, t) * self.beta, t)
-            pb.boost(lm, p_ab * pa.get(lm, t) * self.beta, t)
 
     # -- utility --------------------------------------------------------------------
     def utility(self, world: World, node: MobileNode, dest: int, t: float) -> float:

@@ -13,7 +13,7 @@ As in the original protocol the two components are combined *pairwise*: when
 comparing holder ``a`` against candidate ``b`` for destination ``L``,
 
     SimUtil_b = sim_b / (sim_a + sim_b),   BetUtil_b = bet_b / (bet_a + bet_b)
-    SimBetUtil_b = alpha * SimUtil_b + (1 - alpha) * BetUtil_b
+    SimBetUtil_b = ALPHA * SimUtil_b + (1 - ALPHA) * BetUtil_b
 
 and the packet moves when ``SimBetUtil_b > SimBetUtil_a``.  Because the
 pairwise form needs both endpoints, :meth:`utility` (used for station
@@ -30,7 +30,11 @@ from typing import Dict, Set
 from repro.baselines.base import UtilityProtocol
 from repro.sim.engine import World
 from repro.sim.entities import LandmarkStation, MobileNode
-from repro.utils.validation import require_in_range
+
+#: weight of similarity against betweenness (SimBet's equal weighting)
+ALPHA = 0.5
+#: a node's betweenness is recomputed after this many new contacts
+RECOMPUTE_EVERY = 10
 
 
 def ego_betweenness(neighbors: Set[int], adjacency: Dict[int, Set[int]]) -> float:
@@ -55,10 +59,7 @@ class SimBetProtocol(UtilityProtocol):
 
     name = "SimBet"
 
-    def __init__(self, *, alpha: float = 0.5, recompute_every: int = 10) -> None:
-        require_in_range("alpha", alpha, 0.0, 1.0)
-        self.alpha = alpha
-        self.recompute_every = max(1, int(recompute_every))
+    def __init__(self) -> None:
         self._visits: Dict[int, Counter] = {}
         self._contacts: Dict[int, Set[int]] = {}
         #: each node's view of which of its contacts know each other,
@@ -88,7 +89,7 @@ class SimBetProtocol(UtilityProtocol):
 
     def betweenness(self, nid: int) -> float:
         since = self._contacts_since.get(nid, 0)
-        if nid not in self._bet_cache or since >= self.recompute_every:
+        if nid not in self._bet_cache or since >= RECOMPUTE_EVERY:
             self._bet_cache[nid] = ego_betweenness(
                 self._contacts.get(nid, set()), self._known_adjacency.get(nid, {})
             )
@@ -101,7 +102,7 @@ class SimBetProtocol(UtilityProtocol):
         bet_a, bet_b = self.betweenness(nid_a), self.betweenness(nid_b)
         sim_util = sim_b / (sim_a + sim_b) if (sim_a + sim_b) > 0 else 0.5
         bet_util = bet_b / (bet_a + bet_b) if (bet_a + bet_b) > 0 else 0.5
-        return self.alpha * sim_util + (1.0 - self.alpha) * bet_util
+        return ALPHA * sim_util + (1.0 - ALPHA) * bet_util
 
     # -- utility (absolute form, for station pushes) -----------------------------------
     def utility(self, world: World, node: MobileNode, dest: int, t: float) -> float:
@@ -110,10 +111,10 @@ class SimBetProtocol(UtilityProtocol):
         n = max(1, world.trace.n_nodes)
         max_pairs = (n - 1) * (n - 2) / 2.0
         bet_norm = bet / max_pairs if max_pairs > 0 else 0.0
-        return self.alpha * sim + (1.0 - self.alpha) * bet_norm
+        return ALPHA * sim + (1.0 - ALPHA) * bet_norm
 
     def _push_skip_sound(self, world: World, station: LandmarkStation) -> bool:
-        # betweenness deliberately refreshes only every ``recompute_every``
+        # betweenness deliberately refreshes only every ``RECOMPUTE_EVERY``
         # contact-increments, and the counter resets *at call time* — so a
         # skipped call can shift a later refresh across a contact-graph
         # change.  Skipping is only sound when every incumbent's betweenness
@@ -121,7 +122,7 @@ class SimBetProtocol(UtilityProtocol):
         cache = self._bet_cache
         since = self._contacts_since
         since_get = since.get
-        limit = self.recompute_every
+        limit = RECOMPUTE_EVERY
         for nd in world.connected_nodes(station):
             nid = nd.nid
             if nid not in cache or since_get(nid, 0) >= limit:
@@ -134,7 +135,7 @@ class SimBetProtocol(UtilityProtocol):
         """Faithful pairwise SimBet exchange."""
         for p in holder.buffer.packets():
             u_peer = self.pairwise_utility(holder.nid, peer.nid, p.dst)
-            if u_peer > 0.5 + self.forward_margin:
+            if u_peer > 0.5:
                 world.node_to_node(holder, peer, p)
 
     def table_size(self, world: World, node: MobileNode) -> int:

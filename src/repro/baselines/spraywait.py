@@ -2,7 +2,7 @@
 
 A classic bounded-replication reference outside the paper's comparison set
 (which is single-copy), useful to bracket the single-copy protocols: each
-packet starts with ``n_copies`` logical copies; *binary* spraying gives half
+packet starts with ``N_COPIES`` logical copies; *binary* spraying gives half
 of a carrier's copies to each encountered node until one copy remains, after
 which the carrier waits to deliver directly at the destination landmark.
 
@@ -17,9 +17,10 @@ import copy
 from repro.sim.engine import RoutingProtocol, World
 from repro.sim.entities import LandmarkStation, MobileNode
 from repro.sim.packets import Packet
-from repro.utils.validation import require_positive
 
 META_COPIES = "sw_copies"
+#: logical copies a new packet starts with
+N_COPIES = 8
 
 
 class SprayAndWaitProtocol(RoutingProtocol):
@@ -28,13 +29,9 @@ class SprayAndWaitProtocol(RoutingProtocol):
     name = "SprayWait"
     uses_contacts = True
 
-    def __init__(self, *, n_copies: int = 8) -> None:
-        require_positive("n_copies", n_copies)
-        self.n_copies = int(n_copies)
-
     # -- helpers --------------------------------------------------------------------
     def _copies(self, p: Packet) -> int:
-        return int(p.meta.get(META_COPIES, self.n_copies))
+        return int(p.meta.get(META_COPIES, N_COPIES))
 
     def _split_to(self, world: World, packet: Packet, holder_buffer, target_buffer) -> bool:
         """Binary split: half the copies move to the target as a replica."""
@@ -58,7 +55,7 @@ class SprayAndWaitProtocol(RoutingProtocol):
     def on_packet_generated(
         self, world: World, station: LandmarkStation, packet: Packet, t: float
     ) -> None:
-        packet.meta[META_COPIES] = self.n_copies
+        packet.meta[META_COPIES] = N_COPIES
         self._spray_from_station(world, station)
 
     def _spray_from_station(self, world: World, station: LandmarkStation) -> None:

@@ -481,6 +481,7 @@ def cmd_scenario(args: argparse.Namespace) -> int:
         print("give at least one scenario file or preset name", file=sys.stderr)
         return 2
     if args.action == "validate":
+        # an invalid manifest is a usage error, as for every other command
         failed = 0
         for source in args.sources:
             try:
@@ -490,7 +491,7 @@ def cmd_scenario(args: argparse.Namespace) -> int:
                 failed += 1
             else:
                 print(f"{source}: OK ({spec.n_points()} grid points)")
-        return 1 if failed else 0
+        return 2 if failed else 0
     if len(args.sources) != 1:
         print(f"scenario {args.action} takes exactly one scenario", file=sys.stderr)
         return 2

@@ -43,21 +43,31 @@ from repro.core.loops import LoopCorrector
 from repro.core.node_routing import NodeLocationRegistry
 from repro.core.predictor import AccuracyTracker, MarkovPredictor
 from repro.core.routing_table import RoutingTable, TableSnapshot
-from repro.core.scheduler import UPLOAD, CommScheduler, SchedulerConfig
+from repro.core.scheduler import MAX_UPLOAD_BATCH, UPLOAD, CommScheduler, SchedulerConfig
 from repro.sim.engine import RoutingProtocol, World
 from repro.sim.entities import LandmarkStation, MobileNode
 from repro.sim.packets import Packet
 from repro.utils.validation import require_positive
 
 
+#: EWMA weight for bandwidth and link-load measurement (Eq. 4)
+RHO = 0.5
+#: a stray carrier hands a packet to an unplanned landmark only when that
+#: landmark's expected delay beats the recorded one by this factor
+#: (IV-D.1 requires "every forwarding must reduce the routing latency";
+#: the margin keeps drifting delay estimates from causing ping-pong)
+HANDOVER_IMPROVEMENT = 0.8
+#: IV-E.3: divert to the backup only when its expected delay is within this
+#: factor of the primary's (a wild detour is worse than queueing)
+BACKUP_DELAY_BOUND = 1.5
+
+
 @dataclass
 class DTNFlowConfig:
-    """Tunables of the DTN-FLOW protocol (paper defaults)."""
+    """The DTN-FLOW choices an experiment makes (paper defaults)."""
 
     #: Markov predictor order (the paper settles on k=1, Fig. 6a)
     k: int = 1
-    #: EWMA weight for bandwidth measurement (Eq. 4)
-    rho: float = 0.5
     #: prediction-accuracy refinement factors (IV-D.4)
     accuracy_up: float = 1.1
     accuracy_down: float = 0.9
@@ -66,16 +76,6 @@ class DTNFlowConfig:
     #: ship backward bandwidth reports (IV-C.1); off = landmarks fall back
     #: to the O3 symmetry assumption for their outgoing bandwidths
     use_backward_reports: bool = True
-    #: minimum overall transit probability (prediction x accuracy) a carrier
-    #: needs before a landmark entrusts it with a packet; packets wait at the
-    #: station otherwise.  The paper always picks the best connected node; a
-    #: small floor protects sparse stations from hopeless carriers.
-    min_carrier_prob: float = 0.0
-    #: a stray carrier hands a packet to an unplanned landmark only when that
-    #: landmark's expected delay beats the recorded one by this factor
-    #: (IV-D.1 requires "every forwarding must reduce the routing latency";
-    #: the margin keeps drifting delay estimates from causing ping-pong)
-    handover_improvement: float = 0.8
     #: next-hop switch hysteresis of the landmark routing tables: an
     #: alternative path replaces the current next hop only when this much
     #: better (damps flapping from EWMA delay drift; see RoutingTable)
@@ -90,9 +90,6 @@ class DTNFlowConfig:
     #: IV-E.3 load balancing via backup next hops
     enable_load_balance: bool = False
     overload_theta: float = 2.0
-    #: divert to the backup only when its expected delay is within this
-    #: factor of the primary's (a wild detour is worse than queueing)
-    backup_delay_bound: float = 1.5
     #: IV-E.4 node-destined packet support
     enable_node_routing: bool = False
     #: the paper's stated future work (Section VI): combine node-to-node
@@ -117,11 +114,11 @@ class _StationState:
         self, lid: int, time_unit: float, cfg: DTNFlowConfig, start_time: float
     ) -> None:
         self.bw = BandwidthEstimator(
-            lid, time_unit, rho=cfg.rho, start_time=start_time
+            lid, time_unit, rho=RHO, start_time=start_time
         )
         self.table = RoutingTable(lid, switch_hysteresis=cfg.table_hysteresis)
         self.load = LinkLoadMonitor(
-            time_unit, theta=cfg.overload_theta, rho=cfg.rho, start_time=start_time
+            time_unit, theta=cfg.overload_theta, rho=RHO, start_time=start_time
         )
         self.scheduler = CommScheduler(cfg.scheduler)
         # per-neighbour time-unit seq of the last routing-table handout -
@@ -336,7 +333,7 @@ class DTNFlowProtocol(RoutingProtocol):
         ns = self._nodes[node.nid]
         uploaded = 0
         batch_cap = (
-            st.scheduler.upload_batch_size()
+            MAX_UPLOAD_BATCH
             if world.config.link_rate_bytes_per_sec is not None
             else None
         )
@@ -356,7 +353,7 @@ class DTNFlowProtocol(RoutingProtocol):
                 upload = True
             elif (
                 self._expected_delay_from(st, p.dst)
-                < self.config.handover_improvement * recorded
+                < HANDOVER_IMPROVEMENT * recorded
             ):
                 upload = True
             if upload:
@@ -413,7 +410,6 @@ class DTNFlowProtocol(RoutingProtocol):
         ]
         prob_memo: Dict[tuple, float] = {}
         prob_get = prob_memo.get
-        min_prob = cfg.min_carrier_prob
 
         # the table is frozen for the duration of one pass, so the expected
         # delay is one lookup per destination, not per packet
@@ -429,7 +425,8 @@ class DTNFlowProtocol(RoutingProtocol):
             return d
 
         def best_carrier(hop: int, p: Packet):
-            chosen, chosen_prob = None, min_prob
+            # the best connected carrier with a positive transit probability
+            chosen, chosen_prob = None, 0.0
             for nd, cand in carriers:
                 if not nd.buffer.can_accept(p):
                     continue
@@ -489,7 +486,7 @@ class DTNFlowProtocol(RoutingProtocol):
                 cfg.enable_load_balance
                 and entry.backup_next_hop is not None
                 and st.load.is_overloaded(next_hop)
-                and entry.backup_delay <= cfg.backup_delay_bound * entry.delay
+                and entry.backup_delay <= BACKUP_DELAY_BOUND * entry.delay
                 and entry.backup_delay <= p.remaining_ttl(t)
             ):
                 alt, alt_prob = best_carrier(entry.backup_next_hop, p)

@@ -210,10 +210,6 @@ class RoutingTable:
         entry = self._entries.get(dest)
         return entry.delay if entry else math.inf
 
-    @property
-    def destinations(self) -> List[int]:
-        return sorted(self._entries)
-
     def __len__(self) -> int:
         return len(self._entries)
 

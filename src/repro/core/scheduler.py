@@ -3,16 +3,18 @@
 A landmark talks to one node at a time, over either the uplink (node ->
 landmark) or the downlink (landmark -> node).  The scheduler:
 
-* scans for new nodes every ``scan_interval`` and lets them register;
 * switches between *uploading* and *forwarding* modes based on the ratio
   ``R`` of packets held by the landmark to packets held by connected nodes:
-  when ``R < R_up`` it uploads (pulls packets off nodes), when ``R > R_down``
+  when ``R < R_UP`` it uploads (pulls packets off nodes), when ``R > R_DOWN``
   it forwards (pushes packets onto carriers);
-* in uploading mode serves the node holding the most *feasible* packets
-  (expected delay below remaining TTL), at most ``max_upload_batch`` packets
-  per turn;
+* in uploading mode takes at most ``MAX_UPLOAD_BATCH`` packets per turn;
 * in forwarding mode sends first the packet with the minimal remaining TTL
-  among feasible packets.
+  among feasible packets (expected delay within the remaining TTL).
+
+The paper's periodic scan for new nodes has no counterpart here: the
+engine delivers every arrival as its own visit-start event.  Its rule 2
+(upload from the node holding the most feasible packets) has no choice to
+make, because uploads run only for the arriving node.
 
 The discrete-event engine abstracts link occupancy away (transfers during a
 visit are not rate-limited by default), so what matters operationally are the
@@ -24,39 +26,29 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 from repro.sim.packets import Packet
-from repro.utils.validation import require_positive
 
 UPLOAD = "upload"
 FORWARD = "forward"
 
+#: mode hysteresis band on ``R`` (station packets / node packets)
+R_UP = 0.67
+R_DOWN = 1.5
+#: IV-D.5 rule 3: at most this many packets per upload turn (``M_up``)
+MAX_UPLOAD_BATCH = 50
+
 
 @dataclass
 class SchedulerConfig:
-    """Knobs of the landmark communication scheduler."""
+    """The scheduler's one experiment knob."""
 
-    r_up: float = 0.67
-    r_down: float = 1.5
-    max_upload_batch: int = 50
-    scan_interval: float = 60.0
-    #: skip packets whose expected delay exceeds their remaining TTL
-    feasibility_check: bool = True
     #: forwarding order: "urgent" (paper rule 4: minimal remaining TTL
     #: first) or "fifo" (arrival order) - the ablation knob for IV-D.5
     priority: str = "urgent"
 
     def __post_init__(self) -> None:
-        require_positive("r_up", self.r_up)
-        require_positive("r_down", self.r_down)
-        if self.r_down < self.r_up:
-            raise ValueError(
-                f"r_down ({self.r_down}) must be >= r_up ({self.r_up}); the "
-                "mode hysteresis band would be inverted"
-            )
-        require_positive("max_upload_batch", self.max_upload_batch)
-        require_positive("scan_interval", self.scan_interval)
         if self.priority not in ("urgent", "fifo"):
             raise ValueError(f"priority must be 'urgent' or 'fifo', got {self.priority!r}")
 
@@ -75,27 +67,21 @@ class CommScheduler:
     def update_mode(self, station_packets: int, node_packets: int) -> str:
         """Hysteresis switch on the station/node packet ratio ``R``.
 
-        ``R < r_up``  -> switch to uploading (station is starved);
-        ``R > r_down`` -> switch to forwarding (station is backed up);
+        ``R < R_UP``  -> switch to uploading (station is starved);
+        ``R > R_DOWN`` -> switch to forwarding (station is backed up);
         otherwise keep the current mode.
         """
         if node_packets <= 0:
             ratio = float("inf") if station_packets > 0 else 1.0
         else:
             ratio = station_packets / node_packets
-        if ratio < self.config.r_up:
+        if ratio < R_UP:
             self._mode = UPLOAD
-        elif ratio > self.config.r_down:
+        elif ratio > R_DOWN:
             self._mode = FORWARD
         return self._mode
 
     # -- priorities ------------------------------------------------------------------
-    def feasible(self, packet: Packet, expected_delay: float, now: float) -> bool:
-        """Whether the packet can still make its deadline via this route."""
-        if not self.config.feasibility_check:
-            return True
-        return expected_delay <= packet.remaining_ttl(now)
-
     def forwarding_order(
         self,
         packets: Sequence[Packet],
@@ -104,15 +90,12 @@ class CommScheduler:
     ) -> List[Packet]:
         """Feasible packets in scheduling order.
 
-        ``urgent`` (default, the paper's rule): minimal remaining TTL first;
-        ``fifo``: packet-id (arrival) order.
+        A packet is feasible when its expected delay fits its remaining TTL
+        (``p.deadline - now``); this runs once per queued packet per
+        forwarding pass.  ``urgent`` (default, the paper's rule): minimal
+        remaining TTL first; ``fifo``: packet-id (arrival) order.
         """
-        if self.config.feasibility_check:
-            # inlined self.feasible(): this runs once per queued packet per
-            # forwarding pass (p.deadline - now is remaining_ttl verbatim)
-            feasible = [p for p in packets if expected_delay_of(p) <= p.deadline - now]
-        else:
-            feasible = list(packets)
+        feasible = [p for p in packets if expected_delay_of(p) <= p.deadline - now]
         if len(feasible) > 1:
             if self.config.priority == "urgent":
                 # (deadline - now, pid) orders identically to (deadline, pid)
@@ -122,17 +105,3 @@ class CommScheduler:
             else:
                 feasible.sort(key=attrgetter("pid"))
         return feasible
-
-    def upload_priority(
-        self,
-        node_packet_counts: Sequence[Tuple[int, int]],
-    ) -> List[int]:
-        """Order node ids by how many feasible packets they hold (desc).
-
-        ``node_packet_counts`` is ``[(node_id, n_feasible_packets), ...]``.
-        """
-        ranked = sorted(node_packet_counts, key=lambda x: (-x[1], x[0]))
-        return [nid for nid, _ in ranked]
-
-    def upload_batch_size(self) -> int:
-        return self.config.max_upload_batch

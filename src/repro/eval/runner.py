@@ -251,16 +251,10 @@ def point_scenario_dict(
         for f, v in dataclasses.asdict(config).items()
         if f not in ("seed", "faults")
     }
-    protocol_config = dict(point.protocol_kwargs or {})
-    if "config" in protocol_config and dataclasses.is_dataclass(
-        protocol_config["config"]
-    ):
-        # flatten a prebuilt config dataclass into its JSON field form
-        protocol_config = dataclasses.asdict(protocol_config["config"])
     out: Dict[str, Any] = {
         "trace": trace_block,
         "sim": sim,
-        "protocol": {"name": point.protocol, "config": protocol_config},
+        "protocol": {"name": point.protocol, "config": dict(point.protocol_kwargs or {})},
         "seeds": [int(point.seed)],
     }
     if config.faults is not None:

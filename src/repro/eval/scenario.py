@@ -10,7 +10,7 @@ the single declarative description of such a grid:
       "name": "dart-compare",
       "trace": {"profile": "DART", "seed": 1},
       "sim": {"memory_kb": 2000, "rate": 500},
-      "protocols": ["DTN-FLOW", {"name": "PROPHET", "config": {"p_init": 0.5}}],
+      "protocols": ["PROPHET", {"name": "DTN-FLOW", "config": {"k": 2}}],
       "seeds": [1, 2, 3],
       "sweep": {"parameter": "memory_kb", "values": [1200, 2000, 3000]}
     }
@@ -429,9 +429,9 @@ class ScenarioSpec:
         """Full validation: registry names, config surfaces, value ranges.
 
         Range checks reuse ``SimConfig.__post_init__`` (and thus
-        :mod:`repro.utils.validation`); protocol config typos fail through
-        :func:`repro.baselines.make_protocol`'s strict keyword check.
-        Returns ``self`` so callers can chain.
+        :mod:`repro.utils.validation`); protocol configs are checked by
+        :func:`repro.baselines.make_protocol`.  Returns ``self`` so callers
+        can chain.
         """
         t = self.trace
         if t.profile is not None:
@@ -439,12 +439,7 @@ class ScenarioSpec:
         elif not os.path.exists(t.path):
             raise ValueError(f"trace.path does not exist: {t.path!r}")
         for proto in self.protocols:
-            try:
-                make_protocol(proto.name, **proto.config)
-            except TypeError as exc:
-                raise ValueError(
-                    f"invalid config for protocol {proto.name!r}: {exc}"
-                ) from None
+            make_protocol(proto.name, **proto.config)
         # a dummy profile is enough to range-check the sim block for path
         # traces without loading the trace file
         if t.profile is not None:

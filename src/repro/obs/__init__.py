@@ -29,7 +29,6 @@ from repro.obs.events import (
     CONTROL_EVENTS,
     EXECUTOR_EVENTS,
     FAULT_EVENTS,
-    NULL_LOG,
     PACKET_EVENTS,
     TERMINAL_EVENTS,
     Event,
@@ -59,7 +58,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NULL_LOG",
     "ObsConfig",
     "Observability",
     "PACKET_EVENTS",

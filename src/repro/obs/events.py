@@ -291,6 +291,3 @@ class EventLog:
         for e in self._buf:
             yield json.dumps(e.as_dict(), sort_keys=True)
 
-
-#: shared always-disabled log for default (untraced) runs
-NULL_LOG = EventLog(capacity=1, enabled=False)

@@ -50,13 +50,7 @@ class PacketBuffer:
     def used_bytes(self) -> int:
         return self._used
 
-    @property
-    def free_bytes(self) -> float:
-        return self.capacity_bytes - self._used
-
     def can_accept(self, packet: Packet) -> bool:
-        # free_bytes inlined: this runs for every (packet, candidate) pair
-        # during carrier selection
         return (
             packet.size <= self.capacity_bytes - self._used
             and packet.pid not in self._packets

@@ -61,6 +61,9 @@ _DIGEST_LEN = 64  # hex sha256
 
 #: default serial checkpoint cadence (dispatched events between snapshots)
 DEFAULT_EVERY_EVENTS = 200_000
+#: serial checkpoints kept per point: a truncated latest checkpoint can
+#: fall back to its predecessor
+KEEP_CHECKPOINTS = 2
 
 
 class CheckpointError(RuntimeError):
@@ -297,9 +300,9 @@ class SerialCheckpointer:
     """Periodic snapshot driver for ``Simulation.run_checkpointed``.
 
     Writes ``serial-<n>.ckpt`` every ``every_events`` dispatched events,
-    keeps the newest ``keep`` files so a truncated latest checkpoint can
-    fall back to its predecessor, and turns a deferred SIGINT/SIGTERM
-    (via ``flag``) into a final flush + :class:`ExecutionInterrupted`.
+    keeps the newest :data:`KEEP_CHECKPOINTS` files, and turns a deferred
+    SIGINT/SIGTERM (via ``flag``) into a final flush +
+    :class:`ExecutionInterrupted`.
     ``directory`` is created at the first save, so a run that never saves
     leaves nothing behind.
 
@@ -319,7 +322,6 @@ class SerialCheckpointer:
         directory: "Path | str",
         *,
         every_events: int = DEFAULT_EVERY_EVENTS,
-        keep: int = 2,
         flag: Optional[InterruptFlag] = None,
         recovery: Optional[RecoveryLog] = None,
         crash_after_saves: Optional[int] = None,
@@ -330,7 +332,6 @@ class SerialCheckpointer:
             raise ValueError(f"every_events must be positive, got {every_events}")
         self.directory = Path(directory)
         self.every_events = int(every_events)
-        self.keep = max(2, int(keep))
         self.flag = flag
         self.recovery = recovery
         self.crash_after_saves = crash_after_saves
@@ -372,7 +373,7 @@ class SerialCheckpointer:
         if self.recovery is not None:
             self.recovery.emit(event_types.EXECUTOR_CHECKPOINT,
                                checkpoint=path.name, n_dispatched=n_dispatched)
-        for old in self._paths()[: -self.keep]:
+        for old in self._paths()[:-KEEP_CHECKPOINTS]:
             try:
                 old.unlink()
             except OSError:

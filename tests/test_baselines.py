@@ -1,5 +1,8 @@
 """Tests for the baseline protocols (repro.baselines)."""
 
+import copyreg
+import pickle
+
 import pytest
 
 from repro.baselines import (
@@ -14,6 +17,8 @@ from repro.baselines import (
     make_protocol,
     protocol_names,
 )
+from repro.baselines.geocomm import TIME_UNIT
+from repro.baselines.prophet import P_INIT, _Predictability
 from repro.baselines.simbet import ego_betweenness
 from repro.mobility.trace import Trace, VisitRecord, days
 from repro.sim.engine import SimConfig, Simulation, run_simulation
@@ -86,36 +91,52 @@ class TestProphet:
         assert tab.get(5, t=0.0) > v1
 
     def test_aging_decays(self):
-        p = ProphetProtocol(gamma=0.9, aging_unit=100.0)
+        p = ProphetProtocol()
         tab = p._lm_table(0)
         tab.encounter(5, t=0.0)
-        assert tab.get(5, t=1000.0) < tab.get(5, t=0.0)
+        assert tab.get(5, t=days(1.0)) < tab.get(5, t=0.0)
 
-    def test_transitivity_boost(self):
-        p = ProphetProtocol(transitivity=True)
+    def test_no_transitivity_by_default(self):
+        """The paper's adaptation uses plain visiting records: a node-node
+        contact leaves every landmark predictability unchanged."""
+        p = ProphetProtocol()
 
         class FakeNode:
             def __init__(self, nid):
                 self.nid = nid
 
-        a, b = FakeNode(0), FakeNode(1)
         p._lm_table(1).encounter(7, t=0.0)  # b knows landmark 7
-        p.learn_contact(None, a, b, t=0.0)
-        assert p._lm_table(0).get(7, t=0.0) > 0.0
+        p.learn_contact(None, FakeNode(0), FakeNode(1), t=0.0)
+        assert p._lm_table(0).get(7, t=0.0) == 0.0
+        assert p._lm_table(1).get(7, t=0.0) == P_INIT
 
-    def test_no_transitivity_by_default(self):
-        """The paper's adaptation uses plain visiting records."""
-        assert ProphetProtocol().transitivity is False
+    def test_restores_checkpoints_of_the_parameterised_layout(self, monkeypatch):
+        """Checkpoints written while the PROPHET constants were constructor
+        parameters pickle each table with three extra slots."""
+        old_state = (None, {
+            "p": {7: 0.75}, "last_update": {7: 10.0},
+            "p_init": 0.75, "gamma": 0.98, "aging_unit": 3600.0,
+        })
+        monkeypatch.setattr(
+            _Predictability, "__reduce_ex__",
+            lambda self, protocol: (copyreg.__newobj__, (_Predictability,), old_state),
+        )
+        blob = pickle.dumps(_Predictability(), protocol=pickle.HIGHEST_PROTOCOL)
+        monkeypatch.undo()
+        tab = pickle.loads(blob)
+        assert tab.get(7, t=10.0) == 0.75
+        tab.encounter(7, t=10.0)
+        assert pickle.loads(pickle.dumps(tab)).p == tab.p
 
     def test_delivers_on_shuttle(self):
         s = run_simulation(shuttle2(), ProphetProtocol(), cfg())
         assert s.success_rate > 0.7
 
     def test_invalid_params(self):
-        with pytest.raises(ValueError):
-            ProphetProtocol(p_init=0.0)
-        with pytest.raises(ValueError):
-            ProphetProtocol(gamma=1.5)
+        """The PROPHET constants are not configurable."""
+        for key, value in (("p_init", 0.0), ("gamma", 1.5)):
+            with pytest.raises(ValueError, match=f"'PROPHET'.*{key}"):
+                make_protocol("PROPHET", **{key: value})
 
 
 class TestSimBet:
@@ -135,7 +156,7 @@ class TestSimBet:
         assert max(sims) > 0
 
     def test_pairwise_utility_symmetric_complement(self):
-        proto = SimBetProtocol(alpha=0.5)
+        proto = SimBetProtocol()
         proto._visits.setdefault(0, __import__("collections").Counter())[9] = 4
         proto._visits.setdefault(1, __import__("collections").Counter())[9] = 1
         u01 = proto.pairwise_utility(0, 1, 9)  # utility of 1 vs 0
@@ -150,7 +171,7 @@ class TestSimBet:
 
 class TestPGR:
     def test_route_prediction_on_cycle(self, shuttle_trace, tiny_sim_config):
-        proto = PGRProtocol(horizon=4)
+        proto = PGRProtocol()
         Simulation(shuttle_trace, proto, tiny_sim_config).run()
         node = list(shuttle_trace.nodes)[0]
 
@@ -165,7 +186,7 @@ class TestPGR:
         assert lms[0] == 1
 
     def test_cumulative_probabilities_decrease(self, dart_tiny, tiny_sim_config):
-        proto = PGRProtocol(horizon=5)
+        proto = PGRProtocol()
         Simulation(dart_tiny, proto, tiny_sim_config).run()
         for node in dart_tiny.nodes:
             class FakeNode:
@@ -189,7 +210,7 @@ class TestPGR:
 
 class TestGeoComm:
     def test_contact_probability_fraction_of_units(self):
-        proto = GeoCommProtocol(time_unit=100.0)
+        proto = GeoCommProtocol()
 
         class FakeNode:
             nid = 0
@@ -199,14 +220,14 @@ class TestGeoComm:
 
         # contacts in units 0 and 2 of 0..4
         proto.learn_visit(None, FakeNode(), FakeStation(), t=10.0)
-        proto.learn_visit(None, FakeNode(), FakeStation(), t=210.0)
-        assert proto.contact_probability(0, 7, t=499.0) == pytest.approx(2 / 5)
+        proto.learn_visit(None, FakeNode(), FakeStation(), t=2 * TIME_UNIT + 10.0)
+        assert proto.contact_probability(0, 7, t=5 * TIME_UNIT - 1.0) == pytest.approx(2 / 5)
 
     def test_unknown_node_zero(self):
         assert GeoCommProtocol().contact_probability(5, 1, 0.0) == 0.0
 
     def test_probability_capped_at_one(self):
-        proto = GeoCommProtocol(time_unit=100.0)
+        proto = GeoCommProtocol()
 
         class FakeNode:
             nid = 0

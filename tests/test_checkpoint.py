@@ -26,6 +26,7 @@ from repro.eval.scenario import ScenarioSpec, run_scenario
 from repro.mobility import io as trace_io
 from repro.obs import events as event_types
 from repro.sim.checkpoint import (
+    KEEP_CHECKPOINTS,
     CheckpointError,
     InterruptFlag,
     RecoveryLog,
@@ -147,7 +148,7 @@ class TestSerialCheckpointer:
         assert chk.metrics == baseline.metrics
         assert ckpt.n_saves >= 2
         # keep policy: only the newest files survive
-        assert len(list((tmp_path / "ck").glob("serial-*.ckpt"))) <= ckpt.keep
+        assert len(list((tmp_path / "ck").glob("serial-*.ckpt"))) <= KEEP_CHECKPOINTS
 
     def test_crash_then_resume_matches_baseline(
         self, dart_tiny, tiny_sim_config, tmp_path

@@ -5,12 +5,23 @@ and the communication scheduler."""
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.baselines import make_protocol
 from repro.core.deadend import DeadEndDetector
 from repro.core.loadbalance import LinkLoadMonitor
 from repro.core.loops import LoopCorrector, inject_loop
 from repro.core.node_routing import NodeLocationRegistry
+from repro.core.router import META_ASSIGNED_BY, DTNFlowProtocol
 from repro.core.routing_table import RoutingTable
-from repro.core.scheduler import FORWARD, UPLOAD, CommScheduler, SchedulerConfig
+from repro.core.scheduler import (
+    FORWARD,
+    MAX_UPLOAD_BATCH,
+    R_DOWN,
+    R_UP,
+    UPLOAD,
+    CommScheduler,
+)
+from repro.mobility.trace import Trace, VisitRecord, days
+from repro.sim.engine import SimConfig, Simulation
 from repro.sim.packets import Packet
 
 
@@ -259,16 +270,16 @@ class TestCommScheduler:
         assert CommScheduler().mode == FORWARD
 
     def test_switch_to_upload_when_starved(self):
-        s = CommScheduler(SchedulerConfig(r_up=0.67, r_down=1.5))
+        s = CommScheduler()
         assert s.update_mode(station_packets=1, node_packets=10) == UPLOAD
 
     def test_switch_to_forward_when_backed_up(self):
-        s = CommScheduler(SchedulerConfig(r_up=0.67, r_down=1.5))
+        s = CommScheduler()
         s.update_mode(1, 10)
         assert s.update_mode(station_packets=20, node_packets=10) == FORWARD
 
     def test_hysteresis_band_keeps_mode(self):
-        s = CommScheduler(SchedulerConfig(r_up=0.67, r_down=1.5))
+        s = CommScheduler()
         s.update_mode(1, 10)  # UPLOAD
         assert s.update_mode(station_packets=10, node_packets=10) == UPLOAD
 
@@ -277,19 +288,18 @@ class TestCommScheduler:
         assert s.update_mode(station_packets=5, node_packets=0) == FORWARD
 
     def test_inverted_band_rejected(self):
-        with pytest.raises(ValueError):
-            SchedulerConfig(r_up=2.0, r_down=1.0)
+        """The band is fixed and not inverted; a manifest cannot set it."""
+        assert 0.0 < R_UP < 1.0 < R_DOWN
+        with pytest.raises(ValueError, match="scheduler.r_up"):
+            make_protocol("DTN-FLOW", scheduler={"r_up": 2.0, "r_down": 1.0})
 
     def test_feasibility(self):
+        """Feasible means the expected delay fits the remaining TTL (90)."""
         s = CommScheduler()
         p = Packet(pid=0, src=0, dst=1, created=0.0, ttl=100.0)
-        assert s.feasible(p, expected_delay=50.0, now=10.0)
-        assert not s.feasible(p, expected_delay=95.0, now=10.0)
-
-    def test_feasibility_check_disabled(self):
-        s = CommScheduler(SchedulerConfig(feasibility_check=False))
-        p = Packet(pid=0, src=0, dst=1, created=0.0, ttl=100.0)
-        assert s.feasible(p, expected_delay=1e9, now=10.0)
+        assert s.forwarding_order([p], lambda q: 50.0, now=10.0) == [p]
+        assert s.forwarding_order([p], lambda q: 90.0, now=10.0) == [p]
+        assert s.forwarding_order([p], lambda q: 95.0, now=10.0) == []
 
     def test_forwarding_order_most_urgent_first(self):
         s = CommScheduler()
@@ -302,9 +312,28 @@ class TestCommScheduler:
         ps = [Packet(pid=0, src=0, dst=1, created=0.0, ttl=100.0)]
         assert s.forwarding_order(ps, lambda p: 1e9, now=0.0) == []
 
-    def test_upload_priority(self):
-        s = CommScheduler()
-        assert s.upload_priority([(1, 5), (2, 9), (3, 9)]) == [2, 3, 1]
-
     def test_upload_batch_size(self):
-        assert CommScheduler(SchedulerConfig(max_upload_batch=7)).upload_batch_size() == 7
+        """IV-D.5 rule 3: over a rate-limited link one upload turn moves at
+        most MAX_UPLOAD_BATCH packets off the arriving node."""
+        trace = Trace([
+            VisitRecord(start=0.0, end=100.0, node=0, landmark=0),
+            VisitRecord(start=200.0, end=300.0, node=0, landmark=1),
+        ])
+        proto = DTNFlowProtocol()
+        sim = Simulation(trace, proto, SimConfig(
+            rate_per_landmark_per_day=0.0, ttl=days(1.0),
+            link_rate_bytes_per_sec=1e9,
+        ))
+        w = sim.world
+        proto.setup(w)
+        node, station = w.nodes[0], w.stations[0]
+        node.at_landmark = 0
+        station.connected.add(0)
+        w.begin_visit_budget(node, 100.0)
+        for pid in range(MAX_UPLOAD_BATCH + 10):
+            p = Packet(pid=pid, src=1, dst=9, created=0.0, ttl=1e9)
+            p.meta[META_ASSIGNED_BY] = 0  # back at its assigner: re-upload
+            assert node.buffer.add(p)
+        proto._handover_from_node(w, node, station, 0.0)
+        assert len(station.buffer) == MAX_UPLOAD_BATCH
+        assert len(node.buffer) == 10

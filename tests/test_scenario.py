@@ -173,13 +173,17 @@ class TestSimConfigValidation:
 
 
 class TestMakeProtocolStrict:
-    """Satellite: unknown keywords name the protocol and the typo."""
+    """Unknown keywords name the protocol and the typo."""
 
     def test_unknown_kwarg_names_protocol_and_key(self):
         with pytest.raises(ValueError) as exc:
             make_protocol("PROPHET", p_int=0.5)
         msg = str(exc.value)
-        assert "PROPHET" in msg and "p_int" in msg and "accepted" in msg
+        assert "PROPHET" in msg and "p_int" in msg and "takes no config" in msg
+        with pytest.raises(ValueError) as exc:
+            make_protocol("DTN-FLOW", kk=3)
+        msg = str(exc.value)
+        assert "DTN-FLOW" in msg and "kk" in msg and "accepted" in msg
 
     def test_dtnflow_nested_scheduler_config(self):
         proto = make_protocol(
@@ -189,9 +193,94 @@ class TestMakeProtocolStrict:
         assert proto.config.scheduler.priority == "fifo"
 
     def test_config_plus_fields_rejected(self):
+        """A prebuilt config goes to ``DTNFlowProtocol(config)`` directly;
+        ``make_protocol`` takes only the fields a manifest can spell."""
         from repro.core.router import DTNFlowConfig
-        with pytest.raises(ValueError, match="not both"):
+        with pytest.raises(ValueError, match=r"'DTN-FLOW'.*\['config'\]"):
             make_protocol("DTN-FLOW", config=DTNFlowConfig(), k=2)
+
+    def test_out_of_range_value_names_protocol(self):
+        with pytest.raises(ValueError, match="'DTN-FLOW'.*k must be > 0"):
+            make_protocol("DTN-FLOW", k=0)
+        with pytest.raises(ValueError, match="'DTN-FLOW'.*priority"):
+            make_protocol("DTN-FLOW", scheduler={"priority": "lifo"})
+
+
+#: protocol keywords that are module constants, each with the constant's
+#: value: a manifest that sets one is rejected
+REMOVED_KEYS = [
+    ("DTN-FLOW", "rho", {"rho": 0.5}),
+    ("DTN-FLOW", "min_carrier_prob", {"min_carrier_prob": 0.0}),
+    ("DTN-FLOW", "handover_improvement", {"handover_improvement": 0.8}),
+    ("DTN-FLOW", "backup_delay_bound", {"backup_delay_bound": 1.5}),
+    ("DTN-FLOW", "scheduler.r_up", {"scheduler": {"r_up": 0.67}}),
+    ("DTN-FLOW", "scheduler.r_down", {"scheduler": {"r_down": 1.5}}),
+    ("DTN-FLOW", "scheduler.max_upload_batch", {"scheduler": {"max_upload_batch": 50}}),
+    ("DTN-FLOW", "scheduler.scan_interval", {"scheduler": {"scan_interval": 60.0}}),
+    ("DTN-FLOW", "scheduler.feasibility_check", {"scheduler": {"feasibility_check": True}}),
+    ("PROPHET", "p_init", {"p_init": 0.75}),
+    ("PROPHET", "gamma", {"gamma": 0.98}),
+    ("PROPHET", "beta", {"beta": 0.25}),
+    ("PROPHET", "aging_unit", {"aging_unit": 3600.0}),
+    ("PROPHET", "transitivity", {"transitivity": False}),
+    ("SimBet", "alpha", {"alpha": 0.5}),
+    ("SimBet", "recompute_every", {"recompute_every": 10}),
+    ("PGR", "horizon", {"horizon": 5}),
+    ("GeoComm", "time_unit", {"time_unit": 43200.0}),
+    ("PER", "max_steps", {"max_steps": 64}),
+    ("PER", "default_step_time", {"default_step_time": 21600.0}),
+    ("SprayWait", "n_copies", {"n_copies": 8}),
+]
+
+#: nested scheduler configs that must fail validation with a ValueError
+BAD_NESTED = [
+    ("scheduler.prio", {"scheduler": {"prio": "fifo"}}),
+    ("scheduler", {"scheduler": "fifo"}),
+]
+
+
+def _validate_cli(tmp_path, capsys, protocol, config):
+    from repro.cli import main
+
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(fast_manifest(
+        protocols=[{"name": protocol, "config": config}]
+    )))
+    rc = main(["scenario", "validate", str(path)])
+    captured = capsys.readouterr()
+    return rc, (captured.out + captured.err).strip().splitlines()
+
+
+class TestRemovedProtocolKeys:
+    @pytest.mark.parametrize("protocol,key,config", REMOVED_KEYS)
+    def test_make_protocol_rejects(self, protocol, key, config):
+        with pytest.raises(ValueError) as exc:
+            make_protocol(protocol, **config)
+        msg = str(exc.value)
+        assert f"{protocol!r}" in msg and key in msg
+        assert "\n" not in msg
+
+    @pytest.mark.parametrize("protocol,key,config", REMOVED_KEYS)
+    def test_scenario_validate_exits_2(self, tmp_path, capsys, protocol, key, config):
+        rc, lines = _validate_cli(tmp_path, capsys, protocol, config)
+        assert rc == 2
+        assert len(lines) == 1
+        assert "INVALID" in lines[0] and protocol in lines[0] and key in lines[0]
+
+
+class TestNestedSchedulerConfig:
+    @pytest.mark.parametrize("key,config", BAD_NESTED)
+    def test_make_protocol_raises_value_error(self, key, config):
+        with pytest.raises(ValueError) as exc:
+            make_protocol("DTN-FLOW", **config)
+        assert "'DTN-FLOW'" in str(exc.value) and key in str(exc.value)
+
+    @pytest.mark.parametrize("key,config", BAD_NESTED)
+    def test_scenario_validate_exits_2(self, tmp_path, capsys, key, config):
+        rc, lines = _validate_cli(tmp_path, capsys, "DTN-FLOW", config)
+        assert rc == 2
+        assert len(lines) == 1
+        assert "DTN-FLOW" in lines[0] and key in lines[0]
 
 
 class TestScenarioExecution:

@@ -285,6 +285,18 @@ def test_rest_error_and_catalog_surface(server):
         client.submit({"trace": {"profile": "DART"}, "shards": 2})
     assert err.value.status == 400
     assert "'shards' was removed" in str(err.value)
+    # a malformed nested protocol config is a 400 naming protocol and key
+    for key, config in (
+        ("scheduler.prio", {"scheduler": {"prio": "fifo"}}),
+        ("scheduler", {"scheduler": "fifo"}),
+    ):
+        with pytest.raises(ServeError) as err:
+            client.submit({
+                "trace": {"profile": "DART"},
+                "protocols": [{"name": "DTN-FLOW", "config": config}],
+            })
+        assert err.value.status == 400
+        assert "'DTN-FLOW'" in str(err.value) and key in str(err.value)
     with pytest.raises(ServeError) as err:
         client._request("GET", "/v1/nope")
     assert err.value.status == 404

@@ -9,6 +9,7 @@ the trend report, and the ``repro db`` / ``--record`` CLI surface —
 including a ``--jobs 4`` sweep recorded in the parent process.
 """
 
+import dataclasses
 import json
 import sqlite3
 
@@ -221,6 +222,39 @@ class TestIngest:
         stats = ingest_experiment_results(store, partial, kind="scenario")
         assert stats.runs == 1 and stats.points_new == 1
         assert ingest_experiment_results(store, [None, None]).runs == 0
+
+    def test_unscenarioed_results_keyed_by_sim_config(
+        self, store, shuttle_trace, tiny_sim_config
+    ):
+        """Results of inline traces carry no scenario: their stored identity
+        is the fallback record, which includes the resolved SimConfig."""
+        from repro.baselines import make_protocol
+        from repro.eval.experiment import ExperimentResult
+        from repro.obs.provenance import RunProvenance
+        from repro.sim.engine import run_simulation
+
+        summary = run_simulation(shuttle_trace, make_protocol("DTN-FLOW"), tiny_sim_config)
+        assert summary.provenance.scenario is None
+        other = dataclasses.replace(
+            tiny_sim_config, warmup_fraction=tiny_sim_config.warmup_fraction / 2
+        )
+        # identical metrics, different SimConfig: only the identity differs
+        twin = dataclasses.replace(summary, provenance=RunProvenance.from_run(
+            "DTN-FLOW", summary.trace, other
+        ))
+        results = [
+            ExperimentResult("DTN-FLOW", summary.trace, 2000.0, 200.0, 5, m)
+            for m in (summary, twin)
+        ]
+        stats = ingest_experiment_results(store, results)
+        assert (stats.points_new, stats.points_dup) == (2, 0)
+        again = ingest_experiment_results(store, results[:1])
+        assert (again.points_new, again.points_dup) == (0, 1)
+        blobs = [store.scenario_blob(r.id) for r in query_points(store)]
+        assert [b["kind"] for b in blobs] == ["unscenarioed", "unscenarioed"]
+        assert sorted(b["config"]["warmup_fraction"] for b in blobs) == sorted(
+            [tiny_sim_config.warmup_fraction, other.warmup_fraction]
+        )
 
     def test_parallel_sweep_recorded_in_parent(self, store, fast_sweep_result):
         # the acceptance path: a --jobs 4 run recorded without contention

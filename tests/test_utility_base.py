@@ -17,9 +17,8 @@ class FixedUtilityProtocol(UtilityProtocol):
 
     name = "fixed"
 
-    def __init__(self, table=None, margin=0.0):
+    def __init__(self, table=None):
         self.table = table or {}
-        self.forward_margin = margin
         self.learned = []
 
     def utility(self, world, node, dest, t):
@@ -93,16 +92,6 @@ class TestNodeToNodeGradient:
         p = Packet(pid=0, src=0, dst=5, created=0.0, ttl=1e9)
         a.buffer.add(p)
         proto.table = {(0, 5): 0.6, (1, 5): 0.6}
-        proto._compare_and_forward(world, a, b, t=0.0)
-        assert p.pid in a.buffer
-
-    def test_margin_blocks_marginal_improvement(self, sim_world):
-        world, proto = sim_world
-        proto.forward_margin = 0.2
-        a, b = world.nodes[0], world.nodes[1]
-        p = Packet(pid=0, src=0, dst=5, created=0.0, ttl=1e9)
-        a.buffer.add(p)
-        proto.table = {(0, 5): 0.5, (1, 5): 0.6}
         proto._compare_and_forward(world, a, b, t=0.0)
         assert p.pid in a.buffer
 
