@@ -30,7 +30,7 @@ Quickstart::
 from repro.baselines import PAPER_PROTOCOLS, make_protocol, protocol_names
 from repro.core import DTNFlowConfig, DTNFlowProtocol, MarkovPredictor
 from repro.mobility import Trace, VisitRecord, dart_like, deployment_trace, dnet_like
-from repro.obs import Observability, ObsConfig, RunProvenance
+from repro.obs import Observability, RunProvenance
 from repro.sim import MetricsSummary, SimConfig, Simulation, run_simulation
 
 __version__ = "1.0.0"
@@ -49,7 +49,6 @@ __all__ = [
     "dnet_like",
     "MetricsSummary",
     "Observability",
-    "ObsConfig",
     "RunProvenance",
     "SimConfig",
     "Simulation",

@@ -15,7 +15,7 @@ Commands
 ``deployment``  the Section V-C campus deployment
 ``predict``     the Fig. 6 order-k prediction study
 ``trace``       replay a run with event tracing; follow a packet hop-by-hop
-``stats``       registry metrics + phase timings for one traced run
+``stats``       metrics, event counts + phase timings for one traced run
 
 Traces are either the built-in profiles (``dart``, ``dnet``) or a CSV file
 written by :func:`repro.mobility.io.dump_trace` (pass a path).
@@ -66,7 +66,7 @@ from repro.eval.scenario import (
 from repro.eval.profiling import profile_scenario
 from repro.mobility import io as trace_io
 from repro.mobility import stats
-from repro.obs import ALL_EVENTS, Observability, ObsConfig, SpanRecorder
+from repro.obs import RUN_EVENTS, Observability, SpanRecorder
 from repro.obs.export import render_span_tree, write_flamegraph, write_profile
 from repro.obs.provenance import _jsonable
 from repro.store import (
@@ -797,9 +797,7 @@ def _observed_point(args: argparse.Namespace, spans: Optional[SpanRecorder] = No
     spec = _flag_scenario(
         args, name=f"{args.command}-{args.protocol}", protocols=[args.protocol]
     )
-    obs = Observability(
-        ObsConfig(enabled=True, event_capacity=args.capacity), spans=spans
-    )
+    obs = Observability(enabled=True, event_capacity=args.capacity, spans=spans)
     traces: dict = {}
     res = _execute_scenario(
         spec, jobs=1, observe=lambda index, point: nullcontext(obs), traces=traces
@@ -834,9 +832,9 @@ def cmd_trace(args: argparse.Namespace) -> int:
     # validate the event-type filter before the (expensive) simulation run
     etypes = args.etype.split(",") if args.etype else None
     if etypes:
-        unknown = [t for t in etypes if t not in ALL_EVENTS]
+        unknown = [t for t in etypes if t not in RUN_EVENTS]
         if unknown:
-            known = ", ".join(sorted(ALL_EVENTS))
+            known = ", ".join(sorted(RUN_EVENTS))
             print(f"unknown event type(s): {', '.join(unknown)}; "
                   f"known types: {known}", file=sys.stderr)
             return 2
@@ -880,9 +878,10 @@ def cmd_trace(args: argparse.Namespace) -> int:
     counts = log.counts_by_type()
     rows = [[k, counts[k]] for k in sorted(counts)]
     print(format_table(["event", "count"], rows,
-                       title=f"{trace.name} / {args.protocol}: recorded events"))
+                       title=f"{trace.name} / {args.protocol}: emitted events"))
     if log.n_evicted:
-        print(f"({log.n_evicted} older events evicted; raise --capacity to keep more)")
+        print(f"({log.n_evicted} older events evicted but still counted; "
+              "raise --capacity to keep more)")
     delivered = log.delivered_packets()
     if delivered:
         sample = ", ".join(str(p) for p in delivered[:5])
@@ -913,24 +912,13 @@ def cmd_stats(args: argparse.Namespace) -> int:
     print()
     ev = obs.events
     evicted = f", {ev.n_evicted} evicted" if ev.n_evicted else ""
-    print(f"event log: {len(ev)} recorded of {ev.n_emitted} emitted "
-          f"(ring capacity {ev.capacity}{evicted})")
-    print()
-    all_rows = [list(r) for r in obs.registry.rows()]
-    if args.full:
-        shown_rows = all_rows
-    else:
-        # per-entity instruments (bracketed names) can number in the
-        # hundreds; collapse them unless --full is given
-        shown_rows = [r for r in all_rows if "[" not in r[0]]
+    counts = ev.counts_by_type()
     print(format_table(
-        ["metric", "kind", "value"],
-        shown_rows,
-        title="metrics registry:",
+        ["event", "count"],
+        [[k, counts[k]] for k in sorted(counts)],
+        title=f"events: {len(ev)} recorded of {ev.n_emitted} emitted "
+              f"(ring capacity {ev.capacity}{evicted}); counts are exact:",
     ))
-    hidden = len(all_rows) - len(shown_rows)
-    if hidden:
-        print(f"(+ {hidden} per-entity metrics; use --full or --json to list them)")
     prov = summary.provenance
     if prov is not None:
         print(f"\nprovenance: repro {prov.package_version}, python {prov.python_version}, "
@@ -1358,16 +1346,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "stats",
-        help="registry metrics + phase timings for one traced run",
+        help="metrics, event counts + phase timings for one traced run",
     )
     add_common(p)
     add_workload(p)
     p.add_argument("--capacity", type=positive_int, default=500_000,
                    help="event ring-buffer capacity (default 500000)")
-    p.add_argument("--full", action="store_true",
-                   help="also list per-entity (bracketed) registry metrics")
     p.add_argument("--json", action="store_true",
-                   help="print metrics + timings + provenance as JSON")
+                   help="print metrics + event counts + timings + provenance as JSON")
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("sweep", help="memory or rate sweep (Figs. 11-14)")

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -177,12 +177,6 @@ class AccuracyTracker:
     ``value`` starts at ``initial`` (the paper's "medium value, e.g. 0.5")
     and is multiplied by ``up`` (>1) on a correct prediction and ``down``
     (<1) on an incorrect one, clamped to [floor, 1].
-
-    ``observer`` is an optional observability hook called as
-    ``observer(correct, new_value)`` after every :meth:`record` — the
-    DTN-FLOW router wires it to the run's metrics registry so predictor
-    hit/miss counts and the accuracy distribution are reported without the
-    tracker knowing anything about metrics.
     """
 
     initial: float = 0.5
@@ -192,9 +186,6 @@ class AccuracyTracker:
     value: float = field(default=0.5)
     n_correct: int = 0
     n_wrong: int = 0
-    observer: Optional[Callable[[bool, float], None]] = field(
-        default=None, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         require_in_range("initial", self.initial, 0.0, 1.0)
@@ -211,8 +202,6 @@ class AccuracyTracker:
         else:
             self.n_wrong += 1
             self.value = max(self.floor, self.value * self.down)
-        if self.observer is not None:
-            self.observer(correct, self.value)
         return self.value
 
     @property

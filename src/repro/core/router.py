@@ -31,7 +31,7 @@ balancing via backup next hops (IV-E.3) and routing to mobile nodes
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from time import perf_counter
 from typing import Dict, List, Optional
 
@@ -47,7 +47,13 @@ from repro.core.scheduler import MAX_UPLOAD_BATCH, UPLOAD, CommScheduler, Schedu
 from repro.sim.engine import RoutingProtocol, World
 from repro.sim.entities import LandmarkStation, MobileNode
 from repro.sim.packets import Packet
-from repro.utils.validation import require_positive
+from repro.utils.validation import (
+    require_in_range,
+    require_int,
+    require_non_negative,
+    require_number,
+    require_positive,
+)
 
 
 #: EWMA weight for bandwidth and link-load measurement (Eq. 4)
@@ -102,7 +108,27 @@ class DTNFlowConfig:
     scheduler: SchedulerConfig = field(default_factory=SchedulerConfig)
 
     def __post_init__(self) -> None:
+        # manifests are JSON, so check types as well as ranges: a "false"
+        # string would pass as a set flag and true as the number 1
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "bool" and not isinstance(value, bool):
+                raise ValueError(f"{f.name} must be true or false, got {value!r}")
+            if f.type == "int":
+                require_int(f.name, value)
+            elif f.type == "float":
+                require_number(f.name, value)
         require_positive("k", self.k)
+        require_in_range("accuracy_up", self.accuracy_up, 1.0, math.inf,
+                         inclusive_low=False, inclusive_high=False)
+        require_in_range("accuracy_down", self.accuracy_down, 0.0, 1.0,
+                         inclusive_low=False, inclusive_high=False)
+        require_in_range("table_hysteresis", self.table_hysteresis, 0.0, 1.0,
+                         inclusive_low=False)
+        require_positive("deadend_gamma", self.deadend_gamma)
+        require_positive("deadend_min_history", self.deadend_min_history)
+        require_non_negative("loop_hold_time", self.loop_hold_time)
+        require_positive("overload_theta", self.overload_theta)
 
 
 class _StationState:
@@ -175,8 +201,7 @@ class DTNFlowProtocol(RoutingProtocol):
         self.registry = NodeLocationRegistry()
         self._stations: Dict[int, _StationState] = {}
         self._nodes: Dict[int, _NodeState] = {}
-        # observability plumbing, wired in setup(); None while disabled
-        self._obs = None
+        # phase-timing plumbing, wired in setup(); None without a recorder
         self._spans = None
 
     # -- plumbing ---------------------------------------------------------------
@@ -191,51 +216,27 @@ class DTNFlowProtocol(RoutingProtocol):
         self.attach_runtime(world)
 
     def _make_bw_observer(self, world: World, lid: int):
-        """Feed bandwidth-estimator changes into the event log + registry."""
+        """Feed bandwidth-estimator changes into the event log."""
         emit = world.events.emit
-        folds = world.obs.registry.counter("bw.folds")
-        reports = world.obs.registry.counter("bw.reports_applied")
         def observer(kind: str, **info) -> None:
-            if kind == "fold":
-                folds.inc(int(info.get("folded", 1)))
-            else:
-                reports.inc()
             emit(world.now, ev.BW_UPDATE, landmark=lid, kind=kind, **info)
-        return observer
-
-    def _make_accuracy_observer(self, world: World):
-        """Feed predictor outcomes into the registry (shared by all nodes)."""
-        reg = world.obs.registry
-        hits = reg.counter("predictor.hits")
-        misses = reg.counter("predictor.misses")
-        acc_hist = reg.histogram("predictor.accuracy")
-        def observer(correct: bool, value: float) -> None:
-            (hits if correct else misses).inc()
-            acc_hist.observe(value)
         return observer
 
     # -- checkpoint API (see docs/reliability.md) ---------------------------------
     def detach_runtime(self) -> None:
-        """Drop the span-recorder/event-log handles and observer closures so the
-        protocol (and the station/node state it owns) pickles cleanly."""
-        self._obs = None
+        """Drop the span-recorder handle and observer closures so the
+        protocol (and the station state it owns) pickles cleanly."""
         self._spans = None
         for st in self._stations.values():
             st.bw.observer = None
-        for ns in self._nodes.values():
-            ns.acc.observer = None
 
     def attach_runtime(self, world: World) -> None:
         """Wire spans and observers to ``world``: at setup, and again
         after a checkpoint restore."""
         self._spans = world.obs.spans
-        self._obs = world.obs if world.obs_enabled else None
-        if self._obs is not None:
+        if world.obs_enabled:
             for lid, st in self._stations.items():
                 st.bw.observer = self._make_bw_observer(world, lid)
-            acc_cb = self._make_accuracy_observer(world)
-            for ns in self._nodes.values():
-                ns.acc.observer = acc_cb
 
     def station_state(self, lid: int) -> _StationState:
         return self._stations[lid]
@@ -257,13 +258,8 @@ class DTNFlowProtocol(RoutingProtocol):
         st.bw.advance_to(t)
         if st.bw.version == st._refreshed_version:
             return
-        obs = self._obs
         for neighbor in st.bw.known_neighbors():
             st.table.set_direct_link(neighbor, st.bw.expected_link_delay(neighbor))
-            if obs is not None:
-                obs.registry.gauge(
-                    f"bw.out[{st.bw.landmark_id}->{neighbor}]"
-                ).set(st.bw.outgoing_bandwidth(neighbor))
         st._refreshed_version = st.bw.version
 
     def _stamp_at_station(self, world: World, station: LandmarkStation, packet: Packet) -> None:

@@ -7,8 +7,7 @@ hook opens a ``point[...]`` span on one shared
 point's engine phases nest under its own span, and a single
 :class:`~repro.obs.sampler.SamplingProfiler` can watch the whole run's
 call stacks.  Each point still gets a *fresh*
-:class:`~repro.obs.runtime.Observability` (metrics registries must stay
-per-run) carrying the shared recorder.
+:class:`~repro.obs.runtime.Observability` carrying the shared recorder.
 
 :func:`profile_scenario` returns a :class:`ProfileRun` whose
 :meth:`~ProfileRun.payload` is the ingestible profile document.

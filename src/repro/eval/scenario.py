@@ -98,6 +98,14 @@ _SWEEP_FIELDS = {
     "rate": "rate_per_landmark_per_day",
 }
 _LIST_SIM_FIELDS = ("destinations", "sources")
+#: SimConfig fields whose default is None, the only ones ``null`` may set
+_NULLABLE_SIM_FIELDS = tuple(
+    sorted(
+        f.name
+        for f in dataclasses.fields(SimConfig)
+        if f.name in _SIM_FIELDS and f.default is None
+    )
+)
 
 #: the one line a manifest with the retired ``shards`` key is refused with
 _SHARDS_REMOVED = (
@@ -280,11 +288,16 @@ class ScenarioSpec:
                 )
             if canon in sim:
                 raise ValueError(f"'sim' sets {canon!r} twice (alias collision)")
-            if canon in _LIST_SIM_FIELDS:
-                if value is not None:
-                    _require_type(f"sim.{key}", value, (Sequence,), "a list of ids")
-                    value = [require_int(f"sim.{key}[{i}]", v) for i, v in enumerate(value)]
-            elif value is not None:
+            if value is None:
+                if canon not in _NULLABLE_SIM_FIELDS:
+                    raise ValueError(
+                        f"sim.{key} must not be null; null is allowed only for "
+                        f"{list(_NULLABLE_SIM_FIELDS)}"
+                    )
+            elif canon in _LIST_SIM_FIELDS:
+                _require_type(f"sim.{key}", value, (Sequence,), "a list of ids")
+                value = [require_int(f"sim.{key}[{i}]", v) for i, v in enumerate(value)]
+            else:
                 value = _require_type(
                     f"sim.{key}", value, (int, float), "a number"
                 )

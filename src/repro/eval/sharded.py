@@ -427,10 +427,10 @@ def _run_sharded(
     samples.sort()
     for _t, _kind, _seq, _intra, delay, hops, dst in samples:
         merged.on_delivered(delay, dst, hops=hops)
-    merged._generated.inc(sum(p["generated"] for p in payloads))
-    merged._forwarding.inc(sum(p["forwarding_ops"] for p in payloads))
-    merged._maintenance.inc(sum(p["maintenance_ops"] for p in payloads))
-    merged._dropped_ttl.inc(sum(p["dropped_ttl"] for p in payloads))
+    merged.generated = sum(p["generated"] for p in payloads)
+    merged.forwarding_ops = sum(p["forwarding_ops"] for p in payloads)
+    merged.maintenance_ops = sum(p["maintenance_ops"] for p in payloads)
+    merged.dropped_ttl = sum(p["dropped_ttl"] for p in payloads)
     merge_seconds = perf_counter() - t_merge0
 
     # -- flat phase timings -----------------------------------------------------

@@ -1,19 +1,18 @@
-"""repro.obs — simulation observability: tracing, metrics, profiling.
+"""repro.obs — simulation observability: tracing and profiling.
 
-Four pieces, bundled per-run by :class:`Observability`:
+Two instruments, bundled per-run by :class:`Observability`:
 
-* :mod:`repro.obs.events` — typed packet-lifecycle and routing-control
-  event tracing with a ring buffer and JSONL export;
-* :mod:`repro.obs.registry` — named counters/gauges/histograms protocols
-  register into instead of ad-hoc dicts;
+* :mod:`repro.obs.events` — typed packet-lifecycle, routing-control and
+  fault event tracing with a ring buffer, exact per-type counts and
+  JSONL export;
 * :mod:`repro.obs.spans` — hierarchical phase timing (where does the
   wall-clock go?) with self vs. cumulative seconds, on only for runs
-  given a recorder (``Observability(spans=...)``);
+  given a recorder (``Observability(spans=...)``).
+
+Alongside them:
+
 * :mod:`repro.obs.provenance` — config/seed/version stamps making result
-  rows self-describing.
-
-Plus the deep-profiling layer:
-
+  rows self-describing;
 * :mod:`repro.obs.sampler` — background stack sampling and allocation
   snapshots;
 * :mod:`repro.obs.export` — collapsed-stack flamegraphs and ingestible
@@ -25,11 +24,11 @@ See docs/observability.md for the event taxonomy and CLI usage
 
 from repro.obs import events as event_types
 from repro.obs.events import (
-    ALL_EVENTS,
     CONTROL_EVENTS,
     EXECUTOR_EVENTS,
     FAULT_EVENTS,
     PACKET_EVENTS,
+    RUN_EVENTS,
     TERMINAL_EVENTS,
     Event,
     EventLog,
@@ -42,25 +41,19 @@ from repro.obs.export import (
     write_profile,
 )
 from repro.obs.provenance import RunProvenance, package_version
-from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.runtime import Observability, ObsConfig
+from repro.obs.runtime import Observability
 from repro.obs.sampler import SamplingProfiler
 from repro.obs.spans import SpanNode, SpanRecorder
 
 __all__ = [
-    "ALL_EVENTS",
     "CONTROL_EVENTS",
-    "Counter",
     "EXECUTOR_EVENTS",
     "Event",
     "EventLog",
     "FAULT_EVENTS",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "ObsConfig",
     "Observability",
     "PACKET_EVENTS",
+    "RUN_EVENTS",
     "RunProvenance",
     "SamplingProfiler",
     "SpanNode",

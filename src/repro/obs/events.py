@@ -49,6 +49,10 @@ fault injection (see docs/resilience.md)
 ``fault.injected``  a scheduled fault window activated (landmark outage or
                     death, node churn, link degradation, transfer loss)
 ``fault.cleared``   a scheduled fault window ended
+``fault.blocked``   a transfer was refused: its station was down or the
+                    visit's link fully degraded
+``fault.lost``      a transfer attempt was claimed by the loss hash
+``fault.skipped``   a churned-out node's visit never happened
 ================== ==========================================================
 
 =========================== ==================================================
@@ -69,13 +73,14 @@ executor recovery (see docs/reliability.md)
 
 The ``fault.*`` events describe failures *inside the simulated DTN*
 (``repro resilience``); the ``executor.*`` events describe failures of
-the process/IPC/store layer that runs the simulation (``repro chaos``).
+the process/IPC/store layer that runs the simulation (``repro chaos``)
+and reach only a run directory's ``recovery.jsonl``, never a run's
+:class:`EventLog`: :data:`RUN_EVENTS` are the kinds a run emits.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter as _Counter
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Optional
@@ -100,6 +105,9 @@ PREDICTOR_MISS = "predictor_miss"
 # -- fault injection ----------------------------------------------------------
 FAULT_INJECTED = "fault.injected"
 FAULT_CLEARED = "fault.cleared"
+FAULT_BLOCKED = "fault.blocked"
+FAULT_LOST = "fault.lost"
+FAULT_SKIPPED = "fault.skipped"
 
 # -- executor recovery --------------------------------------------------------
 EXECUTOR_CHECKPOINT = "executor.checkpoint"
@@ -122,7 +130,9 @@ PACKET_EVENTS = frozenset(
     }
 )
 CONTROL_EVENTS = frozenset({TABLE_EXCHANGE, BW_UPDATE, PREDICTOR_HIT, PREDICTOR_MISS})
-FAULT_EVENTS = frozenset({FAULT_INJECTED, FAULT_CLEARED})
+FAULT_EVENTS = frozenset(
+    {FAULT_INJECTED, FAULT_CLEARED, FAULT_BLOCKED, FAULT_LOST, FAULT_SKIPPED}
+)
 EXECUTOR_EVENTS = frozenset(
     {
         EXECUTOR_CHECKPOINT,
@@ -132,7 +142,8 @@ EXECUTOR_EVENTS = frozenset(
         EXECUTOR_CHAOS,
     }
 )
-ALL_EVENTS = PACKET_EVENTS | CONTROL_EVENTS | FAULT_EVENTS | EXECUTOR_EVENTS
+#: the kinds a simulation run emits into its event log
+RUN_EVENTS = PACKET_EVENTS | CONTROL_EVENTS | FAULT_EVENTS
 
 #: terminal packet-lifecycle states (at most one per packet id)
 TERMINAL_EVENTS = frozenset({DELIVERED, DROPPED_TTL})
@@ -176,7 +187,9 @@ class EventLog:
     ----------
     capacity:
         Ring-buffer size; once full, the oldest events are evicted (the
-        eviction count is tracked in :attr:`n_evicted`).
+        eviction count is tracked in :attr:`n_evicted`).  The per-type
+        counts of :meth:`counts_by_type` cover every emitted event, so they
+        stay exact however many the ring evicts.
     enabled:
         When False every :meth:`emit` is a no-op.  Callers on hot paths
         should additionally guard on :attr:`enabled` (or a cached copy)
@@ -195,7 +208,7 @@ class EventLog:
         self.capacity = int(capacity)
         self.enabled = bool(enabled)
         self._buf: deque = deque(maxlen=self.capacity)
-        self.n_emitted = 0
+        self._counts: Dict[str, int] = {}
         self.tap: Optional[Callable[[Event], None]] = None
 
     # -- recording ---------------------------------------------------------------
@@ -212,7 +225,7 @@ class EventLog:
         """Record one event (no-op while disabled)."""
         if not self.enabled:
             return
-        self.n_emitted += 1
+        self._counts[etype] = self._counts.get(etype, 0) + 1
         event = Event(t, etype, packet, node, landmark, data or None)
         self._buf.append(event)
         if self.tap is not None:
@@ -224,6 +237,11 @@ class EventLog:
 
     def __iter__(self) -> Iterator[Event]:
         return iter(self._buf)
+
+    @property
+    def n_emitted(self) -> int:
+        """Events recorded since the log was created, evicted ones included."""
+        return sum(self._counts.values())
 
     @property
     def n_evicted(self) -> int:
@@ -268,8 +286,8 @@ class EventLog:
         return [e for e in self._buf if e.packet == pid]
 
     def counts_by_type(self) -> Dict[str, int]:
-        """Retained event counts per type (evicted events not included)."""
-        return dict(_Counter(e.etype for e in self._buf))
+        """Emitted event counts per type, evicted events included."""
+        return dict(self._counts)
 
     def delivered_packets(self) -> List[int]:
         """Packet ids with a ``delivered`` event in the retained window."""

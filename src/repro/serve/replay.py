@@ -3,8 +3,8 @@ engine, streaming its events in (dilated) real time.
 
 The simulator normally collapses days of simulated DTN traffic into
 seconds of wall clock.  Replay inverts that: a single-point scenario runs
-with full event tracing, and every traced event (packet lifecycle,
-``fault.*`` windows — configurable) passes through the
+with full event tracing, and every traced event (packet lifecycle and
+``fault.*`` by default — configurable) passes through the
 :class:`~repro.obs.events.EventLog` *tap* synchronously on the engine
 thread, where this module sleeps just long enough that consecutive events
 reach the subscriber at ``sim_seconds / speed`` wall-clock spacing.  A
@@ -72,9 +72,12 @@ class ReplayRequest:
         self.spec = spec
         self.speed = float(speed)
         self.etypes = tuple(etypes) if etypes else DEFAULT_REPLAY_EVENTS
-        unknown = sorted(set(self.etypes) - event_types.ALL_EVENTS)
+        unknown = sorted(set(self.etypes) - event_types.RUN_EVENTS)
         if unknown:
-            raise ValueError(f"unknown event type(s): {unknown}")
+            raise ValueError(
+                f"unknown event type(s): {unknown}; a run emits "
+                f"{sorted(event_types.RUN_EVENTS)}"
+            )
         self.limit = limit
         self.event_capacity = int(event_capacity)
 
@@ -151,7 +154,7 @@ def replay_stream(
     traces = trace_cache if trace_cache is not None else {}
     for key, trace in materialized.items():
         traces.setdefault(key, trace)
-    obs = Observability.tracing(event_capacity=request.event_capacity)
+    obs = Observability(enabled=True, event_capacity=request.event_capacity)
     wanted = frozenset(request.etypes)
     state = {"n": 0, "t0": None, "wall0": 0.0}
 

@@ -15,8 +15,8 @@ Three building blocks live here:
   absent, so recovery falls back to the previous usable checkpoint (or a
   fresh start) instead of loading garbage;
 * **simulation snapshots** — one pickle blob per checkpoint holding the
-  entire mutable world (nodes, stations, RNG, metrics collector with its
-  registry, packet factory, protocol state).  A single blob preserves
+  entire mutable world (nodes, stations, RNG, metrics collector, packet
+  factory, protocol state).  A single blob preserves
   shared ``Packet`` references, which is what makes a resumed run
   *bit-identical* to an uninterrupted one;
 * **run directories** — a ``manifest.json`` hashing the resolved
@@ -210,15 +210,7 @@ def restore_simulation(sim: Any, state: Dict[str, Any]) -> int:
     world._visit_factor = state["visit_factor"]
     world._conn_sorted = {}
     sim.factory = state["factory"]
-    collector = state["metrics"]
-    world.metrics = collector
-    if collector.registry is not None:
-        world.obs.registry = collector.registry
-        if world._faults_active:
-            reg = collector.registry
-            world._ctr_blocked = reg.counter("faults.blocked_transfers")
-            world._ctr_lost = reg.counter("faults.transfers_lost")
-            world._ctr_skipped_visits = reg.counter("faults.skipped_visits")
+    world.metrics = state["metrics"]
     sim.protocol = state["protocol"]
     sim.protocol.attach_runtime(world)
     return int(state["n_dispatched"])

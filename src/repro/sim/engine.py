@@ -151,7 +151,6 @@ class World:
         self.metrics = MetricsCollector(
             table_entry_unit=config.table_entry_unit,
             experiment_duration=trace.duration,
-            registry=self.obs.registry,
         )
         self.nodes: Dict[int, MobileNode] = {
             n: MobileNode(n, config.node_memory_bytes) for n in trace.nodes
@@ -183,11 +182,6 @@ class World:
         # every connect/disconnect (protocols call connected_nodes several
         # times per event, and sorting dominates the lookup)
         self._conn_sorted: Dict[int, List[MobileNode]] = {}
-        if self._faults_active:
-            reg = self.obs.registry
-            self._ctr_blocked = reg.counter("faults.blocked_transfers")
-            self._ctr_lost = reg.counter("faults.transfers_lost")
-            self._ctr_skipped_visits = reg.counter("faults.skipped_visits")
 
     # -- convenience ------------------------------------------------------------
     @property
@@ -219,17 +213,24 @@ class World:
         """Whether the fault plane blocks this transfer attempt.
 
         A transfer fails when the involved station is down, the visit's
-        link is fully degraded (factor 0), or the probabilistic loss hash
-        claims the attempt.  Blocked/lost attempts are counted in the
-        ``faults.*`` registry metrics.
+        link is fully degraded (factor 0, see :meth:`_charge_link`), or the
+        probabilistic loss hash claims the attempt.  Traced runs record
+        each refusal as a ``fault.blocked`` or ``fault.lost`` event.
         """
         if not self._faults_active:
             return False
         if station_lid is not None and self.faults.station_down(station_lid, self.now):
-            self._ctr_blocked.inc()
+            if self.obs_enabled:
+                self.events.emit(
+                    self.now, ev.FAULT_BLOCKED, packet=packet.pid,
+                    landmark=station_lid, cause="station_down",
+                )
             return True
         if self.faults.transfer_lost(packet.pid, self.now):
-            self._ctr_lost.inc()
+            if self.obs_enabled:
+                self.events.emit(
+                    self.now, ev.FAULT_LOST, packet=packet.pid, landmark=station_lid
+                )
             return True
         return False
 
@@ -280,18 +281,22 @@ class World:
             return math.inf
         return self._visit_budget.get(node.nid, 0.0)
 
-    def _charge_link(self, node: MobileNode, size: int) -> bool:
+    def _charge_link(self, node: MobileNode, packet: Packet) -> bool:
         if self._faults_active and self._visit_factor.get(node.nid, 1.0) <= 0.0:
             # fully degraded link: no transfers this visit, even when the
             # config models transfers as instantaneous (rate None)
-            self._ctr_blocked.inc()
+            if self.obs_enabled:
+                self.events.emit(
+                    self.now, ev.FAULT_BLOCKED, packet=packet.pid, node=node.nid,
+                    landmark=node.at_landmark, cause="link_down",
+                )
             return False
         if self._rate is None:
             return True
         remaining = self._visit_budget.get(node.nid, 0.0)
-        if size > remaining:
+        if packet.size > remaining:
             return False
-        self._visit_budget[node.nid] = remaining - size
+        self._visit_budget[node.nid] = remaining - packet.size
         return True
 
     # -- transfers (each successful handover = one forwarding operation) ---------
@@ -334,7 +339,7 @@ class World:
             return False
         if self._transfer_faulted(station.lid, packet):
             return False
-        if not self._charge_link(node, packet.size):
+        if not self._charge_link(node, packet):
             return False
         node.buffer.remove(packet.pid)
         if packet.dst == station.lid:
@@ -374,7 +379,7 @@ class World:
                     node=node.nid, landmark=station.lid,
                 )
             return False
-        if not self._charge_link(node, packet.size):
+        if not self._charge_link(node, packet):
             return False
         station.buffer.remove(packet.pid)
         node.buffer.add(packet)
@@ -459,13 +464,11 @@ class RoutingProtocol:
         """Drop unpicklable runtime references before a checkpoint pickle.
 
         The base protocols hold none, so the default clears the optional
-        observability attachments if a subclass set them.  Subclasses that
+        span-recorder attachment if a subclass set one.  Subclasses that
         wire closures into their sub-components (observer callbacks) must
         override both hooks; :meth:`attach_runtime` re-wires them after
         the pickle (snapshot) or unpickle (restore).
         """
-        if getattr(self, "_obs", None) is not None:
-            self._obs = None
         if getattr(self, "_spans", None) is not None:
             self._spans = None
 
@@ -636,7 +639,8 @@ class Simulation:
             # churned-out node: the visit never happens (no connection, no
             # contacts, no protocol callbacks); its carried packets are
             # stranded until it recovers
-            world._ctr_skipped_visits.inc()
+            if world.obs_enabled:
+                world.events.emit(t, ev.FAULT_SKIPPED, node=nid, landmark=lid)
             return
         node = world.nodes[nid]
         # overlapping records: close the stale visit first
@@ -658,11 +662,6 @@ class Simulation:
 
         world.drop_expired_in(node)
         world.drop_expired_in(station)
-
-        if world.obs_enabled:
-            reg = world.obs.registry
-            reg.gauge(f"landmark.queue_depth[{station.lid}]").set(len(station.buffer))
-            reg.histogram("node.buffer_occupancy").observe(node.buffer_occupancy)
 
         # automatic delivery: the carrier reached a destination landmark
         for p in node.buffer.packets_for(station.lid):

@@ -43,14 +43,6 @@ class MobileNode:
     def connected(self) -> bool:
         return self.at_landmark is not None
 
-    @property
-    def buffer_occupancy(self) -> float:
-        """Fraction of node memory in use (0.0 for unbounded buffers)."""
-        cap = self.buffer.capacity_bytes
-        if not math.isfinite(cap) or cap <= 0:
-            return 0.0
-        return self.buffer.used_bytes / cap
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         where = f"@L{self.at_landmark}" if self.connected else "(moving)"
         return f"MobileNode(#{self.nid} {where}, {len(self.buffer)} pkts)"

@@ -15,12 +15,10 @@ The four reported metrics:
 ``overall_avg_delay`` implements the Table VII convention: unsuccessful
 packets are charged the full experiment duration.
 
-The collector sits on top of a :class:`~repro.obs.registry.MetricsRegistry`:
-each headline counter is a registered instrument (``packets.generated``,
-``packets.delivered``, ...), so ``repro stats`` and any protocol-registered
-metrics share one namespace and one export path.  The public API
-(``on_generated``/``on_forward``/... and the int-valued attributes) is
-unchanged.
+The collector counts in plain ints, on every run.  A traced run's event
+log (:class:`~repro.obs.events.EventLog`) counts the same packet fates
+again as ``generated``/``delivered``/``dropped_ttl`` events, and the two
+agree exactly (``tests/test_obs_integration.py``).
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.obs.provenance import RunProvenance
-from repro.obs.registry import MetricsRegistry
 from repro.utils.quantiles import FiveNumberSummary, five_number_summary
 from repro.utils.validation import require_positive
 
@@ -115,13 +112,7 @@ class MetricsCollector:
     experiment_duration:
         Span failures are charged in :attr:`overall_avg_delay` (Table VII).
         Leaving it at 0.0 while failures exist makes that metric charge
-        failures *nothing* — a warning is issued (or :class:`ValueError`
-        raised with ``strict=True``) when that happens.
-    registry:
-        The :class:`MetricsRegistry` to register the headline counters in;
-        a private registry is created when omitted.
-    strict:
-        Raise instead of warning on the zero-duration condition above.
+        failures *nothing* — a warning is issued when that happens.
     """
 
     def __init__(
@@ -129,69 +120,42 @@ class MetricsCollector:
         *,
         table_entry_unit: int = 10,
         experiment_duration: float = 0.0,
-        registry: Optional[MetricsRegistry] = None,
-        strict: bool = False,
     ) -> None:
         require_positive("table_entry_unit", table_entry_unit)
         self.table_entry_unit = int(table_entry_unit)
         self.experiment_duration = float(experiment_duration)
-        self.strict = bool(strict)
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self._generated = self.registry.counter("packets.generated")
-        self._delivered = self.registry.counter("packets.delivered")
-        self._dropped_ttl = self.registry.counter("packets.dropped_ttl")
-        self._forwarding = self.registry.counter("ops.forwarding")
-        self._maintenance = self.registry.counter("ops.maintenance")
-        self._delay_hist = self.registry.histogram("delivery.delay")
+        self.generated = 0
+        self.delivered = 0
+        self.dropped_ttl = 0
+        self.forwarding_ops = 0
+        self.maintenance_ops = 0
         self.delays: List[float] = []
         self.hops: List[int] = []
         #: per-landmark delivered counts (used by the deployment analysis)
         self.delivered_by_dst: Dict[int, int] = {}
         self._warned_zero_duration = False
 
-    # -- registry-backed counters ------------------------------------------------
-    @property
-    def generated(self) -> int:
-        return self._generated.value
-
-    @property
-    def delivered(self) -> int:
-        return self._delivered.value
-
-    @property
-    def dropped_ttl(self) -> int:
-        return self._dropped_ttl.value
-
-    @property
-    def forwarding_ops(self) -> int:
-        return self._forwarding.value
-
-    @property
-    def maintenance_ops(self) -> int:
-        return self._maintenance.value
-
     # -- event hooks ------------------------------------------------------------
     def on_generated(self) -> None:
-        self._generated.inc()
+        self.generated += 1
 
     def on_forward(self, n: int = 1) -> None:
-        self._forwarding.inc(n)
+        self.forwarding_ops += n
 
     def on_table_exchange(self, n_entries: int) -> None:
         """Count the cost of shipping a table with ``n_entries`` rows."""
         if n_entries <= 0:
             return
-        self._maintenance.inc(math.ceil(n_entries / self.table_entry_unit))
+        self.maintenance_ops += math.ceil(n_entries / self.table_entry_unit)
 
     def on_delivered(self, delay: float, dst: int, hops: int = 0) -> None:
-        self._delivered.inc()
+        self.delivered += 1
         self.delays.append(delay)
         self.hops.append(int(hops))
-        self._delay_hist.observe(delay)
         self.delivered_by_dst[dst] = self.delivered_by_dst.get(dst, 0) + 1
 
     def on_dropped_ttl(self, n: int = 1) -> None:
-        self._dropped_ttl.inc(n)
+        self.dropped_ttl += n
 
     # -- summary -------------------------------------------------------------------
     @property
@@ -208,22 +172,21 @@ class MetricsCollector:
 
         With ``experiment_duration`` unset (0.0) the charge for a failed
         packet is zero, which silently *understates* the metric; that
-        condition warns once (or raises under ``strict=True``).
+        condition warns once.
         """
         if not self.generated:
             return 0.0
         failed = self.generated - self.delivered
         if failed > 0 and self.experiment_duration <= 0.0:
-            msg = (
-                f"overall_avg_delay: {failed} failed packet(s) charged a "
-                "zero experiment_duration — the metric understates delay; "
-                "pass experiment_duration to MetricsCollector"
-            )
-            if self.strict:
-                raise ValueError(msg)
             if not self._warned_zero_duration:
                 self._warned_zero_duration = True
-                warnings.warn(msg, RuntimeWarning, stacklevel=2)
+                warnings.warn(
+                    f"overall_avg_delay: {failed} failed packet(s) charged a "
+                    "zero experiment_duration — the metric understates delay; "
+                    "pass experiment_duration to MetricsCollector",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
         return (sum(self.delays) + failed * self.experiment_duration) / self.generated
 
     @property

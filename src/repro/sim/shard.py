@@ -237,10 +237,7 @@ class ShardEngine(Simulation):
         self.metrics = ShardMetrics(
             table_entry_unit=config.table_entry_unit,
             experiment_duration=view.duration,
-            registry=self.world.obs.registry,
         )
-        # the registry hands back the same counter instruments, so swapping
-        # the collector keeps every count already registered (none yet)
         self.world.metrics = self.metrics
         # per-kind dispatch timing accumulated across epochs
         self._acc = [0.0] * 5

@@ -257,7 +257,7 @@ def test_observed_points_match_the_plain_run(spec, reference):
     seen = []
 
     def observe(index, point):
-        obs = Observability()
+        obs = Observability(enabled=True)
         seen.append((index, point.protocol, obs))
         return nullcontext(obs)
 
@@ -266,4 +266,6 @@ def test_observed_points_match_the_plain_run(spec, reference):
     assert [(i, p) for i, p, _ in seen] == [
         (0, "DTN-FLOW"), (1, "Direct"), (2, "Epidemic")
     ]
-    assert all(obs.registry.counter("packets.generated").value for *_, obs in seen)
+    for (*_, obs), result in zip(seen, results):
+        counts = obs.events.counts_by_type()
+        assert counts[event_types.GENERATED] == result.metrics.generated > 0

@@ -8,9 +8,7 @@ import pytest
 from repro.obs import (
     Event,
     EventLog,
-    MetricsRegistry,
     Observability,
-    ObsConfig,
     RunProvenance,
     SpanRecorder,
     event_types as ev,
@@ -47,6 +45,13 @@ class TestEventLog:
         assert log.n_evicted == 2
         # the oldest two were evicted
         assert [e.packet for e in log] == [2, 3, 4]
+
+    def test_counts_by_type_survive_eviction(self):
+        log = EventLog(capacity=2)
+        for i in range(5):
+            log.emit(float(i), ev.FORWARDED if i % 2 else ev.GENERATED, packet=i)
+        assert [e.etype for e in log] == [ev.FORWARDED, ev.GENERATED]
+        assert log.counts_by_type() == {ev.GENERATED: 3, ev.FORWARDED: 2}
 
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
@@ -89,69 +94,18 @@ class TestEventLog:
         assert list(log.jsonl_lines()) == lines
 
     def test_taxonomy_partitions(self):
-        assert ev.ALL_EVENTS == (
+        assert ev.RUN_EVENTS == (
             ev.PACKET_EVENTS | ev.CONTROL_EVENTS | ev.FAULT_EVENTS
-            | ev.EXECUTOR_EVENTS
         )
+        assert {ev.FAULT_BLOCKED, ev.FAULT_LOST, ev.FAULT_SKIPPED} < ev.FAULT_EVENTS
         assert not (ev.PACKET_EVENTS & ev.CONTROL_EVENTS)
         assert not (ev.FAULT_EVENTS & (ev.PACKET_EVENTS | ev.CONTROL_EVENTS))
-        assert not (
-            ev.EXECUTOR_EVENTS
-            & (ev.PACKET_EVENTS | ev.CONTROL_EVENTS | ev.FAULT_EVENTS)
-        )
+        assert not (ev.EXECUTOR_EVENTS & ev.RUN_EVENTS)
         assert ev.TERMINAL_EVENTS <= ev.PACKET_EVENTS
 
     def test_event_as_dict_omits_missing_fields(self):
         e = Event(2.0, ev.BW_UPDATE, None, None, 4, None)
         assert e.as_dict() == {"t": 2.0, "event": "bw_update", "landmark": 4}
-
-
-class TestMetricsRegistry:
-    def test_counter_gauge_histogram(self):
-        reg = MetricsRegistry()
-        c = reg.counter("packets.generated")
-        c.inc()
-        c.inc(4)
-        assert c.value == 5
-        g = reg.gauge("landmark.queue_depth[3]")
-        g.set(7.0)
-        assert g.value == 7.0
-        h = reg.histogram("delivery.delay")
-        for v in (1.0, 3.0, 2.0):
-            h.observe(v)
-        assert h.count == 3
-        assert h.mean == 2.0
-        assert h.min == 1.0
-        assert h.max == 3.0
-        assert h.as_dict()["sum"] == 6.0
-
-    def test_get_or_create_is_idempotent(self):
-        reg = MetricsRegistry()
-        assert reg.counter("x") is reg.counter("x")
-        assert len(reg) == 1
-        assert "x" in reg
-
-    def test_kind_mismatch_raises(self):
-        reg = MetricsRegistry()
-        reg.counter("x")
-        with pytest.raises(TypeError, match="already registered as counter"):
-            reg.gauge("x")
-
-    def test_empty_histogram_as_dict(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("h")
-        assert h.as_dict() == {"count": 0, "sum": 0.0, "min": 0.0,
-                               "max": 0.0, "mean": 0.0}
-
-    def test_as_dict_and_rows(self):
-        reg = MetricsRegistry()
-        reg.counter("b").inc(2)
-        reg.gauge("a").set(1.5)
-        d = reg.as_dict()
-        assert d == {"a": 1.5, "b": 2}
-        rows = reg.rows()
-        assert [r[0] for r in rows] == ["a", "b"]  # sorted by name
-        assert rows[1][1] == "counter"
 
 
 class TestPhaseReport:
@@ -249,37 +203,41 @@ class TestObservability:
         assert obs.spans is None  # phase timing is asked for, never default
 
     def test_tracing_constructor(self):
-        obs = Observability.tracing(event_capacity=128)
+        obs = Observability(enabled=True, event_capacity=128)
         assert obs.enabled
+        assert obs.events.enabled
         assert obs.events.capacity == 128
 
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
-            ObsConfig(event_capacity=-1)
+            Observability(event_capacity=-1)
 
     def test_stats_dict_shape(self):
-        obs = Observability(ObsConfig(enabled=True), spans=SpanRecorder())
+        obs = Observability(enabled=True, event_capacity=1, spans=SpanRecorder())
         obs.events.emit(1.0, ev.GENERATED, packet=0)
-        obs.registry.counter("c").inc()
+        obs.events.emit(2.0, ev.GENERATED, packet=1)
         obs.spans.add("p", 0.1)
         d = obs.stats_dict()
+        assert set(d) == {"events", "phase_timings"}
         assert d["events"]["recorded"] == 1
-        assert d["events"]["by_type"] == {"generated": 1}
-        assert d["metrics"]["c"] == 1
+        assert d["events"]["evicted"] == 1
+        assert d["events"]["by_type"] == {"generated": 2}
         assert "p" in d["phase_timings"]
         json.dumps(d)
 
 
 class TestMetricsCollectorObs:
-    def test_counters_are_registry_backed(self):
+    def test_counters_are_plain_ints(self):
         mc = MetricsCollector()
         mc.on_generated()
         mc.on_forward(3)
+        mc.on_table_exchange(25)
         mc.on_delivered(10.0, dst=2)
-        assert mc.generated == 1
-        assert mc.forwarding_ops == 3
-        assert mc.registry.counter("packets.generated").value == 1
-        assert mc.registry.histogram("delivery.delay").count == 1
+        mc.on_dropped_ttl(2)
+        counts = (mc.generated, mc.delivered, mc.dropped_ttl,
+                  mc.forwarding_ops, mc.maintenance_ops)
+        assert counts == (1, 1, 2, 3, 3)
+        assert all(type(c) is int for c in counts)
 
     def test_zero_duration_failures_warn_once(self):
         mc = MetricsCollector()
@@ -292,12 +250,6 @@ class TestMetricsCollectorObs:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             mc.overall_avg_delay  # warned once already; no second warning
-
-    def test_zero_duration_failures_raise_in_strict_mode(self):
-        mc = MetricsCollector(strict=True)
-        mc.on_generated()
-        with pytest.raises(ValueError, match="experiment_duration"):
-            mc.overall_avg_delay
 
     def test_no_warning_with_duration_set(self):
         mc = MetricsCollector(experiment_duration=100.0)

@@ -1,15 +1,18 @@
 """Integration tests: observability threaded through real simulation runs."""
 
+import dataclasses
+
 import pytest
 
-from repro.baselines import make_protocol
+from repro.baselines import make_protocol, protocol_names
 from repro.eval.resume import create_run, run_resumable
 from repro.eval.runner import run_point_specs
 from repro.eval.scenario import ScenarioSpec
 from repro.mobility import io as trace_io
 from repro.mobility.trace import days
-from repro.obs import EventLog, Observability, ObsConfig, SpanRecorder, event_types as ev
+from repro.obs import EventLog, Observability, SpanRecorder, event_types as ev
 from repro.sim.engine import SimConfig, Simulation
+from tests.test_resilience import OUTAGE_PLAN
 
 
 def _tiny_config() -> SimConfig:
@@ -29,7 +32,7 @@ def _tiny_config() -> SimConfig:
 def traced_run(dart_tiny):
     """One fully traced, phase-timed DTN-FLOW run on the tiny DART trace."""
     config = _tiny_config()
-    obs = Observability(ObsConfig(enabled=True), spans=SpanRecorder())
+    obs = Observability(enabled=True, spans=SpanRecorder())
     summary = Simulation(dart_tiny, make_protocol("DTN-FLOW"), config,
                          obs=obs).run()
     return dart_tiny, obs, summary
@@ -63,16 +66,12 @@ class TestTracedRun:
             times = [e.t for e in journey]
             assert times == sorted(times)
 
-    def test_registry_has_detailed_metrics(self, traced_run):
-        _, obs, summary = traced_run
-        reg = obs.registry
-        assert reg.counter("packets.generated").value == summary.generated
-        hits = reg.counter("predictor.hits").value
-        misses = reg.counter("predictor.misses").value
-        assert hits + misses > 0
-        assert reg.histogram("node.buffer_occupancy").count > 0
-        # per-landmark queue-depth gauges were sampled
-        assert any(m.name.startswith("landmark.queue_depth[") for m in reg)
+    def test_control_events_recorded(self, traced_run):
+        _, obs, _ = traced_run
+        counts = obs.events.counts_by_type()
+        assert counts.get(ev.PREDICTOR_HIT, 0) + counts.get(ev.PREDICTOR_MISS, 0) > 0
+        assert counts.get(ev.BW_UPDATE, 0) > 0
+        assert counts.get(ev.TABLE_EXCHANGE, 0) > 0
 
     def test_phase_timings_cover_the_run(self, traced_run):
         _, obs, _ = traced_run
@@ -114,23 +113,13 @@ class TestDisabledTracing:
         assert summary.generated > 0
         assert len(obs.events) == 0
 
-    def test_disabled_registry_stays_lean(self, dart_tiny, tiny_sim_config):
-        """Detailed per-entity instruments are skipped when tracing is off;
-        only the headline MetricsCollector instruments register."""
-        obs = Observability()
-        Simulation(dart_tiny, make_protocol("DTN-FLOW"), tiny_sim_config,
-                   obs=obs).run()
-        names = [m.name for m in obs.registry]
-        assert "packets.generated" in names
-        assert not any("[" in n for n in names), names
-
     def test_traced_and_untraced_runs_agree(self, dart_tiny, tiny_sim_config):
         """Tracing must observe, never perturb: metrics are identical."""
         plain = Simulation(dart_tiny, make_protocol("DTN-FLOW"),
                            tiny_sim_config).run()
         traced = Simulation(dart_tiny, make_protocol("DTN-FLOW"),
                             tiny_sim_config,
-                            obs=Observability.tracing()).run()
+                            obs=Observability(enabled=True)).run()
         assert plain == traced  # phase_timings excluded from equality
 
     @pytest.mark.parametrize("path", ["simulation", "jobs=1", "jobs=2", "resumable"])
@@ -170,3 +159,75 @@ class TestDisabledTracing:
         else:
             results = run_point_specs(spec.entries(), jobs=int(path[-1]))
         assert [r.metrics.phase_timings for r in results] == [None, None]
+
+
+#: the packet fates a MetricsSummary counts, by the event type that counts them
+_FATES = {ev.GENERATED: "generated", ev.DELIVERED: "delivered",
+          ev.DROPPED_TTL: "dropped_ttl"}
+
+
+def _fates(obs: Observability) -> dict:
+    counts = obs.events.counts_by_type()
+    return {field: counts.get(etype, 0) for etype, field in _FATES.items()}
+
+
+class TestEventsAgreeWithMetrics:
+    """A traced run's event log counts the packet fates its metrics count,
+    for every registry protocol, faulted or not."""
+
+    @pytest.mark.parametrize("faulted", [False, True], ids=["plain", "faulted"])
+    @pytest.mark.parametrize("protocol", protocol_names())
+    def test_event_counts_equal_metrics(self, protocol, faulted, dart_tiny):
+        config = _tiny_config()
+        if faulted:
+            config = dataclasses.replace(config, faults=OUTAGE_PLAN)
+        obs = Observability(enabled=True)
+        traced = Simulation(dart_tiny, make_protocol(protocol), config, obs=obs).run()
+        plain = Simulation(dart_tiny, make_protocol(protocol), config).run()
+        assert traced == plain
+        assert _fates(obs) == {f: getattr(traced, f) for f in _FATES.values()}
+        assert traced.generated > 0
+        skipped = obs.events.counts_by_type().get(ev.FAULT_SKIPPED, 0)
+        assert (skipped > 0) == faulted
+
+    def test_counts_stay_exact_past_ring_capacity(self, dart_tiny):
+        config = dataclasses.replace(_tiny_config(), faults=OUTAGE_PLAN)
+        obs = Observability(enabled=True, event_capacity=500)
+        summary = Simulation(
+            dart_tiny, make_protocol("DTN-FLOW"), config, obs=obs
+        ).run()
+        # the ring kept only the tail: its window alone undercounts ...
+        assert len(obs.events.select(etypes=[ev.GENERATED])) < summary.generated
+        # ... while the per-type counts stay exact
+        assert _fates(obs) == {f: getattr(summary, f) for f in _FATES.values()}
+
+
+class TestEventFilters:
+    """Filters accept only the kinds a run emits: packet, control and
+    fault events, not the executor kinds of ``recovery.jsonl``."""
+
+    def test_trace_etype_rejects_executor_kinds(self, capsys):
+        from repro.cli import main
+
+        rc = main(["trace", "--trace", "dart", "--etype", "delivered,executor.resume"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "executor.resume" in err.split(";")[0]
+        known = err.split("known types:")[1]
+        assert ev.FAULT_SKIPPED in known and ev.PREDICTOR_HIT in known
+        assert not any(kind in known for kind in ev.EXECUTOR_EVENTS)
+
+    def test_replay_events_reject_executor_kinds(self):
+        from repro.serve.replay import ReplayRequest
+
+        scenario = {"trace": {"profile": "DART", "seed": 1},
+                    "sim": {"workload_scale": 0.02}, "protocols": ["Direct"]}
+        with pytest.raises(ValueError, match="executor.checkpoint") as exc:
+            ReplayRequest.from_payload(
+                {"scenario": scenario, "events": [ev.EXECUTOR_CHECKPOINT]}
+            )
+        assert ev.FAULT_BLOCKED in str(exc.value)
+        request = ReplayRequest.from_payload(
+            {"scenario": scenario, "events": sorted(ev.RUN_EVENTS)}
+        )
+        assert set(request.etypes) == ev.RUN_EVENTS

@@ -53,7 +53,7 @@ class TestEngineIntegration:
         cfg = _light_config(faults=OUTAGE_PLAN)
         sequences = {}
         for name in ("DTN-FLOW", "PROPHET"):
-            obs = Observability.tracing()
+            obs = Observability(enabled=True)
             Simulation(dart_tiny, make_protocol(name), cfg, obs=obs).run()
             sequences[name] = [
                 (e.t, e.etype, e.data.get("kind"), e.data.get("spec"))
@@ -69,13 +69,12 @@ class TestEngineIntegration:
             dart_tiny, make_protocol("DTN-FLOW"), _light_config()
         ).run()
         cfg = _light_config(faults=OUTAGE_PLAN)
-        obs = Observability.tracing()
+        obs = Observability(enabled=True)
         faulted = Simulation(
             dart_tiny, make_protocol("DTN-FLOW"), cfg, obs=obs
         ).run()
         assert faulted.success_rate < healthy.success_rate
-        counters = obs.registry.as_dict()
-        assert counters.get("faults.skipped_visits", 0) > 0
+        assert obs.events.counts_by_type().get(ev.FAULT_SKIPPED, 0) > 0
 
     def test_empty_plan_equals_no_plan(self, dart_tiny):
         import dataclasses
@@ -245,7 +244,7 @@ class TestSectionIVEStress:
             "DTN-FLOW", enable_deadend=True, deadend_min_history=3,
             deadend_gamma=1.2, enable_loop_correction=True,
         )
-        obs = Observability.tracing()
+        obs = Observability(enabled=True)
         summary = Simulation(dart_small, protocol, cfg, obs=obs).run()
         return obs, summary
 

@@ -283,6 +283,79 @@ class TestNestedSchedulerConfig:
         assert "DTN-FLOW" in lines[0] and key in lines[0]
 
 
+#: DTN-FLOW config values of the wrong type or out of range, each with the
+#: key it must be refused with
+BAD_DTNFLOW_VALUES = [
+    ("use_direct_delivery", {"use_direct_delivery": "false"}),
+    ("k", {"k": True}),
+    ("k", {"k": "two"}),
+    ("deadend_min_history", {"deadend_min_history": 2.5}),
+    ("accuracy_up", {"accuracy_up": 0.5}),
+    ("accuracy_down", {"accuracy_down": 1.5}),
+    ("table_hysteresis", {"table_hysteresis": -3}),
+    ("overload_theta", {"overload_theta": 0}),
+    ("deadend_gamma", {"deadend_gamma": -1, "enable_deadend": True}),
+    ("loop_hold_time", {"loop_hold_time": -1.0}),
+]
+
+
+class TestDTNFlowConfigValues:
+    @pytest.mark.parametrize("key,config", BAD_DTNFLOW_VALUES)
+    def test_make_protocol_rejects(self, key, config):
+        with pytest.raises(ValueError) as exc:
+            make_protocol("DTN-FLOW", **config)
+        msg = str(exc.value)
+        assert "'DTN-FLOW'" in msg and key in msg
+        assert "\n" not in msg
+
+    @pytest.mark.parametrize("key,config", BAD_DTNFLOW_VALUES)
+    def test_scenario_validate_exits_2(self, tmp_path, capsys, key, config):
+        rc, lines = _validate_cli(tmp_path, capsys, "DTN-FLOW", config)
+        assert rc == 2
+        assert len(lines) == 1
+        assert "INVALID" in lines[0] and "DTN-FLOW" in lines[0] and key in lines[0]
+
+    def test_in_range_values_build(self):
+        proto = make_protocol(
+            "DTN-FLOW", k=2, accuracy_up=1.2, accuracy_down=0.5,
+            table_hysteresis=1, overload_theta=3, loop_hold_time=0,
+            use_direct_delivery=False,
+        )
+        assert proto.config.k == 2 and proto.config.use_direct_delivery is False
+
+
+#: sim fields whose SimConfig default is not None: ``null`` must not set them
+NON_NULLABLE_SIM = sorted(
+    f.name for f in dataclasses.fields(SimConfig)
+    if f.default is not None and f.name not in ("seed", "faults")
+)
+
+
+class TestNullSimValues:
+    @pytest.mark.parametrize("key", NON_NULLABLE_SIM + ["memory_kb", "rate"])
+    def test_null_is_refused_naming_the_key(self, key):
+        with pytest.raises(ValueError, match=rf"sim\.{key} must not be null"):
+            ScenarioSpec.from_dict(fast_manifest(sim={key: None}))
+
+    def test_null_keeps_its_meaning_where_the_default_is_none(self):
+        nullable = {"memory_scale": None, "link_rate_bytes_per_sec": None,
+                    "destinations": None, "sources": None}
+        spec = ScenarioSpec.from_dict(fast_manifest(sim=nullable)).validate()
+        assert spec.sim == nullable
+
+    def test_scenario_validate_exits_2(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(fast_manifest(sim={"contact_prob": None})))
+        rc = main(["scenario", "validate", str(path)])
+        captured = capsys.readouterr()
+        lines = (captured.out + captured.err).strip().splitlines()
+        assert rc == 2
+        assert len(lines) == 1
+        assert "INVALID" in lines[0] and "sim.contact_prob" in lines[0]
+
+
 class TestScenarioExecution:
     @pytest.fixture(scope="class")
     def fast_spec(self):

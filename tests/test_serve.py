@@ -39,6 +39,7 @@ from repro.serve.client import parse_sse
 from repro.serve.sse import HEARTBEAT_FRAME, EventStream, sse_frame
 from repro.sim.checkpoint import RunDir
 from repro.store import ExperimentDB, ingest_scenario_result, query_points
+from tests.test_scenario import BAD_DTNFLOW_VALUES
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 
@@ -297,6 +298,24 @@ def test_rest_error_and_catalog_surface(server):
             })
         assert err.value.status == 400
         assert "'DTN-FLOW'" in str(err.value) and key in str(err.value)
+    # type and range errors of a DTN-FLOW config value, and a null sim value
+    for key, config in BAD_DTNFLOW_VALUES:
+        with pytest.raises(ServeError) as err:
+            client.submit({
+                "trace": {"profile": "DART"},
+                "protocols": [{"name": "DTN-FLOW", "config": config}],
+            })
+        assert err.value.status == 400
+        assert "'DTN-FLOW'" in str(err.value) and key in str(err.value)
+    with pytest.raises(ServeError) as err:
+        client.submit({"trace": {"profile": "DART"}, "sim": {"contact_prob": None}})
+    assert err.value.status == 400
+    assert "sim.contact_prob" in str(err.value)
+    # replay filters take only the kinds a run emits
+    with pytest.raises(ServeError) as err:
+        list(client.replay(scenario("executor-kind"), events=["executor.resume"]))
+    assert err.value.status == 400
+    assert "executor.resume" in str(err.value) and "fault.skipped" in str(err.value)
     with pytest.raises(ServeError) as err:
         client._request("GET", "/v1/nope")
     assert err.value.status == 404
@@ -477,6 +496,18 @@ def test_replay_metrics_match_batch_and_pacing_dilates(tmp_path):
     for d in paced:
         # each event waited at least its dilated offset (minus sleep slop)
         assert d["wall_s"] >= (d["t"] - t0) / speed - 0.05
+
+
+def test_faulted_replay_streams_fault_events_by_default():
+    manifest = scenario("faulted-replay")
+    manifest["faults"] = {"seed": 3, "specs": [
+        {"kind": "landmark_outage", "start": 0.3, "end": 0.7, "count": 2},
+        {"kind": "node_churn", "start": 0.3, "end": 0.7, "fraction": 0.2},
+    ]}
+    kinds: set = set()
+    request = ReplayRequest.from_payload({"scenario": manifest})
+    replay_stream(request, lambda e, d: kinds.add(e))
+    assert {"fault.injected", "fault.blocked", "fault.skipped"} <= kinds
 
 
 def test_replay_runs_on_the_servers_trace_cache(monkeypatch):
