@@ -26,7 +26,11 @@ layer shows up directly instead of being averaged into a 30-point sweep:
   the first checkpoint instead of rebuilding it: the read against the
   build (small DART; paper-scale under ``REPRO_FULL_SCALE=1``), and
   ``resume_run`` of one crashed small-DART point with and without the
-  stored trace.
+  stored trace;
+* **paper-scale points** (``REPRO_FULL_SCALE=1`` only) — one DTN-FLOW and
+  one PER point on paper-scale DART (2000 kB, rate 500, trace seed 1,
+  sim seed 3): the per-visit cost of the paper's evaluation at the scale
+  it ran, in seconds and dispatched events per second.
 
 Each records its figures into ``BENCH_sweeps.json`` via the conftest
 recorder, which stamps the host fingerprint on every snapshot.
@@ -41,10 +45,13 @@ import os
 import statistics
 from time import perf_counter
 
+import pytest
+
 from repro.baselines import make_protocol
 from repro.core.routing_table import RouteEntry, RoutingTable, TableSnapshot
+from repro.eval.config import full_scale
 from repro.eval.resume import create_run, resume_run, run_resumable
-from repro.eval.runner import TraceSpec
+from repro.eval.runner import TraceSpec, run_point_specs
 from repro.eval.scenario import ScenarioSpec
 from repro.mobility.stream import TraceStream
 from repro.mobility.synthetic import CampusConfig, CampusMobilityModel, dart_like
@@ -334,3 +341,39 @@ def test_resume_micro(tmp_path):
         "resume_without_file_s": round(without_file_s, 4),
     })
     assert with_file.results[0].metrics == without_file.results[0].metrics
+
+
+@pytest.mark.skipif(not full_scale(), reason="paper scale: set REPRO_FULL_SCALE=1")
+def test_paper_scale_points_micro():
+    spec = ScenarioSpec.from_dict({
+        "name": "paper-scale-points",
+        "trace": {"profile": "DART", "seed": 1, "full_scale": True},
+        "sim": {"memory_kb": 2000.0, "rate": 500.0},
+        "protocols": ["DTN-FLOW", "PER"],
+        "seeds": [3],
+    })
+    profile, tspec, _ = spec.resolve_trace()
+    t0 = perf_counter()
+    trace = tspec.materialize()
+    build_s = perf_counter() - t0
+    figures = {
+        "trace": trace.name,
+        "records": len(trace),
+        "trace_build_s": round(build_s, 4),
+        "cpu_count": os.cpu_count(),
+    }
+    for entry in spec.entries(profile, tspec):
+        protocol = entry[1].protocol
+        t0 = perf_counter()
+        (result,) = run_point_specs([entry], jobs=1, materialized={tspec.key: trace})
+        elapsed = perf_counter() - t0
+        summary = result.metrics
+        n_events = 2 * len(trace) + summary.generated  # visits and births
+        figures[protocol] = {
+            "seconds": round(elapsed, 3),
+            "events": n_events,
+            "events_per_second": round(n_events / elapsed, 1),
+            "success_rate": round(summary.success_rate, 4),
+        }
+        assert summary.generated > 0 and summary.delivered > 0
+    record_bench("paper_scale_points", figures)

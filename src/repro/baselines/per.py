@@ -39,7 +39,9 @@ class _SemiMarkov:
     invalidated *at the mutation site* (``record_visit`` touches exactly one
     row; both recorders move the timing sums), so reads always see the same
     values the historical recompute-per-call code produced — this pair of
-    computations dominated whole-run CPU time before the caches.
+    computations dominated whole-run CPU time before the caches.  The rows
+    are left out of a pickle (a checkpoint) and rebuilt on demand after it
+    loads.
     """
 
     __slots__ = (
@@ -71,9 +73,22 @@ class _SemiMarkov:
         #: landmark-to-landmark reachability — grows monotonically and can
         #: be memoized against this epoch.
         self.edge_epoch = 0
-        #: landmark -> normalized transition row (shared, treat as read-only)
-        self._norm: Dict[int, Dict[int, float]] = {}
+        #: landmark -> normalized transition row as ``(landmark, p)``
+        #: pairs in ``trans`` order (shared, treat as read-only)
+        self._norm: Dict[int, Tuple[Tuple[int, float], ...]] = {}
         self._mean_step: Optional[Tuple[float, float]] = None  # (default, value)
+
+    def __getstate__(self) -> Tuple[None, Dict[str, object]]:
+        # the slot-state form a slotted class pickles by default, so one
+        # ``__setstate__`` reads snapshots written with or without the rows
+        return None, {
+            name: getattr(self, name) for name in self.__slots__ if name != "_norm"
+        }
+
+    def __setstate__(self, state: Tuple[None, Dict[str, object]]) -> None:
+        for name, value in state[1].items():
+            setattr(self, name, value)
+        self._norm = {}
 
     def record_visit(self, landmark: int, start: float) -> None:
         if self.last is not None:
@@ -108,16 +123,16 @@ class _SemiMarkov:
         self._mean_step = (default, value)
         return value
 
-    def transition_row(self, landmark: int) -> Dict[int, float]:
+    def transition_row(self, landmark: int) -> Tuple[Tuple[int, float], ...]:
         cached = self._norm.get(landmark)
         if cached is not None:
             return cached
         row = self.trans.get(landmark)
         if not row:
-            norm: Dict[int, float] = {}
+            norm: Tuple[Tuple[int, float], ...] = ()
         else:
             total = sum(row.values())
-            norm = {dst: c / total for dst, c in row.items()}
+            norm = tuple([(dst, c / total) for dst, c in row.items()])
         self._norm[landmark] = norm
         return norm
 
@@ -168,6 +183,23 @@ class PERProtocol(UtilityProtocol):
         # full scan would be a pure cache-hit replay with no transfers and
         # no new cache entries, so generation events skip it
         self._next_recheck: Dict[int, float] = {}
+
+    #: tables that only memoize values derivable from the models, so they
+    #: never change a result: a pickle (a checkpoint) leaves them out and
+    #: an unpickled protocol starts them empty.  ``_cache`` is not one of
+    #: them, because its staleness is part of the observed behaviour.
+    _MEMOS = ("_dp_state", "_rev", "_reach")
+
+    def __getstate__(self) -> Dict[str, object]:
+        state = dict(self.__dict__)
+        for name in self._MEMOS:
+            state.pop(name, None)
+        return state
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__dict__.update(state)
+        for name in self._MEMOS:
+            setattr(self, name, {})
 
     def _model(self, nid: int) -> _SemiMarkov:
         m = self._models.get(nid)
@@ -275,7 +307,7 @@ class PERProtocol(UtilityProtocol):
                     row = transition_row(lm)
                 if not row:
                     continue
-                for to, p in row.items():
+                for to, p in row:
                     m = mass * p
                     if to == dest:
                         absorbed += m

@@ -75,29 +75,32 @@ class PGRProtocol(UtilityProtocol):
         if here is None or not pred.history:
             self._route_cache[nid] = (here, route, {})
             return route
-        # walk a copy of the chain without mutating learned state
-        sim = MarkovPredictor(1)
-        sim._counts = pred._counts  # noqa: SLF001 - shared read-only counts
-        sim._freq = pred._freq  # noqa: SLF001
-        sim.fallback = False
-        sim.history = list(pred.history)
-        # the chain must start from the node's *current* position, which may
-        # be ahead of the learned history (e.g. mid-visit)
-        if not sim.history or sim.history[-1] != here:
-            sim.history = sim.history + [here]
+        # the chain starts from the node's *current* position, which may be
+        # ahead of the learned history (e.g. mid-visit); each step is what
+        # an order-1 predictor without fallback predicts from the step
+        # before, read straight off the shared counts without mutating them
+        counts = pred._counts[0]  # noqa: SLF001 - read-only walk
         cum = 1.0
         seen = {here}
+        cur = here
         for _ in range(HORIZON):
-            guess = sim.predict()
-            if guess is None:
+            nxt = counts.get((cur,))
+            if not nxt:
                 break
-            lm, prob = guess
+            total = sum(nxt.values())
+            # MarkovPredictor.predict's rule: highest probability, ties to
+            # the smallest landmark id
+            lm, prob = None, -1.0
+            for cand, c in nxt.items():
+                p = c / total
+                if p > prob or (p == prob and cand < lm):
+                    lm, prob = cand, p
             cum *= prob
             route.append((lm, cum))
             if lm in seen:
                 break
             seen.add(lm)
-            sim.history = sim.history + [lm]
+            cur = lm
         by_dest: Dict[int, float] = {}
         for lm, cum in route:
             if lm not in by_dest:

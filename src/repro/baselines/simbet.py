@@ -35,6 +35,8 @@ from repro.sim.entities import LandmarkStation, MobileNode
 ALPHA = 0.5
 #: a node's betweenness is recomputed after this many new contacts
 RECOMPUTE_EVERY = 10
+#: the visit counts of a node never seen at a landmark (read-only)
+_NO_VISITS: Counter = Counter()
 
 
 def ego_betweenness(neighbors: Set[int], adjacency: Dict[int, Set[int]]) -> float:
@@ -85,7 +87,7 @@ class SimBetProtocol(UtilityProtocol):
 
     # -- components ------------------------------------------------------------------
     def similarity(self, nid: int, dest: int) -> float:
-        return float(self._visits.get(nid, Counter()).get(dest, 0))
+        return float(self._visits.get(nid, _NO_VISITS).get(dest, 0))
 
     def betweenness(self, nid: int) -> float:
         since = self._contacts_since.get(nid, 0)

@@ -22,13 +22,19 @@ from typing import Dict, Optional, Tuple
 
 from repro.utils.validation import require_positive
 
+#: range checks ``(name, value)`` of the stay-time factor ``gamma`` and of
+#: the stays needed before detection; the DTN-FLOW config applies the same
+#: ones to its keys
+check_gamma = require_positive
+check_min_history = require_positive
+
 
 class DeadEndDetector:
     """Per-node stay-time statistics and dead-end test."""
 
     def __init__(self, gamma: float = 2.0, min_history: int = 10) -> None:
-        require_positive("gamma", gamma)
-        require_positive("min_history", min_history)
+        check_gamma("gamma", gamma)
+        check_min_history("min_history", min_history)
         self.gamma = float(gamma)
         self.min_history = int(min_history)
         self._per_landmark: Dict[int, Tuple[float, int]] = {}  # total, count

@@ -17,6 +17,10 @@ from typing import Dict, List
 from repro.utils.ewma import Ewma
 from repro.utils.validation import require_positive
 
+#: range check ``(name, value)`` of the overload factor ``theta``; the
+#: DTN-FLOW config applies the same one to its key
+check_theta = require_positive
+
 
 class LinkLoadMonitor:
     """Per-landmark, per-link in/out rate tracking with time-unit folding."""
@@ -31,7 +35,7 @@ class LinkLoadMonitor:
         start_time: float = 0.0,
     ) -> None:
         require_positive("time_unit", time_unit)
-        require_positive("theta", theta)
+        check_theta("theta", theta)
         require_positive("min_in_rate", min_in_rate)
         self.time_unit = float(time_unit)
         self.theta = float(theta)

@@ -30,6 +30,10 @@ from repro.core.routing_table import RoutingTable
 from repro.sim.packets import Packet
 from repro.utils.validation import require_non_negative
 
+#: range check ``(name, value)`` of how long a detected loop bans its next
+#: hop; the DTN-FLOW config applies the same one to its key
+check_hold_time = require_non_negative
+
 
 @dataclass(frozen=True)
 class LoopEvent:
@@ -45,7 +49,7 @@ class LoopCorrector:
     """Loop bookkeeping shared by all landmarks of one DTN-FLOW deployment."""
 
     def __init__(self, hold_time: float = 0.0) -> None:
-        require_non_negative("hold_time", hold_time)
+        check_hold_time("hold_time", hold_time)
         self.hold_time = float(hold_time)
         # (landmark, dest) -> (until, banned next hop): during the hold the
         # landmark refuses routes for ``dest`` through the hop that formed

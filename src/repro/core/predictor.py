@@ -24,8 +24,10 @@ joint form via ``joint=True``.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -33,6 +35,17 @@ import numpy as np
 from repro.mobility.trace import Trace
 from repro.utils.quantiles import FiveNumberSummary, five_number_summary
 from repro.utils.validation import require_in_range, require_positive
+
+#: range checks ``(name, value)`` of the Markov order ``k`` and of the
+#: accuracy tracker's factors for a correct / an incorrect prediction; the
+#: DTN-FLOW config applies the same ones to its keys
+check_order = require_positive
+check_up_factor = partial(
+    require_in_range, low=1.0, high=math.inf, inclusive_low=False, inclusive_high=False
+)
+check_down_factor = partial(
+    require_in_range, low=0.0, high=1.0, inclusive_low=False, inclusive_high=False
+)
 
 
 class MarkovPredictor:
@@ -59,7 +72,7 @@ class MarkovPredictor:
     """
 
     def __init__(self, k: int = 1, *, fallback: bool = True) -> None:
-        require_positive("k", k)
+        check_order("k", k)
         self.k = int(k)
         self.fallback = fallback
         self.history: List[int] = []
@@ -70,10 +83,9 @@ class MarkovPredictor:
         self._freq: Dict[int, int] = defaultdict(int)
         # single-entry distribution memo keyed by (joint, history length,
         # trailing-k context): counts/freq only ever change together with a
-        # history append (and PGR's chain simulator reassigns ``history``
-        # wholesale, growing it each step), so the key pins the exact state
-        # the cached distribution was computed from.  Treat the cached dict
-        # as read-only.
+        # history append, so the key pins the exact state the cached
+        # distribution was computed from.  Treat the cached dict as
+        # read-only.
         self._dist_cache: Optional[
             Tuple[Tuple[bool, int, Tuple[int, ...]], Dict[int, float]]
         ] = None
@@ -189,9 +201,8 @@ class AccuracyTracker:
 
     def __post_init__(self) -> None:
         require_in_range("initial", self.initial, 0.0, 1.0)
-        if self.up <= 1.0:
-            raise ValueError(f"up factor must be > 1, got {self.up}")
-        require_in_range("down", self.down, 0.0, 1.0, inclusive_low=False, inclusive_high=False)
+        check_up_factor("up", self.up)
+        check_down_factor("down", self.down)
         self.value = self.initial
 
     def record(self, correct: bool) -> float:

@@ -37,23 +37,23 @@ from typing import Dict, List, Optional
 
 from repro.core.bandwidth import BandwidthEstimator
 from repro.obs import event_types as ev
-from repro.core.deadend import DeadEndDetector
-from repro.core.loadbalance import LinkLoadMonitor
-from repro.core.loops import LoopCorrector
+from repro.core.deadend import DeadEndDetector, check_gamma, check_min_history
+from repro.core.loadbalance import LinkLoadMonitor, check_theta
+from repro.core.loops import LoopCorrector, check_hold_time
 from repro.core.node_routing import NodeLocationRegistry
-from repro.core.predictor import AccuracyTracker, MarkovPredictor
-from repro.core.routing_table import RoutingTable, TableSnapshot
+from repro.core.predictor import (
+    AccuracyTracker,
+    MarkovPredictor,
+    check_down_factor,
+    check_order,
+    check_up_factor,
+)
+from repro.core.routing_table import RoutingTable, TableSnapshot, check_hysteresis
 from repro.core.scheduler import MAX_UPLOAD_BATCH, UPLOAD, CommScheduler, SchedulerConfig
 from repro.sim.engine import RoutingProtocol, World
 from repro.sim.entities import LandmarkStation, MobileNode
 from repro.sim.packets import Packet
-from repro.utils.validation import (
-    require_in_range,
-    require_int,
-    require_non_negative,
-    require_number,
-    require_positive,
-)
+from repro.utils.validation import require_int, require_number
 
 
 #: EWMA weight for bandwidth and link-load measurement (Eq. 4)
@@ -118,17 +118,23 @@ class DTNFlowConfig:
                 require_int(f.name, value)
             elif f.type == "float":
                 require_number(f.name, value)
-        require_positive("k", self.k)
-        require_in_range("accuracy_up", self.accuracy_up, 1.0, math.inf,
-                         inclusive_low=False, inclusive_high=False)
-        require_in_range("accuracy_down", self.accuracy_down, 0.0, 1.0,
-                         inclusive_low=False, inclusive_high=False)
-        require_in_range("table_hysteresis", self.table_hysteresis, 0.0, 1.0,
-                         inclusive_low=False)
-        require_positive("deadend_gamma", self.deadend_gamma)
-        require_positive("deadend_min_history", self.deadend_min_history)
-        require_non_negative("loop_hold_time", self.loop_hold_time)
-        require_positive("overload_theta", self.overload_theta)
+        # each key gets the range check of the component argument it sets,
+        # so a bound is written once, and the error names the key
+        for key, check in _RANGE_CHECKS:
+            check(key, getattr(self, key))
+
+
+#: DTN-FLOW key -> the range check of the component argument it sets
+_RANGE_CHECKS = (
+    ("k", check_order),
+    ("accuracy_up", check_up_factor),
+    ("accuracy_down", check_down_factor),
+    ("table_hysteresis", check_hysteresis),
+    ("deadend_gamma", check_gamma),
+    ("deadend_min_history", check_min_history),
+    ("loop_hold_time", check_hold_time),
+    ("overload_theta", check_theta),
+)
 
 
 class _StationState:
@@ -420,18 +426,29 @@ class DTNFlowProtocol(RoutingProtocol):
                 delay_memo[dst] = d
             return d
 
+        # per next hop, the carriers with a positive transit probability
+        # toward it, in connection order: the probabilities are fixed for
+        # the pass, and a carrier without one is never chosen, so each
+        # packet scans only these instead of every connected carrier
+        toward: Dict[int, list] = {}
+
         def best_carrier(hop: int, p: Packet):
-            # the best connected carrier with a positive transit probability
+            ranked = toward.get(hop)
+            if ranked is None:
+                ranked = []
+                for nd, cand in carriers:
+                    key = (nd.nid, hop)
+                    prob = prob_get(key)
+                    if prob is None:
+                        prob = cand.pred.probability_of(hop) * cand.acc.value
+                        prob_memo[key] = prob
+                    if prob > 0.0:
+                        ranked.append((nd, prob))
+                toward[hop] = ranked
+            # the first best carrier that can take the packet
             chosen, chosen_prob = None, 0.0
-            for nd, cand in carriers:
-                if not nd.buffer.can_accept(p):
-                    continue
-                key = (nd.nid, hop)
-                prob = prob_get(key)
-                if prob is None:
-                    prob = cand.pred.probability_of(hop) * cand.acc.value
-                    prob_memo[key] = prob
-                if prob > chosen_prob:
+            for nd, prob in ranked:
+                if prob > chosen_prob and nd.buffer.can_accept(p):
                     chosen, chosen_prob = nd, prob
             return chosen, chosen_prob
 

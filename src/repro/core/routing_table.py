@@ -18,7 +18,14 @@ delay via a different next hop.
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Dict, List, NamedTuple, Optional, Tuple
+
+from repro.utils.validation import require_in_range
+
+#: range check ``(name, value)`` of the next-hop switch hysteresis; the
+#: DTN-FLOW config applies the same one to its key
+check_hysteresis = partial(require_in_range, low=0.0, high=1.0, inclusive_low=False)
 
 
 class _RouteFields(NamedTuple):
@@ -80,8 +87,7 @@ class RoutingTable:
     """
 
     def __init__(self, landmark_id: int, *, switch_hysteresis: float = 0.9) -> None:
-        if not 0.0 < switch_hysteresis <= 1.0:
-            raise ValueError(f"switch_hysteresis must be in (0, 1], got {switch_hysteresis}")
+        check_hysteresis("switch_hysteresis", switch_hysteresis)
         self.landmark_id = landmark_id
         self.switch_hysteresis = switch_hysteresis
         self._entries: Dict[int, RouteEntry] = {}

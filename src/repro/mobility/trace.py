@@ -19,7 +19,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 #: ``(time, kind, seq, payload)``; a visit event's payload is its VisitRecord
 ReplayEvent = Tuple[float, int, int, object]
@@ -117,6 +117,9 @@ class Trace:
         #: number of visit-event builds (exposed so tests can assert the
         #: memoization actually skips work on repeated simulations)
         self.n_replay_builds: int = 0
+        #: the latest visit end, found on first use (an O(records) scan
+        #: the engine would otherwise repeat several times per run)
+        self._end_time: Optional[float] = None
 
     # -- pickling -----------------------------------------------------------------
     # Only the records and the name cross process boundaries; the sorted
@@ -170,9 +173,11 @@ class Trace:
 
     @property
     def end_time(self) -> float:
-        if not self._records:
-            return 0.0
-        return max(r.end for r in self._records)
+        end = self._end_time
+        if end is None:
+            end = max((r.end for r in self._records), default=0.0)
+            self._end_time = end
+        return end
 
     @property
     def duration(self) -> float:

@@ -25,9 +25,11 @@ class PacketBuffer:
     Alongside the id-keyed store, the buffer keeps a lazy min-heap of
     ``(deadline, pid)`` pairs so the engine's per-event expiry sweep is an
     O(1) peek in the (overwhelmingly common) case where nothing has expired
-    yet.  Entries for removed packets are left in the heap and discarded
-    when they surface — replicas share their original's pid *and* deadline,
-    so a surviving pid always vouches for the deadline stored with it.
+    yet: every held packet has an entry, so the top entry's deadline bounds
+    them all.  Entries for removed packets are left in the heap until they
+    surface; a removal then pops them, so the top entry is a held packet's
+    — replicas share their original's pid *and* deadline, so a surviving
+    pid always vouches for the deadline stored with it.
 
     Parameters
     ----------
@@ -70,33 +72,29 @@ class PacketBuffer:
 
     def remove(self, pid: int) -> Optional[Packet]:
         """Remove and return the packet with id ``pid`` (None if absent)."""
-        p = self._packets.pop(pid, None)
+        packets = self._packets
+        p = packets.pop(pid, None)
         if p is not None:
             self._used -= p.size
+            # drop the stale entries this exposes at the top of the heap,
+            # which the expiry peek would otherwise hold until they expire
+            expiry = self._expiry
+            while expiry and expiry[0][1] not in packets:
+                heappop(expiry)
         return p
 
     def pop_expired(self, now: float) -> List[Packet]:
         """Remove and return all packets past their deadline at ``now``.
 
-        Fast path: peek the expiry heap (dropping stale entries for packets
-        no longer held) and return immediately when the earliest surviving
-        deadline has not passed.  The slow path scans in insertion order so
-        the emitted drop sequence is identical to the historical full scan.
+        Returns at once, O(1), while the expiry heap's top deadline has not
+        passed: it bounds every held packet's.  Otherwise it scans in
+        insertion order, so the drop sequence is the historical full
+        scan's.
         """
         expiry = self._expiry
-        packets = self._packets
-        while expiry:
-            deadline, pid = expiry[0]
-            live = packets.get(pid)
-            if live is None or live.deadline != deadline:
-                heappop(expiry)  # removed, or re-added with a new deadline
-                continue
-            if now > deadline:
-                break
+        if not expiry or now <= expiry[0][0]:
             return []
-        else:
-            return []
-        dead = [p for p in packets.values() if now > p.deadline]
+        dead = [p for p in self._packets.values() if now > p.deadline]
         for p in dead:
             self.remove(p.pid)
         return dead

@@ -23,8 +23,10 @@ trace to construct routing tables).
 from __future__ import annotations
 
 import math
+from bisect import insort
 from contextlib import nullcontext
 from dataclasses import dataclass
+from operator import attrgetter
 from time import perf_counter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -130,6 +132,9 @@ class SimConfig:
         return self.rate_per_landmark_per_day * self.workload_scale
 
 
+_NID = attrgetter("nid")
+
+
 class World:
     """Mutable simulation state shared between the engine and the protocol."""
 
@@ -178,9 +183,9 @@ class World:
         self._rate = config.link_rate_bytes_per_sec
         # per-visit link-degradation factor (1.0 = healthy link)
         self._visit_factor: Dict[int, float] = {}
-        # station lid -> memoized sorted connected-node list; dropped on
-        # every connect/disconnect (protocols call connected_nodes several
-        # times per event, and sorting dominates the lookup)
+        # station lid -> its connected nodes sorted by id, built on first
+        # use and then kept in step by connect/disconnect (protocols call
+        # connected_nodes several times per event)
         self._conn_sorted: Dict[int, List[MobileNode]] = {}
 
     # -- convenience ------------------------------------------------------------
@@ -195,6 +200,20 @@ class World:
             cached = [nodes[n] for n in sorted(station.connected)]
             self._conn_sorted[station.lid] = cached
         return cached
+
+    def connect(self, node: MobileNode, station: LandmarkStation) -> None:
+        """Register ``node`` as connected to ``station``."""
+        station.connected.add(node.nid)
+        conn = self._conn_sorted.get(station.lid)
+        if conn is not None:
+            insort(conn, node, key=_NID)
+
+    def disconnect(self, node: MobileNode, station: LandmarkStation) -> None:
+        """Drop ``node`` from ``station``'s connected set."""
+        station.connected.discard(node.nid)
+        conn = self._conn_sorted.get(station.lid)
+        if conn is not None:
+            conn.remove(node)
 
     # -- fault queries ----------------------------------------------------------
     def station_available(self, lid: int) -> bool:
@@ -236,10 +255,14 @@ class World:
 
     # -- expiry -----------------------------------------------------------------
     def drop_expired_in(self, holder) -> None:
+        expiry = holder.buffer._expiry
+        if not expiry or self.now <= expiry[0][0]:
+            # the overwhelmingly common case: every held packet has an entry
+            # in the expiry heap, so an earliest deadline still ahead (even
+            # a stale entry's) means nothing held has expired
+            return
         dead = holder.buffer.pop_expired(self.now)
         if not dead:
-            # the overwhelmingly common case: the buffer's expiry-heap peek
-            # found nothing past deadline, at O(1) instead of a full scan
             return
         n_real = 0
         for p in dead:
@@ -606,8 +629,7 @@ class Simulation:
             return
         station = self.world.stations[node.at_landmark]
         self.protocol.on_visit_end(self.world, node, station, t)
-        station.connected.discard(node.nid)
-        self.world._conn_sorted.pop(station.lid, None)
+        self.world.disconnect(node, station)
         node.prev_landmark = node.at_landmark
         node.at_landmark = None
         node.last_depart = t
@@ -656,8 +678,7 @@ class Simulation:
         node.at_landmark = lid
         node.visit_started = t
         node.visit_until = end
-        station.connected.add(node.nid)
-        world._conn_sorted.pop(station.lid, None)
+        world.connect(node, station)
         world.begin_visit_budget(node, end - t)
 
         world.drop_expired_in(node)
