@@ -31,16 +31,19 @@ def test_parallel_memory_sweep_speedup(dart_trace, dart_profile, memory_grid):
     )
 
     t0 = perf_counter()
-    serial = run_scenario(spec, jobs=1, trace=dart_trace).sweep_result()
+    serial = run_scenario(spec, jobs=1, trace=dart_trace)
     t_serial = perf_counter() - t0
 
     t0 = perf_counter()
-    parallel = run_scenario(spec, jobs=n_jobs, trace=dart_trace).sweep_result()
+    parallel = run_scenario(spec, jobs=n_jobs, trace=dart_trace)
     t_parallel = perf_counter() - t0
 
-    # determinism: parallel execution is bit-identical to serial
-    assert parallel.series == serial.series
-    assert parallel.provenance == serial.provenance
+    # determinism: parallel execution is bit-identical to serial, down to
+    # each point's provenance
+    assert parallel.sweep_result().series == serial.sweep_result().series
+    assert [r.metrics.provenance for r in parallel.results] == [
+        r.metrics.provenance for r in serial.results
+    ]
 
     speedup = t_serial / t_parallel if t_parallel > 0 else float("inf")
     record_bench("memory_sweep_2proto", {

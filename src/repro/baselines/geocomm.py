@@ -34,27 +34,36 @@ class GeoCommProtocol(UtilityProtocol):
     def __init__(self) -> None:
         #: node -> landmark -> set of time-unit indices with a contact
         self._contact_units: Dict[int, Dict[int, Set[int]]] = {}
-        self._first_seen: Dict[int, float] = {}
+        #: node -> index of the time unit of its first visit
+        self._first_unit: Dict[int, int] = {}
 
-    def _unit_of(self, t: float) -> int:
-        return int(t // TIME_UNIT)
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        # checkpoints written before the first unit was kept hold the
+        # first-visit times instead
+        state = dict(state)
+        first_seen = state.pop("_first_seen", None)
+        self.__dict__.update(state)
+        if first_seen is not None:
+            self._first_unit = {
+                nid: int(t // TIME_UNIT) for nid, t in first_seen.items()
+            }
 
     # -- learning ---------------------------------------------------------------
     def learn_visit(
         self, world: World, node: MobileNode, station: LandmarkStation, t: float
     ) -> None:
-        self._first_seen.setdefault(node.nid, t)
+        unit = int(t // TIME_UNIT)
+        self._first_unit.setdefault(node.nid, unit)
         units = self._contact_units.setdefault(node.nid, {})
-        units.setdefault(station.lid, set()).add(self._unit_of(t))
+        units.setdefault(station.lid, set()).add(unit)
 
     # -- utility --------------------------------------------------------------------
     def contact_probability(self, nid: int, dest: int, t: float) -> float:
         """Fraction of elapsed time units containing a contact with ``dest``."""
-        first = self._first_seen.get(nid)
+        first = self._first_unit.get(nid)
         if first is None:
             return 0.0
-        unit = TIME_UNIT  # _unit_of inlined on this per-packet path
-        elapsed_units = int(t // unit) - int(first // unit) + 1
+        elapsed_units = int(t // TIME_UNIT) - first + 1
         if elapsed_units < 1:
             elapsed_units = 1
         contacted = self._contact_units.get(nid)

@@ -31,10 +31,10 @@ so both forms run, validate and record the same way.
 
 ``run``, ``compare``, ``sweep``, ``scenario run`` and ``resilience`` accept
 ``--record [--db PATH]`` to persist their results into the SQLite
-experiment store; ``repro db`` queries the store, pins baselines and gates
-candidate results against them (see ``docs/storage.md``).  Recording
-happens in the parent process only — parallel workers never touch the
-database.
+experiment store; ``repro db`` queries the store, writes baseline
+snapshot files and gates candidate results against them (see
+``docs/storage.md``).  Recording happens in the parent process only —
+parallel workers never touch the database.
 """
 
 from __future__ import annotations
@@ -74,16 +74,13 @@ from repro.store import (
     IngestStats,
     PointFilter,
     Tolerance,
+    baseline_snapshot,
     default_db_path,
-    export_baseline,
-    import_baseline,
-    ingest_degradation,
     ingest_experiment_results,
     ingest_payload,
     ingest_profile,
     ingest_scenario_result,
     latest_per_point,
-    pin_baseline,
     query_points,
     regress,
     snapshot_rows,
@@ -702,14 +699,14 @@ def cmd_resilience(args: argparse.Namespace) -> int:
         fault_seed=args.fault_seed,
         jobs=parse_jobs(args.jobs),
     )
-    config_dict = _jsonable(dataclasses.asdict(config))
-    _maybe_record(
-        args, ingest_degradation, curves,
-        config=config_dict, label=trace.name,
-    )
-    # the config rides along so `repro db ingest` of this artifact produces
-    # the same point identity as recording the live run with --record
-    payload = {"degradation": curves.as_dict(), "config": config_dict}
+    # the config rides along as part of each point's identity; --record
+    # ingests this same report, so `repro db ingest` of the --out file
+    # records the same points
+    payload = {
+        "degradation": curves.as_dict(),
+        "config": _jsonable(dataclasses.asdict(config)),
+    }
+    _maybe_record(args, ingest_payload, payload, label=trace.name)
     if not args.no_reconvergence:
         rec = reconvergence_after_death(
             trace,
@@ -1081,109 +1078,34 @@ def cmd_db_query(args: argparse.Namespace) -> int:
 
 
 def cmd_db_baseline(args: argparse.Namespace) -> int:
-    def usage(msg: str) -> int:
-        print(msg, file=sys.stderr)
-        return 2
-
     with ExperimentDB(_store_path(args)) as db:
-        if args.action == "list":
-            names = db.baseline_names()
-            if not names:
-                print("no pinned baselines")
-                return 0
-            print(format_table(
-                ["baseline", "points", "metrics"],
-                [
-                    [n, len({r["scenario_hash"] for r in db.baseline_rows(n)}),
-                     len(db.baseline_rows(n))]
-                    for n in names
-                ],
-                title="pinned baselines:",
-            ))
-            return 0
-        if args.action == "pin":
-            if len(args.names) != 1:
-                return usage("usage: repro db baseline pin NAME [--protocol P] "
-                             "[--trace T] [--note TEXT] [--replace]")
-            try:
-                n = pin_baseline(
-                    db, args.names[0], filter=_cli_point_filter(args),
-                    note=args.note, replace=args.replace,
-                )
-            except ValueError as exc:
-                return usage(str(exc))
-            print(f"pinned baseline {args.names[0]!r}: {n} point(s)")
-            return 0
-        if args.action == "show":
-            if len(args.names) != 1:
-                return usage("usage: repro db baseline show NAME")
-            try:
-                rows = db.baseline_rows(args.names[0])
-            except ValueError as exc:
-                return usage(str(exc))
-            print(format_table(
-                ["point", "protocol", "trace", "metric", "value", "±CI"],
-                [
-                    [r["scenario_hash"][:12], r["protocol"], r["trace"],
-                     r["metric"], f"{r['value']:g}",
-                     f"{r['half_width']:g}" if r.get("half_width") else "-"]
-                    for r in rows
-                ],
-                title=f"baseline {args.names[0]!r}:",
-            ))
-            return 0
-        if args.action == "export":
-            if len(args.names) != 2:
-                return usage("usage: repro db baseline export NAME FILE")
-            name, out = args.names
-            try:
-                snap = export_baseline(db, name)
-            except ValueError as exc:
-                return usage(str(exc))
-            with open(out, "w", encoding="utf-8") as fh:
-                json.dump(snap, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            print(f"exported baseline {name!r} ({len(snap['rows'])} row(s)) "
-                  f"to {out}")
-            return 0
-        # action == "import"
-        if len(args.names) != 1:
-            return usage("usage: repro db baseline import FILE [--name NAME] "
-                         "[--replace]")
-        snapshot = _load_json_arg(args.names[0])
         try:
-            name, count = import_baseline(
-                db, snapshot, name=args.name, replace=args.replace
+            snap = baseline_snapshot(
+                db, args.name, filter=_cli_point_filter(args)
             )
         except ValueError as exc:
-            return usage(str(exc))
-        print(f"imported baseline {name!r}: {count} row(s)")
-        return 0
+            print(str(exc), file=sys.stderr)
+            return 2
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(snap, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    print(f"wrote baseline {args.name!r} ({len(snap['rows'])} row(s)) "
+          f"to {args.out}")
+    return 0
 
 
 def cmd_db_regress(args: argparse.Namespace) -> int:
-    if (args.baseline is None) == (args.baseline_file is None):
-        print("give exactly one of --baseline NAME or --baseline-file FILE",
-              file=sys.stderr)
-        return 2
     uniform = None
     if args.abs is not None or args.rel is not None:
         uniform = Tolerance(abs_tol=args.abs or 0.0, rel_tol=args.rel or 0.0)
     with ExperimentDB(_store_path(args)) as db:
         try:
-            if args.baseline_file is not None:
-                name, rows = snapshot_rows(_load_json_arg(args.baseline_file))
-                verdict = regress(
-                    db, baseline_rows=rows, baseline_name=name,
-                    filter=_cli_point_filter(args), uniform=uniform,
-                    fail_on_missing=args.fail_on_missing,
-                )
-            else:
-                verdict = regress(
-                    db, baseline=args.baseline,
-                    filter=_cli_point_filter(args), uniform=uniform,
-                    fail_on_missing=args.fail_on_missing,
-                )
+            name, rows = snapshot_rows(_load_json_arg(args.baseline_file))
+            verdict = regress(
+                db, rows, baseline_name=name,
+                filter=_cli_point_filter(args), uniform=uniform,
+                fail_on_missing=args.fail_on_missing,
+            )
         except ValueError as exc:
             print(str(exc), file=sys.stderr)
             return 2
@@ -1536,8 +1458,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="experiment store: ingest/query/baseline/regress/report",
         description="The persistent experiment store: a SQLite warehouse of "
                     "recorded results keyed by the content hash of each "
-                    "fully-resolved scenario, with named baselines and a "
-                    "tolerance-band regression gate (see docs/storage.md).",
+                    "fully-resolved scenario, with baseline snapshot files "
+                    "and a tolerance-band regression gate (see "
+                    "docs/storage.md).",
     )
     dbsub = p.add_subparsers(dest="db_command", required=True)
 
@@ -1554,7 +1477,8 @@ def build_parser() -> argparse.ArgumentParser:
     q = dbsub.add_parser("ingest", help="ingest exported result JSON file(s)")
     add_db_path(q)
     q.add_argument("files", nargs="+", metavar="FILE",
-                   help="run/compare/sweep/resilience/benchmark JSON export")
+                   help="scenario/run/compare/resilience/benchmark/profile "
+                        "JSON export")
     q.add_argument("--label", default="", help="label stored on the new run(s)")
     q.set_defaults(func=cmd_db_ingest)
 
@@ -1577,35 +1501,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = dbsub.add_parser(
         "baseline",
-        help="pin/list/show/export/import named baselines",
-        description="Pin the store's latest-per-point results under a name, "
-                    "or move baselines through committable JSON snapshots: "
-                    "pin NAME | list | show NAME | export NAME FILE | "
-                    "import FILE.",
+        help="write a baseline snapshot file of the latest results",
+        description="Write the store's latest-per-point results (optionally "
+                    "filtered) to a committable JSON baseline snapshot, the "
+                    "file db regress --baseline-file gates against.",
     )
     add_db_path(q)
-    q.add_argument("action", choices=["pin", "list", "show", "export", "import"])
-    q.add_argument("names", nargs="*", metavar="ARG",
-                   help="pin/show: NAME; export: NAME FILE; import: FILE")
+    q.add_argument("name", metavar="NAME",
+                   help="baseline name recorded in the snapshot")
+    q.add_argument("--out", required=True, metavar="FILE",
+                   help="snapshot file to write")
     add_db_filters(q)
-    q.add_argument("--note", default="", help="(pin) free-text note")
-    q.add_argument("--name", default=None,
-                   help="(import) rename the imported baseline")
-    q.add_argument("--replace", action="store_true",
-                   help="(pin/import) overwrite an existing baseline")
     q.set_defaults(func=cmd_db_baseline)
 
+    # no abbreviations: a bare --baseline must not pass for --baseline-file
     q = dbsub.add_parser(
         "regress",
-        help="gate latest results against a baseline (exit 1 on FAIL)",
+        help="gate latest results against a baseline snapshot (exit 1 on FAIL)",
+        allow_abbrev=False,
     )
     add_db_path(q)
     add_db_filters(q)
-    q.add_argument("--baseline", default=None, metavar="NAME",
-                   help="pinned in-store baseline to gate against")
-    q.add_argument("--baseline-file", default=None, metavar="FILE",
+    q.add_argument("--baseline-file", required=True, metavar="FILE",
                    help="baseline JSON snapshot to gate against "
-                        "(repro db baseline export)")
+                        "(repro db baseline NAME --out FILE)")
     q.add_argument("--abs", type=float, default=None,
                    help="uniform absolute tolerance (replaces the per-metric "
                         "defaults)")
@@ -1613,7 +1532,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="uniform relative tolerance (replaces the per-metric "
                         "defaults)")
     q.add_argument("--fail-on-missing", action="store_true",
-                   help="FAIL when a pinned point has no candidate recording")
+                   help="FAIL when a baseline point has no candidate "
+                        "recording")
     q.add_argument("--out", default=None, metavar="FILE",
                    help="write the machine-readable verdict JSON to FILE")
     q.add_argument("--json", action="store_true",

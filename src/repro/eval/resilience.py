@@ -147,45 +147,6 @@ class DegradationCurves:
     def to_json(self, *, indent: int = 2) -> str:
         return json.dumps(self.as_dict(), indent=indent, sort_keys=True)
 
-    def point_records(
-        self, *, config: Optional[Dict[str, Any]] = None
-    ) -> List[Dict[str, Any]]:
-        """Canonical per-point records for the experiment store.
-
-        Each record pairs a resolved, content-hashable *identity* (trace,
-        protocol, intensity, fault seed, plus the baseline config when
-        given) with the point's metrics.  ``repro resilience --record`` and
-        ``repro db ingest`` feed these straight into :mod:`repro.store`.
-        """
-        from repro.obs.provenance import _jsonable
-
-        out: List[Dict[str, Any]] = []
-        for name, points in sorted(self.curves.items()):
-            for p in points:
-                identity: Dict[str, Any] = {
-                    "kind": "degradation",
-                    "trace": self.trace,
-                    "protocol": name,
-                    "intensity": p.intensity,
-                    "fault_seed": self.fault_seed,
-                }
-                if config is not None:
-                    identity["config"] = _jsonable(config)
-                out.append(
-                    {
-                        "identity": identity,
-                        "protocol": name,
-                        "metrics": {
-                            "success_rate": p.success_rate,
-                            "avg_delay": p.avg_delay,
-                            "avg_hops": p.avg_hops,
-                            "generated": float(p.generated),
-                            "delivered": float(p.delivered),
-                        },
-                    }
-                )
-        return out
-
 
 def degradation_curves(
     trace: Trace,

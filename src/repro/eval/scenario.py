@@ -504,8 +504,7 @@ class ScenarioResult:
             values=sweep.values,
         )
         for point, outcome in zip(self.points, self.results):
-            value = point.memory_kb if sweep.parameter == "memory_kb" else point.rate
-            result.add(point.protocol, outcome.metrics, value=value)
+            result.add(point.protocol, outcome.metrics)
         return result
 
     def confidence(self, level: float = 0.95) -> Dict[str, Dict[str, MetricCI]]:
@@ -568,8 +567,8 @@ def extract_scenarios(payload: Any) -> List[Dict[str, Any]]:
 
     Understands all our export shapes: a manifest itself, a provenance dict
     (``{"scenario": ...}``), a metrics dict (``{"provenance": {...}}``),
-    ``repro compare --json`` lists, sweep exports with per-protocol
-    provenance rows, and :meth:`ScenarioResult.as_dict` bundles.
+    ``repro compare --json`` lists, and :meth:`ScenarioResult.as_dict`
+    bundles.
     """
     found: List[Dict[str, Any]] = []
 

@@ -11,7 +11,7 @@ run into a :class:`SweepResult`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.utils.tables import format_table
 
@@ -25,15 +25,11 @@ class SweepResult:
     values: Tuple[float, ...]
     #: protocol -> metric -> series aligned with ``values``
     series: Dict[str, Dict[str, List[float]]] = field(default_factory=dict)
-    #: protocol -> per-point run provenance dicts aligned with ``values``
-    #: (config, seed, sweep value, package version — makes exported JSON
-    #: self-describing)
-    provenance: Dict[str, List[Optional[dict]]] = field(default_factory=dict)
 
     METRICS = ("success_rate", "avg_delay", "forwarding_cost", "total_cost")
 
-    def add(self, protocol: str, summary, *, value: Optional[float] = None) -> None:
-        """Record one point's summary (and its provenance)."""
+    def add(self, protocol: str, summary) -> None:
+        """Append one point's summary to its protocol's series."""
         rec = self.series.setdefault(
             protocol, {m: [] for m in self.METRICS}
         )
@@ -41,20 +37,6 @@ class SweepResult:
         rec["avg_delay"].append(summary.avg_delay)
         rec["forwarding_cost"].append(float(summary.forwarding_ops))
         rec["total_cost"].append(float(summary.total_cost))
-        self.provenance.setdefault(protocol, []).append(
-            self._provenance_row(summary, value)
-        )
-
-    def _provenance_row(self, summary, value: Optional[float]) -> Optional[dict]:
-        """One JSON-shaped provenance row, stamped with the sweep point."""
-        prov = getattr(summary, "provenance", None)
-        if prov is None:
-            return None
-        row = prov.as_dict()
-        row["sweep_parameter"] = self.parameter
-        if value is not None:
-            row["sweep_value"] = value
-        return row
 
     def metric_table(self, metric: str) -> str:
         """Render one metric panel as an ASCII table (a paper sub-figure)."""
@@ -98,14 +80,3 @@ class SweepResult:
             series = self._metric_series(p, metric)
             out[p] = sum(series) / len(series)
         return out
-
-    def as_dict(self) -> Dict[str, object]:
-        """JSON-shaped export: series plus per-point run provenance."""
-        return {
-            "trace": self.trace,
-            "parameter": self.parameter,
-            "values": list(self.values),
-            "series": {p: dict(m) for p, m in self.series.items()},
-            "provenance": {p: list(v) for p, v in self.provenance.items()},
-        }
-

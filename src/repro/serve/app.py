@@ -18,7 +18,7 @@ API (all under ``/v1`` unless noted)::
     DELETE /v1/jobs/<id>         cancel (running -> checkpointed partial)
     GET    /v1/jobs/<id>/events  SSE stream (?after=N resumes past id N)
     GET    /v1/db/query          stored points (repro db query --json)
-    GET    /v1/db/regress        tolerance-gate verdict (JSON)
+    GET    /v1/db/regress        tolerance-gate verdict vs a snapshot file
     GET    /v1/db/report         fig11-14 trend report (JSON)
     POST   /v1/replay            SSE wall-clock replay of one point
 
@@ -272,10 +272,12 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(200, {"points": [r.as_dict() for r in rows]})
 
     def _db_regress(self, params: Dict[str, Any]) -> None:
-        baseline = _first(params, "baseline")
         baseline_file = _first(params, "file")
-        if (baseline is None) == (baseline_file is None):
-            raise ValueError("give exactly one of 'baseline' or 'file'")
+        if baseline_file is None:
+            raise ValueError(
+                "give 'file': the path of a baseline snapshot on the server "
+                "(repro db baseline NAME --out FILE writes one)"
+            )
         abs_tol = _first(params, "abs")
         rel_tol = _first(params, "rel")
         uniform = None
@@ -284,24 +286,17 @@ class _Handler(BaseHTTPRequestHandler):
                 abs_tol=float(abs_tol or 0.0), rel_tol=float(rel_tol or 0.0)
             )
         fail_on_missing = _truthy(_first(params, "fail_on_missing"))
+        try:
+            with open(baseline_file, "r", encoding="utf-8") as fh:
+                name, rows = snapshot_rows(json.load(fh))
+        except OSError as exc:
+            raise ValueError(f"cannot read baseline file: {exc}") from None
         with self._db() as db:
-            if baseline_file is not None:
-                try:
-                    with open(baseline_file, "r", encoding="utf-8") as fh:
-                        name, rows = snapshot_rows(json.load(fh))
-                except OSError as exc:
-                    raise ValueError(f"cannot read baseline file: {exc}") from None
-                verdict = regress(
-                    db, baseline_rows=rows, baseline_name=name,
-                    filter=self._db_filter(params), uniform=uniform,
-                    fail_on_missing=fail_on_missing,
-                )
-            else:
-                verdict = regress(
-                    db, baseline=baseline,
-                    filter=self._db_filter(params), uniform=uniform,
-                    fail_on_missing=fail_on_missing,
-                )
+            verdict = regress(
+                db, rows, baseline_name=name,
+                filter=self._db_filter(params), uniform=uniform,
+                fail_on_missing=fail_on_missing,
+            )
         self._send_json(200, verdict.as_dict())
 
     def _db_report(self) -> None:

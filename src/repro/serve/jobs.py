@@ -339,13 +339,18 @@ class JobManager:
         return out
 
     # -- durable state --------------------------------------------------------------
-    def _persist(self, job: Job) -> None:
-        if self._abandoned:
-            return  # emulated hard kill: the durable state stays stale
-        atomic_write_bytes(
-            job.path / JOB_FILE,
-            json.dumps(job.durable_dict(), indent=2, sort_keys=True).encode("utf-8"),
-        )
+    def _persist(self, job: Job, **changes: Any) -> None:
+        """Write ``job.json`` with ``changes`` applied, then apply them to
+        ``job`` — a reader of the in-memory job never sees a state that is
+        not yet durable."""
+        if not self._abandoned:  # emulated hard kill: durable state stays stale
+            record = {**job.durable_dict(), **changes}
+            atomic_write_bytes(
+                job.path / JOB_FILE,
+                json.dumps(record, indent=2, sort_keys=True).encode("utf-8"),
+            )
+        for name, value in changes.items():
+            setattr(job, name, value)
 
     def _recover(self) -> List[Job]:
         """Load every durable job record; re-queue the unfinished ones."""
@@ -382,6 +387,7 @@ class JobManager:
                 job.done_points = int(data.get("done_points") or 0)
                 job.recorded = data.get("recorded")
                 previous = data.get("state", "queued")
+                job.state = previous  # as durable, until _persist moves it
                 self._jobs[job.id] = job
                 self._order.append(job.id)
                 try:
@@ -390,12 +396,10 @@ class JobManager:
                     n = 0
                 self._counter = max(self._counter, n + 1)
                 if previous in TERMINAL_STATES:
-                    job.state = previous
                     job.stream.publish(f"job.{previous}", job.as_dict())
                     job.stream.close()
                     continue
-                job.state = "queued"
-                self._persist(job)
+                self._persist(job, state="queued")
                 job.stream.publish(
                     "job.requeued", {"id": job.id, "previous_state": previous}
                 )
@@ -457,9 +461,7 @@ class JobManager:
                 if job.state not in TERMINAL_STATES:
                     self._finish(job, "cancelled", event="job.cancelled")
                 return
-            job.state = "running"
-            job.started_at = time.time()
-        self._persist(job)
+            self._persist(job, state="running", started_at=time.time())
         job.stream.publish("job.started", {"id": job.id, "n_points": job.n_points})
         try:
             rd = create_run(
@@ -506,18 +508,17 @@ class JobManager:
         self._finish(job, "done", event="job.finished")
 
     # -- transitions -----------------------------------------------------------------
-    def _finish(self, job: Job, state: str, *, event: str) -> None:
-        job.state = state
-        job.finished_at = time.time()
-        self._persist(job)
+    def _finish(
+        self, job: Job, state: str, *, event: str, **changes: Any
+    ) -> None:
+        self._persist(job, state=state, finished_at=time.time(), **changes)
         job.stream.publish(event, job.as_dict())
         job.stream.close()
 
     def _fail(self, job: Job, error: str) -> None:
         if job.state in TERMINAL_STATES:
             return
-        job.error = error
-        self._finish(job, "failed", event="job.failed")
+        self._finish(job, "failed", event="job.failed", error=error)
 
     def _interrupted(
         self, job: Job, results: List[Optional[ExperimentResult]]
@@ -539,8 +540,7 @@ class JobManager:
         if job.cancel_requested:
             self._finish(job, "cancelled", event="job.cancelled")
             return
-        job.state = "queued"
-        self._persist(job)
+        self._persist(job, state="queued")
         job.stream.publish(
             "job.interrupted",
             {"id": job.id, "done": job.done_points, "total": job.n_points},

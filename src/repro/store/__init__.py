@@ -3,17 +3,14 @@
 Every recorded run lands in a WAL-mode SQLite database keyed by the
 content hash of its fully-resolved scenario, so re-recording an identical
 run is a no-op while changed results accumulate as time-ordered history.
-On top of the warehouse sit query helpers (latest-per-point, trend
-series), named baselines (pin / export / import), a tolerance-band
-regression gate, and the fig11-14 trend report.
+One function writes point rows: :func:`ingest_payload`, which takes the
+exported JSON of every result-producing command (live ``--record`` goes
+through it too).  On top of the warehouse sit query helpers
+(latest-per-point), baseline snapshot files, a tolerance-band regression
+gate, and the fig11-14 trend report.
 """
 
-from repro.store.baselines import (
-    export_baseline,
-    import_baseline,
-    pin_baseline,
-    snapshot_rows,
-)
+from repro.store.baselines import baseline_snapshot, snapshot_rows
 from repro.store.db import (
     ExperimentDB,
     PointRow,
@@ -25,7 +22,6 @@ from repro.store.db import (
 from repro.store.ingest import (
     IngestStats,
     ingest_bench_snapshot,
-    ingest_degradation,
     ingest_experiment_results,
     ingest_payload,
     ingest_profile,
@@ -36,7 +32,6 @@ from repro.store.query import (
     latest_per_point,
     query_points,
     scenario_for_hash,
-    trend_series,
 )
 from repro.store.regress import (
     DEFAULT_TOLERANCES,
@@ -60,26 +55,22 @@ __all__ = [
     "RegressionCheck",
     "RegressionVerdict",
     "Tolerance",
+    "baseline_snapshot",
     "canonical_json",
     "compare_points",
     "content_hash",
     "default_db_path",
-    "export_baseline",
-    "import_baseline",
     "ingest_bench_snapshot",
-    "ingest_degradation",
     "ingest_experiment_results",
     "ingest_payload",
     "ingest_profile",
     "ingest_scenario_result",
     "latest_per_point",
-    "pin_baseline",
     "query_points",
     "scenario_for_hash",
     "regress",
     "render_markdown",
     "snapshot_rows",
     "trend_report",
-    "trend_series",
     "write_report",
 ]

@@ -1,10 +1,11 @@
-"""Named baselines: pinned metric snapshots the regression gate compares to.
+"""Baseline snapshots: committed metric values the regression gate compares to.
 
-A *baseline* freezes the latest-per-point metric values of a (possibly
-filtered) set of stored points under a name.  Baselines live in the
-database, but also export to / import from standalone JSON snapshots so a
-repository can commit one (``.github``'s regression gate does exactly
-that) and gate PRs against it without shipping a binary database.
+A *baseline* is a JSON file holding the latest-per-point metric values of
+a (possibly filtered) set of stored points.  ``repro db baseline NAME
+--out FILE`` writes one and ``repro db regress --baseline-file FILE``
+gates against it, so a repository commits the file (CI's regression gate
+uses ``ci/regression-baseline.json``) instead of shipping a binary
+database.
 """
 
 from __future__ import annotations
@@ -14,45 +15,39 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 from repro.store.db import ExperimentDB
 from repro.store.query import PointFilter, latest_per_point
 
-__all__ = [
-    "export_baseline",
-    "import_baseline",
-    "pin_baseline",
-    "snapshot_rows",
-]
+__all__ = ["baseline_snapshot", "snapshot_rows"]
 
 #: snapshot format version (bump on shape changes)
 SNAPSHOT_SCHEMA = 1
 
 
-def pin_baseline(
-    db: ExperimentDB,
-    name: str,
-    *,
-    filter: Optional[PointFilter] = None,
-    note: str = "",
-    replace: bool = False,
-) -> int:
-    """Pin the latest-per-point metric values matching ``filter`` as
-    baseline ``name``; returns the number of pinned points."""
+def baseline_snapshot(
+    db: ExperimentDB, name: str, *, filter: Optional[PointFilter] = None
+) -> Dict[str, Any]:
+    """A committable snapshot, named ``name``, of the latest-per-point
+    metric values matching ``filter``; rows sorted by point, then metric."""
     points = latest_per_point(db, filter=filter or PointFilter())
     if not points:
         raise ValueError(
             "no stored points match the filter — record or ingest results "
-            "before pinning a baseline"
+            "before taking a baseline"
         )
-    db.pin_baseline(name, points, note=note, replace=replace)
-    return len(points)
-
-
-def export_baseline(db: ExperimentDB, name: str) -> Dict[str, Any]:
-    """A committable JSON snapshot of baseline ``name``."""
-    rows = db.baseline_rows(name)
-    return {
-        "baseline": name,
-        "schema": SNAPSHOT_SCHEMA,
-        "rows": rows,
-    }
+    rows = sorted(
+        (
+            {
+                "scenario_hash": p.scenario_hash,
+                "protocol": p.protocol,
+                "trace": p.trace,
+                "metric": metric,
+                "value": value,
+                "half_width": p.half_widths.get(metric),
+            }
+            for p in points
+            for metric, value in p.metrics.items()
+        ),
+        key=lambda r: (r["scenario_hash"], r["metric"]),
+    )
+    return {"baseline": name, "schema": SNAPSHOT_SCHEMA, "rows": rows}
 
 
 def snapshot_rows(snapshot: Mapping[str, Any]) -> Tuple[str, List[Dict[str, Any]]]:
@@ -79,18 +74,3 @@ def snapshot_rows(snapshot: Mapping[str, Any]) -> Tuple[str, List[Dict[str, Any]
                 f"got {row!r}"
             )
     return name, [dict(r) for r in rows]
-
-
-def import_baseline(
-    db: ExperimentDB,
-    snapshot: Mapping[str, Any],
-    *,
-    name: Optional[str] = None,
-    replace: bool = False,
-) -> Tuple[str, int]:
-    """Import a snapshot (see :func:`export_baseline`) into the database;
-    returns ``(baseline name, row count)``."""
-    snap_name, rows = snapshot_rows(snapshot)
-    final = name or snap_name
-    db.pin_baseline_rows(final, rows, note="imported snapshot", replace=replace)
-    return final, len(rows)

@@ -16,10 +16,12 @@ a durable home so regressions across PRs are detectable:
   raw material of trend series and regression verdicts;
 * **metrics** — per-point ``(name, value, half_width)`` rows
   (``half_width`` carries a confidence interval when the source had one);
-* **run_metrics** — run-level scalars (benchmark wall-clock timings);
-* **baselines** / **baseline_points** — named pinned metric snapshots the
-  regression harness (:mod:`repro.store.regress`) compares candidates
-  against.
+* **run_metrics** — run-level scalars (benchmark wall-clock timings).
+
+Baselines are committed snapshot files (:mod:`repro.store.baselines`),
+not tables: the ``baselines`` / ``baseline_points`` tables of the first
+schema version stay in every database, unread, so opening an older file
+drops nothing.
 
 The database runs in WAL mode (readers never block the writer).  Recording
 happens in the parent process only — parallel sweep workers never touch
@@ -38,7 +40,7 @@ import os
 import sqlite3
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.obs.provenance import _jsonable
 
@@ -647,110 +649,3 @@ class ExperimentDB:
         if row is None or row["scenario"] is None:
             return None
         return json.loads(row["scenario"])
-
-    # -- baselines (pin/read; comparison lives in repro.store.regress) --------
-    def pin_baseline(
-        self,
-        name: str,
-        points: Iterable[PointRow],
-        *,
-        note: str = "",
-        replace: bool = False,
-    ) -> int:
-        """Pin ``points``'s metric values as the named baseline set."""
-        rows = [
-            {
-                "scenario_hash": p.scenario_hash,
-                "protocol": p.protocol,
-                "trace": p.trace,
-                "metric": metric,
-                "value": value,
-                "half_width": p.half_widths.get(metric),
-            }
-            for p in points
-            for metric, value in sorted(p.metrics.items())
-        ]
-        return self.pin_baseline_rows(name, rows, note=note, replace=replace)
-
-    @_retry_locked
-    def pin_baseline_rows(
-        self,
-        name: str,
-        rows: Iterable[Mapping[str, Any]],
-        *,
-        note: str = "",
-        replace: bool = False,
-    ) -> int:
-        """Pin raw baseline rows (``scenario_hash``/``protocol``/``trace``/
-        ``metric``/``value``/``half_width`` mappings) under ``name``."""
-        rows = list(rows)
-        if not rows:
-            raise ValueError("cannot pin an empty baseline")
-        with self._conn:
-            row = self._conn.execute(
-                "SELECT id FROM baselines WHERE name = ?", (name,)
-            ).fetchone()
-            if row is not None:
-                if not replace:
-                    raise ValueError(
-                        f"baseline {name!r} already exists (use replace=True / "
-                        "--replace to overwrite)"
-                    )
-                self._conn.execute(
-                    "DELETE FROM baseline_points WHERE baseline_id = ?",
-                    (row["id"],),
-                )
-                self._conn.execute(
-                    "DELETE FROM baselines WHERE id = ?", (row["id"],)
-                )
-            cur = self._conn.execute(
-                "INSERT INTO baselines (name, created_at, note) VALUES (?,?,?)",
-                (name, _utc_now(), note),
-            )
-            baseline_id = int(cur.lastrowid)
-            for r in rows:
-                self._conn.execute(
-                    "INSERT OR REPLACE INTO baseline_points (baseline_id, "
-                    "scenario_hash, protocol, trace, metric, value, "
-                    "half_width) VALUES (?,?,?,?,?,?,?)",
-                    (
-                        baseline_id,
-                        str(r["scenario_hash"]),
-                        str(r.get("protocol", "")),
-                        str(r.get("trace", "")),
-                        str(r["metric"]),
-                        float(r["value"]),
-                        None
-                        if r.get("half_width") is None
-                        else float(r["half_width"]),
-                    ),
-                )
-        return baseline_id
-
-    def baseline_names(self) -> List[str]:
-        return [
-            r["name"]
-            for r in self._conn.execute(
-                "SELECT name FROM baselines ORDER BY created_at, id"
-            )
-        ]
-
-    def baseline_rows(self, name: str) -> List[Dict[str, Any]]:
-        """The pinned ``(scenario_hash, protocol, trace, metric, value,
-        half_width)`` rows of one baseline (ValueError for unknown names)."""
-        row = self._conn.execute(
-            "SELECT id FROM baselines WHERE name = ?", (name,)
-        ).fetchone()
-        if row is None:
-            raise ValueError(
-                f"unknown baseline {name!r}; pinned: {self.baseline_names()}"
-            )
-        return [
-            dict(r)
-            for r in self._conn.execute(
-                "SELECT scenario_hash, protocol, trace, metric, value, "
-                "half_width FROM baseline_points WHERE baseline_id = ? "
-                "ORDER BY scenario_hash, metric",
-                (row["id"],),
-            )
-        ]

@@ -1,23 +1,28 @@
-"""Ingestion: turn every result shape the harness produces into stored rows.
+"""Ingestion: turn every exported result shape into stored rows.
 
-Sources understood (objects and their exported-JSON forms):
+:func:`ingest_payload` is the one path that writes point rows.  Shapes
+understood:
 
-* :class:`~repro.eval.scenario.ScenarioResult` / ``repro scenario run``
-  bundles (``{"scenario": ..., "results": [...]}``);
-* lists of :class:`~repro.eval.experiment.ExperimentResult` (what the
-  parallel executor returns) and ``repro run/compare --json`` rows —
-  anything whose metrics carry a :class:`RunProvenance` with a resolved
-  scenario;
+* ``repro scenario run --out`` bundles (``{"scenario": ..., "results":
+  [...]}``, :meth:`~repro.eval.scenario.ScenarioResult.as_dict`): the run
+  row carries the scenario, and when it sweeps, each point row carries
+  its sweep parameter and value (the Figs. 11-14 families of
+  ``repro db report``);
+* ``repro run/compare --json`` rows — anything whose metrics carry a
+  :class:`RunProvenance` with a resolved scenario;
 * ``repro compare --seeds N`` confidence rows (metric means ride in with
   their CI half-widths, which the regression tolerance bands respect);
-* :class:`~repro.eval.sweeps.SweepResult` JSON exports (per-point
-  provenance rows aligned with the metric series; ``repro db ingest``);
-* :class:`~repro.eval.resilience.DegradationCurves` and the
-  ``repro resilience --out`` report JSON;
+* ``repro resilience --out`` reports (``{"degradation", "config"}``);
 * benchmark wall-clock snapshots (``BENCH_sweeps.json``, single snapshot
   or the appended ``history`` form);
 * ``repro profile --out`` documents (``kind: "profile"``: span tree,
   flamegraph, per-phase seconds — the rows behind the per-phase trend).
+
+Live recording takes the same path: ``--record`` ingests the exported
+form of what the command ran (:func:`ingest_scenario_result` and
+:func:`ingest_experiment_results` are one-call adapters), so a recording
+and a later ``repro db ingest`` of the command's artifact write equal
+point rows.
 
 Deduplication is content-addressed (see :mod:`repro.store.db`): the point
 key is the fully-resolved single-point scenario dict, so re-ingesting the
@@ -27,7 +32,7 @@ same artifact — or re-recording a bit-identical rerun — is a no-op.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
 
 from repro.obs.provenance import _jsonable
 from repro.store.db import ExperimentDB, content_hash
@@ -35,7 +40,6 @@ from repro.store.db import ExperimentDB, content_hash
 __all__ = [
     "IngestStats",
     "ingest_bench_snapshot",
-    "ingest_degradation",
     "ingest_experiment_results",
     "ingest_payload",
     "ingest_profile",
@@ -56,6 +60,12 @@ class IngestStats:
         self.points_new += other.points_new
         self.points_dup += other.points_dup
         return self
+
+    def count(self, new: Optional[bool]) -> None:
+        """Count one point: new, already recorded, or (None) not stored."""
+        if new is not None:
+            self.points_new += int(new)
+            self.points_dup += int(not new)
 
     @property
     def points(self) -> int:
@@ -126,12 +136,16 @@ def _record_metrics_row(
     row: Mapping[str, Any],
     *,
     sweep_parameter: Optional[str] = None,
-    sweep_value: Optional[float] = None,
-) -> Tuple[bool, bool]:
-    """Record one MetricsSummary-shaped dict; returns (recorded, new)."""
+) -> Optional[bool]:
+    """Record one MetricsSummary-shaped dict; returns whether it was new
+    (None when the row holds no metrics).
+
+    A ``sweep_parameter`` (``memory_kb`` or ``rate``) takes its value from
+    the point's own resolved workload.
+    """
     metrics = _numeric_metrics(row)
     if not metrics:
-        return False, False
+        return None
     prov = row.get("provenance")
     scenario = None
     seed = None
@@ -158,9 +172,9 @@ def _record_metrics_row(
         memory_kb=memory_kb,
         rate=rate,
         sweep_parameter=sweep_parameter,
-        sweep_value=sweep_value,
+        sweep_value=workload.get(sweep_parameter) if sweep_parameter else None,
     )
-    return True, new
+    return new
 
 
 def ingest_experiment_results(
@@ -170,161 +184,70 @@ def ingest_experiment_results(
     kind: str = "run",
     label: str = "",
 ) -> IngestStats:
-    """Ingest :class:`ExperimentResult` objects (or bare metric summaries).
+    """Ingest :class:`~repro.eval.experiment.ExperimentResult` objects as
+    the metric rows ``repro run/compare --json`` exports.
 
     ``None`` entries — the unfinished points of an interrupted grid — are
     skipped, so a partial result list records what did complete.
     """
-    stats = IngestStats()
-    rows: List[Mapping[str, Any]] = []
-    for r in results:
-        if r is None:
-            continue
-        metrics = getattr(r, "metrics", r)
-        rows.append(metrics.as_dict() if hasattr(metrics, "as_dict") else metrics)
-    if not rows:
-        return stats
-    run_id = db.record_run(kind, label=label)
-    stats.runs += 1
-    for row in rows:
-        recorded, new = _record_metrics_row(db, run_id, row)
-        if recorded:
-            stats.points_new += int(new)
-            stats.points_dup += int(not new)
-    return stats
+    rows = [r.metrics.as_dict() for r in results if r is not None]
+    return ingest_payload(db, rows, kind=kind, label=label) if rows else IngestStats()
 
 
 def ingest_scenario_result(
     db: ExperimentDB, result: Any, *, kind: str = "scenario", label: str = ""
 ) -> IngestStats:
-    """Ingest a :class:`~repro.eval.scenario.ScenarioResult`."""
-    label = label or getattr(result.spec, "name", "")
-    stats = IngestStats()
-    run_id = db.record_run(
-        kind, label=label, extra={"scenario": result.spec.as_dict()}
-    )
-    stats.runs += 1
-    sweep = result.spec.sweep
-    for point, outcome in zip(result.points, result.results):
-        sweep_value: Optional[float] = None
-        if sweep is not None:
-            sweep_value = (
-                point.memory_kb if sweep.parameter == "memory_kb" else point.rate
-            )
-        recorded, new = _record_metrics_row(
-            db,
-            run_id,
-            outcome.metrics.as_dict(),
-            sweep_parameter=sweep.parameter if sweep is not None else None,
-            sweep_value=sweep_value,
-        )
-        if recorded:
-            stats.points_new += int(new)
-            stats.points_dup += int(not new)
-    return stats
+    """Ingest a :class:`~repro.eval.scenario.ScenarioResult` as the bundle
+    ``repro scenario run --out`` exports."""
+    return ingest_payload(db, result.as_dict(), kind=kind, label=label)
 
 
-def _ingest_sweep_payload(
-    db: ExperimentDB, payload: Mapping[str, Any], *, label: str = ""
+def _ingest_scenario_bundle(
+    db: ExperimentDB, bundle: Mapping[str, Any], *, kind: str, label: str
 ) -> IngestStats:
-    stats = IngestStats()
-    parameter = payload.get("parameter")
-    values = payload.get("values") or []
-    series = payload.get("series") or {}
-    provenance = payload.get("provenance") or {}
+    """Ingest a ``{"scenario", "results"}`` bundle (``repro scenario run --out``)."""
+    scenario = bundle["scenario"]
+    sweep = scenario.get("sweep")
+    parameter = sweep.get("parameter") if isinstance(sweep, Mapping) else None
     run_id = db.record_run(
-        "sweep",
-        label=label or f"{payload.get('trace', '')}:{parameter}",
-        extra={"trace": payload.get("trace"), "parameter": parameter,
-               "values": list(values)},
+        kind, label=label or str(scenario.get("name", "")),
+        extra={"scenario": scenario},
     )
-    stats.runs += 1
-    for protocol, metric_series in series.items():
-        prov_rows = provenance.get(protocol) or [None] * len(values)
-        for i, value in enumerate(values):
-            metrics = {
-                m: float(s[i])
-                for m, s in metric_series.items()
-                if isinstance(s, Sequence) and i < len(s)
-            }
-            if not metrics:
-                continue
-            prov = prov_rows[i] if i < len(prov_rows) else None
-            row: Dict[str, Any] = dict(metrics)
-            row["protocol"] = protocol
-            row["trace"] = payload.get("trace", "")
-            if isinstance(prov, Mapping):
-                row["provenance"] = prov
-            recorded, new = _record_metrics_row(
-                db, run_id, row,
-                sweep_parameter=parameter, sweep_value=float(value),
+    stats = IngestStats(runs=1)
+    for row in bundle["results"]:
+        if isinstance(row, Mapping):
+            stats.count(
+                _record_metrics_row(db, run_id, row, sweep_parameter=parameter)
             )
-            if recorded:
-                stats.points_new += int(new)
-                stats.points_dup += int(not new)
     return stats
 
 
-def ingest_degradation(
+def _ingest_degradation(
     db: ExperimentDB,
-    curves: Any,
+    curves: Mapping[str, Any],
     *,
-    config: Optional[Mapping[str, Any]] = None,
-    label: str = "",
+    config: Optional[Mapping[str, Any]],
+    kind: str,
+    label: str,
 ) -> IngestStats:
-    """Ingest a :class:`~repro.eval.resilience.DegradationCurves`."""
-    return _ingest_degradation_records(
-        db,
-        curves.point_records(config=dict(config) if config else None),
-        trace=curves.trace,
+    """Ingest degradation curves (``DegradationCurves.as_dict``).
+
+    A point's identity is its trace, protocol, intensity and fault seed,
+    plus the baseline config when the report carries one.
+    """
+    trace = str(curves.get("trace", ""))
+    fault_seed = curves.get("fault_seed", 0)
+    run_id = db.record_run(
+        kind,
+        label=label or trace,
         extra={
-            "trace": curves.trace,
-            "intensities": list(curves.intensities),
-            "fault_seed": curves.fault_seed,
+            "trace": trace,
+            "intensities": list(curves.get("intensities") or []),
+            "fault_seed": fault_seed,
         },
-        label=label,
     )
-
-
-def _ingest_degradation_records(
-    db: ExperimentDB,
-    records: Sequence[Mapping[str, Any]],
-    *,
-    trace: str,
-    extra: Mapping[str, Any],
-    label: str = "",
-) -> IngestStats:
-    stats = IngestStats()
-    run_id = db.record_run("resilience", label=label or trace, extra=extra)
-    stats.runs += 1
-    for rec in records:
-        identity = rec["identity"]
-        _, new = db.record_point(
-            run_id,
-            identity,
-            {k: float(v) for k, v in rec["metrics"].items()},
-            protocol=str(rec.get("protocol", "?")),
-            trace=trace,
-            sweep_parameter="intensity",
-            sweep_value=float(identity.get("intensity", 0.0)),
-        )
-        stats.points_new += int(new)
-        stats.points_dup += int(not new)
-    return stats
-
-
-def _ingest_degradation_payload(
-    db: ExperimentDB,
-    payload: Mapping[str, Any],
-    *,
-    config: Optional[Mapping[str, Any]] = None,
-    label: str = "",
-) -> IngestStats:
-    """Ingest a degradation-curves dict (``DegradationCurves.as_dict``)."""
-    trace = str(payload.get("trace", ""))
-    fault_seed = payload.get("fault_seed", 0)
-    records: List[Dict[str, Any]] = []
-    for protocol, points in sorted((payload.get("curves") or {}).items()):
+    stats = IngestStats(runs=1)
+    for protocol, points in sorted((curves.get("curves") or {}).items()):
         for p in points:
             identity: Dict[str, Any] = {
                 "kind": "degradation",
@@ -335,25 +258,21 @@ def _ingest_degradation_payload(
             }
             if config is not None:
                 identity["config"] = _jsonable(config)
-            # intensity is identity, not a result — keep the metrics hash
-            # identical to the object-ingest path (point_records)
+            # intensity is the point's identity, not one of its results
             metrics = {
                 k: v for k, v in _numeric_metrics(p).items() if k != "intensity"
             }
-            records.append(
-                {"identity": identity, "protocol": protocol, "metrics": metrics}
+            _, new = db.record_point(
+                run_id,
+                identity,
+                metrics,
+                protocol=str(protocol),
+                trace=trace,
+                sweep_parameter="intensity",
+                sweep_value=float(identity.get("intensity", 0.0)),
             )
-    return _ingest_degradation_records(
-        db,
-        records,
-        trace=trace,
-        extra={
-            "trace": trace,
-            "intensities": list(payload.get("intensities") or []),
-            "fault_seed": fault_seed,
-        },
-        label=label,
-    )
+            stats.count(new)
+    return stats
 
 
 # -- benchmark snapshots -------------------------------------------------------
@@ -509,8 +428,11 @@ def _looks_like_ci_row(node: Mapping[str, Any]) -> bool:
     )
 
 
-def _record_ci_row(db: ExperimentDB, run_id: int, row: Mapping[str, Any]) -> bool:
-    """Record a ``repro compare --seeds N`` confidence row (means + CIs)."""
+def _record_ci_row(
+    db: ExperimentDB, run_id: int, row: Mapping[str, Any]
+) -> Optional[bool]:
+    """Record a ``repro compare --seeds N`` confidence row (means + CIs);
+    returns whether it was new (None when it holds no means)."""
     identity = _jsonable(
         {
             "kind": "compare-ci",
@@ -527,7 +449,7 @@ def _record_ci_row(db: ExperimentDB, run_id: int, row: Mapping[str, Any]) -> boo
         if isinstance(ci, Mapping) and isinstance(ci.get("mean"), (int, float))
     }
     if not metrics:
-        return False
+        return None
     _, new = db.record_point(
         run_id,
         identity,
@@ -541,10 +463,17 @@ def _record_ci_row(db: ExperimentDB, run_id: int, row: Mapping[str, Any]) -> boo
 
 
 def ingest_payload(
-    db: ExperimentDB, payload: Any, *, label: str = ""
+    db: ExperimentDB, payload: Any, *, kind: Optional[str] = None, label: str = ""
 ) -> IngestStats:
-    """Ingest any exported-JSON artifact; raises ValueError when nothing in
-    the payload is an ingestible result."""
+    """Ingest any exported-JSON artifact — the one path that writes point rows.
+
+    ``kind`` names the recording act on the run row of a result payload;
+    it defaults to the payload's own (``scenario`` for a scenario bundle,
+    ``resilience`` for degradation curves, ``ingest`` for bare metric
+    rows).  Benchmark snapshots and profiles always record as ``bench``
+    and ``profile`` runs.  Raises ValueError when nothing in the payload
+    is an ingestible result.
+    """
     if isinstance(payload, Mapping):
         if payload.get("suite") == "benchmarks" or (
             isinstance(payload.get("history"), Sequence)
@@ -555,18 +484,25 @@ def ingest_payload(
             and payload.get("history")
         ):
             return _ingest_bench_payload(db, payload, label=label)
-        if isinstance(payload.get("degradation"), Mapping):
-            cfg = payload.get("config")
-            return _ingest_degradation_payload(
-                db, payload["degradation"],
-                config=cfg if isinstance(cfg, Mapping) else None, label=label,
-            )
-        if "curves" in payload and "intensities" in payload:
-            return _ingest_degradation_payload(db, payload, label=label)
-        if "series" in payload and "parameter" in payload:
-            return _ingest_sweep_payload(db, payload, label=label)
         if payload.get("kind") == "profile" and "phases" in payload:
             return ingest_profile(db, payload, label=label)
+        if isinstance(payload.get("scenario"), Mapping) and isinstance(
+            payload.get("results"), list
+        ):
+            return _ingest_scenario_bundle(
+                db, payload, kind=kind or "scenario", label=label
+            )
+        if isinstance(payload.get("degradation"), Mapping):
+            cfg = payload.get("config")
+            return _ingest_degradation(
+                db, payload["degradation"],
+                config=cfg if isinstance(cfg, Mapping) else None,
+                kind=kind or "resilience", label=label,
+            )
+        if "curves" in payload and "intensities" in payload:
+            return _ingest_degradation(
+                db, payload, config=None, kind=kind or "resilience", label=label
+            )
 
     # generic: collect metric/CI rows anywhere in the structure
     metric_rows: List[Mapping[str, Any]] = []
@@ -590,18 +526,12 @@ def ingest_payload(
     if not metric_rows and not ci_rows:
         raise ValueError(
             "no ingestible results found in payload (expected exported "
-            "metrics/sweep/resilience/benchmark JSON)"
+            "scenario/metrics/resilience/benchmark/profile JSON)"
         )
-    stats = IngestStats()
-    run_id = db.record_run("ingest", label=label)
-    stats.runs += 1
+    run_id = db.record_run(kind or "ingest", label=label)
+    stats = IngestStats(runs=1)
     for row in metric_rows:
-        recorded, new = _record_metrics_row(db, run_id, row)
-        if recorded:
-            stats.points_new += int(new)
-            stats.points_dup += int(not new)
+        stats.count(_record_metrics_row(db, run_id, row))
     for row in ci_rows:
-        new = _record_ci_row(db, run_id, row)
-        stats.points_new += int(new)
-        stats.points_dup += int(not new)
+        stats.count(_record_ci_row(db, run_id, row))
     return stats

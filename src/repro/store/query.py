@@ -6,10 +6,10 @@ Three access patterns the rest of the harness needs:
   protocol / trace / scenario-hash (prefix) / metric / run-kind filters;
 * **latest-per-point resolution** — :func:`latest_per_point`: for every
   distinct resolved scenario, the most recently recorded result (the
-  "current truth" a regression gate compares against a baseline);
-* **trend series** — :func:`trend_series`: one metric of one resolved
-  point (or a protocol/trace family) ordered by recording time — the
-  across-PRs trajectory ``repro db report`` renders.
+  "current truth" a baseline snapshot records and the regression gate
+  compares against one);
+* **scenario lookup** — :func:`scenario_for_hash`: the stored resolved
+  scenario behind a point hash (``repro serve``'s replay source).
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ __all__ = [
     "latest_per_point",
     "query_points",
     "scenario_for_hash",
-    "trend_series",
 ]
 
 
@@ -138,25 +137,3 @@ def scenario_for_hash(db: ExperimentDB, prefix: str) -> Optional[Dict[str, Any]]
     except (TypeError, ValueError):
         return None
     return payload if isinstance(payload, dict) else None
-
-
-def trend_series(
-    db: ExperimentDB,
-    metric: str,
-    *,
-    filter: Optional[PointFilter] = None,
-    **filter_kwargs: Any,
-) -> Dict[str, List[Tuple[str, float]]]:
-    """Time-ordered ``(recorded_at, value)`` series of one metric.
-
-    Keyed by scenario hash: each distinct resolved point contributes one
-    series tracing how its metric moved across recordings (re-recorded
-    identical results are deduplicated at ingest, so a flat history shows a
-    single entry).
-    """
-    out: Dict[str, List[Tuple[str, float]]] = {}
-    for row in query_points(db, filter=filter, metric=metric, **filter_kwargs):
-        out.setdefault(row.scenario_hash, []).append(
-            (row.recorded_at, row.metrics[metric])
-        )
-    return out

@@ -1,6 +1,6 @@
-"""Regression gating: compare candidate results against a pinned baseline.
+"""Regression gating: compare candidate results against a baseline snapshot.
 
-For every ``(resolved point, metric)`` the baseline pins, the harness looks
+For every ``(resolved point, metric)`` the baseline holds, the harness looks
 up the candidate's latest recording of the same content-hashed point and
 checks the delta against a *tolerance band*:
 
@@ -26,6 +26,7 @@ from repro.store.db import ExperimentDB, PointRow
 from repro.store.query import PointFilter, latest_per_point
 
 __all__ = [
+    "DEFAULT_TOLERANCE",
     "DEFAULT_TOLERANCES",
     "METRIC_DIRECTIONS",
     "RegressionCheck",
@@ -60,6 +61,9 @@ DEFAULT_TOLERANCES: Dict[str, Tolerance] = {
     "delivered": Tolerance(rel_tol=0.10),
     "dropped_ttl": Tolerance(rel_tol=0.25, abs_tol=2.0),
 }
+
+#: the band of a metric the table does not name
+DEFAULT_TOLERANCE = Tolerance(rel_tol=0.10)
 
 #: +1 = higher is better (regression when it falls), -1 = lower is better,
 #: 0 = two-sided (any move beyond the band fails)
@@ -122,7 +126,7 @@ class RegressionVerdict:
 
     baseline_name: str
     checks: List[RegressionCheck] = field(default_factory=list)
-    #: pinned (point, metric) pairs with no candidate recording
+    #: baseline (point, metric) pairs with no candidate recording
     missing: List[Dict[str, str]] = field(default_factory=list)
     fail_on_missing: bool = False
 
@@ -171,16 +175,11 @@ class RegressionVerdict:
 
 
 def _check_one(
-    row: Mapping[str, Any],
-    candidate: PointRow,
-    *,
-    tolerances: Mapping[str, Tolerance],
-    default_tolerance: Tolerance,
+    row: Mapping[str, Any], candidate: PointRow, tol: Tolerance
 ) -> RegressionCheck:
     metric = str(row["metric"])
     base_value = float(row["value"])
     cand_value = float(candidate.metrics[metric])
-    tol = tolerances.get(metric, default_tolerance)
     allowed = tol.allowed(base_value)
     base_hw = row.get("half_width")
     if base_hw:
@@ -217,24 +216,16 @@ def compare_points(
     baseline_rows: Sequence[Mapping[str, Any]],
     candidates: Sequence[PointRow],
     *,
-    tolerances: Optional[Mapping[str, Tolerance]] = None,
-    default_tolerance: Tolerance = Tolerance(rel_tol=0.10),
     uniform: Optional[Tolerance] = None,
     fail_on_missing: bool = False,
 ) -> RegressionVerdict:
-    """Compare candidate points against pinned baseline rows.
+    """Compare candidate points against baseline snapshot rows.
 
-    ``uniform`` replaces the whole per-metric default table with one band
-    (the CLI's ``--abs/--rel`` flags); ``tolerances`` overrides per metric.
+    Each metric gets its :data:`DEFAULT_TOLERANCES` band (else
+    :data:`DEFAULT_TOLERANCE`); ``uniform`` replaces the whole table with
+    one band (the CLI's ``--abs/--rel`` flags).
     """
     by_hash = {c.scenario_hash: c for c in candidates}
-    if uniform is not None:
-        tol_map: Dict[str, Tolerance] = {}
-        default_tolerance = uniform
-    else:
-        tol_map = dict(DEFAULT_TOLERANCES)
-    if tolerances:
-        tol_map.update(tolerances)
     verdict = RegressionVerdict(
         baseline_name=baseline_name, fail_on_missing=fail_on_missing
     )
@@ -252,47 +243,31 @@ def compare_points(
                 }
             )
             continue
-        verdict.checks.append(
-            _check_one(
-                row,
-                candidate,
-                tolerances=tol_map,
-                default_tolerance=default_tolerance,
-            )
+        tol = (
+            uniform if uniform is not None
+            else DEFAULT_TOLERANCES.get(metric, DEFAULT_TOLERANCE)
         )
+        verdict.checks.append(_check_one(row, candidate, tol))
     return verdict
 
 
 def regress(
     db: ExperimentDB,
+    baseline_rows: Sequence[Mapping[str, Any]],
     *,
-    baseline: Optional[str] = None,
-    baseline_rows: Optional[Sequence[Mapping[str, Any]]] = None,
-    baseline_name: str = "",
+    baseline_name: str = "snapshot",
     filter: Optional[PointFilter] = None,
-    tolerances: Optional[Mapping[str, Tolerance]] = None,
-    default_tolerance: Tolerance = Tolerance(rel_tol=0.10),
     uniform: Optional[Tolerance] = None,
     fail_on_missing: bool = False,
 ) -> RegressionVerdict:
-    """Gate the database's latest-per-point results against a baseline.
-
-    ``baseline`` names a pinned in-database baseline; ``baseline_rows``
-    (with ``baseline_name``) gates against an external snapshot instead
-    (e.g. a committed JSON file).  Exactly one must be given.
-    """
-    if (baseline is None) == (baseline_rows is None):
-        raise ValueError("give exactly one of baseline or baseline_rows")
-    if baseline is not None:
-        baseline_rows = db.baseline_rows(baseline)
-        baseline_name = baseline
+    """Gate the database's latest-per-point results against baseline rows
+    (what :func:`repro.store.baselines.snapshot_rows` returns for a
+    snapshot file)."""
     candidates = latest_per_point(db, filter=filter or PointFilter())
     return compare_points(
-        baseline_name or "snapshot",
+        baseline_name,
         baseline_rows,
         candidates,
-        tolerances=tolerances,
-        default_tolerance=default_tolerance,
         uniform=uniform,
         fail_on_missing=fail_on_missing,
     )

@@ -178,18 +178,6 @@ class TestDegradationCurves:
         assert "Bogus" in msg and "Nope" in msg and "known:" in msg
         assert "DTN-FLOW" in msg  # the known list includes real names
 
-    def test_point_records_identity_carries_config(self, dart_tiny):
-        curves = degradation_curves(
-            dart_tiny, protocols=("Direct",), intensities=(0.0,),
-            config=_light_config(), fault_seed=3,
-        )
-        plain = curves.point_records()
-        with_cfg = curves.point_records(config={"ttl": 1.0})
-        assert "config" not in plain[0]["identity"]
-        assert with_cfg[0]["identity"]["config"] == {"ttl": 1.0}
-        assert with_cfg[0]["identity"]["kind"] == "degradation"
-        assert with_cfg[0]["metrics"]["generated"] >= 0.0
-
 
 class TestReconvergence:
     def test_explicit_victim_and_probe_layout(self, dart_tiny):

@@ -206,14 +206,26 @@ class TestTraceSpec:
         assert spec.materialize() is shuttle_trace
 
 
+def _memory_sweep(tiny_scenario, protocols):
+    from repro.eval.scenario import run_scenario
+
+    spec = tiny_scenario(
+        protocols=list(protocols), sim={"rate": 150.0},
+        sweep={"parameter": "memory_kb", "values": [500.0, 2000.0]},
+    )
+    return lambda jobs: run_scenario(spec, jobs=jobs)
+
+
 class TestSweepParallel:
-    def test_memory_sweep_jobs_equivalent(self, tiny_sweep):
-        args = ("memory_kb", [500.0, 2000.0], ["DTN-FLOW", "PROPHET"])
-        serial = tiny_sweep(*args, jobs=1, rate=150.0)
-        parallel = tiny_sweep(*args, jobs=2, rate=150.0)
-        assert parallel.series == serial.series
-        assert parallel.values == serial.values
-        assert parallel.provenance == serial.provenance
+    def test_memory_sweep_jobs_equivalent(self, tiny_scenario):
+        run = _memory_sweep(tiny_scenario, ["DTN-FLOW", "PROPHET"])
+        serial, parallel = run(1), run(2)
+        assert parallel.sweep_result().series == serial.sweep_result().series
+        assert parallel.sweep_result().values == serial.sweep_result().values
+        # each point's own provenance: config, seed and resolved scenario
+        assert [r.metrics.provenance for r in parallel.results] == [
+            r.metrics.provenance for r in serial.results
+        ]
 
 
 def _summary(success=0.5, delay=100.0):
@@ -243,20 +255,18 @@ class TestSweepResultErrors:
 
     def test_unknown_metric_raises(self):
         res = SweepResult(trace="t", parameter="rate", values=(1.0,))
-        res.add("DTN-FLOW", _summary(), value=1.0)
+        res.add("DTN-FLOW", _summary())
         with pytest.raises(ValueError, match="unknown metric"):
             res.mean_values("bogus")
 
-    def test_provenance_rows_carry_sweep_value(self, tiny_sweep):
-        res = tiny_sweep("memory_kb", [500.0, 2000.0], ["DTN-FLOW"], rate=150.0)
-        rows = res.provenance["DTN-FLOW"]
-        assert [r["sweep_value"] for r in rows] == [500.0, 2000.0]
-        assert all(r["sweep_parameter"] == "memory_kb" for r in rows)
+    def test_provenance_rows_carry_sweep_value(self, tiny_scenario):
+        res = _memory_sweep(tiny_scenario, ["DTN-FLOW"])(1)
+        scenarios = [r.metrics.provenance.scenario for r in res.results]
+        assert [s["sim"]["node_memory_kb"] for s in scenarios] == [500.0, 2000.0]
 
     def test_handbuilt_summary_without_provenance(self):
         res = SweepResult(trace="t", parameter="rate", values=(1.0,))
-        res.add("DTN-FLOW", _summary(), value=1.0)
-        assert res.provenance["DTN-FLOW"] == [None]
+        res.add("DTN-FLOW", _summary())
         assert res.mean_values("success_rate")["DTN-FLOW"] == 0.5
 
 

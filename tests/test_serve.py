@@ -28,6 +28,7 @@ import pytest
 
 from repro.eval.scenario import ScenarioSpec, run_scenario
 from repro.serve import (
+    TERMINAL_STATES,
     JobManager,
     ReplayRequest,
     ServeClient,
@@ -319,10 +320,12 @@ def test_rest_error_and_catalog_surface(server):
     with pytest.raises(ServeError) as err:
         client._request("GET", "/v1/nope")
     assert err.value.status == 404
-    # regress endpoint validates its parameter contract
-    with pytest.raises(ServeError) as err:
-        client.db_regress()
-    assert err.value.status == 400
+    # regress endpoint gates against a snapshot file, and only against one
+    for params in ({}, {"baseline": "x"}):
+        with pytest.raises(ServeError) as err:
+            client.db_regress(**params)
+        assert err.value.status == 400
+        assert "'file'" in str(err.value)
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +377,86 @@ def test_cancel_running_job_leaves_resumable_partial(tmp_path):
         assert a.state == "done"
     finally:
         manager2.stop()
+
+
+def test_job_json_is_written_before_the_in_memory_state_changes(
+    tmp_path, monkeypatch
+):
+    """Every ``job.json`` write of a new state starts while ``job.state``
+    still reads the old one, so no reader sees a state that is not yet
+    durable.  Execution is faked per job name so each transition happens
+    deterministically."""
+    import repro.serve.jobs as jobs_mod
+    from repro.eval.runner import SweepInterrupted
+
+    writes = []  # (job id, in-memory state as the write starts, written state)
+    managers = []
+    real_write = jobs_mod.atomic_write_bytes
+
+    def spy(path, data):
+        job = managers[-1].get(path.parent.name)
+        writes.append((job.id, job.state, json.loads(data)["state"]))
+        real_write(path, data)
+
+    def fake_run(spec, rd, **kwargs):
+        manager = managers[-1]
+        job = next(j for j in manager.list_jobs() if j.spec.name == spec.name)
+        if spec.name == "fail":
+            raise RuntimeError("boom")
+        if spec.name == "cancel":
+            manager.cancel(job.id)
+        if spec.name == "kill":
+            manager._abandoned = True  # as stop(abandon=True) mid-run
+        if spec.name in ("cancel", "shutdown", "kill"):
+            raise SweepInterrupted([None])
+        return None, []
+
+    monkeypatch.setattr(jobs_mod, "atomic_write_bytes", spy)
+    monkeypatch.setattr(jobs_mod, "run_resumable", fake_run)
+    names = ("done", "fail", "cancel", "shutdown", "kill")
+    first = JobManager(tmp_path / "runs")
+    managers.append(first)
+    first.start()
+    submitted = [first.submit(scenario(name)) for name in names]
+    deadline = time.monotonic() + WAIT
+    while not first._abandoned and time.monotonic() < deadline:
+        time.sleep(0.01)
+    first.stop(abandon=True)
+    assert [j.state for j in submitted] == [
+        "done", "failed", "cancelled", "queued", "running"
+    ]
+
+    # the restart re-queues the job the hard kill left running
+    monkeypatch.setattr(jobs_mod, "run_resumable", lambda *a, **k: (None, []))
+    second = JobManager(tmp_path / "runs")
+    managers.append(second)
+    second.start()
+    try:
+        deadline = time.monotonic() + WAIT
+        while any(j.state not in TERMINAL_STATES for j in second.list_jobs()):
+            assert time.monotonic() < deadline, "restarted jobs never finished"
+            time.sleep(0.01)
+    finally:
+        second.stop()
+
+    durable = {}
+    for job_id, in_memory, written in writes:
+        assert in_memory == durable.get(job_id, "queued"), (
+            job_id, in_memory, written
+        )
+        durable[job_id] = written
+    transitions = {(old, new) for _, old, new in writes if old != new}
+    assert transitions >= {
+        ("queued", "running"), ("running", "done"), ("running", "failed"),
+        ("running", "cancelled"), ("running", "queued"),
+    }
+    # the hard-killed job's last durable state was "running"; the restart
+    # wrote "queued" while the job still read "running", then ran it
+    kill_id = submitted[-1].id
+    kill_writes = [(old, new) for jid, old, new in writes if jid == kill_id]
+    assert kill_writes[-3:] == [
+        ("running", "queued"), ("queued", "running"), ("running", "done")
+    ]
 
 
 def test_kill_restart_recovers_queued_jobs_with_metric_parity(tmp_path):

@@ -1,9 +1,9 @@
 """Tests for the persistent experiment store (repro.store).
 
 Covers the warehouse core (schema, WAL, content-hash dedup), every ingest
-path and the identity consistency between live ``--record`` ingestion and
-re-ingesting exported artifacts, the query layer, baseline pin/export/
-import round trips, the tolerance-band regression gate (PASS on unchanged
+shape, the row equality of a live ``--record`` and a ``repro db ingest``
+of the same command's artifact, the query layer, baseline snapshot files
+and the tolerance-band regression gate over them (PASS on unchanged
 reruns, FAIL on injected perturbations, IMPROVED direction, CI widening),
 the trend report, and the ``repro db`` / ``--record`` CLI surface —
 including a ``--jobs 4`` sweep recorded in the parent process.
@@ -16,27 +16,23 @@ import sqlite3
 import pytest
 
 from repro.cli import main
-from repro.eval.resilience import degradation_curves
 from repro.eval.scenario import ScenarioSpec, run_scenario
 from repro.store import (
     ExperimentDB,
     PointFilter,
     Tolerance,
+    baseline_snapshot,
     compare_points,
     content_hash,
-    export_baseline,
-    import_baseline,
-    ingest_degradation,
     ingest_experiment_results,
     ingest_payload,
     ingest_scenario_result,
     latest_per_point,
-    pin_baseline,
     query_points,
     regress,
     render_markdown,
+    snapshot_rows,
     trend_report,
-    trend_series,
 )
 from repro.store.db import SCHEMA_VERSION
 
@@ -69,6 +65,18 @@ def record(db, metrics=METRICS, scenario=SCENARIO, protocol="DTN-FLOW", **kw):
     return db.record_point(
         run_id, scenario, metrics, protocol=protocol, trace="DART", **kw
     )
+
+
+#: the stored columns a live recording and a file ingest must agree on
+POINT_COLUMNS = ("scenario_hash", "metrics_hash", "protocol", "trace", "seed",
+                 "memory_kb", "rate", "sweep_parameter", "sweep_value")
+
+
+def point_rows(path):
+    """Every stored point of the store at ``path`` as a sorted tuple list."""
+    with ExperimentDB(path) as db:
+        rows = db._conn.execute(f"SELECT {', '.join(POINT_COLUMNS)} FROM points")
+        return sorted(tuple(r) for r in rows)
 
 
 class TestWarehouse:
@@ -169,14 +177,6 @@ class TestQuery:
         assert len(query_points(store)) == 2
         assert len(query_points(store, metric="success_rate")) == 1
 
-    def test_trend_series_is_time_ordered(self, store):
-        for rate in (0.8, 0.7, 0.9):
-            record(store, dict(METRICS, success_rate=rate))
-        series = trend_series(store, "success_rate")
-        assert len(series) == 1
-        values = [v for _, v in next(iter(series.values()))]
-        assert values == [0.8, 0.7, 0.9]
-
 
 @pytest.fixture(scope="module")
 def fast_result():
@@ -264,14 +264,6 @@ class TestIngest:
         rows = query_points(store, sweep_parameter="memory_kb")
         assert sorted(r.sweep_value for r in rows) == [1200.0, 2000.0]
 
-    def test_sweep_object_and_payload_agree(self, store, fast_sweep_result):
-        sweep = fast_sweep_result.sweep_result()
-        stats = ingest_payload(store, sweep.as_dict())
-        assert stats.points_new == 2
-        # the exported-JSON form of the same sweep deduplicates exactly
-        again = ingest_payload(store, json.loads(json.dumps(sweep.as_dict())))
-        assert again.points_new == 0 and again.points_dup == 2
-
     def test_exported_scenario_payload_dedups_against_object(
         self, store, fast_result
     ):
@@ -299,31 +291,6 @@ class TestIngest:
         row = query_points(store)[0]
         assert row.half_widths["success_rate"] == 0.02
         assert ingest_payload(store, rows).points_dup == 1
-
-    def test_degradation_object_and_payload_agree(self, store, dart_tiny):
-        from repro.mobility.trace import days
-        from repro.sim.engine import SimConfig
-
-        cfg = SimConfig(ttl=days(5.0), rate_per_landmark_per_day=200.0,
-                        workload_scale=0.02, time_unit=days(2.0), seed=5,
-                        contact_prob=0.3)
-        curves = degradation_curves(
-            dart_tiny, protocols=("DTN-FLOW",), intensities=(0.0, 0.75),
-            config=cfg, fault_seed=7,
-        )
-        import dataclasses
-        cfg_dict = dataclasses.asdict(cfg)
-        stats = ingest_degradation(store, curves, config=cfg_dict)
-        assert stats.points_new == 2
-        # `repro resilience --out` artifacts carry the config alongside the
-        # curves so file ingestion lands on the same point identities
-        payload = json.loads(json.dumps(
-            {"degradation": curves.as_dict(), "config": cfg_dict}
-        ))
-        again = ingest_payload(store, payload)
-        assert again.points_new == 0 and again.points_dup == 2
-        rows = query_points(store, sweep_parameter="intensity")
-        assert sorted(r.sweep_value for r in rows) == [0.0, 0.75]
 
     def test_bench_snapshot_dedup(self, store):
         snapshot = {
@@ -368,104 +335,96 @@ class TestIngest:
 
 
 class TestBaselinesAndRegress:
+    @staticmethod
+    def baseline(db, tmp_path, name="main"):
+        """Write ``db``'s latest results to a snapshot file; return the
+        rows read back from it."""
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(baseline_snapshot(db, name)))
+        snap_name, rows = snapshot_rows(json.loads(path.read_text()))
+        assert snap_name == name
+        return rows
+
     def test_pin_requires_points(self, store):
         with pytest.raises(ValueError, match="no stored points"):
-            pin_baseline(store, "main")
-
-    def test_pin_and_replace(self, store):
+            baseline_snapshot(store, "main")
         record(store)
-        assert pin_baseline(store, "main") == 1
-        with pytest.raises(ValueError, match="already exists"):
-            pin_baseline(store, "main")
-        assert pin_baseline(store, "main", replace=True) == 1
-        assert store.baseline_names() == ["main"]
+        with pytest.raises(ValueError, match="no stored points"):
+            baseline_snapshot(store, "main", filter=PointFilter(protocol="PER"))
 
-    def test_unchanged_rerun_passes(self, store):
+    def test_unchanged_rerun_passes(self, store, tmp_path):
         record(store)
-        pin_baseline(store, "main")
+        rows = self.baseline(store, tmp_path)
         record(store)  # identical re-record (deduped)
-        verdict = regress(store, baseline="main")
+        verdict = regress(store, rows)
         assert verdict.passed and verdict.verdict == "PASS"
         assert len(verdict.checks) == len(METRICS)
         assert not verdict.failures and not verdict.missing
 
-    def test_perturbation_beyond_tolerance_fails(self, store):
+    def test_perturbation_beyond_tolerance_fails(self, store, tmp_path):
         record(store)
-        pin_baseline(store, "main")
+        rows = self.baseline(store, tmp_path)
         # success_rate tolerance is ±0.02 absolute; -0.15 must FAIL
         record(store, dict(METRICS, success_rate=0.65))
-        verdict = regress(store, baseline="main")
+        verdict = regress(store, rows)
         assert verdict.verdict == "FAIL"
         assert [c.metric for c in verdict.failures] == ["success_rate"]
         check = verdict.failures[0]
         assert check.baseline == 0.8 and check.candidate == 0.65
         assert "FAIL" in verdict.summary()
 
-    def test_directional_improvement_is_not_failure(self, store):
+    def test_directional_improvement_is_not_failure(self, store, tmp_path):
         record(store)
-        pin_baseline(store, "main")
+        rows = self.baseline(store, tmp_path)
         # higher success + lower delay: both beyond band, both improvements
         record(store, dict(METRICS, success_rate=0.95, avg_delay=1800.0))
-        verdict = regress(store, baseline="main")
+        verdict = regress(store, rows)
         assert verdict.passed
         improved = {c.metric for c in verdict.improvements}
         assert improved == {"success_rate", "avg_delay"}
 
-    def test_two_sided_metric_fails_both_ways(self, store):
+    def test_two_sided_metric_fails_both_ways(self, store, tmp_path):
         record(store)
-        pin_baseline(store, "main")
-        record(store, dict(METRICS, generated=110.0))  # exact-match metric
-        verdict = regress(store, baseline="main")
-        assert [c.metric for c in verdict.failures] == ["generated"]
+        rows = self.baseline(store, tmp_path)
+        for generated in (110.0, 90.0):  # exact-match metric
+            record(store, dict(METRICS, generated=generated))
+            verdict = regress(store, rows)
+            assert [c.metric for c in verdict.failures] == ["generated"]
 
-    def test_confidence_intervals_widen_the_band(self, store):
+    def test_confidence_intervals_widen_the_band(self, store, tmp_path):
         record(store, {"success_rate": (0.8, 0.1)})
-        pin_baseline(store, "main")
+        rows = self.baseline(store, tmp_path)
+        assert rows[0]["half_width"] == 0.1
         record(store, {"success_rate": (0.7, 0.05)})
         # |delta| = 0.10 <= 0.02 + 0.1 + 0.05: inside overlapping CIs
-        verdict = regress(store, baseline="main")
+        verdict = regress(store, rows)
         assert verdict.passed
 
-    def test_uniform_tolerance_replaces_defaults(self, store):
+    def test_uniform_tolerance_replaces_defaults(self, store, tmp_path):
         record(store)
-        pin_baseline(store, "main")
+        rows = self.baseline(store, tmp_path)
         record(store, dict(METRICS, success_rate=0.75))
-        assert regress(store, baseline="main").verdict == "FAIL"
-        loose = regress(store, baseline="main",
-                        uniform=Tolerance(abs_tol=0.2, rel_tol=0.2))
+        assert regress(store, rows).verdict == "FAIL"
+        loose = regress(store, rows, uniform=Tolerance(abs_tol=0.2, rel_tol=0.2))
         assert loose.passed
 
-    def test_missing_candidate(self, store):
+    def test_missing_candidate(self, store, tmp_path):
         record(store)
-        pin_baseline(store, "main")
-        verdict = compare_points(
-            "main", store.baseline_rows("main"), [], fail_on_missing=True
-        )
+        rows = self.baseline(store, tmp_path)
+        verdict = compare_points("main", rows, [], fail_on_missing=True)
         assert verdict.verdict == "FAIL" and len(verdict.missing) == len(METRICS)
-        lenient = compare_points("main", store.baseline_rows("main"), [])
+        lenient = compare_points("main", rows, [])
         assert lenient.passed
 
     def test_snapshot_export_import_round_trip(self, store, tmp_path):
+        # a snapshot written from one store gates another store's rerun
         record(store)
-        pin_baseline(store, "main", note="seed baseline")
-        snapshot = json.loads(json.dumps(export_baseline(store, "main")))
+        rows = self.baseline(store, tmp_path)
+        assert len(rows) == len(METRICS)
+        assert [r["metric"] for r in rows] == sorted(METRICS)
         with ExperimentDB(tmp_path / "other.sqlite") as db2:
-            name, count = import_baseline(db2, snapshot)
-            assert name == "main" and count == len(METRICS)
             record(db2)
-            assert regress(db2, baseline="main").passed
-
-    def test_regress_needs_exactly_one_baseline(self, store):
-        record(store)
-        with pytest.raises(ValueError, match="exactly one"):
-            regress(store)
-        with pytest.raises(ValueError, match="exactly one"):
-            regress(store, baseline="a", baseline_rows=[])
-
-    def test_unknown_baseline(self, store):
-        record(store)
-        with pytest.raises(ValueError, match="unknown baseline"):
-            regress(store, baseline="nope")
+            assert regress(db2, rows).passed
 
 
 class TestReport:
@@ -492,7 +451,10 @@ class TestReport:
 
 class TestStoreCLI:
     def _run(self, argv, capsys):
-        rc = main(argv)
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            rc = exc.code
         captured = capsys.readouterr()
         return rc, captured.out, captured.err
 
@@ -540,20 +502,19 @@ class TestStoreCLI:
     def test_baseline_verbs_and_regress_exit_codes(self, tmp_path, capsys):
         db_path = str(tmp_path / "x.sqlite")
         self._seed_store(db_path)
+        snap = tmp_path / "main.json"
         rc, out, _ = self._run(
-            ["db", "baseline", "pin", "main", "--db", db_path], capsys)
-        assert rc == 0 and "pinned" in out
-        rc, out, _ = self._run(["db", "baseline", "list", "--db", db_path],
-                               capsys)
-        assert rc == 0 and "main" in out
-        rc, out, _ = self._run(
-            ["db", "baseline", "show", "main", "--db", db_path], capsys)
-        assert rc == 0 and "success_rate" in out
+            ["db", "baseline", "main", "--out", str(snap), "--db", db_path],
+            capsys)
+        assert rc == 0 and f"({len(METRICS)} row(s))" in out
+        written = json.loads(snap.read_text())
+        assert written["baseline"] == "main"
+        assert {r["metric"] for r in written["rows"]} == set(METRICS)
 
         # PASS on the unchanged store -> exit 0
         verdict_file = tmp_path / "verdict.json"
         rc, out, _ = self._run(
-            ["db", "regress", "--baseline", "main", "--db", db_path,
+            ["db", "regress", "--baseline-file", str(snap), "--db", db_path,
              "--out", str(verdict_file)], capsys)
         assert rc == 0 and "PASS" in out
         assert json.loads(verdict_file.read_text())["verdict"] == "PASS"
@@ -562,47 +523,29 @@ class TestStoreCLI:
         with ExperimentDB(db_path) as db:
             record(db, dict(METRICS, success_rate=0.5))
         rc, out, _ = self._run(
-            ["db", "regress", "--baseline", "main", "--db", db_path,
+            ["db", "regress", "--baseline-file", str(snap), "--db", db_path,
              "--json", "--out", str(verdict_file)], capsys)
         assert rc == 1
         verdict = json.loads(verdict_file.read_text())
         assert verdict["verdict"] == "FAIL" and verdict["failed"] == 1
         assert json.loads(out)["verdict"] == "FAIL"
 
-        # snapshot file round trip through the CLI
-        snap = tmp_path / "main.json"
-        rc, _, _ = self._run(
-            ["db", "baseline", "export", "main", str(snap), "--db", db_path],
-            capsys)
-        assert rc == 0
-        rc, out, _ = self._run(
-            ["db", "regress", "--baseline-file", str(snap), "--db", db_path],
-            capsys)
-        assert rc == 1  # latest point still carries the perturbation
-
-        # usage errors -> exit 2
+        # usage errors -> exit 2, the removed named-baseline forms included
         rc, _, err = self._run(["db", "regress", "--db", db_path], capsys)
-        assert rc == 2 and "exactly one" in err
+        assert rc == 2 and "--baseline-file" in err
         rc, _, err = self._run(
-            ["db", "regress", "--baseline", "nope", "--db", db_path], capsys)
-        assert rc == 2 and "unknown baseline" in err
+            ["db", "regress", "--baseline", "main", "--db", db_path], capsys)
+        assert rc == 2 and "--baseline-file" in err
+        for verb in (["pin", "main"], ["list"], ["show", "main"],
+                     ["export", "main", str(snap)], ["import", str(snap)]):
+            rc, _, err = self._run(
+                ["db", "baseline", *verb, "--db", db_path], capsys)
+            assert rc == 2 and "--out" in err, verb
         rc, _, err = self._run(
-            ["db", "baseline", "pin", "--db", db_path], capsys)
-        assert rc == 2 and "usage" in err
-
-    def test_baseline_import_rename(self, tmp_path, capsys):
-        db_path = str(tmp_path / "x.sqlite")
-        self._seed_store(db_path)
-        self._run(["db", "baseline", "pin", "main", "--db", db_path], capsys)
-        snap = tmp_path / "main.json"
-        self._run(["db", "baseline", "export", "main", str(snap),
-                   "--db", db_path], capsys)
-        rc, out, _ = self._run(
-            ["db", "baseline", "import", str(snap), "--name", "seed",
-             "--db", db_path], capsys)
-        assert rc == 0 and "seed" in out
-        with ExperimentDB(db_path) as db:
-            assert db.baseline_names() == ["main", "seed"]
+            ["db", "baseline", "empty", "--out", str(tmp_path / "e.json"),
+             "--protocol", "PER", "--db", db_path], capsys)
+        assert rc == 2 and "no stored points" in err
+        assert not (tmp_path / "e.json").exists()
 
     def test_report_cli(self, tmp_path, capsys):
         db_path = str(tmp_path / "x.sqlite")
@@ -657,15 +600,118 @@ class TestStoreCLI:
             ["sweep", "--scenario", str(manifest), "--record", "--db", db_path],
             capsys)
         assert rc == 0 and "1 new" in err
+        snap = str(tmp_path / "manifest.json")
         rc, _, _ = self._run(
-            ["db", "baseline", "pin", "manifest", "--db", db_path], capsys)
+            ["db", "baseline", "manifest", "--out", snap, "--db", db_path],
+            capsys)
         assert rc == 0
         rc, _, err = self._run(
             ["sweep", "rate", "--trace", "dnet", "--values", "100",
              "--protocols", "DTN-FLOW", "--record", "--db", db_path], capsys)
         assert rc == 0 and "0 new, 1 already recorded" in err
         rc, out, _ = self._run(
-            ["db", "regress", "--baseline", "manifest", "--db", db_path,
+            ["db", "regress", "--baseline-file", snap, "--db", db_path,
              "--abs", "0", "--rel", "0", "--fail-on-missing"], capsys)
         assert rc == 0, out
         assert "0 failed" in out and "0 missing" in out
+
+
+def _cli_cases():
+    """``(id, argv, artifact)`` per command: ``argv(trace_csv, manifest_for)``
+    builds the command line; ``artifact`` names the file it writes, or is
+    None when the artifact is its ``--json`` stdout."""
+    sweep = {"protocols": ["Direct", "DTN-FLOW"],
+             "sweep": {"parameter": "memory_kb", "values": [500, 2000]}}
+    grid = {"protocols": ["Direct", "PROPHET"], "seeds": [0, 1]}
+    flags = ["--rate", "10"]
+    return [
+        ("scenario-sweep",
+         lambda csv, manifest: ["scenario", "run", manifest(sweep),
+                                "--out", "out.json"], "out.json"),
+        ("scenario-grid",
+         lambda csv, manifest: ["scenario", "run", manifest(grid),
+                                "--out", "out.json"], "out.json"),
+        ("run-json", lambda csv, manifest: ["run", "--trace", csv, *flags,
+                                            "--json"], None),
+        ("compare-json", lambda csv, manifest: ["compare", "--trace", csv,
+                                                *flags, "--json"], None),
+        ("compare-seeds-json",
+         lambda csv, manifest: ["compare", "--trace", csv, *flags,
+                                "--seeds", "2", "--json"], None),
+        ("resilience-out",
+         lambda csv, manifest: ["resilience", "--trace", csv, *flags,
+                                "--protocols", "Direct",
+                                "--intensities", "0,0.5",
+                                "--no-reconvergence", "--out", "out.json"],
+         "out.json"),
+    ]
+
+
+class TestRecordMatchesIngest:
+    """``--record`` and ``repro db ingest`` of the command's artifact write
+    the same point rows: one path writes both."""
+
+    @pytest.mark.parametrize(
+        "argv, artifact", [c[1:] for c in _cli_cases()],
+        ids=[c[0] for c in _cli_cases()],
+    )
+    def test_record_matches_ingest(
+        self, argv, artifact, tiny_scenario, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        csv = tiny_scenario().trace.path
+
+        def manifest(block):
+            spec = tiny_scenario(name="record-vs-ingest", **block)
+            path = tmp_path / "manifest.json"
+            path.write_text(spec.to_json())
+            return str(path)
+
+        assert main([*argv(csv, manifest), "--record", "--db", "rec.sqlite"]) == 0
+        out = capsys.readouterr().out
+        if artifact is None:
+            artifact = "stdout.json"
+            (tmp_path / artifact).write_text(out)
+        assert main(["db", "ingest", artifact, "--db", "ing.sqlite"]) == 0
+        recorded = point_rows(tmp_path / "rec.sqlite")
+        assert recorded and recorded == point_rows(tmp_path / "ing.sqlite")
+
+    def test_ingested_sweep_lists_its_figure_family(
+        self, tiny_scenario, tmp_path, capsys
+    ):
+        spec = tiny_scenario(
+            name="family", protocols=["Direct"],
+            sweep={"parameter": "rate", "values": [100, 200]},
+        )
+        manifest = tmp_path / "sweep.json"
+        manifest.write_text(spec.to_json())
+        out = tmp_path / "out.json"
+        db_path = str(tmp_path / "ing.sqlite")
+        assert main(["scenario", "run", str(manifest), "--out", str(out)]) == 0
+        assert main(["db", "ingest", str(out), "--db", db_path]) == 0
+        capsys.readouterr()
+        assert main(["db", "report", "--json", "--db", db_path]) == 0
+        figures = json.loads(capsys.readouterr().out)["figures"]
+        (family,) = figures.values()
+        assert family["parameter"] == "rate"
+        assert set(family["protocols"]) == {"Direct"}
+        rows = point_rows(db_path)
+        assert sorted(r[-1] for r in rows) == [100.0, 200.0]
+
+    def test_degradation_identity_carries_the_config(
+        self, tiny_scenario, tmp_path, capsys
+    ):
+        out = tmp_path / "res.json"
+        db_path = str(tmp_path / "rec.sqlite")
+        assert main(["resilience", "--trace", tiny_scenario().trace.path,
+                     "--rate", "10", "--protocols", "Direct",
+                     "--intensities", "0,0.75", "--no-reconvergence",
+                     "--out", str(out), "--record", "--db", db_path]) == 0
+        config = json.loads(out.read_text())["config"]
+        with ExperimentDB(db_path) as db:
+            rows = query_points(db, sweep_parameter="intensity")
+            assert sorted(r.sweep_value for r in rows) == [0.0, 0.75]
+            for r in rows:
+                identity = db.scenario_blob(r.id)
+                assert identity["kind"] == "degradation"
+                assert identity["config"] == config
