@@ -18,7 +18,12 @@ layer shows up directly instead of being averaged into a 30-point sweep:
   ``Trace`` again (memoized, the run's own events merged in), and over
   ``TraceStream.from_trace`` of it (streamed);
 * **stream pass** — one pass over a 500-node campus ``TraceStream``:
-  per-node generators, the heap merge and the order check;
+  the per-node day generators, the day merge and the order check;
+* **stream pass at scale** — one ``stream_visits()`` pass over the
+  200-landmark campus of ``benchmarks/test_sharded_scale.py`` at 10k
+  nodes (100k under ``REPRO_FULL_SCALE``), in a fresh interpreter: pass
+  seconds, records/s and peak RSS, with the stream's sha256 pinned so the
+  check covers byte identity at scale;
 * **streamed DTN-FLOW point** — one serial DTN-FLOW run over that stream
   (the ``campus-stream`` benchmark's point): stream replay, dispatch and
   the DTN-FLOW control plane, with the routing-table writes it made;
@@ -41,8 +46,11 @@ scenario instead.
 
 from __future__ import annotations
 
+import json
 import os
 import statistics
+import subprocess
+import sys
 from time import perf_counter
 
 import pytest
@@ -254,6 +262,79 @@ def test_stream_pass_micro():
         "cpu_count": os.cpu_count(),
     })
     assert n_records == len(stream) > 10_000
+
+
+#: ``benchmarks/test_sharded_scale.py``'s campus: 40 departments x 3
+#: buildings + 50 dorms + 15 dining + 14 misc + library = 200 landmarks
+#: over 3 days, at 10k nodes (100k under ``REPRO_FULL_SCALE``)
+SCALE_CAMPUS = dict(
+    n_nodes=100_000 if full_scale() else 10_000, n_departments=40,
+    buildings_per_department=3, n_dorms=50, n_dining=15, n_misc=14, days=3,
+    holidays=(),
+)
+SCALE_SEED = 11
+#: sha256 over the stream's ``node,landmark,start,end`` rows (floats as
+#: ``repr``), pinned on the per-node heap merge the day merge replaced
+SCALE_STREAM_DIGESTS = {
+    10_000: "8fcace58b22c7e6d222448f333c51ef7ec8287d978b73163d31be5bb9ed89268",
+    100_000: "6d6d175d66745b78b963b354a47a00077432a163ae39d946b63eea7504d8418f",
+}
+#: the scale pass, run in a fresh interpreter so the peak RSS it reports
+#: is the stream's own: build the model, one timed ``stream_visits()``
+#: pass, then a second pass that hashes the records.  Peaks are ``VmHWM``:
+#: an exec'd child's ``ru_maxrss`` also counts the RSS of the process
+#: that started it
+_SCALE_PASS = """
+import hashlib, json, sys
+from time import perf_counter
+from repro.mobility.synthetic import CampusConfig, CampusMobilityModel
+
+def peak_kb():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+
+args = json.loads(sys.argv[1])
+t0 = perf_counter()
+model = CampusMobilityModel(CampusConfig(**args["campus"]), seed=args["seed"])
+build_s = perf_counter() - t0
+before = peak_kb()
+t0 = perf_counter()
+n_records = sum(1 for _ in model.stream_visits())
+pass_s = perf_counter() - t0
+peak = peak_kb()
+digest = hashlib.sha256()
+for r in model.stream_visits():
+    digest.update(f"{r.node},{r.landmark},{r.start!r},{r.end!r}\\n".encode())
+print(json.dumps({
+    "build_s": build_s, "pass_s": pass_s, "records": n_records,
+    "peak_rss_kb": peak, "rss_growth_kb": peak - before, "sha256": digest.hexdigest(),
+}))
+"""
+
+
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/status"), reason="peak RSS is read from /proc (Linux)"
+)
+def test_stream_pass_scale_micro():
+    n_nodes = SCALE_CAMPUS["n_nodes"]
+    args = json.dumps({"campus": SCALE_CAMPUS, "seed": SCALE_SEED})
+    child = subprocess.run(
+        [sys.executable, "-c", _SCALE_PASS, args],
+        capture_output=True, text=True, check=True, timeout=1800,
+    )
+    out = json.loads(child.stdout)
+    record_bench("mobility_stream_pass_scale", {
+        "nodes": n_nodes,
+        "seed": SCALE_SEED,
+        "records": out["records"],
+        "build_s": round(out["build_s"], 4),
+        "seconds": round(out["pass_s"], 4),
+        "records_per_second": round(out["records"] / out["pass_s"], 1),
+        "peak_rss_kb": out["peak_rss_kb"],
+        "rss_growth_kb": out["rss_growth_kb"],
+        "cpu_count": os.cpu_count(),
+    })
+    assert out["sha256"] == SCALE_STREAM_DIGESTS[n_nodes]
 
 
 def test_streamed_dtnflow_point_micro():

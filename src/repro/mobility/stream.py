@@ -11,9 +11,9 @@ streaming counterpart:
   merge a :class:`~repro.mobility.trace.Trace` memoizes, with the run's
   packet births, probes and fault edges interleaved;
 * ``CampusMobilityModel.stream_visits`` / ``BusMobilityModel.stream_visits``
-  (defined in :mod:`repro.mobility.synthetic`) produce such streams from
-  per-node generators merged with ``heapq.merge`` — O(nodes) memory
-  instead of O(records);
+  (defined in :mod:`repro.mobility.synthetic`) produce such streams one
+  simulated day at a time, every node's records of a day sorted together
+  — one day of records in memory instead of the whole trace;
 * :func:`landmark_partition`, which assigns landmarks (subareas) to the
   shards of the sharded kernel (:mod:`repro.eval.sharded`).
 """

@@ -28,10 +28,10 @@ order-2/3, as the paper observes in Fig. 6(a).
 
 from __future__ import annotations
 
-import heapq
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -66,6 +66,9 @@ _LOG_DWELL_MEDIAN = np.log(hours(1.0))
 _DWELL_SIGMA = 0.5
 _MAX_DWELL = hours(4)
 _MIN_TRAVEL, _MAX_TRAVEL = 4 * 60, 18 * 60
+#: the earliest a campus day starts: the first visit of an active day
+#: (a stay-home day starts later, at 9 h)
+_DAY_START = hours(7.5)
 
 
 def choice_cdf(weights: np.ndarray) -> List[float]:
@@ -79,6 +82,39 @@ def choice_cdf(weights: np.ndarray) -> List[float]:
     cdf = weights.cumsum()
     cdf /= cdf[-1]
     return cdf.tolist()
+
+
+def _merge_days(
+    model: str, days: int, day_start: float, day_records: Callable[[int], List[VisitRecord]]
+) -> Iterator[VisitRecord]:
+    """All nodes' records in time order, merged one simulated day at a time.
+
+    ``day_records(d)`` returns every node's day-``d`` records, none starting
+    before ``d * SECONDS_PER_DAY + day_start``.  Each day's records are
+    sorted with those carried from earlier days; the ones that start before
+    day ``d + 1`` can begin are final, the rest carry over.  So one
+    simulated day of records is held, and a record that starts before its
+    own day can begin raises ValueError instead of coming out of order.
+    """
+
+    def batches() -> Iterator[List[VisitRecord]]:
+        carry: List[VisitRecord] = []
+        for day in range(days):
+            batch = day_records(day) + carry
+            batch.sort()
+            if batch and batch[0].start < day * SECONDS_PER_DAY + day_start:
+                raise ValueError(
+                    f"{model} node {batch[0].node}: a day-{day} record starts at "
+                    f"{batch[0].start!r}, before day {day} can begin"
+                )
+            cut = bisect_left(batch, ((day + 1) * SECONDS_PER_DAY + day_start,))
+            carry = batch[cut:]
+            del batch[cut:]
+            yield batch
+            del batch  # consumed: free it before the next day is drawn
+        yield carry
+
+    return chain.from_iterable(batches())
 
 
 @dataclass
@@ -267,7 +303,7 @@ class CampusMobilityModel:
             ]
         lognormal, uniform = rng.lognormal, rng.uniform
         records: List[VisitRecord] = []
-        t = day * SECONDS_PER_DAY + hours(7.5) + uniform(0, hours(1.5))
+        t = day * SECONDS_PER_DAY + _DAY_START + uniform(0, hours(1.5))
         for lm in self._day_sequence(node, rng):
             dwell = min(lognormal(_LOG_DWELL_MEDIAN, _DWELL_SIGMA), _MAX_DWELL)
             records.append(VisitRecord(t, t + dwell, node, int(lm)))
@@ -285,44 +321,31 @@ class CampusMobilityModel:
         return sorted(records)
 
     # -- streaming generation -------------------------------------------------------
-    def _node_visit_stream(self, node: int) -> Iterator[VisitRecord]:
-        """One node's records as a nondecreasing generator.
-
-        Each node draws from its own RNG stream (``SeedSequence(seed,
-        spawn_key=(node,))`` — the spawned child sequence of the model
-        seed), so nodes can be generated independently and lazily.  A busy
-        day can spill past midnight, so records are held in a small heap
-        and released only once no later day can start before them (day
-        ``d+1`` never starts before ``(d+1) * 86400 + 7.5 h``).
-        """
-        rng = np.random.default_rng(
-            np.random.SeedSequence(self.seed, spawn_key=(node,))
-        )
-        pending: List[VisitRecord] = []
-        for day in range(self.config.days):
-            for rec in self._node_day_records(node, day, rng):
-                heapq.heappush(pending, rec)
-            horizon = (day + 1) * SECONDS_PER_DAY + hours(7.5)
-            while pending and pending[0].start < horizon:
-                yield heapq.heappop(pending)
-        while pending:
-            yield heapq.heappop(pending)
-
     def stream_visits(self) -> Iterator[VisitRecord]:
         """Clean visit records as one time-ordered generator.
 
-        Streaming counterpart of :meth:`generate_visits`: per-node record
-        generators merged with ``heapq.merge``, holding O(nodes) records in
-        memory instead of the whole trace.  Uses per-node spawned RNG
-        streams, so the records differ from the single-RNG
-        :meth:`generate_visits` draw order — same distribution, different
-        sample; committed baselines built on ``generate_visits`` are
-        untouched.  Deterministic in the model seed: same seed, same
+        Streaming counterpart of :meth:`generate_visits`, holding one
+        simulated day of records instead of the whole trace
+        (:func:`_merge_days`).  Each node draws from its own RNG stream
+        (``SeedSequence(seed, spawn_key=(node,))``, the spawned child
+        sequence of the model seed), so the records differ from the
+        single-RNG :meth:`generate_visits` draw order — same distribution,
+        different sample; committed baselines built on ``generate_visits``
+        are untouched.  Deterministic in the model seed: same seed, same
         sequence, whether consumed lazily or materialized.
         """
-        return heapq.merge(
-            *(self._node_visit_stream(n) for n in range(self.config.n_nodes))
-        )
+        rngs = [
+            np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=(node,)))
+            for node in range(self.config.n_nodes)
+        ]
+
+        def day_records(day: int) -> List[VisitRecord]:
+            batch: List[VisitRecord] = []
+            for node, rng in enumerate(rngs):
+                batch += self._node_day_records(node, day, rng)
+            return batch
+
+        return _merge_days("campus", self.config.days, _DAY_START, day_records)
 
     def trace_stream(self, name: str = "campus-stream") -> TraceStream:
         """The streamed visits as a re-iterable :class:`TraceStream`."""
@@ -595,43 +618,37 @@ class BusMobilityModel:
         return sorted(out, key=lambda s: (s.start, s.node))
 
     # -- streaming generation -------------------------------------------------------
-    def _bus_visit_stream(self, bus: int) -> Iterator[VisitRecord]:
-        """One bus's *clean* stop visits as a nondecreasing generator.
-
-        The :meth:`_bus_stays` motion without the radio-log defects of
-        :meth:`generate_sightings` — the mobility ground truth the
-        preprocessing pipeline tries to recover — driven by the bus's own
-        spawned RNG stream so buses generate independently.  A breakdown
-        or garage stay can spill past the service day, so records are
-        released through a small heap once no later day can precede them.
-        """
-        rng = np.random.default_rng(
-            np.random.SeedSequence(self.seed, spawn_key=(bus,))
-        )
-        service_start = hours(self.config.service_start_hour)
-        pending: List[VisitRecord] = []
-        today = 0
-        for day, start, end, lm, _ in self._bus_stays(bus, rng):
-            if day != today:
-                # no stay of this day or a later one starts before it began
-                horizon = day * SECONDS_PER_DAY + service_start
-                while pending and pending[0].start < horizon:
-                    yield heapq.heappop(pending)
-                today = day
-            heapq.heappush(pending, VisitRecord(start, end, bus, lm))
-        while pending:
-            yield heapq.heappop(pending)
-
     def stream_visits(self) -> Iterator[VisitRecord]:
         """Clean stop-level visits for the whole fleet, time-ordered.
 
-        Per-bus generators merged with ``heapq.merge`` — the streaming
-        counterpart of the ``generate_sightings`` -> preprocessing path,
-        minus the log defects.  Deterministic in the model seed and
-        independent of ``generate_sightings``'s RNG consumption.
+        The :meth:`_bus_stays` motion minus the radio-log defects of
+        :meth:`generate_sightings` — the ground truth preprocessing tries
+        to recover — merged one day at a time (:func:`_merge_days`), each
+        bus read up to its first stay of the next day.  Each bus draws
+        from its own spawned RNG stream, so the stream is deterministic in
+        the model seed and independent of ``generate_sightings``.
         """
-        return heapq.merge(
-            *(self._bus_visit_stream(b) for b in range(self.config.n_buses))
+        fleet = [
+            self._bus_stays(
+                bus, np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=(bus,)))
+            )
+            for bus in range(self.config.n_buses)
+        ]
+        # each bus's first stay not yet in a batch
+        heads = [next(stays, None) for stays in fleet]
+
+        def day_records(day: int) -> List[VisitRecord]:
+            batch: List[VisitRecord] = []
+            for bus, stays in enumerate(fleet):
+                stay = heads[bus]
+                while stay is not None and stay[0] == day:
+                    batch.append(VisitRecord(stay[1], stay[2], bus, stay[3]))
+                    stay = next(stays, None)
+                heads[bus] = stay
+            return batch
+
+        return _merge_days(
+            "bus", self.config.days, hours(self.config.service_start_hour), day_records
         )
 
     def trace_stream(self, name: str = "bus-stream") -> TraceStream:

@@ -233,8 +233,21 @@ def _ingest_degradation(
     """Ingest degradation curves (``DegradationCurves.as_dict``).
 
     A point's identity is its trace, protocol, intensity and fault seed,
-    plus the baseline config when the report carries one.
+    plus the baseline config when the report carries one.  Every point is
+    checked before anything is written.
     """
+    by_protocol = curves.get("curves") or {}
+    if not isinstance(by_protocol, Mapping):
+        raise ValueError("degradation 'curves' must map each protocol to its points")
+    for protocol, points in by_protocol.items():
+        if not isinstance(points, list):
+            raise ValueError(f"degradation curve {protocol!r} is not a list of points")
+        for i, p in enumerate(points):
+            intensity = p.get("intensity") if isinstance(p, Mapping) else None
+            if isinstance(intensity, bool) or not isinstance(intensity, (int, float)):
+                raise ValueError(
+                    f"degradation curve {protocol!r}, point {i}: no numeric 'intensity'"
+                )
     trace = str(curves.get("trace", ""))
     fault_seed = curves.get("fault_seed", 0)
     run_id = db.record_run(
@@ -247,13 +260,13 @@ def _ingest_degradation(
         },
     )
     stats = IngestStats(runs=1)
-    for protocol, points in sorted((curves.get("curves") or {}).items()):
+    for protocol, points in sorted(by_protocol.items()):
         for p in points:
             identity: Dict[str, Any] = {
                 "kind": "degradation",
                 "trace": trace,
                 "protocol": protocol,
-                "intensity": p.get("intensity"),
+                "intensity": p["intensity"],
                 "fault_seed": fault_seed,
             }
             if config is not None:
@@ -269,7 +282,7 @@ def _ingest_degradation(
                 protocol=str(protocol),
                 trace=trace,
                 sweep_parameter="intensity",
-                sweep_value=float(identity.get("intensity", 0.0)),
+                sweep_value=float(p["intensity"]),
             )
             stats.count(new)
     return stats

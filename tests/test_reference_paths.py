@@ -2,16 +2,20 @@
 
 The engine keeps station connection lists sorted as nodes come and go,
 skips the expiry scan while the heap's earliest deadline is ahead, PGR
-walks its predicted route straight off the order-1 counts, and PER's
-reachability DP reads ``(landmark, p)`` row tuples.  Each test keeps the
-replaced form as a reference and requires identical results, so a later
-change to either side cannot drift silently.
+walks its predicted route straight off the order-1 counts, PER's
+reachability DP reads ``(landmark, p)`` row tuples, and the synthetic
+models stream their visits through a per-day sort instead of a heap
+merge of per-node generators.  Each test keeps the replaced form as a
+reference and requires identical results, so a later change to either
+side cannot drift silently.
 """
 
 from __future__ import annotations
 
+import heapq
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -19,6 +23,13 @@ from repro.baselines import make_protocol
 from repro.baselines.per import MAX_STEPS, STEP_QUANTUM, PERProtocol
 from repro.baselines.pgr import HORIZON, PGRProtocol
 from repro.core.predictor import MarkovPredictor
+from repro.mobility.synthetic import (
+    BusConfig,
+    BusMobilityModel,
+    CampusConfig,
+    CampusMobilityModel,
+)
+from repro.mobility.trace import SECONDS_PER_DAY, VisitRecord, hours
 from repro.obs import Observability, event_types as ev
 from repro.sim.checkpoint import SerialCheckpointer, SimulatedCrash
 from repro.sim.engine import Simulation
@@ -284,3 +295,173 @@ class TestPERDP:
                 ref._dp_state.clear()
                 assert per._dp_state == {} and per._reach == {} and per._rev == {}
                 assert all(m._norm == {} for m in per._models.values())
+
+
+# -- day-merged synthetic streams --------------------------------------------------
+
+
+def _node_rng(model, node):
+    return np.random.default_rng(np.random.SeedSequence(model.seed, spawn_key=(node,)))
+
+
+def _released(days, horizon):
+    """Release ``(day, record)`` pairs through a heap once no later day
+    can start before them: ``horizon(d)`` is the earliest day ``d`` starts."""
+    pending = []
+    today = 0
+    for day, rec in days:
+        if day != today:
+            while pending and pending[0].start < horizon(day):
+                yield heapq.heappop(pending)
+            today = day
+        heapq.heappush(pending, rec)
+    while pending:
+        yield heapq.heappop(pending)
+
+
+def _heap_campus_stream(model):
+    """Every node's records as its own heap-released generator, merged
+    with ``heapq.merge``: the campus stream before the day merge."""
+
+    def node_stream(node):
+        rng = _node_rng(model, node)
+        days = (
+            (day, rec)
+            for day in range(model.config.days)
+            for rec in model._node_day_records(node, day, rng)
+        )
+        return _released(days, lambda d: d * SECONDS_PER_DAY + hours(7.5))
+
+    return heapq.merge(*(node_stream(n) for n in range(model.config.n_nodes)))
+
+
+def _heap_bus_stream(model):
+    """The bus stream before the day merge, built the same way."""
+    service_start = hours(model.config.service_start_hour)
+
+    def bus_stream(bus):
+        days = (
+            (day, VisitRecord(start, end, bus, lm))
+            for day, start, end, lm, _ in model._bus_stays(bus, _node_rng(model, bus))
+        )
+        return _released(days, lambda d: d * SECONDS_PER_DAY + service_start)
+
+    return heapq.merge(*(bus_stream(b) for b in range(model.config.n_buses)))
+
+
+def _spills(records, day_start):
+    """How many ``(day, record)`` pairs start once day ``day + 1`` can
+    begin: the records a day's batch carries into the next."""
+    return sum(
+        rec.start >= (day + 1) * SECONDS_PER_DAY + day_start for day, rec in records
+    )
+
+
+#: campus days from calm to busy: a routine of 30 or more steps often
+#: runs past the next morning
+_CAMPUS = st.builds(
+    CampusConfig,
+    n_nodes=st.integers(1, 6),
+    days=st.integers(1, 5),
+    routine_length=st.integers(2, 45),
+    holidays=st.sampled_from([(), ((1, 2),)]),
+    weekend_activity=st.floats(0.0, 1.0),
+    holiday_activity=st.floats(0.0, 1.0),
+)
+#: buses that break down and visit the garage most days, with long stops
+#: and stalls, and service windows from minutes (days with no stay at all)
+#: to over a day (stays that start after the next day's service does)
+_BUS = st.builds(
+    lambda start, window, **kw: BusConfig(
+        n_stops=8, n_routes=3, service_start_hour=start, service_end_hour=start + window, **kw
+    ),
+    start=st.floats(0.0, 8.0),
+    window=st.floats(0.05, 30.0),
+    n_buses=st.integers(1, 6),
+    days=st.integers(1, 5),
+    garage_prob=st.floats(0.5, 1.0),
+    breakdown_prob=st.floats(0.5, 1.0),
+    shared_garage=st.booleans(),
+    dwell_range=st.sampled_from([(120.0, 420.0), (1800.0, 3600.0)]),
+    travel_range=st.sampled_from([(420.0, 1200.0), (1800.0, 5400.0)]),
+    breakdown_stay_range=st.sampled_from([(hours(4), hours(9)), (hours(10), hours(30))]),
+)
+
+
+class TestDayMerge:
+    @settings(max_examples=60, deadline=None)
+    @given(config=_CAMPUS, seed=st.integers(0, 2**16))
+    def test_campus_stream_equals_the_heap_merge(self, config, seed):
+        model = CampusMobilityModel(config, seed=seed)
+        assert list(model.stream_visits()) == list(_heap_campus_stream(model))
+
+    @settings(max_examples=60, deadline=None)
+    @given(config=_BUS, seed=st.integers(0, 2**16))
+    def test_bus_stream_equals_the_heap_merge(self, config, seed):
+        model = BusMobilityModel(config, seed=seed)
+        assert list(model.stream_visits()) == list(_heap_bus_stream(model))
+
+    def test_spilled_records_come_out_in_order(self):
+        """Configs whose days spill into the next one, pinned so the
+        carried records are exercised whatever hypothesis draws."""
+        campus = CampusMobilityModel(
+            CampusConfig(n_nodes=4, days=4, holidays=(), routine_length=30), seed=0
+        )
+        rngs = [_node_rng(campus, node) for node in range(4)]
+        campus_days = [
+            (day, rec)
+            for day in range(4)
+            for node, rng in enumerate(rngs)
+            for rec in campus._node_day_records(node, day, rng)
+        ]
+        assert _spills(campus_days, hours(7.5)) > 0
+        assert list(campus.stream_visits()) == list(_heap_campus_stream(campus))
+
+        config = BusConfig(
+            n_buses=16, n_stops=8, n_routes=3, days=10, garage_prob=1.0,
+            breakdown_prob=1.0, service_start_hour=0.0, service_end_hour=23.9,
+            dwell_range=(1800.0, 3600.0), travel_range=(1800.0, 5400.0),
+        )
+        bus = BusMobilityModel(config, seed=0)
+        bus_days = [
+            (day, VisitRecord(start, end, b, lm))
+            for b in range(16)
+            for day, start, end, lm, _ in bus._bus_stays(b, _node_rng(bus, b))
+        ]
+        assert _spills(bus_days, 0.0) > 0
+        assert list(bus.stream_visits()) == list(_heap_bus_stream(bus))
+
+
+class _EarlyCampus(CampusMobilityModel):
+    """Node 1's day-2 visits start at 01:00, before any day can begin."""
+
+    def _node_day_records(self, node, day, rng):
+        records = super()._node_day_records(node, day, rng)
+        if (node, day) == (1, 2):
+            shift = day * SECONDS_PER_DAY + hours(1) - records[0].start
+            records = [
+                VisitRecord(start + shift, end + shift, n, lm) for start, end, n, lm in records
+            ]
+        return records
+
+
+class _EarlyBus(BusMobilityModel):
+    """Bus 0's day-1 stays start 7 h early, before day 1's service does."""
+
+    def _bus_stays(self, bus, rng):
+        for day, start, end, lm, nxt in super()._bus_stays(bus, rng):
+            if (bus, day) == (0, 1):
+                start, end = start - hours(7), end - hours(7)
+            yield day, start, end, lm, nxt
+
+
+class TestDayMergeOrderCheck:
+    def test_campus_record_before_its_day_raises(self):
+        model = _EarlyCampus(CampusConfig(n_nodes=3, days=4, holidays=()), seed=1)
+        with pytest.raises(ValueError, match="campus node 1: a day-2 record"):
+            list(model.stream_visits())
+
+    def test_bus_record_before_its_day_raises(self):
+        model = _EarlyBus(BusConfig(n_buses=2, n_stops=8, n_routes=3, days=3), seed=1)
+        with pytest.raises(ValueError, match="bus node 0: a day-1 record"):
+            list(model.stream_visits())

@@ -499,6 +499,18 @@ class TestStoreCLI:
             ["db", "ingest", str(bad), "--db", db_path], capsys)
         assert rc == 2 and "no ingestible" in err
 
+    def test_degradation_point_without_intensity_writes_nothing(self, tmp_path, capsys):
+        db_path = str(tmp_path / "x.sqlite")
+        bad = tmp_path / "curves.json"
+        bad.write_text(json.dumps(
+            {"degradation": {"trace": "t", "curves": {"X": [{"success_rate": 0.5}]}}}
+        ))
+        rc, _, err = self._run(["db", "ingest", str(bad), "--db", db_path], capsys)
+        assert rc == 2
+        assert err.count("\n") == 1 and "'X'" in err and "'intensity'" in err
+        with ExperimentDB(db_path) as db:
+            assert db.runs() == [] and point_rows(db_path) == []
+
     def test_baseline_verbs_and_regress_exit_codes(self, tmp_path, capsys):
         db_path = str(tmp_path / "x.sqlite")
         self._seed_store(db_path)

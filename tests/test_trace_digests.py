@@ -45,6 +45,16 @@ PROFILE_DIGESTS = {
     ("DNET", 2): "1b3a29b999922ff773b2f43b9a37d95a9ac54d70c70f42a1341f8d3437d9e3b9",
 }
 CAMPUS_STREAM_DIGEST = "11ba8e1274784a95f9c48671356ff225efdec5fefc285d2542f3dfc03aa6fa51"
+#: the ``campus-stream`` benchmark's map (``bench/workloads.py``), written
+#: out here: 500 nodes over 50 landmarks for 5 days, about 16k records
+BENCH_CAMPUS = CampusConfig(
+    n_nodes=500, n_departments=10, buildings_per_department=3, n_dorms=12,
+    n_dining=4, n_misc=3, days=5, holidays=(),
+)
+BENCH_CAMPUS_STREAM_DIGESTS = {
+    1: "8dc0aa539e3494a5a63e6e5b13f43d2dd358f5c8f93c874505af8491c9460ffb",
+    2: "292618fefd43be1e14a46c45f50c64b24fbb38914de593bde165f249faefb33a",
+}
 BUS_STREAM_DIGEST = "2581287dd6c3dd6fd39efc0aa4e0ff0feedcbb765b9ffc2eca46e3658ebabc7f"
 
 #: bus configs the DNET profile never draws: the Table VI dead-end trace's
@@ -95,6 +105,12 @@ def test_profile_trace_digest(name, seed):
 def test_campus_stream_digest():
     model = CampusMobilityModel(CampusConfig(n_nodes=30, days=4), seed=3)
     assert digest(model.trace_stream().materialize()) == CAMPUS_STREAM_DIGEST
+
+
+@pytest.mark.parametrize("seed", sorted(BENCH_CAMPUS_STREAM_DIGESTS))
+def test_bench_campus_stream_digest(seed):
+    model = CampusMobilityModel(BENCH_CAMPUS, seed=seed)
+    assert digest(model.trace_stream().materialize()) == BENCH_CAMPUS_STREAM_DIGESTS[seed]
 
 
 def test_bus_stream_digest():
