@@ -194,7 +194,6 @@ def main() -> int:
         [
             sys.executable, "-m", "repro", "db", "regress",
             "--db", DB, "--baseline-file", BASELINE,
-            "--abs", "0", "--rel", "0", "--fail-on-missing",
             "--out", "serve-regress-verdict.json",
         ],
         env=_ENV,

@@ -73,16 +73,14 @@ from repro.store import (
     ExperimentDB,
     IngestStats,
     PointFilter,
-    Tolerance,
     baseline_snapshot,
     default_db_path,
     ingest_experiment_results,
     ingest_payload,
     ingest_profile,
     ingest_scenario_result,
-    latest_per_point,
-    query_points,
     regress,
+    select_points,
     snapshot_rows,
     write_report,
 )
@@ -336,7 +334,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             }
             for protocol, cis in confidence.items()
         ]
-        # the CI rows carry half-widths, which db regress widens its bands by
+        # the CI rows carry half-widths, which db query shows
         _maybe_record(args, ingest_payload, json_rows, label=f"compare:{trace}")
     else:
         rows = [
@@ -1028,16 +1026,10 @@ def _cli_point_filter(args: argparse.Namespace) -> PointFilter:
 
 def cmd_db_query(args: argparse.Namespace) -> int:
     with ExperimentDB(_store_path(args)) as db:
-        flt = _cli_point_filter(args)
-        rows = (
-            latest_per_point(db, filter=flt)
-            if args.latest
-            else query_points(db, filter=flt, metric=args.metric)
+        rows = select_points(
+            db, filter=_cli_point_filter(args), metric=args.metric,
+            latest=args.latest, limit=args.limit,
         )
-    if args.latest and args.metric:
-        rows = [r for r in rows if args.metric in r.metrics]
-    if args.limit:
-        rows = rows[-args.limit:]
     if args.json:
         print(json.dumps([r.as_dict() for r in rows], indent=2, sort_keys=True))
         return 0
@@ -1095,20 +1087,13 @@ def cmd_db_baseline(args: argparse.Namespace) -> int:
 
 
 def cmd_db_regress(args: argparse.Namespace) -> int:
-    uniform = None
-    if args.abs is not None or args.rel is not None:
-        uniform = Tolerance(abs_tol=args.abs or 0.0, rel_tol=args.rel or 0.0)
+    try:
+        name, rows = snapshot_rows(_load_json_arg(args.baseline_file))
+    except ValueError as exc:
+        print(f"{args.baseline_file}: {exc}", file=sys.stderr)
+        return 2
     with ExperimentDB(_store_path(args)) as db:
-        try:
-            name, rows = snapshot_rows(_load_json_arg(args.baseline_file))
-            verdict = regress(
-                db, rows, baseline_name=name,
-                filter=_cli_point_filter(args), uniform=uniform,
-                fail_on_missing=args.fail_on_missing,
-            )
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
+        verdict = regress(db, rows, baseline_name=name)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(verdict.to_json())
@@ -1178,6 +1163,12 @@ def build_parser() -> argparse.ArgumentParser:
         n = int(value)
         if n <= 0:
             raise argparse.ArgumentTypeError(f"must be positive, got {n}")
+        return n
+
+    def non_negative_int(value: str) -> int:
+        n = int(value)
+        if n < 0:
+            raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
         return n
 
     def add_common(p: argparse.ArgumentParser) -> None:
@@ -1459,7 +1450,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="The persistent experiment store: a SQLite warehouse of "
                     "recorded results keyed by the content hash of each "
                     "fully-resolved scenario, with baseline snapshot files "
-                    "and a tolerance-band regression gate (see "
+                    "and an exact-equality regression gate (see "
                     "docs/storage.md).",
     )
     dbsub = p.add_subparsers(dest="db_command", required=True)
@@ -1493,8 +1484,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="show (and require) this metric")
     q.add_argument("--latest", action="store_true",
                    help="only the most recent result per resolved point")
-    q.add_argument("--limit", type=int, default=0,
-                   help="show only the most recent N rows")
+    q.add_argument("--limit", type=non_negative_int, default=0,
+                   help="show only the most recent N rows (0: all)")
     q.add_argument("--json", action="store_true",
                    help="print the rows as JSON")
     q.set_defaults(func=cmd_db_query)
@@ -1518,22 +1509,15 @@ def build_parser() -> argparse.ArgumentParser:
     q = dbsub.add_parser(
         "regress",
         help="gate latest results against a baseline snapshot (exit 1 on FAIL)",
+        description="FAIL unless every (point, metric) row of the baseline "
+                    "snapshot has a latest recording in the store with an "
+                    "identical value.",
         allow_abbrev=False,
     )
     add_db_path(q)
-    add_db_filters(q)
     q.add_argument("--baseline-file", required=True, metavar="FILE",
                    help="baseline JSON snapshot to gate against "
                         "(repro db baseline NAME --out FILE)")
-    q.add_argument("--abs", type=float, default=None,
-                   help="uniform absolute tolerance (replaces the per-metric "
-                        "defaults)")
-    q.add_argument("--rel", type=float, default=None,
-                   help="uniform relative tolerance (replaces the per-metric "
-                        "defaults)")
-    q.add_argument("--fail-on-missing", action="store_true",
-                   help="FAIL when a baseline point has no candidate "
-                        "recording")
     q.add_argument("--out", default=None, metavar="FILE",
                    help="write the machine-readable verdict JSON to FILE")
     q.add_argument("--json", action="store_true",

@@ -136,8 +136,6 @@ class CampusConfig:
     holidays: Sequence[Tuple[int, int]] = ((18, 21),)
     weekend_activity: float = 0.45
     holiday_activity: float = 0.08
-    #: mean number of daytime movements on a full-activity weekday
-    visits_per_day: float = 7.0
     #: probability a routine step is replaced by a random excursion
     deviation_prob: float = 0.08
     #: fraction of excursions that go to a uniformly random landmark (rather
@@ -674,7 +672,6 @@ class DeploymentConfig:
     #: which department building each student belongs to; the paper's
     #: students came from four departments, most from two of them
     node_department: Sequence[int] = (1, 1, 1, 2, 2, 2, 3, 4, 2)
-    visits_per_day: float = 8.0
     deviation_prob: float = 0.15
 
     LIBRARY: int = 0
@@ -727,7 +724,7 @@ class CampusDeploymentModel:
 _CAMPUS_PRESETS: Dict[str, CampusConfig] = {
     "tiny": CampusConfig(
         n_nodes=16, n_departments=3, buildings_per_department=1, n_dorms=3,
-        n_dining=1, n_misc=1, days=14, holidays=((8, 9),), visits_per_day=6.0,
+        n_dining=1, n_misc=1, days=14, holidays=((8, 9),),
     ),
     "small": CampusConfig(),
     "medium": CampusConfig(

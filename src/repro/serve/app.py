@@ -18,7 +18,7 @@ API (all under ``/v1`` unless noted)::
     DELETE /v1/jobs/<id>         cancel (running -> checkpointed partial)
     GET    /v1/jobs/<id>/events  SSE stream (?after=N resumes past id N)
     GET    /v1/db/query          stored points (repro db query --json)
-    GET    /v1/db/regress        tolerance-gate verdict vs a snapshot file
+    GET    /v1/db/regress        exact-equality verdict vs a snapshot file
     GET    /v1/db/report         fig11-14 trend report (JSON)
     POST   /v1/replay            SSE wall-clock replay of one point
 
@@ -40,10 +40,8 @@ from repro.serve.sse import sse_frame
 from repro.store import (
     ExperimentDB,
     PointFilter,
-    Tolerance,
-    latest_per_point,
-    query_points,
     regress,
+    select_points,
     snapshot_rows,
     write_report,
 )
@@ -246,29 +244,19 @@ class _Handler(BaseHTTPRequestHandler):
             raise ValueError("this server has no experiment store (start with --db)")
         return ExperimentDB(self.server.db_path)
 
-    def _db_filter(self, params: Dict[str, Any]) -> PointFilter:
-        return PointFilter(
+    def _db_query(self, params: Dict[str, Any]) -> None:
+        flt = PointFilter(
             protocol=_first(params, "protocol"),
             trace=_first(params, "trace"),
             scenario_hash=_first(params, "hash"),
             kind=_first(params, "kind"),
         )
-
-    def _db_query(self, params: Dict[str, Any]) -> None:
-        metric = _first(params, "metric")
-        latest = _truthy(_first(params, "latest"))
-        limit = _first(params, "limit")
         with self._db() as db:
-            flt = self._db_filter(params)
-            rows = (
-                latest_per_point(db, filter=flt)
-                if latest
-                else query_points(db, filter=flt, metric=metric)
+            rows = select_points(
+                db, filter=flt, metric=_first(params, "metric"),
+                latest=_truthy(_first(params, "latest")),
+                limit=int(_first(params, "limit") or 0),
             )
-        if latest and metric:
-            rows = [r for r in rows if metric in r.metrics]
-        if limit:
-            rows = rows[-int(limit):]
         self._send_json(200, {"points": [r.as_dict() for r in rows]})
 
     def _db_regress(self, params: Dict[str, Any]) -> None:
@@ -278,25 +266,13 @@ class _Handler(BaseHTTPRequestHandler):
                 "give 'file': the path of a baseline snapshot on the server "
                 "(repro db baseline NAME --out FILE writes one)"
             )
-        abs_tol = _first(params, "abs")
-        rel_tol = _first(params, "rel")
-        uniform = None
-        if abs_tol is not None or rel_tol is not None:
-            uniform = Tolerance(
-                abs_tol=float(abs_tol or 0.0), rel_tol=float(rel_tol or 0.0)
-            )
-        fail_on_missing = _truthy(_first(params, "fail_on_missing"))
         try:
             with open(baseline_file, "r", encoding="utf-8") as fh:
                 name, rows = snapshot_rows(json.load(fh))
         except OSError as exc:
             raise ValueError(f"cannot read baseline file: {exc}") from None
         with self._db() as db:
-            verdict = regress(
-                db, rows, baseline_name=name,
-                filter=self._db_filter(params), uniform=uniform,
-                fail_on_missing=fail_on_missing,
-            )
+            verdict = regress(db, rows, baseline_name=name)
         self._send_json(200, verdict.as_dict())
 
     def _db_report(self) -> None:

@@ -6,7 +6,7 @@ run is a no-op while changed results accumulate as time-ordered history.
 One function writes point rows: :func:`ingest_payload`, which takes the
 exported JSON of every result-producing command (live ``--record`` goes
 through it too).  On top of the warehouse sit query helpers
-(latest-per-point), baseline snapshot files, a tolerance-band regression
+(latest-per-point), baseline snapshot files, an exact-equality regression
 gate, and the fig11-14 trend report.
 """
 
@@ -32,21 +32,17 @@ from repro.store.query import (
     latest_per_point,
     query_points,
     scenario_for_hash,
+    select_points,
 )
 from repro.store.regress import (
-    DEFAULT_TOLERANCES,
-    METRIC_DIRECTIONS,
     RegressionCheck,
     RegressionVerdict,
-    Tolerance,
     compare_points,
     regress,
 )
 from repro.store.report import render_markdown, trend_report, write_report
 
 __all__ = [
-    "DEFAULT_TOLERANCES",
-    "METRIC_DIRECTIONS",
     "ExperimentDB",
     "IngestStats",
     "PointFilter",
@@ -54,7 +50,6 @@ __all__ = [
     "ProfileRow",
     "RegressionCheck",
     "RegressionVerdict",
-    "Tolerance",
     "baseline_snapshot",
     "canonical_json",
     "compare_points",
@@ -68,6 +63,7 @@ __all__ = [
     "latest_per_point",
     "query_points",
     "scenario_for_hash",
+    "select_points",
     "regress",
     "render_markdown",
     "snapshot_rows",

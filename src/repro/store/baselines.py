@@ -67,10 +67,17 @@ def snapshot_rows(snapshot: Mapping[str, Any]) -> Tuple[str, List[Dict[str, Any]
     if not isinstance(rows, list) or not rows:
         raise ValueError("baseline snapshot has no rows")
     for i, row in enumerate(rows):
-        if not isinstance(row, Mapping) or "scenario_hash" not in row or \
-                "metric" not in row or "value" not in row:
-            raise ValueError(
-                f"baseline snapshot row {i} needs scenario_hash/metric/value, "
-                f"got {row!r}"
-            )
+        if not isinstance(row, Mapping):
+            raise ValueError(f"baseline snapshot row {i} is not an object")
+        for key in ("scenario_hash", "metric"):
+            if not isinstance(row.get(key), str) or not row[key]:
+                raise _bad_field(i, row, key, "a non-empty string")
+        value = row.get("value")
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise _bad_field(i, row, "value", "a number")
     return name, [dict(r) for r in rows]
+
+
+def _bad_field(i: int, row: Mapping[str, Any], key: str, want: str) -> ValueError:
+    got = repr(row[key]) if key in row else "nothing"
+    return ValueError(f"baseline snapshot row {i}: {key!r} must be {want}, got {got}")

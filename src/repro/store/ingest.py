@@ -11,7 +11,7 @@ understood:
 * ``repro run/compare --json`` rows — anything whose metrics carry a
   :class:`RunProvenance` with a resolved scenario;
 * ``repro compare --seeds N`` confidence rows (metric means ride in with
-  their CI half-widths, which the regression tolerance bands respect);
+  their CI half-widths, which ``repro db query`` shows);
 * ``repro resilience --out`` reports (``{"degradation", "config"}``);
 * benchmark wall-clock snapshots (``BENCH_sweeps.json``, single snapshot
   or the appended ``history`` form);

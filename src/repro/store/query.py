@@ -3,11 +3,12 @@
 Three access patterns the rest of the harness needs:
 
 * **filtered listing** — :func:`query_points` with any combination of
-  protocol / trace / scenario-hash (prefix) / metric / run-kind filters;
+  protocol / trace / scenario-hash (prefix) / run-kind filters;
 * **latest-per-point resolution** — :func:`latest_per_point`: for every
   distinct resolved scenario, the most recently recorded result (the
   "current truth" a baseline snapshot records and the regression gate
-  compares against one);
+  compares against one); :func:`select_points` combines both the way
+  ``repro db query`` and ``GET /v1/db/query`` list rows;
 * **scenario lookup** — :func:`scenario_for_hash`: the stored resolved
   scenario behind a point hash (``repro serve``'s replay source).
 """
@@ -25,6 +26,7 @@ __all__ = [
     "latest_per_point",
     "query_points",
     "scenario_for_hash",
+    "select_points",
 ]
 
 
@@ -74,14 +76,11 @@ def query_points(
     db: ExperimentDB,
     *,
     filter: Optional[PointFilter] = None,
-    metric: Optional[str] = None,
     **filter_kwargs: Any,
 ) -> List[PointRow]:
     """Stored points matching the filter, oldest first.
 
-    ``metric`` keeps only points that recorded that metric (the metric
-    values themselves always ride along on the returned rows).  Filter
-    fields can be given as keyword arguments instead of a
+    Filter fields can be given as keyword arguments instead of a
     :class:`PointFilter`.
     """
     if filter is None:
@@ -89,10 +88,7 @@ def query_points(
     elif filter_kwargs:
         raise ValueError("give either a PointFilter or keyword filters, not both")
     where, params = filter.where()
-    rows = db._point_rows(where, params)
-    if metric is not None:
-        rows = [r for r in rows if metric in r.metrics]
-    return rows
+    return db._point_rows(where, params)
 
 
 def latest_per_point(
@@ -114,6 +110,28 @@ def latest_per_point(
             order.append(row.scenario_hash)
         latest[row.scenario_hash] = row
     return [latest[h] for h in order]
+
+
+def select_points(
+    db: ExperimentDB,
+    *,
+    filter: Optional[PointFilter] = None,
+    metric: Optional[str] = None,
+    latest: bool = False,
+    limit: int = 0,
+) -> List[PointRow]:
+    """The rows ``repro db query`` and ``GET /v1/db/query`` list.
+
+    The points matching ``filter`` (only each one's latest recording when
+    ``latest``) that recorded ``metric``, oldest first; ``limit`` keeps
+    the most recent N of them (0 keeps all, a negative N is refused).
+    """
+    if limit < 0:
+        raise ValueError(f"limit must be >= 0, got {limit}")
+    rows = (latest_per_point if latest else query_points)(db, filter=filter)
+    if metric is not None:
+        rows = [r for r in rows if metric in r.metrics]
+    return rows[-limit:] if limit else rows
 
 
 def scenario_for_hash(db: ExperimentDB, prefix: str) -> Optional[Dict[str, Any]]:

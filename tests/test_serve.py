@@ -328,6 +328,22 @@ def test_rest_error_and_catalog_surface(server):
         assert "'file'" in str(err.value)
 
 
+def test_db_endpoints_answer_400_on_bad_input(server, tmp_path):
+    srv, client = server
+    with pytest.raises(ServeError) as err:
+        client.db_query(limit=-1)
+    assert err.value.status == 400
+    assert "limit must be >= 0, got -1" in str(err.value)
+    baseline = tmp_path / "bad-baseline.json"
+    baseline.write_text(json.dumps({"baseline": "bad", "rows": [
+        {"scenario_hash": "ab12", "metric": "success_rate", "value": None},
+    ]}))
+    with pytest.raises(ServeError) as err:
+        client.db_regress(file=str(baseline))
+    assert err.value.status == 400
+    assert "row 0: 'value' must be a number, got None" in str(err.value)
+
+
 # ---------------------------------------------------------------------------
 # cancellation and restart recovery
 # ---------------------------------------------------------------------------

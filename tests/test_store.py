@@ -3,24 +3,25 @@
 Covers the warehouse core (schema, WAL, content-hash dedup), every ingest
 shape, the row equality of a live ``--record`` and a ``repro db ingest``
 of the same command's artifact, the query layer, baseline snapshot files
-and the tolerance-band regression gate over them (PASS on unchanged
-reruns, FAIL on injected perturbations, IMPROVED direction, CI widening),
-the trend report, and the ``repro db`` / ``--record`` CLI surface —
+and the exact-equality regression gate over them (PASS on unchanged
+reruns, FAIL on any changed value, down to one ulp, and on any missing
+row), the trend report, and the ``repro db`` / ``--record`` CLI surface —
 including a ``--jobs 4`` sweep recorded in the parent process.
 """
 
 import dataclasses
 import json
+import math
 import sqlite3
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cli import main
 from repro.eval.scenario import ScenarioSpec, run_scenario
 from repro.store import (
     ExperimentDB,
     PointFilter,
-    Tolerance,
     baseline_snapshot,
     compare_points,
     content_hash,
@@ -31,6 +32,7 @@ from repro.store import (
     query_points,
     regress,
     render_markdown,
+    select_points,
     snapshot_rows,
     trend_report,
 )
@@ -175,7 +177,18 @@ class TestQuery:
         scen2 = dict(SCENARIO, seeds=[2])
         record(store, {"suite_seconds": 1.0}, scenario=scen2)
         assert len(query_points(store)) == 2
-        assert len(query_points(store, metric="success_rate")) == 1
+        assert len(select_points(store, metric="success_rate")) == 1
+        assert len(select_points(store, latest=True, metric="success_rate")) == 1
+
+    def test_select_points_limit(self, store):
+        self._populate(store)
+        rows = query_points(store)
+        assert select_points(store) == rows
+        assert select_points(store, limit=2) == rows[-2:]
+        assert select_points(store, limit=5) == rows
+        assert select_points(store, latest=True, metric="nope") == []
+        with pytest.raises(ValueError, match="limit must be >= 0, got -1"):
+            select_points(store, limit=-1)
 
 
 @pytest.fixture(scope="module")
@@ -364,7 +377,7 @@ class TestBaselinesAndRegress:
     def test_perturbation_beyond_tolerance_fails(self, store, tmp_path):
         record(store)
         rows = self.baseline(store, tmp_path)
-        # success_rate tolerance is ±0.02 absolute; -0.15 must FAIL
+        # any changed value FAILs, and only that metric's check
         record(store, dict(METRICS, success_rate=0.65))
         verdict = regress(store, rows)
         assert verdict.verdict == "FAIL"
@@ -372,16 +385,6 @@ class TestBaselinesAndRegress:
         check = verdict.failures[0]
         assert check.baseline == 0.8 and check.candidate == 0.65
         assert "FAIL" in verdict.summary()
-
-    def test_directional_improvement_is_not_failure(self, store, tmp_path):
-        record(store)
-        rows = self.baseline(store, tmp_path)
-        # higher success + lower delay: both beyond band, both improvements
-        record(store, dict(METRICS, success_rate=0.95, avg_delay=1800.0))
-        verdict = regress(store, rows)
-        assert verdict.passed
-        improved = {c.metric for c in verdict.improvements}
-        assert improved == {"success_rate", "avg_delay"}
 
     def test_two_sided_metric_fails_both_ways(self, store, tmp_path):
         record(store)
@@ -391,30 +394,43 @@ class TestBaselinesAndRegress:
             verdict = regress(store, rows)
             assert [c.metric for c in verdict.failures] == ["generated"]
 
-    def test_confidence_intervals_widen_the_band(self, store, tmp_path):
-        record(store, {"success_rate": (0.8, 0.1)})
-        rows = self.baseline(store, tmp_path)
-        assert rows[0]["half_width"] == 0.1
-        record(store, {"success_rate": (0.7, 0.05)})
-        # |delta| = 0.10 <= 0.02 + 0.1 + 0.05: inside overlapping CIs
-        verdict = regress(store, rows)
-        assert verdict.passed
-
-    def test_uniform_tolerance_replaces_defaults(self, store, tmp_path):
-        record(store)
-        rows = self.baseline(store, tmp_path)
-        record(store, dict(METRICS, success_rate=0.75))
-        assert regress(store, rows).verdict == "FAIL"
-        loose = regress(store, rows, uniform=Tolerance(abs_tol=0.2, rel_tol=0.2))
-        assert loose.passed
-
     def test_missing_candidate(self, store, tmp_path):
         record(store)
         rows = self.baseline(store, tmp_path)
-        verdict = compare_points("main", rows, [], fail_on_missing=True)
+        verdict = compare_points("main", rows, [])
         assert verdict.verdict == "FAIL" and len(verdict.missing) == len(METRICS)
-        lenient = compare_points("main", rows, [])
-        assert lenient.passed
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        metrics=st.dictionaries(
+            st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=12),
+            st.integers(-(2**53), 2**53)
+            | st.floats(allow_nan=False, allow_infinity=False),
+            min_size=1, max_size=8,
+        ),
+        data=st.data(),
+    )
+    def test_gate_is_exact(self, metrics, data):
+        """A store passes against its own snapshot, fails with exactly one
+        failed check when one metric moves by one ulp, and fails with every
+        row missing when it does not hold the point."""
+        with ExperimentDB(":memory:") as db:
+            record(db, metrics)
+            snap = json.loads(json.dumps(baseline_snapshot(db, "main")))
+            _, rows = snapshot_rows(snap)
+            assert regress(db, rows).passed
+            metric = data.draw(st.sampled_from(sorted(metrics)), label="metric")
+            value = float(metrics[metric])
+            nudged = math.nextafter(value, -math.inf if value >= 0 else math.inf)
+            record(db, dict(metrics, **{metric: nudged}))
+            verdict = regress(db, rows)
+            assert verdict.verdict == "FAIL" and not verdict.missing
+            assert [c.metric for c in verdict.failures] == [metric]
+        with ExperimentDB(":memory:") as other:
+            record(other, metrics, scenario=dict(SCENARIO, seeds=[2]))
+            verdict = regress(other, rows)
+            assert verdict.verdict == "FAIL" and not verdict.checks
+            assert len(verdict.missing) == len(metrics)
 
     def test_snapshot_export_import_round_trip(self, store, tmp_path):
         # a snapshot written from one store gates another store's rerun
@@ -477,6 +493,12 @@ class TestStoreCLI:
              "success_rate"], capsys)
         rows = json.loads(out)
         assert rc == 0 and rows[0]["metrics"]["success_rate"] == 0.8
+        rc, out, _ = self._run(
+            ["db", "query", "--db", db_path, "--json", "--limit", "1"], capsys)
+        assert rc == 0 and len(json.loads(out)) == 1
+        rc, _, err = self._run(
+            ["db", "query", "--db", db_path, "--limit", "-1"], capsys)
+        assert rc == 2 and "--limit: must be >= 0, got -1" in err
 
     def test_ingest_file_and_errors(self, tmp_path, capsys):
         db_path = str(tmp_path / "x.sqlite")
@@ -545,6 +567,28 @@ class TestStoreCLI:
         # usage errors -> exit 2, the removed named-baseline forms included
         rc, _, err = self._run(["db", "regress", "--db", db_path], capsys)
         assert rc == 2 and "--baseline-file" in err
+        for removed in (["--abs", "0"], ["--rel", "0"], ["--fail-on-missing"],
+                        ["--protocol", "PER"], ["--trace", "DART"]):
+            rc, _, err = self._run(
+                ["db", "regress", "--baseline-file", str(snap), "--db", db_path,
+                 *removed], capsys)
+            assert rc == 2 and "unrecognized arguments" in err, removed
+        # a malformed row is a usage error naming the row and the field
+        for field, value in (("value", None), ("value", [0.8]), ("value", True),
+                             ("value", "abc"), ("metric", ""),
+                             ("scenario_hash", 7), ("value", ...)):
+            bad = json.loads(snap.read_text())
+            bad["rows"][1][field] = value
+            if value is ...:  # the field left out
+                del bad["rows"][1][field]
+            bad_file = tmp_path / "bad.json"
+            bad_file.write_text(json.dumps(bad))
+            rc, out, err = self._run(
+                ["db", "regress", "--baseline-file", str(bad_file),
+                 "--db", db_path], capsys)
+            assert rc == 2 and out == "" and err.count("\n") == 1, err
+            got = "nothing" if value is ... else repr(value)
+            assert f"row 1: {field!r} must be" in err and f"got {got}" in err
         rc, _, err = self._run(
             ["db", "regress", "--baseline", "main", "--db", db_path], capsys)
         assert rc == 2 and "--baseline-file" in err
@@ -558,6 +602,31 @@ class TestStoreCLI:
              "--protocol", "PER", "--db", db_path], capsys)
         assert rc == 2 and "no stored points" in err
         assert not (tmp_path / "e.json").exists()
+
+    def test_regress_fails_on_any_changed_value(self, tmp_path, capsys):
+        """Against a 0.8 baseline a candidate at 0.79 fails, and so does a
+        candidate one ulp off in any single metric; each verdict names
+        only that metric."""
+        db_path = str(tmp_path / "x.sqlite")
+        self._seed_store(db_path)
+        snap = str(tmp_path / "main.json")
+        self._run(["db", "baseline", "main", "--out", snap, "--db", db_path],
+                  capsys)
+        nudges = [("success_rate", 0.79)] + [
+            (metric, math.nextafter(value, math.inf))
+            for metric, value in METRICS.items()
+        ]
+        for metric, value in nudges:
+            with ExperimentDB(db_path) as db:
+                record(db, dict(METRICS, **{metric: value}))
+            rc, out, _ = self._run(
+                ["db", "regress", "--baseline-file", snap, "--db", db_path],
+                capsys)
+            assert rc == 1, (metric, value)
+            lines = out.splitlines()
+            assert lines[0].startswith("FAIL:") and "1 failed" in lines[0]
+            assert len(lines) == 2 and f"] {metric}: " in lines[1], out
+            assert repr(value) in lines[1]
 
     def test_report_cli(self, tmp_path, capsys):
         db_path = str(tmp_path / "x.sqlite")
@@ -622,8 +691,7 @@ class TestStoreCLI:
              "--protocols", "DTN-FLOW", "--record", "--db", db_path], capsys)
         assert rc == 0 and "0 new, 1 already recorded" in err
         rc, out, _ = self._run(
-            ["db", "regress", "--baseline-file", snap, "--db", db_path,
-             "--abs", "0", "--rel", "0", "--fail-on-missing"], capsys)
+            ["db", "regress", "--baseline-file", snap, "--db", db_path], capsys)
         assert rc == 0, out
         assert "0 failed" in out and "0 missing" in out
 
