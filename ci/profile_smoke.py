@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """CI profile smoke: profiler overhead gate + artifact sanity.
 
-Two checks on the CI-scale fig11 manifest (``ci/profile-fig11.json``):
+Three checks on the CI-scale fig11 manifest (``ci/profile-fig11.json``):
 
 1. **Overhead** — the grid run through ``runner.execute`` with every
    point's phases timed on a span recorder must stay within
@@ -11,6 +11,10 @@ Two checks on the CI-scale fig11 manifest (``ci/profile-fig11.json``):
 2. **Accounting** — ``repro profile`` must emit a flamegraph and a span
    tree whose root cumulative seconds match the reported wall-clock
    within 5%.
+3. **Stored form** — ``profile.json`` ingested into a fresh store must
+   make ``repro db report --json`` list exactly one profile family whose
+   ``wall_seconds`` and per-phase ``seconds`` and ``calls`` equal the
+   file's.
 
 Artifacts (``flamegraph.txt``, ``span_tree.json``, ``profile.json``)
 are left in the working directory for upload.
@@ -22,6 +26,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from contextlib import nullcontext
 from time import perf_counter
 
@@ -109,10 +114,52 @@ def check_profile_cli() -> int:
     return failures
 
 
+def check_stored_profile() -> int:
+    with open("profile.json", encoding="utf-8") as fh:
+        payload = json.load(fh)
+    with tempfile.TemporaryDirectory() as tmp:
+        db = os.path.join(tmp, "profile.sqlite")
+        repro = [sys.executable, "-m", "repro", "db"]
+        subprocess.check_call(
+            repro + ["ingest", "profile.json", "--db", db],
+            stdout=subprocess.DEVNULL,
+        )
+        report = json.loads(
+            subprocess.check_output(repro + ["report", "--json", "--db", db])
+        )
+    families = list(report["profiles"].values())
+    if len(families) != 1:
+        print(f"[stored] {len(families)} profile families, expected 1")
+        return 1
+    (fam,) = families
+    stored = (
+        [w["value"] for w in fam["wall_seconds"]],
+        {
+            phase: [{"seconds": r["seconds"], "calls": r["calls"]} for r in series]
+            for phase, series in fam["phases"].items()
+        },
+    )
+    expected = (
+        [payload["wall_seconds"]],
+        {phase: [rec] for phase, rec in payload["phases"].items()},
+    )
+    if stored != expected:
+        print(f"[stored] db report {stored} != payload {expected} -> FAIL")
+        return 1
+    print(
+        f"[stored] one profile family; wall and {len(fam['phases'])} phases' "
+        "seconds and calls equal the payload's -> OK"
+    )
+    return 0
+
+
 def main() -> int:
     spec = load_scenario(SCENARIO).validate()
     failures = check_overhead(spec)
-    failures += check_profile_cli()
+    profile_failures = check_profile_cli()
+    if not profile_failures:
+        profile_failures = check_stored_profile()
+    failures += profile_failures
     print("profile smoke:", "PASS" if not failures else f"{failures} failure(s)")
     return 1 if failures else 0
 

@@ -1025,9 +1025,14 @@ def _cli_point_filter(args: argparse.Namespace) -> PointFilter:
 
 
 def cmd_db_query(args: argparse.Namespace) -> int:
+    try:
+        flt = _cli_point_filter(args)
+    except ValueError as exc:
+        print(f"repro db query: --hash: {exc}", file=sys.stderr)
+        return 2
     with ExperimentDB(_store_path(args)) as db:
         rows = select_points(
-            db, filter=_cli_point_filter(args), metric=args.metric,
+            db, filter=flt, metric=args.metric,
             latest=args.latest, limit=args.limit,
         )
     if args.json:
@@ -1250,7 +1255,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print this packet id's full event journey")
     p.add_argument("--etype", default=None,
                    help="comma-separated event types to list (see docs/observability.md)")
-    p.add_argument("--limit", type=int, default=40,
+    p.add_argument("--limit", type=positive_int, default=40,
                    help="max events listed with --etype (default 40)")
     p.add_argument("--out", default=None, help="export all events to a JSONL file")
     p.add_argument("--capacity", type=positive_int, default=500_000,
@@ -1477,7 +1482,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_db_path(q)
     add_db_filters(q)
     q.add_argument("--hash", default=None,
-                   help="filter by scenario-hash prefix")
+                   help="filter by scenario-hash prefix (lowercase hex)")
     q.add_argument("--kind", default=None,
                    help="filter by run kind (run/compare/sweep/resilience/...)")
     q.add_argument("--metric", default=None,

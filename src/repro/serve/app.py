@@ -95,6 +95,23 @@ def _first(params: Dict[str, Any], key: str) -> Optional[str]:
     return values[0] if values else None
 
 
+def _non_negative_int(params: Dict[str, Any], key: str) -> int:
+    """A non-negative integer query parameter (absent: 0); anything else
+    is a 400 naming the parameter."""
+    raw = _first(params, key)
+    if raw is None:
+        return 0
+    try:
+        value = int(raw)
+    except ValueError:
+        raise ValueError(
+            f"{key} must be a non-negative integer, got {raw!r}"
+        ) from None
+    if value < 0:
+        raise ValueError(f"{key} must be >= 0, got {value}")
+    return value
+
+
 def _truthy(value: Optional[str]) -> bool:
     return (value or "").strip().lower() in ("1", "true", "yes", "on")
 
@@ -229,7 +246,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _stream_job_events(self, job_id: str, params: Dict[str, Any]) -> None:
         job = self.server.manager.get(job_id)
-        after = int(_first(params, "after") or 0)
+        after = _non_negative_int(params, "after")
         self._start_sse()
         try:
             for frame in job.stream.subscribe(after):
@@ -255,7 +272,7 @@ class _Handler(BaseHTTPRequestHandler):
             rows = select_points(
                 db, filter=flt, metric=_first(params, "metric"),
                 latest=_truthy(_first(params, "latest")),
-                limit=int(_first(params, "limit") or 0),
+                limit=_non_negative_int(params, "limit"),
             )
         self._send_json(200, {"points": [r.as_dict() for r in rows]})
 

@@ -65,10 +65,19 @@ class ReplayRequest:
                 f"replay needs a single-point scenario; this one resolves to "
                 f"{spec.n_points()} points"
             )
-        if speed < 0:
-            raise ValueError(f"speed must be >= 0 (0 = unpaced), got {speed}")
-        if limit is not None and limit <= 0:
-            raise ValueError(f"limit must be positive, got {limit}")
+        # a JSON body can carry a bool, a list or NaN here
+        if (
+            isinstance(speed, bool)
+            or not isinstance(speed, (int, float))
+            or not speed >= 0
+        ):
+            raise ValueError(
+                f"speed must be a number >= 0 (0 = unpaced), got {speed!r}"
+            )
+        if limit is not None and (
+            isinstance(limit, bool) or not isinstance(limit, int) or limit <= 0
+        ):
+            raise ValueError(f"limit must be a positive integer, got {limit!r}")
         self.spec = spec
         self.speed = float(speed)
         self.etypes = tuple(etypes) if etypes else DEFAULT_REPLAY_EVENTS
@@ -120,14 +129,12 @@ class ReplayRequest:
             if not isinstance(etypes, (list, tuple)) or not etypes:
                 raise ValueError("'events' must be a non-empty list of event types")
             etypes = tuple(str(e) for e in etypes)
-        limit = payload.get("limit")
-        if limit is not None:
-            limit = int(limit)
+        speed = payload.get("speed")
         return cls(
             spec.validate(),
-            speed=float(payload.get("speed") or 0.0),
+            speed=0.0 if speed is None else speed,
             etypes=etypes,
-            limit=limit,
+            limit=payload.get("limit"),
         )
 
 

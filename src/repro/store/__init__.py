@@ -14,7 +14,6 @@ from repro.store.baselines import baseline_snapshot, snapshot_rows
 from repro.store.db import (
     ExperimentDB,
     PointRow,
-    ProfileRow,
     canonical_json,
     content_hash,
     default_db_path,
@@ -47,7 +46,6 @@ __all__ = [
     "IngestStats",
     "PointFilter",
     "PointRow",
-    "ProfileRow",
     "RegressionCheck",
     "RegressionVerdict",
     "baseline_snapshot",

@@ -16,19 +16,24 @@ a durable home so regressions across PRs are detectable:
   raw material of trend series and regression verdicts;
 * **metrics** — per-point ``(name, value, half_width)`` rows
   (``half_width`` carries a confidence interval when the source had one);
-* **run_metrics** — run-level scalars (benchmark wall-clock timings).
+* **run_metrics** — run-level scalars: a ``bench`` run's wall-clock
+  timings, a ``profile`` run's ``wall_seconds`` and per-phase
+  ``phase.<name>.seconds`` / ``phase.<name>.calls``.
 
 Baselines are committed snapshot files (:mod:`repro.store.baselines`),
 not tables: the ``baselines`` / ``baseline_points`` tables of the first
 schema version stay in every database, unread, so opening an older file
-drops nothing.
+drops nothing.  The ``profiles`` / ``profile_phases`` tables of version 2
+stay the same way; the version 3 migration copies their rows into the
+``profile`` run form.
 
 The database runs in WAL mode (readers never block the writer).  Recording
 happens in the parent process only — parallel sweep workers never touch
 SQLite, so ``--jobs N`` recording cannot contend.
 
 Schema changes are versioned migrations (``PRAGMA user_version``); opening
-an older database upgrades it in place.
+an older database upgrades it in place, and a package older than the
+database's version refuses to open it.
 """
 
 from __future__ import annotations
@@ -48,7 +53,6 @@ __all__ = [
     "DEFAULT_DB_ENV",
     "ExperimentDB",
     "PointRow",
-    "ProfileRow",
     "canonical_json",
     "content_hash",
     "default_db_path",
@@ -182,7 +186,7 @@ _MIGRATIONS: List[Sequence[str]] = [
         )""",
     ),
     # v2: recorded performance profiles (span trees + flamegraphs) and the
-    # per-phase wall-clock rows behind the trend report
+    # per-phase wall-clock rows behind the trend report; unread since v3
     (
         """CREATE TABLE profiles (
             id INTEGER PRIMARY KEY,
@@ -205,6 +209,22 @@ _MIGRATIONS: List[Sequence[str]] = [
             calls INTEGER NOT NULL DEFAULT 0,
             PRIMARY KEY (profile_id, phase)
         )""",
+    ),
+    # v3: a profile is a ``profile`` run with run metrics, like a bench
+    # snapshot; the v2 rows move into that form
+    (
+        "INSERT OR IGNORE INTO run_metrics (run_id, name, value) "
+        "SELECT run_id, 'wall_seconds', wall_seconds FROM profiles",
+        "INSERT OR IGNORE INTO run_metrics (run_id, name, value) "
+        "SELECT p.run_id, 'phase.' || f.phase || '.seconds', f.seconds "
+        "FROM profile_phases f JOIN profiles p ON p.id = f.profile_id",
+        "INSERT OR IGNORE INTO run_metrics (run_id, name, value) "
+        "SELECT p.run_id, 'phase.' || f.phase || '.calls', f.calls "
+        "FROM profile_phases f JOIN profiles p ON p.id = f.profile_id",
+        "UPDATE runs SET extra = json_set(coalesce(extra, '{}'), "
+        "'$.scenario_hash', (SELECT scenario_hash FROM profiles "
+        "WHERE profiles.run_id = runs.id)) "
+        "WHERE id IN (SELECT run_id FROM profiles)",
     ),
 ]
 
@@ -249,35 +269,6 @@ class PointRow:
         if self.half_widths:
             out["half_widths"] = dict(self.half_widths)
         return out
-
-
-@dataclass(frozen=True)
-class ProfileRow:
-    """One stored performance profile with its per-phase seconds."""
-
-    id: int
-    run_id: int
-    recorded_at: str
-    scenario_hash: str
-    label: str
-    hz: Optional[float]
-    n_samples: int
-    wall_seconds: float
-    #: phase -> {"seconds": s, "calls": n}
-    phases: Dict[str, Dict[str, float]] = field(default_factory=dict)
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "id": self.id,
-            "run_id": self.run_id,
-            "recorded_at": self.recorded_at,
-            "scenario_hash": self.scenario_hash,
-            "label": self.label,
-            "hz": self.hz,
-            "n_samples": self.n_samples,
-            "wall_seconds": self.wall_seconds,
-            "phases": {p: dict(rec) for p, rec in self.phases.items()},
-        }
 
 
 #: a metric value: plain number, or (value, half_width) when a CI exists
@@ -441,130 +432,6 @@ class ExperimentDB:
                 [(point_id, k, v, hw) for k, (v, hw) in norm.items()],
             )
         return point_id, True
-
-    @_retry_locked
-    def record_profile(
-        self,
-        run_id: int,
-        *,
-        wall_seconds: float,
-        phases: Mapping[str, Mapping[str, float]],
-        scenario: Optional[Mapping[str, Any]] = None,
-        label: str = "",
-        hz: Optional[float] = None,
-        n_samples: int = 0,
-        span_tree: Optional[Mapping[str, Any]] = None,
-        flamegraph: Optional[Sequence[str]] = None,
-        allocations: Optional[Sequence[Mapping[str, Any]]] = None,
-        recorded_at: Optional[str] = None,
-    ) -> int:
-        """Record one performance profile; returns its id.
-
-        ``phases`` maps phase names to ``{"seconds", "calls"}`` records
-        (the trend-report rows); the span tree, collapsed-stack flamegraph
-        lines and allocation sites ride along as JSON blobs.  The scenario
-        dict is hashed so profiles of the same workload chart as one
-        series.
-        """
-        if not phases:
-            raise ValueError("cannot record a profile with no phases")
-        with self._conn:
-            cur = self._conn.execute(
-                "INSERT INTO profiles (run_id, recorded_at, scenario_hash, "
-                "label, hz, n_samples, wall_seconds, span_tree, flamegraph, "
-                "allocations) VALUES (?,?,?,?,?,?,?,?,?,?)",
-                (
-                    run_id,
-                    recorded_at or _utc_now(),
-                    content_hash(scenario) if scenario is not None else "",
-                    label,
-                    hz,
-                    int(n_samples),
-                    float(wall_seconds),
-                    canonical_json(span_tree) if span_tree is not None else None,
-                    "\n".join(flamegraph) if flamegraph else None,
-                    canonical_json(list(allocations)) if allocations else None,
-                ),
-            )
-            profile_id = int(cur.lastrowid)
-            self._conn.executemany(
-                "INSERT INTO profile_phases (profile_id, phase, seconds, "
-                "calls) VALUES (?,?,?,?)",
-                [
-                    (
-                        profile_id,
-                        str(phase),
-                        float(rec["seconds"]),
-                        int(rec.get("calls", 0)),
-                    )
-                    for phase, rec in phases.items()
-                ],
-            )
-        return profile_id
-
-    def profile_rows(
-        self, scenario_hash: Optional[str] = None, label: Optional[str] = None
-    ) -> List[ProfileRow]:
-        """Stored profiles (optionally filtered), oldest first."""
-        clauses, params = [], []
-        if scenario_hash:
-            clauses.append("scenario_hash = ?")
-            params.append(scenario_hash)
-        if label:
-            clauses.append("label = ?")
-            params.append(label)
-        where = f"WHERE {' AND '.join(clauses)}" if clauses else ""
-        rows = self._conn.execute(
-            "SELECT id, run_id, recorded_at, scenario_hash, label, hz, "
-            f"n_samples, wall_seconds FROM profiles {where} "
-            "ORDER BY recorded_at, id",
-            params,
-        ).fetchall()
-        out: List[ProfileRow] = []
-        for r in rows:
-            phases = {
-                p["phase"]: {"seconds": p["seconds"], "calls": p["calls"]}
-                for p in self._conn.execute(
-                    "SELECT phase, seconds, calls FROM profile_phases "
-                    "WHERE profile_id = ?",
-                    (r["id"],),
-                )
-            }
-            out.append(
-                ProfileRow(
-                    id=r["id"],
-                    run_id=r["run_id"],
-                    recorded_at=r["recorded_at"],
-                    scenario_hash=r["scenario_hash"],
-                    label=r["label"],
-                    hz=r["hz"],
-                    n_samples=r["n_samples"],
-                    wall_seconds=r["wall_seconds"],
-                    phases=phases,
-                )
-            )
-        return out
-
-    def profile_blob(self, profile_id: int) -> Optional[Dict[str, Any]]:
-        """One profile's stored span tree / flamegraph / allocation blobs."""
-        row = self._conn.execute(
-            "SELECT span_tree, flamegraph, allocations FROM profiles "
-            "WHERE id = ?",
-            (profile_id,),
-        ).fetchone()
-        if row is None:
-            return None
-        return {
-            "span_tree": json.loads(row["span_tree"])
-            if row["span_tree"]
-            else None,
-            "flamegraph": row["flamegraph"].splitlines()
-            if row["flamegraph"]
-            else [],
-            "allocations": json.loads(row["allocations"])
-            if row["allocations"]
-            else [],
-        }
 
     @_retry_locked
     def record_run_metrics(self, run_id: int, values: Mapping[str, float]) -> None:

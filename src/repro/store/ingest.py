@@ -15,8 +15,9 @@ understood:
 * ``repro resilience --out`` reports (``{"degradation", "config"}``);
 * benchmark wall-clock snapshots (``BENCH_sweeps.json``, single snapshot
   or the appended ``history`` form);
-* ``repro profile --out`` documents (``kind: "profile"``: span tree,
-  flamegraph, per-phase seconds — the rows behind the per-phase trend).
+* ``repro profile --out`` documents (``kind: "profile"``): a ``profile``
+  run whose run metrics are the wall-clock and per-phase seconds and
+  calls behind the per-phase trend.
 
 Live recording takes the same path: ``--record`` ingests the exported
 form of what the command ran (:func:`ingest_scenario_result` and
@@ -365,59 +366,40 @@ def ingest_profile(
 ) -> IngestStats:
     """Ingest a ``repro profile --out`` document (``kind: "profile"``).
 
-    The whole payload is content-hashed for run-level dedup — re-ingesting
-    the same profile file is a no-op.  Per-phase seconds land in
-    ``profile_phases``, feeding the per-phase trend in ``repro db report``.
+    One ``profile`` run with run metrics ``wall_seconds`` and, per phase,
+    ``phase.<name>.seconds`` / ``phase.<name>.calls`` (the per-phase trend
+    of ``repro db report``); its ``extra`` carries ``recorded_at`` and the
+    profiled scenario's content hash.  The whole payload is content-hashed
+    for run-level dedup — re-ingesting the same profile file is a no-op.
     """
     phases = payload.get("phases")
-    if not isinstance(phases, Mapping) or not phases:
+    values: Dict[str, float] = {}
+    for name, rec in phases.items() if isinstance(phases, Mapping) else ():
+        if isinstance(rec, Mapping):
+            values[f"phase.{name}.seconds"] = float(rec.get("seconds", 0.0))
+            values[f"phase.{name}.calls"] = int(rec.get("calls", 0))
+    if not values:
         raise ValueError("profile payload has no 'phases' to ingest")
     wall = payload.get("wall_seconds")
-    if not isinstance(wall, (int, float)):
+    if isinstance(wall, bool) or not isinstance(wall, (int, float)):
         raise ValueError("profile payload has no numeric 'wall_seconds'")
-    stats = IngestStats()
+    values["wall_seconds"] = float(wall)
+    scenario = payload.get("scenario")
+    scenario_hash = content_hash(scenario) if isinstance(scenario, Mapping) else ""
     # the payload's own label wins: ingest callers default to the file
     # path, which would split one profiled workload into per-file families
-    label = str(payload.get("label") or label or "")
     run_id = db.record_run(
         "profile",
-        label=label,
-        extra={"recorded_at": payload.get("recorded_at")},
+        label=str(payload.get("label") or label or ""),
+        extra={"recorded_at": payload.get("recorded_at"),
+               "scenario_hash": scenario_hash},
         run_hash=content_hash({"profile": payload}),
         created_at=payload.get("recorded_at") or None,
     )
     if run_id is None:
-        return stats
-    stats.runs += 1
-    scenario = payload.get("scenario")
-    db.record_profile(
-        run_id,
-        wall_seconds=float(wall),
-        phases={
-            str(p): {
-                "seconds": float(rec.get("seconds", 0.0)),
-                "calls": int(rec.get("calls", 0)),
-            }
-            for p, rec in phases.items()
-            if isinstance(rec, Mapping)
-        },
-        scenario=scenario if isinstance(scenario, Mapping) else None,
-        label=label,
-        hz=payload.get("hz"),
-        n_samples=int(payload.get("n_samples") or 0),
-        span_tree=payload.get("span_tree")
-        if isinstance(payload.get("span_tree"), Mapping)
-        else None,
-        flamegraph=[
-            str(line) for line in payload.get("flamegraph") or []
-        ],
-        allocations=[
-            a for a in payload.get("allocations") or [] if isinstance(a, Mapping)
-        ],
-        recorded_at=payload.get("recorded_at") or None,
-    )
-    stats.points_new += 1
-    return stats
+        return IngestStats()
+    db.record_run_metrics(run_id, values)
+    return IngestStats(runs=1, points_new=1)
 
 
 # -- generic payload dispatch --------------------------------------------------

@@ -16,6 +16,7 @@ Three access patterns the rest of the harness needs:
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -28,6 +29,17 @@ __all__ = [
     "scenario_for_hash",
     "select_points",
 ]
+
+
+def _hex_prefix(prefix: str) -> str:
+    """``prefix``, refused unless it is non-empty lowercase hex: it goes
+    into a ``LIKE`` pattern, where ``_`` and ``%`` are wildcards."""
+    if not re.fullmatch(r"[0-9a-f]+", prefix):
+        raise ValueError(
+            f"a scenario-hash prefix must be non-empty lowercase hex, "
+            f"got {prefix!r}"
+        )
+    return prefix
 
 
 @dataclass(frozen=True)
@@ -43,6 +55,10 @@ class PointFilter:
     run_id: Optional[int] = None
     sweep_parameter: Optional[str] = None
     seed: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        if self.scenario_hash is not None:
+            _hex_prefix(self.scenario_hash)
 
     def where(self) -> Tuple[str, List[Any]]:
         clauses: List[str] = []
@@ -138,14 +154,27 @@ def scenario_for_hash(db: ExperimentDB, prefix: str) -> Optional[Dict[str, Any]]
     """The stored resolved-scenario dict behind a hash (or hex prefix).
 
     The newest point carrying the scenario wins; ``None`` when no stored
-    point matches (or the matching rows predate scenario stamping).  This
-    is how ``repro serve``'s replay endpoint turns a recorded point back
-    into a live engine run.
+    point matches (or the matching rows predate scenario stamping).  A
+    prefix that is not lowercase hex, or that matches more than one
+    distinct scenario hash, raises ValueError.  This is how
+    ``repro serve``'s replay endpoint turns a recorded point back into a
+    live engine run.
     """
+    pattern = _hex_prefix(prefix) + "%"
+    (matched,) = db._conn.execute(
+        "SELECT COUNT(DISTINCT scenario_hash) FROM points "
+        "WHERE scenario_hash LIKE ?",
+        (pattern,),
+    ).fetchone()
+    if matched > 1:
+        raise ValueError(
+            f"scenario-hash prefix {prefix!r} matches {matched} stored "
+            "scenarios; give more of the hash"
+        )
     cur = db._conn.execute(
         "SELECT scenario FROM points WHERE scenario_hash LIKE ? "
         "AND scenario IS NOT NULL ORDER BY id DESC LIMIT 1",
-        (prefix + "%",),
+        (pattern,),
     )
     row = cur.fetchone()
     if row is None or not row[0]:

@@ -3,8 +3,9 @@
 ``repro db report`` regenerates the paper-figure trajectory from recorded
 history: for every ``(trace, swept parameter)`` family — the Figs. 11-14
 grids — the latest per-protocol success ratio and delay, every point whose
-result *moved* across recordings (the regression trail), and the benchmark
-suite's wall-clock trend.  Output is markdown (human) or JSON (machine).
+result *moved* across recordings (the regression trail), the benchmark
+suite's wall-clock trend, and the per-phase trend of recorded profiles.
+Output is markdown (human) or JSON (machine).
 """
 
 from __future__ import annotations
@@ -119,32 +120,39 @@ def trend_report(db: ExperimentDB) -> Dict[str, Any]:
                 }
             )
 
-    # per-phase wall-clock trend over recorded profiles, grouped by the
-    # profiled workload (scenario hash) — "same metrics, lower
-    # seconds-per-phase" is the gate the upcoming perf PRs aim at
+    # per-phase wall-clock trend over recorded profiles (``profile`` runs),
+    # grouped by the profiled workload (scenario hash) — "same metrics,
+    # lower seconds-per-phase" is the gate the upcoming perf PRs aim at
     profiles: Dict[str, Any] = {}
-    for prow in db.profile_rows():
-        key = prow.scenario_hash or f"label:{prow.label}"
+    for run in db.runs(kind="profile"):
+        values = db.run_metric_rows(run["id"])
+        if "wall_seconds" not in values:  # an ingest that failed midway
+            continue
+        scenario_hash = (run["extra"] or {}).get("scenario_hash") or ""
         fam = profiles.setdefault(
-            key,
+            scenario_hash or f"label:{run['label']}",
             {
-                "label": prow.label or (prow.scenario_hash[:12] or "unlabelled"),
-                "scenario_hash": prow.scenario_hash,
+                "label": run["label"] or (scenario_hash[:12] or "unlabelled"),
+                "scenario_hash": scenario_hash,
                 "recordings": 0,
                 "wall_seconds": [],
                 "phases": {},
             },
         )
+        recorded_at = run["created_at"]
         fam["recordings"] += 1
         fam["wall_seconds"].append(
-            {"recorded_at": prow.recorded_at, "value": prow.wall_seconds}
+            {"recorded_at": recorded_at, "value": values["wall_seconds"]}
         )
-        for phase, rec in prow.phases.items():
+        for name, seconds in values.items():
+            if not (name.startswith("phase.") and name.endswith(".seconds")):
+                continue
+            phase = name[len("phase."):-len(".seconds")]
             fam["phases"].setdefault(phase, []).append(
                 {
-                    "recorded_at": prow.recorded_at,
-                    "seconds": rec["seconds"],
-                    "calls": rec["calls"],
+                    "recorded_at": recorded_at,
+                    "seconds": seconds,
+                    "calls": int(values.get(f"phase.{phase}.calls", 0)),
                 }
             )
 

@@ -181,6 +181,48 @@ class TestCLI:
         scenario = self._json(["compare", "--scenario", manifest], capsys)
         assert _without_timings(flags) == _without_timings(scenario["results"])
 
+    @pytest.fixture
+    def tiny_csv(self, tmp_path, dart_tiny):
+        path = str(tmp_path / "tiny.csv")
+        dump_trace(dart_tiny, path)
+        return path
+
+    def test_stats_json_event_counts_equal_the_summary(self, tiny_csv, capsys):
+        stats = self._json(["stats", "--trace", tiny_csv, "--rate", "20"], capsys)
+        by_type = stats["observability"]["events"]["by_type"]
+        for fate in ("generated", "delivered", "dropped_ttl"):
+            assert stats[fate] > 0
+            assert by_type[fate] == stats[fate]
+        assert stats["phase_timings"]
+
+    def test_trace_exports_events_and_follows_a_delivered_packet(
+        self, tiny_csv, tmp_path, capsys
+    ):
+        out_path = tmp_path / "events.jsonl"
+        argv = ["trace", "--trace", tiny_csv, "--rate", "20"]
+        rc, out = self._run(argv + ["--out", str(out_path)], capsys)
+        assert rc == 0
+        events = [json.loads(line) for line in out_path.read_text().splitlines()]
+        assert f"wrote {len(events)} events to {out_path}" in out
+        packet = next(e["packet"] for e in events if e["event"] == "delivered")
+        rc, out = self._run(argv + ["--packet", str(packet)], capsys)
+        assert rc == 0
+        lines = out.splitlines()
+        dashes = next(i for i, line in enumerate(lines) if line.startswith("---"))
+        rows = [line.split() for line in lines[dashes + 1:lines.index("")]]
+        assert rows[0][1] == "generated" and rows[-1][1] == "delivered"
+        hours = [float(row[0]) for row in rows]
+        assert hours == sorted(hours)
+        assert "delivered after" in out
+
+    def test_trace_of_a_packet_with_no_events_exits_1(self, tiny_csv, capsys):
+        rc, out = self._run(
+            ["trace", "--trace", tiny_csv, "--rate", "20", "--packet", "999999999"],
+            capsys,
+        )
+        assert rc == 1
+        assert "no recorded events for packet 999999999" in out
+
     def test_predict(self, capsys):
         rc, out = self._run(["predict", "--trace", "dnet"], capsys)
         assert rc == 0
@@ -332,6 +374,8 @@ class TestCLIRobustness:
         (["trace", "--trace", "missing.csv"], "missing.csv"),
         (["resilience", "--memory", "-5"], "node_memory_kb"),
         (["resilience", "--rate", "-1"], "rate_per_landmark_per_day"),
+        (["trace", "--limit", "-1"], "--limit"),
+        (["trace", "--limit", "0"], "--limit"),
     ])
     def test_bad_workload_flags_exit_2_before_any_trace_is_built(
         self, argv, expected, tmp_path, monkeypatch, capsys
@@ -345,15 +389,16 @@ class TestCLIRobustness:
         monkeypatch.setattr(TraceSpec, "materialize", no_build)
         monkeypatch.setattr("repro.mobility.io.load_trace", no_build)
         argv = [str(tmp_path / "run") if a == "RUN_DIR" else a for a in argv]
+        usage_error = False
         try:
             rc = main(argv)
-        except SystemExit as exc:  # argparse rejects a bad --seeds itself
-            rc = exc.code
+        except SystemExit as exc:  # argparse rejects a bad --seeds or --limit
+            rc, usage_error = exc.code, True
         err = capsys.readouterr().err
         assert rc == 2
         assert "Traceback" not in err
         assert expected in err.strip().splitlines()[-1]
-        if "--seeds" not in argv:
+        if not usage_error:  # argparse prints its usage lines first
             assert len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("command", ["summary", "predict", "resilience"])

@@ -3,6 +3,9 @@ telemetry (progress events), and the profile -> store round trip."""
 
 from __future__ import annotations
 
+import json
+import sqlite3
+
 import pytest
 
 from repro.eval.profiling import point_label, profile_scenario
@@ -11,7 +14,14 @@ from repro.eval.scenario import ScenarioSpec, run_scenario
 from repro.eval.config import TraceProfile
 from repro.mobility.synthetic import dart_like
 from repro.mobility.trace import days
-from repro.store import ExperimentDB, ingest_payload, trend_report
+from repro.store import (
+    ExperimentDB,
+    canonical_json,
+    content_hash,
+    ingest_payload,
+    trend_report,
+)
+from repro.store.db import _MIGRATIONS, SCHEMA_VERSION
 
 
 @pytest.fixture(scope="module")
@@ -136,15 +146,68 @@ class TestProfileStoreRoundTrip:
         phase = fam["phases"]["dispatch.visit_start"][0]
         assert phase["seconds"] > 0 and phase["calls"] > 0
 
-    def test_profile_rows_and_blob(self, profiled, tmp_path):
+    def test_a_profile_is_a_run_with_run_metrics(self, profiled, tmp_path):
         payload = profiled.payload()
         with ExperimentDB(tmp_path / "exp.db") as db:
             ingest_payload(db, payload)
-            rows = db.profile_rows()
-            assert len(rows) == 1
-            blob = db.profile_blob(rows[0].id)
-        assert blob["span_tree"]["name"] == "root"
-        assert blob["flamegraph"] == payload["flamegraph"]
+            (run,) = db.runs(kind="profile")
+            values = db.run_metric_rows(run["id"])
+        assert run["extra"] == {
+            "recorded_at": payload["recorded_at"],
+            "scenario_hash": content_hash(payload["scenario"]),
+        }
+        expected = {"wall_seconds": payload["wall_seconds"]}
+        for name, rec in payload["phases"].items():
+            expected[f"phase.{name}.seconds"] = rec["seconds"]
+            expected[f"phase.{name}.calls"] = rec["calls"]
+        assert values == expected
+
+    def test_a_v2_store_reports_like_a_fresh_ingest(self, profiled, tmp_path):
+        """A store the v2 schema wrote keeps its profile in ``profiles`` and
+        ``profile_phases``; opened now, it reports that profile exactly as
+        a fresh ingest of the same payload does."""
+        payload = profiled.payload()
+        path = tmp_path / "v2.sqlite"
+        conn = sqlite3.connect(path)
+        for statement in (s for version in _MIGRATIONS[:2] for s in version):
+            conn.execute(statement)
+        run_id = conn.execute(
+            "INSERT INTO runs (created_at, kind, label, content_hash, extra) "
+            "VALUES (?, 'profile', ?, ?, ?)",
+            (payload["recorded_at"], payload["label"],
+             content_hash({"profile": payload}),
+             canonical_json({"recorded_at": payload["recorded_at"]})),
+        ).lastrowid
+        profile_id = conn.execute(
+            "INSERT INTO profiles (run_id, recorded_at, scenario_hash, label, "
+            "hz, n_samples, wall_seconds) VALUES (?,?,?,?,?,?,?)",
+            (run_id, payload["recorded_at"], content_hash(payload["scenario"]),
+             payload["label"], payload["hz"], payload["n_samples"],
+             payload["wall_seconds"]),
+        ).lastrowid
+        conn.executemany(
+            "INSERT INTO profile_phases (profile_id, phase, seconds, calls) "
+            "VALUES (?,?,?,?)",
+            [(profile_id, name, rec["seconds"], rec["calls"])
+             for name, rec in payload["phases"].items()],
+        )
+        conn.execute("PRAGMA user_version = 2")
+        conn.commit()
+        conn.close()
+        with ExperimentDB(path) as db:
+            assert db.schema_version == SCHEMA_VERSION
+            migrated = trend_report(db)["profiles"]
+            assert ingest_payload(db, payload).runs == 0  # still deduplicated
+        with ExperimentDB(tmp_path / "fresh.sqlite") as db:
+            ingest_payload(db, payload)
+            fresh = trend_report(db)["profiles"]
+        # as JSON text, so an int read back as a float differs too
+        assert json.dumps(migrated, sort_keys=True) == json.dumps(
+            fresh, sort_keys=True
+        )
+        (fam,) = fresh.values()
+        assert fam["wall_seconds"][0]["value"] == payload["wall_seconds"]
+        assert set(fam["phases"]) == set(payload["phases"])
 
     def test_ingest_rejects_empty_phases(self, tmp_path):
         with ExperimentDB(tmp_path / "exp.db") as db:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import threading
 import time
+from collections import Counter
 
 import pytest
 
@@ -39,7 +40,12 @@ from repro.serve import (
 from repro.serve.client import parse_sse
 from repro.serve.sse import HEARTBEAT_FRAME, EventStream, sse_frame
 from repro.sim.checkpoint import RunDir
-from repro.store import ExperimentDB, ingest_scenario_result, query_points
+from repro.store import (
+    ExperimentDB,
+    content_hash,
+    ingest_scenario_result,
+    query_points,
+)
 from tests.test_scenario import BAD_DTNFLOW_VALUES
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
@@ -342,6 +348,66 @@ def test_db_endpoints_answer_400_on_bad_input(server, tmp_path):
         client.db_regress(file=str(baseline))
     assert err.value.status == 400
     assert "row 0: 'value' must be a number, got None" in str(err.value)
+
+
+def test_unparsable_query_parameters_answer_400_naming_them(server):
+    srv, client = server
+    for value, message in (
+        ("abc", "limit must be a non-negative integer, got 'abc'"),
+        ("1.5", "limit must be a non-negative integer, got '1.5'"),
+    ):
+        with pytest.raises(ServeError) as err:
+            client.db_query(limit=value)
+        assert err.value.status == 400
+        assert message in str(err.value)
+    # a scenario-hash prefix is hex, never a LIKE wildcard
+    for prefix in ("_", "%", "AB", "a%"):
+        with pytest.raises(ServeError) as err:
+            client.db_query(hash=prefix)
+        assert err.value.status == 400
+        assert f"lowercase hex, got {prefix!r}" in str(err.value)
+    job = client.submit(scenario("after-param"))
+    assert client.wait(job["id"], timeout=WAIT)["state"] == "done"
+    for value, message in (
+        ("abc", "after must be a non-negative integer, got 'abc'"),
+        ("-1", "after must be >= 0, got -1"),
+    ):
+        with pytest.raises(ServeError) as err:
+            list(client.events(job["id"], after=value))
+        assert err.value.status == 400
+        assert message in str(err.value)
+
+
+def test_malformed_replay_bodies_answer_400_naming_the_field(server):
+    srv, client = server
+    manifest = scenario("replay-body")
+    for field, value in (
+        ("limit", [1]), ("limit", True), ("limit", 1.5), ("limit", "5"),
+        ("limit", 0), ("speed", [1]), ("speed", True), ("speed", "fast"),
+        ("speed", -1),
+    ):
+        with pytest.raises(ServeError) as err:
+            list(client.replay(manifest, **{field: value}))
+        assert err.value.status == 400, (field, value)
+        assert f"{field} must be" in str(err.value)
+    for prefix in ("%", "_", "", "ABC"):
+        with pytest.raises(ServeError) as err:
+            list(client.replay(point=prefix))
+        assert err.value.status == 400
+        assert "lowercase hex" in str(err.value)
+    # 17 distinct hashes: some first hex digit is shared by two or more
+    with ExperimentDB(srv.db_path) as db:
+        run_id = db.record_run("run")
+        hashes = []
+        for n in range(17):
+            db.record_point(run_id, {"n": n}, {"x": 1.0}, protocol="Direct")
+            hashes.append(content_hash({"n": n}))
+    digit, matched = Counter(h[0] for h in hashes).most_common(1)[0]
+    assert matched >= 2
+    with pytest.raises(ServeError) as err:
+        list(client.replay(point=digit))
+    assert err.value.status == 400
+    assert f"prefix {digit!r} matches {matched} stored scenarios" in str(err.value)
 
 
 # ---------------------------------------------------------------------------

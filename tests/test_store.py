@@ -32,6 +32,7 @@ from repro.store import (
     query_points,
     regress,
     render_markdown,
+    scenario_for_hash,
     select_points,
     snapshot_rows,
     trend_report,
@@ -167,6 +168,14 @@ class TestQuery:
         assert len(query_points(store, scenario_hash=some_hash[:10])) == 1
         assert len(query_points(store, kind="run")) == 3
         assert query_points(store, kind="sweep") == []
+
+    @pytest.mark.parametrize("prefix", ["_", "%", "", "AB", "a_", "0x1"])
+    def test_a_hash_prefix_is_hex_never_a_wildcard(self, store, prefix):
+        self._populate(store)
+        with pytest.raises(ValueError, match="lowercase hex"):
+            PointFilter(scenario_hash=prefix)
+        with pytest.raises(ValueError, match="lowercase hex"):
+            scenario_for_hash(store, prefix)
 
     def test_filter_and_kwargs_are_exclusive(self, store):
         with pytest.raises(ValueError, match="not both"):
@@ -499,6 +508,13 @@ class TestStoreCLI:
         rc, _, err = self._run(
             ["db", "query", "--db", db_path, "--limit", "-1"], capsys)
         assert rc == 2 and "--limit: must be >= 0, got -1" in err
+        for prefix in ("_", "%", ""):
+            rc, out, err = self._run(
+                ["db", "query", "--db", db_path, "--hash", prefix], capsys)
+            assert rc == 2 and out == ""
+            (line,) = err.strip().splitlines()
+            assert ("--hash: a scenario-hash prefix must be non-empty "
+                    f"lowercase hex, got {prefix!r}") in line
 
     def test_ingest_file_and_errors(self, tmp_path, capsys):
         db_path = str(tmp_path / "x.sqlite")
