@@ -170,9 +170,16 @@ def run_preset_sweep(preset: str, *, jobs: int, trace: Trace):
 
     The Fig. 11-14 benchmarks are exactly the named preset scenarios — the
     same declarative manifests ``repro scenario run`` executes — so the
-    benchmark parameters live in one place.  ``trace`` seeds the serial
-    path's cache with the session-scoped trace fixture (parallel workers
-    rebuild from the spec and keep their own per-worker cache).
+    benchmark parameters live in one place.  ``trace`` seeds the trace
+    cache with the session-scoped trace fixture, so neither the serial
+    path nor a per-call pool's workers rebuild it.
     """
     spec = preset_scenario(preset)
-    return run_scenario(spec, jobs=jobs, trace=trace).sweep_result()
+    return run_scenario(
+        spec, jobs=jobs, traces=trace_cache(spec, trace)
+    ).sweep_result()
+
+
+def trace_cache(spec, trace: Trace) -> dict:
+    """A trace cache holding ``trace`` under ``spec``'s trace key."""
+    return {spec.entries()[0][0].key: trace}

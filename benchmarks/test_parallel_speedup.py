@@ -17,7 +17,7 @@ from time import perf_counter
 
 from repro.eval.scenario import run_scenario
 
-from .conftest import emit, record_bench
+from .conftest import emit, record_bench, trace_cache
 
 PROTOCOLS = ("DTN-FLOW", "PROPHET")
 
@@ -31,11 +31,11 @@ def test_parallel_memory_sweep_speedup(dart_trace, dart_profile, memory_grid):
     )
 
     t0 = perf_counter()
-    serial = run_scenario(spec, jobs=1, trace=dart_trace)
+    serial = run_scenario(spec, jobs=1, traces=trace_cache(spec, dart_trace))
     t_serial = perf_counter() - t0
 
     t0 = perf_counter()
-    parallel = run_scenario(spec, jobs=n_jobs, trace=dart_trace)
+    parallel = run_scenario(spec, jobs=n_jobs, traces=trace_cache(spec, dart_trace))
     t_parallel = perf_counter() - t0
 
     # determinism: parallel execution is bit-identical to serial, down to

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """CI perf gate: serial wall-clock budget for the ci fig11 scenario.
 
-Runs ``ci/profile-fig11.json`` in-process through ``runner.execute``
+Runs ``ci/profile-fig11.json`` in-process through ``run_scenario``
 (best-of-N, warm trace cache, trace materialization outside the timed
 window, no phase timing) and fails if the fastest run exceeds a pinned
 wall-clock budget.  The pin carries roughly 2x
@@ -23,8 +23,7 @@ import subprocess
 import sys
 from time import perf_counter
 
-from repro.eval.runner import execute
-from repro.eval.scenario import load_scenario
+from repro.eval.scenario import load_scenario, run_scenario
 
 SCENARIO = os.environ.get("REPRO_PERF_SCENARIO", "ci/profile-fig11.json")
 #: pinned serial wall-clock budget in seconds (override to re-pin)
@@ -36,13 +35,12 @@ SPAN_TREE = "perf_gate_span_tree.json"
 
 def main() -> int:
     spec = load_scenario(SCENARIO).validate()
-    profile, tspec, traces = spec.resolve_trace()
-    entries = spec.entries(profile, tspec)
-    execute(entries, traces=traces)  # warm-up: fills the trace cache
+    traces: dict = {}
+    run_scenario(spec, traces=traces)  # warm-up: fills the trace cache
     times = []
     for i in range(RUNS):
         t0 = perf_counter()
-        execute(entries, traces=traces)
+        run_scenario(spec, traces=traces)
         times.append(perf_counter() - t0)
         print(f"[perf-gate] run {i + 1}/{RUNS}: {times[-1]:.3f}s")
     best = min(times)

@@ -3,7 +3,7 @@
 
 Three checks on the CI-scale fig11 manifest (``ci/profile-fig11.json``):
 
-1. **Overhead** — the grid run through ``runner.execute`` with every
+1. **Overhead** — the grid run through ``run_scenario`` with every
    point's phases timed on a span recorder must stay within
    ``REPRO_PROFILE_OVERHEAD`` (default 5%) of the same grid run with no
    recorder, best of 4 interleaved pairs, plus an absolute slack floor
@@ -30,8 +30,7 @@ import tempfile
 from contextlib import nullcontext
 from time import perf_counter
 
-from repro.eval.runner import execute
-from repro.eval.scenario import load_scenario
+from repro.eval.scenario import load_scenario, run_scenario
 from repro.obs import Observability, SpanRecorder
 
 SCENARIO = os.environ.get("REPRO_PROFILE_SCENARIO", "ci/profile-fig11.json")
@@ -41,7 +40,7 @@ OVERHEAD = float(os.environ.get("REPRO_PROFILE_OVERHEAD", "0.05"))
 SLACK = float(os.environ.get("REPRO_PROFILE_SLACK", "0.25"))
 
 
-def timed_run(entries, traces, timed: bool) -> float:
+def timed_run(spec, traces, timed: bool) -> float:
     """Wall seconds of one in-process grid run; ``timed`` gives every
     point its own span recorder."""
     observe = None
@@ -50,22 +49,21 @@ def timed_run(entries, traces, timed: bool) -> float:
             return nullcontext(Observability(spans=SpanRecorder()))
 
     t0 = perf_counter()
-    execute(entries, traces=traces, observe=observe)
+    run_scenario(spec, traces=traces, observe=observe)
     return perf_counter() - t0
 
 
 def check_overhead(spec) -> int:
-    profile, tspec, traces = spec.resolve_trace()
-    entries = spec.entries(profile, tspec)
+    traces: dict = {}
     # the warm-up fills ``traces``, so no timed run builds a trace; then
     # interleave base/instrumented pairs so slow-machine noise (easily
     # +-20% on shared CI runners) hits both sides equally; best-of-N
     # approximates the noise-free floor
-    timed_run(entries, traces, timed=False)
+    timed_run(spec, traces, timed=False)
     base, spans = [], []
     for _ in range(4):
-        base.append(timed_run(entries, traces, timed=False))
-        spans.append(timed_run(entries, traces, timed=True))
+        base.append(timed_run(spec, traces, timed=False))
+        spans.append(timed_run(spec, traces, timed=True))
     best_base, best_spans = min(base), min(spans)
     budget = best_base * (1 + OVERHEAD) + SLACK
     verdict = "OK" if best_spans <= budget else "FAIL"

@@ -97,7 +97,7 @@ def values(summary) -> dict:
 
 def resume(root: Path) -> int:
     from repro.eval.resume import resume_run
-    from repro.eval.runner import run_point_specs
+    from repro.eval.scenario import run_scenario
     from repro.sim.checkpoint import RecoveryLog, RunDir
 
     log(f"resuming with the library in {library()}")
@@ -111,8 +111,7 @@ def resume(root: Path) -> int:
         except Exception as exc:  # report every protocol, not just the first
             failures.append(f"{path.name}: resume raised {type(exc).__name__}: {exc}")
             continue
-        profile, tspec, _ = spec.resolve_trace()
-        (fresh,) = run_point_specs(spec.entries(profile, tspec), jobs=1)
+        (fresh,) = run_scenario(spec).results
         records = RecoveryLog(RunDir(path).recovery_path).records()
         restored = [r for r in records if r["event"] == "executor.resume"]
         fallbacks = [r for r in records if r["event"] == "executor.fallback"]

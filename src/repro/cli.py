@@ -24,17 +24,20 @@ written by :func:`repro.mobility.io.dump_trace` (pass a path).
 rows carry full run provenance (config, seed, package version, resolved
 scenario) so result files are self-describing — ``repro rerun`` turns any
 such file back into the bit-identical experiment that produced it.
-``run``, ``compare`` and ``sweep`` also accept ``--scenario FILE`` to take
-their whole configuration from a manifest (see ``docs/scenarios.md``);
-without one, their trace and workload flags build the equivalent scenario,
-so both forms run, validate and record the same way.
+A manifest or preset runs with ``repro scenario run`` (see
+``docs/scenarios.md``); the trace and workload flags of ``run``,
+``compare``, ``sweep``, ``trace`` and ``stats`` build the equivalent
+scenario, so both forms run, validate and record the same way, through
+:func:`repro.eval.scenario.run_scenario`.
 
 ``run``, ``compare``, ``sweep``, ``scenario run`` and ``resilience`` accept
 ``--record [--db PATH]`` to persist their results into the SQLite
 experiment store; ``repro db`` queries the store, writes baseline
 snapshot files and gates candidate results against them (see
 ``docs/storage.md``).  Recording happens in the parent process only —
-parallel workers never touch the database.
+parallel workers never touch the database.  A store written by a newer
+package is a usage error (one line, exit 2) for every command that opens
+one, checked before any point runs.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from contextlib import nullcontext
 from typing import List, Optional, Sequence
@@ -55,13 +59,14 @@ from repro.eval.resilience import (
     degradation_curves,
     reconvergence_after_death,
 )
-from repro.eval.runner import ObserveFn, ProgressFn, execute, parse_jobs
+from repro.eval.runner import parse_jobs
 from repro.eval.scenario import (
     ScenarioResult,
     ScenarioSpec,
     embedded_scenario,
     load_scenario,
     preset_catalog,
+    run_scenario,
 )
 from repro.eval.profiling import profile_scenario
 from repro.mobility import io as trace_io
@@ -100,7 +105,7 @@ def _resolve_trace(spec: str, seed: int) -> tuple:
     try:
         trace = trace_io.load_trace(spec)
     except (OSError, ValueError) as exc:
-        raise _ScenarioArgError(f"cannot read trace {spec!r}: {exc}") from None
+        raise _UsageError(f"cannot read trace {spec!r}: {exc}") from None
     return trace, profile_for_trace(trace, path=spec)
 
 
@@ -122,12 +127,29 @@ def cmd_summary(args: argparse.Namespace) -> int:
     return 0
 
 
-class _ScenarioArgError(Exception):
-    """A scenario argument failed to load/validate (prints as exit code 2)."""
+class _UsageError(Exception):
+    """A bad argument: a scenario, trace, JSON file or store this package
+    cannot use (prints as one line, exit code 2)."""
 
 
 def _store_path(args: argparse.Namespace) -> str:
     return getattr(args, "db", None) or default_db_path()
+
+
+def _open_store(path: str) -> ExperimentDB:
+    """The experiment store at ``path``; one a newer package wrote is a
+    usage error, not a traceback."""
+    try:
+        return ExperimentDB(path)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
+
+
+def _check_store(path: str) -> None:
+    """Refuse an existing store this package cannot open, before any work
+    runs; a path with no file yet is left to the first recording."""
+    if os.path.exists(path):
+        _open_store(path).close()
 
 
 def _maybe_record(args: argparse.Namespace, ingest, *ingest_args, **ingest_kw) -> None:
@@ -139,7 +161,7 @@ def _maybe_record(args: argparse.Namespace, ingest, *ingest_args, **ingest_kw) -
     if not getattr(args, "record", False):
         return
     path = _store_path(args)
-    with ExperimentDB(path) as db:
+    with _open_store(path) as db:
         stats = ingest(db, *ingest_args, **ingest_kw)
     print(f"recorded {stats} -> {path}", file=sys.stderr)
 
@@ -149,7 +171,7 @@ def _load_scenario_arg(source: str) -> ScenarioSpec:
     try:
         return load_scenario(source).validate()
     except ValueError as exc:
-        raise _ScenarioArgError(f"invalid scenario {source!r}: {exc}") from None
+        raise _UsageError(f"invalid scenario {source!r}: {exc}") from None
 
 
 def _flag_scenario(
@@ -165,8 +187,8 @@ def _flag_scenario(
 
     The trace is ``--trace`` at seed ``--seed`` (a built-in profile's own
     scenario trace block, or a CSV ``path``); ``seeds`` are the sim seeds
-    (default ``--seed``).  The spec is validated like a ``--scenario``
-    manifest, so a bad flag exits 2 before any trace is built.
+    (default ``--seed``).  The spec is validated like a manifest given to
+    ``scenario run``, so a bad flag exits 2 before any trace is built.
     """
     key = args.trace.upper()
     try:
@@ -184,32 +206,7 @@ def _flag_scenario(
             **({"sweep": sweep} if sweep else {}),
         }).validate()
     except ValueError as exc:
-        raise _ScenarioArgError(f"repro {args.command}: {exc}") from None
-
-
-def _execute_scenario(
-    spec: ScenarioSpec,
-    *,
-    jobs: int,
-    progress: Optional[ProgressFn] = None,
-    observe: Optional[ObserveFn] = None,
-    traces: Optional[dict] = None,
-):
-    """Every point of ``spec`` through the executor, as one result.
-
-    The one way the CLI runs a scenario, whether a manifest, a preset, an
-    exported result or workload flags described it.  ``observe`` is the
-    executor's per-point observability hook; ``traces``, when given, is
-    the trace cache, left holding the trace the points ran on.
-    """
-    profile, tspec, materialized = spec.resolve_trace()
-    entries = spec.entries(profile, tspec)
-    traces = {} if traces is None else traces
-    traces.update(materialized)
-    results, _ = execute(
-        entries, jobs=jobs, progress=progress, traces=traces, observe=observe
-    )
-    return ScenarioResult(spec, [p for _, p, _ in entries], results)
+        raise _UsageError(f"repro {args.command}: {exc}") from None
 
 
 def _print_metrics_table(result, title: str) -> None:
@@ -276,26 +273,12 @@ def _print_scenario_result(res: ScenarioResult) -> None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    if args.scenario:
-        spec = _load_scenario_arg(args.scenario)
-    else:
-        spec = _flag_scenario(
-            args, name=f"run-{args.protocol}", protocols=[args.protocol]
-        )
-    if args.run_dir:
-        return _run_resumable_cli(args, spec, args.run_dir)
-    if spec.n_points() != 1:
-        print(
-            f"repro run --scenario needs a single-point scenario; "
-            f"{args.scenario!r} resolves to {spec.n_points()} points "
-            "(use 'repro scenario run' for grids)",
-            file=sys.stderr,
-        )
-        return 2
-    res = _execute_scenario(spec, jobs=parse_jobs(args.jobs))
+    spec = _flag_scenario(
+        args, name=f"run-{args.protocol}", protocols=[args.protocol]
+    )
+    res = run_scenario(spec, jobs=parse_jobs(args.jobs))
     _maybe_record(
-        args, ingest_scenario_result, res,
-        kind="run", label="" if args.scenario else f"run:{args.protocol}",
+        args, ingest_scenario_result, res, kind="run", label=f"run:{args.protocol}"
     )
     result = res.results[0].metrics
     if args.json:
@@ -308,17 +291,11 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    if args.scenario:
-        spec = _load_scenario_arg(args.scenario)
-    else:
-        spec = _flag_scenario(
-            args, name="compare", protocols=PAPER_PROTOCOLS,
-            seeds=range(args.seed, args.seed + args.seeds),
-        )
-    res = _execute_scenario(spec, jobs=parse_jobs(args.jobs))
-    if args.scenario:
-        _maybe_record(args, ingest_scenario_result, res, kind="compare")
-        return _scenario_output(args, res)
+    spec = _flag_scenario(
+        args, name="compare", protocols=PAPER_PROTOCOLS,
+        seeds=range(args.seed, args.seed + args.seeds),
+    )
+    res = run_scenario(spec, jobs=parse_jobs(args.jobs))
     trace = res.results[0].trace
     if args.seeds > 1:
         confidence = res.confidence()
@@ -400,50 +377,28 @@ def _progress_printer(total: int):
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    if args.scenario:
-        spec = _load_scenario_arg(args.scenario)
-        if spec.sweep is None:
-            print(
-                f"repro sweep --scenario needs a manifest with a 'sweep' "
-                f"block; {args.scenario!r} has none",
-                file=sys.stderr,
-            )
-            return 2
-        if len(spec.seeds) != 1:
-            print(
-                "repro sweep --scenario needs a single-seed scenario "
-                f"(got seeds {list(spec.seeds)}); use 'repro scenario run' "
-                "for multi-seed grids",
-                file=sys.stderr,
-            )
-            return 2
-    elif args.parameter is None:
-        print("repro sweep needs a parameter (memory|rate) or --scenario FILE",
-              file=sys.stderr)
-        return 2
-    else:
-        parameter = "memory_kb" if args.parameter == "memory" else "rate"
-        try:
-            values = (
-                [float(v) for v in args.values.split(",")]
-                if args.values
-                else list(sweep_grid(parameter, full=False))
-            )
-        except ValueError:
-            print(f"--values must be comma-separated numbers, got "
-                  f"{args.values!r}", file=sys.stderr)
-            return 2
-        spec = _flag_scenario(
-            args,
-            name=f"{args.parameter}-sweep",
-            protocols=args.protocols.split(",") if args.protocols else PAPER_PROTOCOLS,
-            sweep={"parameter": parameter, "values": values},
+    parameter = "memory_kb" if args.parameter == "memory" else "rate"
+    try:
+        values = (
+            [float(v) for v in args.values.split(",")]
+            if args.values
+            else list(sweep_grid(parameter, full=False))
         )
+    except ValueError:
+        print(f"--values must be comma-separated numbers, got "
+              f"{args.values!r}", file=sys.stderr)
+        return 2
+    spec = _flag_scenario(
+        args,
+        name=f"{args.parameter}-sweep",
+        protocols=args.protocols.split(",") if args.protocols else PAPER_PROTOCOLS,
+        sweep={"parameter": parameter, "values": values},
+    )
     progress = _progress_printer(spec.n_points()) if args.progress else None
-    res = _execute_scenario(spec, jobs=parse_jobs(args.jobs), progress=progress)
+    res = run_scenario(spec, jobs=parse_jobs(args.jobs), progress=progress)
     _maybe_record(
         args, ingest_scenario_result, res, kind="sweep",
-        label="" if args.scenario else f"{res.results[0].trace}:{args.parameter}",
+        label=f"{res.results[0].trace}:{args.parameter}",
     )
     _print_scenario_result(res)
     return 0
@@ -481,7 +436,7 @@ def cmd_scenario(args: argparse.Namespace) -> int:
         for source in args.sources:
             try:
                 spec = _load_scenario_arg(source)
-            except _ScenarioArgError as exc:
+            except _UsageError as exc:
                 print(f"{source}: INVALID — {exc}")
                 failed += 1
             else:
@@ -496,8 +451,8 @@ def cmd_scenario(args: argparse.Namespace) -> int:
         return 0
     # action == "run"
     if args.run_dir:
-        return _run_resumable_cli(args, spec, args.run_dir)
-    res = _execute_scenario(spec, jobs=parse_jobs(args.jobs))
+        return _run_resumable_cli(args, spec)
+    res = run_scenario(spec, jobs=parse_jobs(args.jobs))
     _maybe_record(args, ingest_scenario_result, res)
     return _scenario_output(args, res)
 
@@ -534,19 +489,20 @@ def _record_partial(args: argparse.Namespace, results, label: str) -> int:
     return done
 
 
-def _run_resumable_cli(
-    args: argparse.Namespace, spec: ScenarioSpec, run_dir_path: str
-) -> int:
-    """Create-or-continue a checkpointed run directory (``--run-dir``)."""
+def _run_resumable_cli(args: argparse.Namespace, spec: ScenarioSpec) -> int:
+    """Create-or-continue a checkpointed run directory (``scenario run
+    --run-dir``) over ``--jobs`` workers."""
     from repro.eval.resume import create_run, run_resumable
     from repro.eval.runner import SweepInterrupted
     from repro.sim.checkpoint import DEFAULT_EVERY_EVENTS, CheckpointError
 
-    every = getattr(args, "every_events", None) or DEFAULT_EVERY_EVENTS
+    every = args.every_events or DEFAULT_EVERY_EVENTS
     label = spec.name or "scenario"
     try:
-        rd = create_run(run_dir_path, spec, every_events=every)
-        res, _infos = run_resumable(spec, rd, every_events=every)
+        rd = create_run(args.run_dir, spec, every_events=every)
+        res, _infos = run_resumable(
+            spec, rd, every_events=every, jobs=parse_jobs(args.jobs)
+        )
     except CheckpointError as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -554,7 +510,7 @@ def _run_resumable_cli(
         done = _record_partial(args, exc.results, label)
         print(
             f"interrupted: {done}/{len(exc.results)} points complete and "
-            f"checkpointed; continue with: repro resume {run_dir_path}",
+            f"checkpointed; continue with: repro resume {args.run_dir}",
             file=sys.stderr,
         )
         return 130
@@ -647,7 +603,7 @@ def cmd_rerun(args: argparse.Namespace) -> int:
         return 2
     try:
         spec = embedded_scenario(payload, index=args.index)
-        res = _execute_scenario(spec, jobs=parse_jobs(args.jobs))
+        res = run_scenario(spec, jobs=parse_jobs(args.jobs))
     except ValueError as exc:
         print(f"cannot rerun from {args.file}: {exc}", file=sys.stderr)
         return 2
@@ -684,7 +640,7 @@ def cmd_resilience(args: argparse.Namespace) -> int:
             workload_scale=1.0 if args.workload_scale is None else args.workload_scale,
         )
     except ValueError as exc:
-        raise _ScenarioArgError(f"repro resilience: {exc}") from None
+        raise _UsageError(f"repro resilience: {exc}") from None
     trace, profile = _resolve_trace(args.trace, args.seed)
     config = profile.sim_config(memory_kb=args.memory, rate=args.rate, seed=args.seed)
     if args.workload_scale is not None:
@@ -794,8 +750,8 @@ def _observed_point(args: argparse.Namespace, spans: Optional[SpanRecorder] = No
     )
     obs = Observability(enabled=True, event_capacity=args.capacity, spans=spans)
     traces: dict = {}
-    res = _execute_scenario(
-        spec, jobs=1, observe=lambda index, point: nullcontext(obs), traces=traces
+    res = run_scenario(
+        spec, observe=lambda index, point: nullcontext(obs), traces=traces
     )
     (trace,) = traces.values()
     return trace, obs, res.results[0].metrics
@@ -985,21 +941,21 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _load_json_arg(path: str):
-    """Load a JSON file CLI argument; raises _ScenarioArgError (exit 2)."""
+    """Load a JSON file CLI argument; raises _UsageError (exit 2)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
-        raise _ScenarioArgError(
+        raise _UsageError(
             f"cannot read {path}: {exc.strerror or exc}"
         ) from None
     except json.JSONDecodeError as exc:
-        raise _ScenarioArgError(f"{path} is not valid JSON: {exc}") from None
+        raise _UsageError(f"{path} is not valid JSON: {exc}") from None
 
 
 def cmd_db_ingest(args: argparse.Namespace) -> int:
     total = IngestStats()
-    with ExperimentDB(_store_path(args)) as db:
+    with _open_store(_store_path(args)) as db:
         for path in args.files:
             payload = _load_json_arg(path)
             try:
@@ -1030,7 +986,7 @@ def cmd_db_query(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"repro db query: --hash: {exc}", file=sys.stderr)
         return 2
-    with ExperimentDB(_store_path(args)) as db:
+    with _open_store(_store_path(args)) as db:
         rows = select_points(
             db, filter=flt, metric=args.metric,
             latest=args.latest, limit=args.limit,
@@ -1075,7 +1031,7 @@ def cmd_db_query(args: argparse.Namespace) -> int:
 
 
 def cmd_db_baseline(args: argparse.Namespace) -> int:
-    with ExperimentDB(_store_path(args)) as db:
+    with _open_store(_store_path(args)) as db:
         try:
             snap = baseline_snapshot(
                 db, args.name, filter=_cli_point_filter(args)
@@ -1097,7 +1053,7 @@ def cmd_db_regress(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"{args.baseline_file}: {exc}", file=sys.stderr)
         return 2
-    with ExperimentDB(_store_path(args)) as db:
+    with _open_store(_store_path(args)) as db:
         verdict = regress(db, rows, baseline_name=name)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -1112,7 +1068,7 @@ def cmd_db_regress(args: argparse.Namespace) -> int:
 
 
 def cmd_db_report(args: argparse.Namespace) -> int:
-    with ExperimentDB(_store_path(args)) as db:
+    with _open_store(_store_path(args)) as db:
         text, _ = write_report(db, out=args.out, as_json=args.json)
     if args.out:
         print(f"wrote report to {args.out}")
@@ -1125,6 +1081,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve import make_server
 
     db_path = _store_path(args) if (args.db or args.record) else None
+    if db_path:
+        _check_store(db_path)
     try:
         server = make_server(
             args.host, args.port,
@@ -1204,30 +1162,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="experiment store path (default: $REPRO_DB or "
                             "./experiments.sqlite)")
 
-    def add_scenario_opt(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--scenario", default=None, metavar="FILE",
-                       help="take the whole configuration from a scenario "
-                            "manifest (JSON file or preset name); other "
-                            "trace/workload flags are ignored")
-
-    def add_run_dir(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--run-dir", default=None, metavar="DIR",
-                       help="checkpointed execution: create (or continue) a "
-                            "crash-safe run directory; interrupted runs "
-                            "resume with 'repro resume DIR' "
-                            "(see docs/reliability.md)")
-        p.add_argument("--every-events", type=positive_int, default=None,
-                       metavar="N",
-                       help="serial checkpoint cadence in dispatched events "
-                            "(with --run-dir; default 200000)")
-
     p = sub.add_parser("run", help="run one protocol on one workload")
     add_common(p)
     add_workload(p)
     add_jobs(p)
-    add_scenario_opt(p)
     add_record(p)
-    add_run_dir(p)
     p.add_argument("--json", action="store_true",
                    help="print machine-readable JSON (with run provenance)")
     p.set_defaults(func=cmd_run)
@@ -1239,7 +1178,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=positive_int, default=1,
                    help="number of workload seeds (>1 adds 95%% CIs)")
     add_jobs(p)
-    add_scenario_opt(p)
     add_record(p)
     p.add_argument("--json", action="store_true",
                    help="print machine-readable JSON (with run provenance)")
@@ -1276,14 +1214,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="memory or rate sweep (Figs. 11-14)")
     add_common(p)
-    p.add_argument("parameter", nargs="?", choices=["memory", "rate"],
-                   help="swept axis (omit when using --scenario)")
+    p.add_argument("parameter", choices=["memory", "rate"], help="swept axis")
     p.add_argument("--values", default=None, help="comma-separated sweep values")
     p.add_argument("--memory", type=float, default=2000.0)
     p.add_argument("--rate", type=float, default=500.0)
     p.add_argument("--protocols", default=None, help="comma-separated protocol names")
     add_jobs(p)
-    add_scenario_opt(p)
     add_record(p)
     p.add_argument("--progress", action="store_true",
                    help="stream per-point completion + ETA to stderr")
@@ -1329,7 +1265,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="scenario JSON file(s) or preset name(s)")
     add_jobs(p)
     add_record(p)
-    add_run_dir(p)
+    p.add_argument("--run-dir", default=None, metavar="DIR",
+                   help="(run) checkpointed execution: create (or continue) "
+                        "a crash-safe run directory; interrupted runs "
+                        "resume with 'repro resume DIR' "
+                        "(see docs/reliability.md)")
+    p.add_argument("--every-events", type=positive_int, default=None,
+                   metavar="N",
+                   help="serial checkpoint cadence in dispatched events "
+                        "(with --run-dir; default 200000)")
     p.add_argument("--out", default=None, metavar="FILE",
                    help="(run) write the full results JSON to FILE")
     p.add_argument("--json", action="store_true",
@@ -1547,9 +1491,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Serve the harness over HTTP (stdlib only): submit "
                     "scenario manifests as durable jobs (POST /v1/jobs), "
                     "stream per-point progress live (GET "
-                    "/v1/jobs/<id>/events), query the experiment store, and "
-                    "replay recorded traces at wall-clock speed (POST "
-                    "/v1/replay). Jobs run in crash-safe run directories: "
+                    "/v1/jobs/<id>/events), and replay recorded traces at "
+                    "wall-clock speed (POST /v1/replay); read the store it "
+                    "records into with 'repro db'. Jobs run in crash-safe "
+                    "run directories: "
                     "kill the server and a restart with the same --run-root "
                     "resumes every unfinished job (see docs/service.md).",
     )
@@ -1590,8 +1535,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "record", False):
+            _check_store(_store_path(args))
         return args.func(args)
-    except _ScenarioArgError as exc:
+    except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 2
 

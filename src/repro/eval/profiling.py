@@ -1,8 +1,8 @@
 """Deep-profiling runs: one scenario, one span tree, one sampler.
 
 ``repro profile <scenario>`` runs every point of a scenario in this
-process through :func:`repro.eval.runner.execute`, whose ``observe``
-hook opens a ``point[...]`` span on one shared
+process through :func:`repro.eval.scenario.run_scenario`, whose
+``observe`` executor hook opens a ``point[...]`` span on one shared
 :class:`~repro.obs.spans.SpanRecorder` around each point, so every
 point's engine phases nest under its own span, and a single
 :class:`~repro.obs.sampler.SamplingProfiler` can watch the whole run's
@@ -22,8 +22,8 @@ from time import perf_counter
 from typing import Any, Dict, Iterator, List, Optional
 
 from repro.eval.experiment import ExperimentResult
-from repro.eval.runner import PointSpec, execute
-from repro.eval.scenario import ScenarioSpec
+from repro.eval.runner import PointSpec
+from repro.eval.scenario import ScenarioSpec, run_scenario
 from repro.obs import Observability, SamplingProfiler
 from repro.obs.export import profile_payload
 from repro.obs.spans import SpanRecorder
@@ -97,8 +97,6 @@ def profile_scenario(
     accounting).  ``sample=False`` keeps only the span tree (used when
     measuring span overhead in isolation).
     """
-    profile, tspec, traces = spec.resolve_trace()
-    entries = spec.entries(profile, tspec)
     recorder = SpanRecorder()
     sampler = (
         SamplingProfiler(hz=hz, trace_allocations=allocations) if sample else None
@@ -116,7 +114,7 @@ def profile_scenario(
     t0 = perf_counter()
     try:
         with recorder.span("profile"):
-            results, _ = execute(entries, traces=traces, observe=observe)
+            res = run_scenario(spec, observe=observe)
     finally:
         wall_seconds = perf_counter() - t0
         if sampler is not None:
@@ -127,7 +125,7 @@ def profile_scenario(
         recorded_at=recorded_at,
         wall_seconds=wall_seconds,
         recorder=recorder,
-        results=results,
+        results=res.results,
         sampler=sampler,
-        points=[point for _, point, _ in entries],
+        points=res.points,
     )

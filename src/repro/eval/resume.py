@@ -16,11 +16,12 @@ scenario execution crash-safe end to end:
 
 :func:`run_resumable` is create-or-continue: pointed at a fresh directory
 it runs the whole grid; pointed at a partial one it skips committed points
-and restarts the rest from their newest checkpoints.  ``repro resume``
-(and ``--run-dir`` on ``repro scenario run``) are thin CLI shims over
-:func:`resume_run`.  Metrics are bit-identical to an uninterrupted run —
-the regression gate (``repro db regress`` at zero tolerance) holds across
-any kill/resume sequence.  See docs/reliability.md.
+and restarts the rest from their newest checkpoints.  ``repro scenario
+run --run-dir`` is a thin CLI shim over :func:`create_run` and
+:func:`run_resumable`, ``repro resume`` one over :func:`resume_run`.
+Metrics are bit-identical to an uninterrupted run — the regression gate
+(``repro db regress`` at zero tolerance) holds across any kill/resume
+sequence.  See docs/reliability.md.
 
 Run directories and ``repro serve`` job records written while sharded
 execution existed may hold a scenario with a ``shards`` key, which
@@ -34,8 +35,8 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
-from repro.eval.runner import ProgressFn, execute
-from repro.eval.scenario import ScenarioResult, ScenarioSpec
+from repro.eval.runner import ProgressFn
+from repro.eval.scenario import ScenarioResult, ScenarioSpec, run_scenario
 from repro.sim.checkpoint import (
     DEFAULT_EVERY_EVENTS,
     CheckpointError,
@@ -149,15 +150,16 @@ def run_resumable(
     flag: Optional[InterruptFlag] = None,
     trace_cache: Optional[Dict[str, Any]] = None,
     pool: Optional[ProcessPoolExecutor] = None,
+    jobs: Union[int, str, None] = 1,
 ) -> Tuple[ScenarioResult, List[Optional[Dict[str, Any]]]]:
     """Run (or continue) every point of ``spec`` inside ``run_dir``.
 
-    The scenario-level form of :func:`~repro.eval.runner.execute` with a
-    run directory: committed points are skipped outright; the rest execute
-    with checkpointing on, through :meth:`Simulation.run_checkpointed`
-    resuming from whatever checkpoints the directory already holds — or,
-    given a long-lived ``pool``, over its workers, each result committed as
-    it lands.
+    :func:`~repro.eval.scenario.run_scenario` with a run directory, under
+    an interrupt flag: committed points are skipped outright; the rest
+    execute with checkpointing on, resuming from whatever checkpoints the
+    directory already holds — or, over ``jobs`` workers or a long-lived
+    ``pool``, each result committed as it lands.  Returns the result and
+    each point's executor record.
 
     A deferred SIGINT/SIGTERM flushes the in-flight point's state and
     raises :class:`~repro.eval.runner.SweepInterrupted` carrying the
@@ -184,24 +186,19 @@ def run_resumable(
     * ``trace_cache`` (keyed by trace-spec key) shares materialized traces
       across calls, so a long-running server rebuilds each trace once.
     """
-    profile, tspec, materialized = spec.resolve_trace()
-    entries = spec.entries(profile, tspec)
-    traces = trace_cache if trace_cache is not None else {}
-    for key, trace in materialized.items():
-        traces.setdefault(key, trace)
     with (flag if flag is not None else InterruptFlag()) as flag:
-        results, infos = execute(
-            entries,
+        result = run_scenario(
+            spec,
+            traces=trace_cache,
+            jobs=jobs,
             run_dir=run_dir,
             every_events=every_events,
             progress=progress,
             cancel=flag,
-            traces=traces,
             injections=injections,
             pool=pool,
         )
-    points = [point for _, point, _ in entries]
-    return ScenarioResult(spec=spec, points=points, results=results), infos
+    return result, result.infos
 
 
 def resume_run(

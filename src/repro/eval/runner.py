@@ -3,10 +3,11 @@
 The paper's evaluation (Figs. 11-14, Tables 6-9) is dominated by parameter
 sweeps — every ``(trace, protocol, memory, rate, seed)`` point an
 independent discrete-event run.  :func:`execute` runs such a grid for
-every caller (sweeps, scenario runs, resumable run directories,
-``repro serve`` jobs and replays, and the observed points of ``repro
-profile``, ``trace`` and ``stats``) on the serial engine, in-process or
-over a process pool, with four guarantees:
+every caller on the serial engine, in-process or over a process pool: a
+scenario reaches it through :func:`repro.eval.scenario.run_scenario`
+(every CLI command, resumable run directory, ``repro serve`` job and
+replay, and ``repro profile``), hand-built entries through
+:func:`run_point_specs`.  Four guarantees:
 
 * **trace caching** — every distinct trace is built at most once per
   call: in-process points share one trace cache keyed by

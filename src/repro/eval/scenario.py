@@ -21,6 +21,9 @@ through dicts and JSON, and resolve into the picklable
 ``(TraceSpec, PointSpec, SimConfig)`` entries the parallel executor
 consumes — workers materialize everything from the spec, keeping the
 per-worker trace cache and bit-identical serial/parallel results.
+:func:`run_scenario` is the one way a spec runs: every CLI command,
+resumable run directory, ``repro serve`` job and replay, and ``repro
+profile`` goes through it.
 
 Every point run from a spec stamps its fully *resolved* single-point
 scenario (:func:`repro.eval.runner.point_scenario_dict`) into the run's
@@ -49,10 +52,9 @@ from repro.eval.experiment import ExperimentResult
 from repro.eval.runner import (
     Entry,
     PointSpec,
-    ProgressFn,
     TraceSpec,
+    execute,
     point_scenario_dict,
-    run_point_specs,
 )
 from repro.eval.sweeps import SweepResult
 from repro.mobility.trace import Trace
@@ -381,9 +383,12 @@ class ScenarioSpec:
     def n_points(self) -> int:
         return len(self.point_grid())
 
-    def resolve_trace(self) -> Tuple[TraceProfile, TraceSpec, Dict[str, Trace]]:
+    def resolve_trace(
+        self, traces: Optional[Mapping[str, Trace]] = None
+    ) -> Tuple[TraceProfile, TraceSpec, Dict[str, Trace]]:
         """Resolve the trace block: profile, picklable recipe, and (for path
-        traces) the already-loaded trace keyed for the serial cache."""
+        traces) the loaded trace keyed for the serial cache — the one
+        ``traces`` already holds under that key, else read from disk."""
         t = self.trace
         if t.profile is not None:
             profile = trace_profile(t.profile, full_scale=t.full_scale)
@@ -391,9 +396,11 @@ class ScenarioSpec:
             return profile, tspec, {}
         from repro.mobility import io as trace_io
 
-        trace = trace_io.load_trace(t.path)
-        profile = profile_for_trace(trace, path=t.path)
         tspec = TraceSpec.from_path(t.path)
+        trace = traces.get(tspec.key) if traces else None
+        if trace is None:
+            trace = trace_io.load_trace(t.path)
+        profile = profile_for_trace(trace, path=t.path)
         return profile, tspec, {tspec.key: trace}
 
     def _point_config(
@@ -477,6 +484,9 @@ class ScenarioResult:
     spec: ScenarioSpec
     points: List[PointSpec]
     results: List[ExperimentResult]
+    #: each point's executor record (``{"execution": {"mode": ...}}``),
+    #: index-aligned; empty for a result assembled by hand
+    infos: List[Optional[Dict[str, Any]]] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if len(self.points) != len(self.results):
@@ -534,32 +544,30 @@ class ScenarioResult:
 def run_scenario(
     spec: ScenarioSpec,
     *,
-    jobs: Union[int, str, None] = 1,
-    trace: Optional[Trace] = None,
-    progress: Optional[ProgressFn] = None,
+    traces: Optional[Dict[str, Trace]] = None,
+    **options: Any,
 ) -> ScenarioResult:
-    """Run every point of ``spec``, possibly in parallel (``jobs``).
+    """Run every point of ``spec``: the one path from a spec to its results.
 
-    ``trace`` optionally seeds the serial path's trace cache with an
-    already-materialized trace for the spec's recipe (callers holding a
-    session-cached trace avoid rebuilding it); parallel workers always
-    materialize from the spec, reusing their per-worker cache.
-    ``progress`` streams per-point telemetry (see
-    :class:`repro.eval.runner.ProgressEvent`).
+    ``traces`` is the executor's trace cache, keyed by trace-spec key: a
+    trace already cached under the spec's key is the one the points run
+    on, and the cache keeps every trace they ran on, so a caller holding
+    it across calls builds each trace once.  ``options`` are
+    :func:`repro.eval.runner.execute`'s (``jobs``, ``progress``,
+    ``observe``, ``run_dir``, ``every_events``, ``cancel``,
+    ``injections``, ``pool``).
     """
-    profile, tspec, materialized = spec.resolve_trace()
-    if trace is not None:
-        materialized = {**materialized, tspec.key: trace}
+    traces = {} if traces is None else traces
+    profile, tspec, materialized = spec.resolve_trace(traces)
+    traces.update(materialized)
     entries = spec.entries(profile, tspec)
-    results = run_point_specs(
-        entries, jobs=jobs, materialized=materialized, progress=progress
-    )
+    results, infos = execute(entries, traces=traces, **options)
     return ScenarioResult(
-        spec=spec, points=[point for _, point, _ in entries], results=results
+        spec, [point for _, point, _ in entries], results, infos
     )
 
 
-# -- provenance extraction / rerun -------------------------------------------
+# -- provenance extraction ----------------------------------------------------
 
 
 def extract_scenarios(payload: Any) -> List[Dict[str, Any]]:
@@ -602,13 +610,6 @@ def embedded_scenario(payload: Any, *, index: int = 0) -> ScenarioSpec:
             f"scenario index {index} out of range (file holds {len(scenarios)})"
         )
     return ScenarioSpec.from_dict(scenarios[index])
-
-
-def rerun_scenario(
-    payload: Any, *, index: int = 0, jobs: Union[int, str, None] = 1
-) -> ScenarioResult:
-    """Re-run the ``index``-th scenario embedded in exported JSON."""
-    return run_scenario(embedded_scenario(payload, index=index), jobs=jobs)
 
 
 # -- presets ------------------------------------------------------------------

@@ -17,12 +17,10 @@ API (all under ``/v1`` unless noted)::
     GET    /v1/jobs/<id>         one job (?results=1 adds per-point metrics)
     DELETE /v1/jobs/<id>         cancel (running -> checkpointed partial)
     GET    /v1/jobs/<id>/events  SSE stream (?after=N resumes past id N)
-    GET    /v1/db/query          stored points (repro db query --json)
-    GET    /v1/db/regress        exact-equality verdict vs a snapshot file
-    GET    /v1/db/report         fig11-14 trend report (JSON)
     POST   /v1/replay            SSE wall-clock replay of one point
 
-Errors are JSON: ``{"error": "..."}`` with 4xx/5xx status.
+Errors are JSON: ``{"error": "..."}`` with 4xx/5xx status.  The store the
+server records into is read with ``repro db`` (query, regress, report).
 """
 
 from __future__ import annotations
@@ -37,14 +35,6 @@ from repro.eval.scenario import preset_catalog
 from repro.serve.jobs import JobManager
 from repro.serve.replay import ReplayRequest, replay_stream
 from repro.serve.sse import sse_frame
-from repro.store import (
-    ExperimentDB,
-    PointFilter,
-    regress,
-    select_points,
-    snapshot_rows,
-    write_report,
-)
 
 __all__ = ["ReproServer", "make_server"]
 
@@ -177,12 +167,6 @@ class _Handler(BaseHTTPRequestHandler):
                 self._get_job(parts[2], params)
             elif len(parts) == 4 and parts[:2] == ["v1", "jobs"] and parts[3] == "events":
                 self._stream_job_events(parts[2], params)
-            elif url.path == "/v1/db/query":
-                self._db_query(params)
-            elif url.path == "/v1/db/regress":
-                self._db_regress(params)
-            elif url.path == "/v1/db/report":
-                self._db_report()
             else:
                 self._send_error_json(404, f"no such endpoint: {url.path}")
         except KeyError as exc:
@@ -254,48 +238,6 @@ class _Handler(BaseHTTPRequestHandler):
                 self.wfile.flush()
         except (BrokenPipeError, ConnectionResetError, OSError):
             pass  # subscriber disconnected; the generator just stops
-
-    # -- store endpoints -----------------------------------------------------------
-    def _db(self) -> ExperimentDB:
-        if self.server.db_path is None:
-            raise ValueError("this server has no experiment store (start with --db)")
-        return ExperimentDB(self.server.db_path)
-
-    def _db_query(self, params: Dict[str, Any]) -> None:
-        flt = PointFilter(
-            protocol=_first(params, "protocol"),
-            trace=_first(params, "trace"),
-            scenario_hash=_first(params, "hash"),
-            kind=_first(params, "kind"),
-        )
-        with self._db() as db:
-            rows = select_points(
-                db, filter=flt, metric=_first(params, "metric"),
-                latest=_truthy(_first(params, "latest")),
-                limit=_non_negative_int(params, "limit"),
-            )
-        self._send_json(200, {"points": [r.as_dict() for r in rows]})
-
-    def _db_regress(self, params: Dict[str, Any]) -> None:
-        baseline_file = _first(params, "file")
-        if baseline_file is None:
-            raise ValueError(
-                "give 'file': the path of a baseline snapshot on the server "
-                "(repro db baseline NAME --out FILE writes one)"
-            )
-        try:
-            with open(baseline_file, "r", encoding="utf-8") as fh:
-                name, rows = snapshot_rows(json.load(fh))
-        except OSError as exc:
-            raise ValueError(f"cannot read baseline file: {exc}") from None
-        with self._db() as db:
-            verdict = regress(db, rows, baseline_name=name)
-        self._send_json(200, verdict.as_dict())
-
-    def _db_report(self) -> None:
-        with self._db() as db:
-            text, _ = write_report(db, as_json=True)
-        self._send_json(200, json.loads(text))
 
     # -- replay ---------------------------------------------------------------------
     def _replay(self) -> None:

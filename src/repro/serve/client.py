@@ -182,12 +182,3 @@ class ServeClient:
         if limit is not None:
             body["limit"] = limit
         return self._stream("POST", "/v1/replay", body=body)
-
-    def db_query(self, **params: Any) -> List[Dict[str, Any]]:
-        return self._request("GET", "/v1/db/query", params=params)["points"]
-
-    def db_regress(self, **params: Any) -> Dict[str, Any]:
-        return self._request("GET", "/v1/db/regress", params=params)
-
-    def db_report(self) -> Dict[str, Any]:
-        return self._request("GET", "/v1/db/report")

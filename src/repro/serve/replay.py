@@ -28,8 +28,7 @@ import time
 from contextlib import nullcontext
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
-from repro.eval.runner import execute
-from repro.eval.scenario import ScenarioSpec, load_scenario
+from repro.eval.scenario import ScenarioSpec, load_scenario, run_scenario
 from repro.obs import events as event_types
 from repro.obs.runtime import Observability
 from repro.store import ExperimentDB, scenario_for_hash
@@ -151,16 +150,12 @@ def replay_stream(
     payload carries the simulation timestamp ``t``, a 1-based ``seq``, and
     the elapsed wall clock ``wall_s``.  An exception raised by the sink
     (client went away) aborts the run and propagates.  The point runs
-    through :func:`repro.eval.runner.execute` with ``trace_cache`` (the
-    server's, shared with its jobs) as its trace cache.
+    through :func:`repro.eval.scenario.run_scenario` with ``trace_cache``
+    (the server's, shared with its jobs) as its trace cache.
 
     Returns the replay summary: events streamed/emitted plus the finished
     run's metrics — bit-identical to the same scenario run in batch.
     """
-    profile, tspec, materialized = request.spec.resolve_trace()
-    traces = trace_cache if trace_cache is not None else {}
-    for key, trace in materialized.items():
-        traces.setdefault(key, trace)
     obs = Observability(enabled=True, event_capacity=request.event_capacity)
     wanted = frozenset(request.etypes)
     state = {"n": 0, "t0": None, "wall0": 0.0}
@@ -188,11 +183,11 @@ def replay_stream(
         sink(event.etype, payload)
 
     obs.events.tap = tap
-    (result,), _ = execute(
-        request.spec.entries(profile, tspec),
-        traces=traces,
+    (result,) = run_scenario(
+        request.spec,
+        traces=trace_cache,
         observe=lambda index, point: nullcontext(obs),
-    )
+    ).results
     metrics = result.metrics.as_dict()
     metrics.pop("provenance", None)
     return {

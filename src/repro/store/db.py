@@ -286,12 +286,17 @@ class ExperimentDB:
         self._conn = sqlite3.connect(self.path)
         self._conn.row_factory = sqlite3.Row
         try:
-            self._conn.execute("PRAGMA journal_mode=WAL")
-        except sqlite3.DatabaseError:  # pragma: no cover - exotic filesystems
-            pass
-        self._conn.execute("PRAGMA foreign_keys=ON")
-        self._conn.execute(f"PRAGMA busy_timeout={BUSY_TIMEOUT_MS}")
-        self._migrate()
+            try:
+                self._conn.execute("PRAGMA journal_mode=WAL")
+            except sqlite3.DatabaseError:  # pragma: no cover - exotic filesystems
+                pass
+            self._conn.execute("PRAGMA foreign_keys=ON")
+            self._conn.execute(f"PRAGMA busy_timeout={BUSY_TIMEOUT_MS}")
+            self._migrate()
+        except BaseException:
+            # a store this package refuses leaves no connection open
+            self.close()
+            raise
 
     # -- lifecycle ------------------------------------------------------------
     def close(self) -> None:

@@ -371,13 +371,22 @@ def ingest_profile(
     of ``repro db report``); its ``extra`` carries ``recorded_at`` and the
     profiled scenario's content hash.  The whole payload is content-hashed
     for run-level dedup — re-ingesting the same profile file is a no-op.
+    Every phase needs a number ``seconds`` and an integer ``calls`` (a
+    bool is neither); anything else is a ``ValueError`` naming the phase
+    and the field, raised before any row is written.
     """
     phases = payload.get("phases")
     values: Dict[str, float] = {}
     for name, rec in phases.items() if isinstance(phases, Mapping) else ():
-        if isinstance(rec, Mapping):
-            values[f"phase.{name}.seconds"] = float(rec.get("seconds", 0.0))
-            values[f"phase.{name}.calls"] = int(rec.get("calls", 0))
+        if not isinstance(rec, Mapping):
+            raise ValueError(f"profile phase {name!r} is not an object")
+        seconds, calls = rec.get("seconds"), rec.get("calls")
+        if isinstance(seconds, bool) or not isinstance(seconds, (int, float)):
+            raise _bad_phase_field(name, rec, "seconds", "a number")
+        if isinstance(calls, bool) or not isinstance(calls, int):
+            raise _bad_phase_field(name, rec, "calls", "an integer")
+        values[f"phase.{name}.seconds"] = float(seconds)
+        values[f"phase.{name}.calls"] = calls
     if not values:
         raise ValueError("profile payload has no 'phases' to ingest")
     wall = payload.get("wall_seconds")
@@ -400,6 +409,13 @@ def ingest_profile(
         return IngestStats()
     db.record_run_metrics(run_id, values)
     return IngestStats(runs=1, points_new=1)
+
+
+def _bad_phase_field(
+    name: str, rec: Mapping[str, Any], key: str, want: str
+) -> ValueError:
+    got = repr(rec[key]) if key in rec else "nothing"
+    return ValueError(f"profile phase {name!r}: {key!r} must be {want}, got {got}")
 
 
 # -- generic payload dispatch --------------------------------------------------

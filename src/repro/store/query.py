@@ -8,7 +8,7 @@ Three access patterns the rest of the harness needs:
   distinct resolved scenario, the most recently recorded result (the
   "current truth" a baseline snapshot records and the regression gate
   compares against one); :func:`select_points` combines both the way
-  ``repro db query`` and ``GET /v1/db/query`` list rows;
+  ``repro db query`` lists rows;
 * **scenario lookup** — :func:`scenario_for_hash`: the stored resolved
   scenario behind a point hash (``repro serve``'s replay source).
 """
@@ -136,7 +136,7 @@ def select_points(
     latest: bool = False,
     limit: int = 0,
 ) -> List[PointRow]:
-    """The rows ``repro db query`` and ``GET /v1/db/query`` list.
+    """The rows ``repro db query`` lists.
 
     The points matching ``filter`` (only each one's latest recording when
     ``latest``) that recorded ``metric``, oldest first; ``limit`` keeps

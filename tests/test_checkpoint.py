@@ -315,6 +315,31 @@ class TestRunDirectories:
         ]
         assert all(info["execution"]["mode"] == "serial" for info in infos)
 
+    def test_scenario_run_dir_runs_jobs_workers(self, tmp_path, capsys):
+        """``scenario run --run-dir D --jobs 2`` runs its points over a
+        pool, to the metrics of a serial run."""
+        from repro.cli import main
+
+        manifest = {
+            "trace": {"profile": "DNET", "seed": 1},
+            "sim": {"memory_kb": 2000, "rate": 100, "workload_scale": 0.05},
+            "protocols": ["Direct", "DTN-FLOW"],
+            "seeds": [1],
+        }
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(manifest))
+        argv = ["scenario", "run", str(path), "--run-dir", str(tmp_path / "rd"),
+                "--jobs", "2", "--json"]
+        assert main(argv) == 0
+        pooled = json.loads(capsys.readouterr().out)["results"]
+        rd = RunDir(tmp_path / "rd")
+        modes = [rd.load_result(i)["info"]["execution"]["mode"] for i in range(2)]
+        assert modes == ["pool", "pool"]
+        serial = run_scenario(ScenarioSpec.from_dict(manifest).validate())
+        assert pooled == json.loads(json.dumps(
+            [r.metrics.as_dict() for r in serial.results]
+        ))
+
     def test_completed_points_are_skipped_on_reentry(self, tiny_csv, tmp_path):
         spec = tiny_spec(tiny_csv)
         rd = create_run(tmp_path / "rd", spec, every_events=400)
@@ -417,7 +442,7 @@ def dart_point():
     }).validate()
     _, tspec, _ = spec.resolve_trace()
     trace = tspec.materialize()
-    baseline = run_scenario(spec, trace=trace)
+    baseline = run_scenario(spec, traces={tspec.key: trace})
     return spec, tspec, trace, baseline.results[0].metrics
 
 

@@ -168,8 +168,8 @@ class TestCLI:
         manifest = _manifest(tmp_path, {"profile": "DNET", "seed": 1},
                              protocol="PROPHET", rate=100)
         flags = self._json(argv, capsys)
-        scenario = self._json(["run", "--scenario", manifest], capsys)
-        assert _without_timings([flags]) == _without_timings([scenario])
+        scenario = self._json(["scenario", "run", manifest], capsys)
+        assert _without_timings([flags]) == _without_timings(scenario["results"])
 
     def test_compare_on_a_trace_file(self, tmp_path, capsys, dart_tiny):
         csv = str(tmp_path / "tiny.csv")
@@ -178,7 +178,7 @@ class TestCLI:
         assert [r["protocol"] for r in flags] == list(PAPER_PROTOCOLS)
         manifest = _manifest(tmp_path, {"path": csv},
                              protocols=list(PAPER_PROTOCOLS), rate=20)
-        scenario = self._json(["compare", "--scenario", manifest], capsys)
+        scenario = self._json(["scenario", "run", manifest], capsys)
         assert _without_timings(flags) == _without_timings(scenario["results"])
 
     @pytest.fixture
@@ -242,7 +242,7 @@ class TestCLI:
             protocols=["DTN-FLOW", "Direct"],
             sweep={"parameter": "rate", "values": [100, 200]},
         )
-        rc, scenario = self._run(["sweep", "--scenario", manifest], capsys)
+        rc, scenario = self._run(["scenario", "run", manifest], capsys)
         assert rc == 0
         assert out == scenario
 
@@ -333,7 +333,6 @@ class TestCLIRobustness:
 
     @pytest.mark.parametrize("command", [
         ["scenario", "run", "MANIFEST"],
-        ["run", "--scenario", "MANIFEST"],
         ["chaos", "MANIFEST"],
     ])
     def test_a_shards_key_exits_2_naming_the_removal(self, command, tmp_path, capsys):
@@ -359,12 +358,28 @@ class TestCLIRobustness:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "--scenario", "dart-run"], "unrecognized arguments"),
+        (["run", "--run-dir", "out/run1"], "unrecognized arguments"),
+        (["run", "--every-events", "100"], "unrecognized arguments"),
+        (["compare", "--scenario", "dart-compare"], "unrecognized arguments"),
+        (["sweep"], "the following arguments are required: parameter"),
+        (["sweep", "memory", "--scenario", "fig11-dart-memory"],
+         "unrecognized arguments"),
+    ])
+    def test_removed_manifest_flags_are_argparse_errors(self, argv, message, capsys):
+        """A manifest or preset runs with ``scenario run`` alone."""
+        from repro.cli import main
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv, expected", [
         (["sweep", "memory", "--values", "abc"], "--values"),
         (["sweep", "memory", "--protocols", "bogus"], "bogus"),
         (["sweep", "rate", "--protocols", "DTN-FLOW,DTN-FLOW"], "duplicate"),
         (["run", "--trace", "missing.csv"], "missing.csv"),
-        (["run", "--trace", "missing.csv", "--run-dir", "RUN_DIR"], "missing.csv"),
         (["run", "--memory", "0"], "node_memory_kb"),
         (["compare", "--seeds", "0"], "--seeds"),
         (["compare", "--seeds", "-1"], "--seeds"),
@@ -388,7 +403,6 @@ class TestCLIRobustness:
 
         monkeypatch.setattr(TraceSpec, "materialize", no_build)
         monkeypatch.setattr("repro.mobility.io.load_trace", no_build)
-        argv = [str(tmp_path / "run") if a == "RUN_DIR" else a for a in argv]
         usage_error = False
         try:
             rc = main(argv)

@@ -216,6 +216,38 @@ class TestProfileStoreRoundTrip:
                     db, {"kind": "profile", "phases": {}, "wall_seconds": 1.0}
                 )
 
+    @pytest.mark.parametrize("field, value, want", [
+        ("seconds", None, "a number"),
+        ("seconds", True, "a number"),
+        ("seconds", "abc", "a number"),
+        ("calls", None, "an integer"),
+        ("calls", True, "an integer"),
+        ("calls", "abc", "an integer"),
+        ("calls", 1.7, "an integer"),
+    ])
+    def test_db_ingest_refuses_a_phase_field_of_the_wrong_type(
+        self, field, value, want, tmp_path, capsys
+    ):
+        """One line naming the phase and the field, exit 2, no row."""
+        from repro.cli import main
+
+        payload = {"kind": "profile", "wall_seconds": 1.0, "phases": {
+            "a": {"seconds": 0.5, "calls": 1},
+            "b": {"seconds": 0.25, "calls": 2},
+        }}
+        payload["phases"]["b"][field] = value
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps(payload))
+        db_path = tmp_path / "exp.db"
+        assert main(["db", "ingest", str(path), "--db", str(db_path)]) == 2
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line == (
+            f"{path}: profile phase 'b': {field!r} must be {want}, "
+            f"got {value!r}"
+        )
+        with ExperimentDB(db_path) as db:
+            assert db.runs() == []
+
 
 class TestProgressTelemetry:
     def _entries(self, tiny_trace, tiny_profile, n=3):

@@ -18,11 +18,11 @@ from repro.eval.scenario import (
     ScenarioSpec,
     ScenarioTrace,
     SweepSpec,
+    embedded_scenario,
     extract_scenarios,
     load_scenario,
     preset_names,
     preset_scenario,
-    rerun_scenario,
     run_scenario,
 )
 from repro.sim.engine import SimConfig
@@ -407,12 +407,30 @@ class TestScenarioExecution:
 
     def test_rerun_from_provenance_is_bit_identical(self, fast_result):
         payload = fast_result.results[0].metrics.as_dict()
-        res2 = rerun_scenario(payload)
+        res2 = run_scenario(embedded_scenario(payload))
         assert res2.results[0].metrics == fast_result.results[0].metrics
+
+    def test_a_cached_path_trace_is_read_once(self, tiny_scenario, monkeypatch):
+        """A path trace the cache holds is the one the points run on, and
+        the CSV is not read again to resolve the spec."""
+        from repro.mobility import io as trace_io
+
+        spec = tiny_scenario(protocols=["Direct"]).validate()
+        reads = []
+        load = trace_io.load_trace
+        monkeypatch.setattr(
+            trace_io, "load_trace", lambda path: reads.append(path) or load(path)
+        )
+        cache: dict = {}
+        first = run_scenario(spec, traces=cache)
+        again = run_scenario(spec, traces=cache)
+        assert reads == [spec.trace.path]
+        assert list(cache) == [f"path:{spec.trace.path}"]
+        assert again.results[0].metrics == first.results[0].metrics
 
     def test_rerun_without_scenario_errors(self):
         with pytest.raises(ValueError, match="no embedded scenario"):
-            rerun_scenario({"some": "payload"})
+            embedded_scenario({"some": "payload"})
 
     def test_serial_parallel_bit_identical(self, fast_spec):
         spec = ScenarioSpec.from_dict(fast_manifest(
@@ -543,7 +561,7 @@ class TestScenarioFaults:
 
     def test_faulted_rerun_is_bit_identical(self, faulted_result):
         payload = faulted_result.results[0].metrics.as_dict()
-        res2 = rerun_scenario(payload)
+        res2 = run_scenario(embedded_scenario(payload))
         assert res2.results[0].metrics == faulted_result.results[0].metrics
 
     def test_faulted_serial_parallel_bit_identical(self):

@@ -271,11 +271,6 @@ def test_http_recording_matches_cli_record_path(server, tmp_path):
             if key in stored[r.protocol]:
                 assert stored[r.protocol][key] == pytest.approx(value, abs=0)
 
-    # the query endpoint mirrors ``repro db query --json``
-    points = client.db_query(latest=1)
-    assert {p["protocol"] for p in points} == {"Direct", "Epidemic"}
-    assert client.db_report()  # JSON report renders from the same store
-
 
 def test_rest_error_and_catalog_surface(server):
     srv, client = server
@@ -326,46 +321,16 @@ def test_rest_error_and_catalog_surface(server):
     with pytest.raises(ServeError) as err:
         client._request("GET", "/v1/nope")
     assert err.value.status == 404
-    # regress endpoint gates against a snapshot file, and only against one
-    for params in ({}, {"baseline": "x"}):
+    # the store is read with ``repro db``, not over HTTP
+    for path in ("/v1/db/query", "/v1/db/regress", "/v1/db/report"):
         with pytest.raises(ServeError) as err:
-            client.db_regress(**params)
-        assert err.value.status == 400
-        assert "'file'" in str(err.value)
-
-
-def test_db_endpoints_answer_400_on_bad_input(server, tmp_path):
-    srv, client = server
-    with pytest.raises(ServeError) as err:
-        client.db_query(limit=-1)
-    assert err.value.status == 400
-    assert "limit must be >= 0, got -1" in str(err.value)
-    baseline = tmp_path / "bad-baseline.json"
-    baseline.write_text(json.dumps({"baseline": "bad", "rows": [
-        {"scenario_hash": "ab12", "metric": "success_rate", "value": None},
-    ]}))
-    with pytest.raises(ServeError) as err:
-        client.db_regress(file=str(baseline))
-    assert err.value.status == 400
-    assert "row 0: 'value' must be a number, got None" in str(err.value)
+            client._request("GET", path)
+        assert err.value.status == 404
+        assert f"no such endpoint: {path}" in str(err.value)
 
 
 def test_unparsable_query_parameters_answer_400_naming_them(server):
     srv, client = server
-    for value, message in (
-        ("abc", "limit must be a non-negative integer, got 'abc'"),
-        ("1.5", "limit must be a non-negative integer, got '1.5'"),
-    ):
-        with pytest.raises(ServeError) as err:
-            client.db_query(limit=value)
-        assert err.value.status == 400
-        assert message in str(err.value)
-    # a scenario-hash prefix is hex, never a LIKE wildcard
-    for prefix in ("_", "%", "AB", "a%"):
-        with pytest.raises(ServeError) as err:
-            client.db_query(hash=prefix)
-        assert err.value.status == 400
-        assert f"lowercase hex, got {prefix!r}" in str(err.value)
     job = client.submit(scenario("after-param"))
     assert client.wait(job["id"], timeout=WAIT)["state"] == "done"
     for value, message in (
@@ -716,9 +681,9 @@ def test_replay_point_source_resurrects_stored_scenario(server):
     job = client.submit(scenario("stored"))
     final = client.wait(job["id"], timeout=WAIT)
     assert final["state"] == "done"
-    rows = client.db_query(latest=1)
-    shash = rows[0]["scenario_hash"]
-    frames = list(client.replay(point=shash[:12], speed=0, limit=10))
+    with ExperimentDB(srv.db_path) as db:
+        (row,) = query_points(db)
+    frames = list(client.replay(point=row.scenario_hash[:12], speed=0, limit=10))
     assert frames[-1][0] == "replay.finished"
     assert frames[-1][1]["events_streamed"] == 10
 

@@ -96,6 +96,25 @@ class TestWarehouse:
         with pytest.raises(ValueError, match="newer than"):
             ExperimentDB(path)
 
+    def test_a_refused_store_leaves_no_connection_open(self, tmp_path, monkeypatch):
+        path = tmp_path / "future.sqlite"
+        conn = sqlite3.connect(path)
+        conn.execute(f"PRAGMA user_version = {SCHEMA_VERSION + 1}")
+        conn.close()
+        opened = []
+        connect = sqlite3.connect
+
+        def tracked(*args, **kwargs):
+            opened.append(connect(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(sqlite3, "connect", tracked)
+        with pytest.raises(ValueError, match="newer than"):
+            ExperimentDB(path)
+        (refused,) = opened
+        with pytest.raises(sqlite3.ProgrammingError, match="closed"):
+            refused.execute("SELECT 1")
+
     def test_reopen_is_idempotent(self, tmp_path):
         path = tmp_path / "exp.sqlite"
         with ExperimentDB(path) as db:
@@ -667,12 +686,12 @@ class TestStoreCLI:
         }))
         db_path = str(tmp_path / "rec.sqlite")
         rc, _, err = self._run(
-            ["run", "--scenario", str(manifest), "--record", "--db", db_path],
+            ["scenario", "run", str(manifest), "--record", "--db", db_path],
             capsys)
         assert rc == 0 and "recorded" in err and "1 new" in err
         # recording the identical run again stores nothing new
         rc, _, err = self._run(
-            ["run", "--scenario", str(manifest), "--record", "--db", db_path],
+            ["scenario", "run", str(manifest), "--record", "--db", db_path],
             capsys)
         assert rc == 0 and "0 new, 1 already recorded" in err
         with ExperimentDB(db_path) as db:
@@ -681,8 +700,8 @@ class TestStoreCLI:
     def test_flag_sweep_records_what_the_manifest_sweep_records(
         self, tmp_path, capsys
     ):
-        """``sweep rate`` flags and the equivalent ``sweep --scenario``
-        manifest record the same point with the same full metric set, so a
+        """``sweep rate`` flags and the equivalent manifest run with
+        ``scenario run`` record the same point with the same full metric set, so a
         zero-tolerance regress of one against the other passes."""
         manifest = tmp_path / "sweep.json"
         manifest.write_text(json.dumps({
@@ -694,7 +713,7 @@ class TestStoreCLI:
         }))
         db_path = str(tmp_path / "sweeps.sqlite")
         rc, _, err = self._run(
-            ["sweep", "--scenario", str(manifest), "--record", "--db", db_path],
+            ["scenario", "run", str(manifest), "--record", "--db", db_path],
             capsys)
         assert rc == 0 and "1 new" in err
         snap = str(tmp_path / "manifest.json")
@@ -710,6 +729,69 @@ class TestStoreCLI:
             ["db", "regress", "--baseline-file", snap, "--db", db_path], capsys)
         assert rc == 0, out
         assert "0 failed" in out and "0 missing" in out
+
+
+#: every CLI path that opens a store, each given the file ``V9``
+_STORE_PATHS = [
+    ["db", "ingest", "ROWS", "--db", "V9"],
+    ["db", "query", "--db", "V9"],
+    ["db", "baseline", "b", "--out", "OUT", "--db", "V9"],
+    ["db", "regress", "--baseline-file", "SNAP", "--db", "V9"],
+    ["db", "report", "--db", "V9"],
+    ["run", "--trace", "dnet", "--rate", "10", "--record", "--db", "V9"],
+    ["compare", "--trace", "dnet", "--record", "--db", "V9"],
+    ["sweep", "rate", "--trace", "dnet", "--values", "10", "--record",
+     "--db", "V9"],
+    ["scenario", "run", "dnet-run", "--record", "--db", "V9"],
+    ["scenario", "run", "dnet-run", "--run-dir", "RUN", "--record",
+     "--db", "V9"],
+    ["resume", "RUN", "--record", "--db", "V9"],
+    ["profile", "dnet-run", "--record", "--db", "V9"],
+    ["chaos", "dnet-run", "--run-dir", "RUN", "--record", "--db", "V9"],
+    ["resilience", "--trace", "dnet", "--record", "--db", "V9"],
+    ["serve", "--port", "0", "--run-root", "RUN", "--db", "V9"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv", _STORE_PATHS, ids=[" ".join(a[:2]) for a in _STORE_PATHS]
+)
+def test_a_newer_store_exits_2_before_any_work(
+    argv, tmp_path, monkeypatch, capsys
+):
+    """A store a newer package wrote is one line and exit 2 wherever the
+    CLI opens one: before a trace is built, a point runs or serve binds."""
+    from repro.eval.runner import TraceSpec
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started against a refused store")
+
+    monkeypatch.setattr(TraceSpec, "materialize", no_work)
+    monkeypatch.setattr("repro.mobility.io.load_trace", no_work)
+    monkeypatch.setattr("repro.cli._resolve_trace", no_work)
+    monkeypatch.setattr("repro.serve.make_server", no_work)
+    v9 = tmp_path / "v9.sqlite"
+    conn = sqlite3.connect(v9)
+    conn.execute("PRAGMA user_version = 9")
+    conn.close()
+    rows = tmp_path / "rows.json"
+    rows.write_text(json.dumps([{"protocol": "PER", "success_rate": 0.5}]))
+    snap = tmp_path / "snap.json"
+    snap.write_text(json.dumps({"baseline": "b", "rows": [
+        {"scenario_hash": "ab12", "metric": "success_rate", "value": 0.5},
+    ]}))
+    paths = {"V9": v9, "ROWS": rows, "SNAP": snap,
+             "OUT": tmp_path / "out.json", "RUN": tmp_path / "run"}
+    rc = main([str(paths.get(a, a)) for a in argv])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    (line,) = captured.err.strip().splitlines()
+    assert line == (
+        f"{v9}: schema version 9 is newer than this package supports "
+        f"({SCHEMA_VERSION}); upgrade repro"
+    )
+    assert not (tmp_path / "out.json").exists()
+    assert not (tmp_path / "run").exists()
 
 
 def _cli_cases():
