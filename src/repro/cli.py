@@ -26,9 +26,11 @@ scenario) so result files are self-describing — ``repro rerun`` turns any
 such file back into the bit-identical experiment that produced it.
 A manifest or preset runs with ``repro scenario run`` (see
 ``docs/scenarios.md``); the trace and workload flags of ``run``,
-``compare``, ``sweep``, ``trace`` and ``stats`` build the equivalent
-scenario, so both forms run, validate and record the same way, through
-:func:`repro.eval.scenario.run_scenario`.
+``compare``, ``sweep``, ``trace``, ``stats`` and ``resilience`` build the
+equivalent scenario, so both forms run, validate and record the same
+way, through :func:`repro.eval.scenario.run_scenario` (``resilience``
+runs its scenario once per fault intensity, as one grid through
+:func:`~repro.eval.scenario.run_scenarios`).
 
 ``run``, ``compare``, ``sweep``, ``scenario run`` and ``resilience`` accept
 ``--record [--db PATH]`` to persist their results into the SQLite
@@ -37,7 +39,9 @@ snapshot files and gates candidate results against them (see
 ``docs/storage.md``).  Recording happens in the parent process only —
 parallel workers never touch the database.  A store written by a newer
 package is a usage error (one line, exit 2) for every command that opens
-one, checked before any point runs.
+one, checked before any point runs; so is a path with no store for the
+``db`` read verbs (``query``, ``report``, ``baseline``, ``regress``),
+which create nothing there.
 """
 
 from __future__ import annotations
@@ -73,7 +77,6 @@ from repro.mobility import io as trace_io
 from repro.mobility import stats
 from repro.obs import RUN_EVENTS, Observability, SpanRecorder
 from repro.obs.export import render_span_tree, write_flamegraph, write_profile
-from repro.obs.provenance import _jsonable
 from repro.store import (
     ExperimentDB,
     IngestStats,
@@ -89,8 +92,8 @@ from repro.store import (
     snapshot_rows,
     write_report,
 )
-from repro.sim.engine import SimConfig
 from repro.utils.tables import format_table
+from repro.utils.validation import require_probability
 
 
 def _resolve_trace(spec: str, seed: int) -> tuple:
@@ -145,6 +148,15 @@ def _open_store(path: str) -> ExperimentDB:
         raise _UsageError(str(exc)) from None
 
 
+def _read_store(args: argparse.Namespace) -> ExperimentDB:
+    """The store a ``db`` read verb answers from; a path with no store is a
+    usage error, and nothing is created there."""
+    path = _store_path(args)
+    if not os.path.exists(path):
+        raise _UsageError(f"repro db {args.db_command}: no experiment store at {path}")
+    return _open_store(path)
+
+
 def _check_store(path: str) -> None:
     """Refuse an existing store this package cannot open, before any work
     runs; a path with no file yet is left to the first recording."""
@@ -181,13 +193,15 @@ def _flag_scenario(
     protocols: Sequence[str],
     seeds: Sequence[int] = (),
     sweep: Optional[dict] = None,
+    sim: Optional[dict] = None,
 ) -> ScenarioSpec:
     """The scenario the workload flags of ``run``, ``compare``, ``sweep``,
-    ``trace`` and ``stats`` describe.
+    ``trace``, ``stats`` and ``resilience`` describe.
 
     The trace is ``--trace`` at seed ``--seed`` (a built-in profile's own
     scenario trace block, or a CSV ``path``); ``seeds`` are the sim seeds
-    (default ``--seed``).  The spec is validated like a manifest given to
+    (default ``--seed``); ``sim`` adds to ``--memory`` and ``--rate`` in
+    the ``sim`` block.  The spec is validated like a manifest given to
     ``scenario run``, so a bad flag exits 2 before any trace is built.
     """
     key = args.trace.upper()
@@ -200,7 +214,7 @@ def _flag_scenario(
         return ScenarioSpec.from_dict({
             "name": name,
             "trace": trace,
-            "sim": {"memory_kb": args.memory, "rate": args.rate},
+            "sim": {"memory_kb": args.memory, "rate": args.rate, **(sim or {})},
             "protocols": list(protocols),
             "seeds": list(seeds) or [args.seed],
             **({"sweep": sweep} if sweep else {}),
@@ -404,7 +418,29 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_scenario_flags(args: argparse.Namespace) -> None:
+    """Refuse a flag the ``scenario`` action does not read, before any work:
+    ``list`` reads only ``--json``, ``validate`` and ``show`` only their
+    sources, ``run`` every flag (``--every-events`` only with ``--run-dir``).
+    """
+    if args.action == "run":
+        if args.every_events is not None and not args.run_dir:
+            raise _UsageError("repro scenario run: --every-events needs --run-dir")
+        return
+    unread = [
+        "--" + dest.replace("_", "-")
+        for dest in ("jobs", "record", "db", "run_dir", "every_events", "out", "json")
+        if getattr(args, dest) not in (None, False)
+        and (args.action, dest) != ("list", "json")
+    ]
+    if unread:
+        raise _UsageError(
+            f"repro scenario {args.action} does not read {', '.join(unread)}"
+        )
+
+
 def cmd_scenario(args: argparse.Namespace) -> int:
+    _check_scenario_flags(args)
     if args.action == "list":
         # the catalog is the same payload GET /v1/scenarios serves
         catalog = preset_catalog()
@@ -611,57 +647,54 @@ def cmd_rerun(args: argparse.Namespace) -> int:
 
 
 def cmd_resilience(args: argparse.Namespace) -> int:
-    # validate cheap arguments before the (expensive) trace build
-    protocols = (
-        args.protocols.split(",") if args.protocols else ["DTN-FLOW", "PROPHET", "PGR"]
-    )
-    unknown = [p for p in protocols if p not in protocol_names()]
-    if unknown:
-        print(
-            f"unknown protocol(s): {', '.join(unknown)}; "
-            f"known: {', '.join(protocol_names())}",
-            file=sys.stderr,
-        )
-        return 2
+    # every flag is checked before the (expensive) trace build
     try:
         intensities = (
             [float(v) for v in args.intensities.split(",")]
-            if args.intensities
-            else list(DEFAULT_INTENSITIES)
+            if args.intensities else list(DEFAULT_INTENSITIES)
         )
     except ValueError:
-        print(f"--intensities must be comma-separated numbers, got "
-              f"{args.intensities!r}", file=sys.stderr)
-        return 2
+        raise _UsageError(
+            f"repro resilience: --intensities must be comma-separated "
+            f"numbers, got {args.intensities!r}"
+        ) from None
     try:
-        SimConfig(
-            node_memory_kb=args.memory,
-            rate_per_landmark_per_day=args.rate,
-            workload_scale=1.0 if args.workload_scale is None else args.workload_scale,
-        )
+        for x in intensities:
+            require_probability("--intensities", x)
+        require_probability("--death-start", args.death_start)
     except ValueError as exc:
         raise _UsageError(f"repro resilience: {exc}") from None
-    trace, profile = _resolve_trace(args.trace, args.seed)
-    config = profile.sim_config(memory_kb=args.memory, rate=args.rate, seed=args.seed)
-    if args.workload_scale is not None:
-        config = dataclasses.replace(config, workload_scale=args.workload_scale)
+    if args.probes < 2:
+        raise _UsageError(
+            f"repro resilience: --probes must be at least 2, got {args.probes}"
+        )
+    spec = _flag_scenario(
+        args, name="resilience",
+        protocols=(
+            args.protocols.split(",") if args.protocols
+            else ["DTN-FLOW", "PROPHET", "PGR"]
+        ),
+        sim={} if args.workload_scale is None else {"workload_scale": args.workload_scale},
+    )
+    try:
+        profile, tspec, traces = spec.resolve_trace()
+    except (OSError, ValueError) as exc:
+        raise _UsageError(f"cannot read trace {args.trace!r}: {exc}") from None
     curves = degradation_curves(
-        trace,
-        protocols=protocols,
-        intensities=intensities,
-        config=config,
-        fault_seed=args.fault_seed,
+        spec, intensities, fault_seed=args.fault_seed, traces=traces,
         jobs=parse_jobs(args.jobs),
     )
-    # the config rides along as part of each point's identity; --record
-    # ingests this same report, so `repro db ingest` of the --out file
-    # records the same points
+    trace = traces[tspec.key]
+    # --out and --record are this one document
     payload = {
-        "degradation": curves.as_dict(),
-        "config": _jsonable(dataclasses.asdict(config)),
+        "kind": "resilience",
+        "fault_seed": args.fault_seed,
+        "curves": [
+            {"intensity": x, **res.as_dict()} for x, res in zip(intensities, curves)
+        ],
     }
-    _maybe_record(args, ingest_payload, payload, label=trace.name)
     if not args.no_reconvergence:
+        (_, _, config), *_ = spec.entries(profile, tspec)
         rec = reconvergence_after_death(
             trace,
             death_start=args.death_start,
@@ -670,6 +703,7 @@ def cmd_resilience(args: argparse.Namespace) -> int:
             fault_seed=args.fault_seed,
         )
         payload["reconvergence"] = rec.as_dict()
+    _maybe_record(args, ingest_payload, payload, label=trace.name)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
@@ -677,18 +711,15 @@ def cmd_resilience(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
-    rows = []
-    for name in protocols:
-        points = curves.curves[name]
-        rows.append(
-            [name]
-            + [f"{p.success_rate:.3f}" for p in points]
-        )
+    rows = [
+        [proto.name] + [f"{res.results[i].metrics.success_rate:.3f}" for res in curves]
+        for i, proto in enumerate(spec.protocols)
+    ]
     print(format_table(
-        ["protocol"] + [f"x={x:g}" for x in curves.intensities],
+        ["protocol"] + [f"x={x:g}" for x in intensities],
         rows,
         title=f"success rate vs fault intensity ({trace.name}, "
-              f"fault seed {curves.fault_seed}):",
+              f"fault seed {args.fault_seed}):",
     ))
     if not args.no_reconvergence:
         print(
@@ -986,7 +1017,7 @@ def cmd_db_query(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"repro db query: --hash: {exc}", file=sys.stderr)
         return 2
-    with _open_store(_store_path(args)) as db:
+    with _read_store(args) as db:
         rows = select_points(
             db, filter=flt, metric=args.metric,
             latest=args.latest, limit=args.limit,
@@ -1031,7 +1062,7 @@ def cmd_db_query(args: argparse.Namespace) -> int:
 
 
 def cmd_db_baseline(args: argparse.Namespace) -> int:
-    with _open_store(_store_path(args)) as db:
+    with _read_store(args) as db:
         try:
             snap = baseline_snapshot(
                 db, args.name, filter=_cli_point_filter(args)
@@ -1053,7 +1084,7 @@ def cmd_db_regress(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"{args.baseline_file}: {exc}", file=sys.stderr)
         return 2
-    with _open_store(_store_path(args)) as db:
+    with _read_store(args) as db:
         verdict = regress(db, rows, baseline_name=name)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -1068,7 +1099,7 @@ def cmd_db_regress(args: argparse.Namespace) -> int:
 
 
 def cmd_db_report(args: argparse.Namespace) -> int:
-    with _open_store(_store_path(args)) as db:
+    with _read_store(args) as db:
         text, _ = write_report(db, out=args.out, as_json=args.json)
     if args.out:
         print(f"wrote report to {args.out}")
@@ -1149,8 +1180,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--memory", type=float, default=2000.0, help="node memory (kB)")
         p.add_argument("--rate", type=float, default=500.0, help="packets/landmark/day")
 
-    def add_jobs(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--jobs", default="1", metavar="N",
+    def add_jobs(p: argparse.ArgumentParser, default: Optional[str] = "1") -> None:
+        p.add_argument("--jobs", default=default, metavar="N",
                        help="worker processes for independent experiment "
                             "points ('auto' = all cores; default 1 = serial)")
 
@@ -1263,7 +1294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=["run", "validate", "show", "list"])
     p.add_argument("sources", nargs="*", metavar="SCENARIO",
                    help="scenario JSON file(s) or preset name(s)")
-    add_jobs(p)
+    add_jobs(p, default=None)  # unset, so a flag 'run' alone reads is seen
     add_record(p)
     p.add_argument("--run-dir", default=None, metavar="DIR",
                    help="(run) checkpointed execution: create (or continue) "
@@ -1388,7 +1419,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_jobs(p)
     add_record(p)
     p.add_argument("--out", default=None, metavar="FILE",
-                   help="write the degradation-curve JSON report to FILE")
+                   help="write the resilience JSON document to FILE")
     p.add_argument("--json", action="store_true",
                    help="print the report as JSON")
     p.set_defaults(func=cmd_resilience)

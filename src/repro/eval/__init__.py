@@ -24,8 +24,6 @@ from repro.eval.extensions import (
 )
 from repro.eval.resilience import (
     DEFAULT_INTENSITIES,
-    DegradationCurves,
-    DegradationPoint,
     ReconvergenceResult,
     degradation_curves,
     fault_plan_dict,
@@ -70,8 +68,6 @@ __all__ = [
     "parse_jobs",
     "run_point_specs",
     "DEFAULT_INTENSITIES",
-    "DegradationCurves",
-    "DegradationPoint",
     "ReconvergenceResult",
     "degradation_curves",
     "fault_plan_dict",

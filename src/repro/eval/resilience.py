@@ -4,12 +4,15 @@ Two measurements the paper only gestures at (Section IV-E motivates the
 dead-end/loop/load extensions with degraded conditions but never quantifies
 them):
 
-* **degradation curves** — run each protocol under a family of fault plans
-  of increasing *intensity* (a scalar in ``[0, 1]`` scaling landmark
-  outages, node churn, link degradation and transfer loss together) and
-  plot success rate / delay / hops against intensity.  Every protocol sees
-  the exact same fault schedule at each intensity (the plan seed is fixed),
-  so the curves are directly comparable;
+* **degradation curves** — run a scenario once per fault *intensity* (a
+  scalar in ``[0, 1]`` scaling landmark outages, node churn, link
+  degradation and transfer loss together): each intensity is the same
+  scenario with its ``faults`` block set to :func:`fault_plan_dict`, all
+  run as one grid through :func:`~repro.eval.scenario.run_scenarios`, so
+  every curve point carries its resolved scenario and reruns and replays
+  like any other point.  Every protocol sees the exact same fault schedule at each
+  intensity (the plan seed is fixed), so the curves are directly
+  comparable;
 * **re-convergence** — kill a landmark mid-run and measure how long
   DTN-FLOW's distance-vector tables keep routing *toward the corpse*:
   probes sample every station's table and count entries whose next hop is
@@ -24,11 +27,10 @@ docs/resilience.md).
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.eval.runner import Entry, PointSpec, TraceSpec, run_point_specs
+from repro.eval.scenario import ScenarioResult, ScenarioSpec, run_scenarios
 from repro.mobility.trace import Trace
 from repro.sim.engine import SimConfig, Simulation
 from repro.sim.faults import FaultPlan
@@ -36,8 +38,6 @@ from repro.utils.validation import require_in_range
 
 __all__ = [
     "DEFAULT_INTENSITIES",
-    "DegradationCurves",
-    "DegradationPoint",
     "ReconvergenceResult",
     "degradation_curves",
     "fault_plan_dict",
@@ -97,125 +97,47 @@ def fault_plan_dict(
     return {"seed": int(seed), "specs": specs}
 
 
-@dataclass(frozen=True)
-class DegradationPoint:
-    """One protocol's headline metrics at one fault intensity."""
-
-    intensity: float
-    success_rate: float
-    avg_delay: float
-    avg_hops: float
-    generated: int
-    delivered: int
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "intensity": self.intensity,
-            "success_rate": self.success_rate,
-            "avg_delay": self.avg_delay,
-            "avg_hops": self.avg_hops,
-            "generated": self.generated,
-            "delivered": self.delivered,
-        }
-
-
-@dataclass
-class DegradationCurves:
-    """Per-protocol degradation curves over one intensity grid."""
-
-    trace: str
-    intensities: Tuple[float, ...]
-    fault_seed: int
-    #: protocol -> one point per intensity, in grid order
-    curves: Dict[str, List[DegradationPoint]] = field(default_factory=dict)
-
-    def series(self, protocol: str, metric: str) -> List[float]:
-        """One metric of one protocol along the intensity grid."""
-        return [getattr(p, metric) for p in self.curves[protocol]]
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "trace": self.trace,
-            "intensities": list(self.intensities),
-            "fault_seed": self.fault_seed,
-            "curves": {
-                name: [p.as_dict() for p in points]
-                for name, points in sorted(self.curves.items())
-            },
-        }
-
-    def to_json(self, *, indent: int = 2) -> str:
-        return json.dumps(self.as_dict(), indent=indent, sort_keys=True)
-
-
 def degradation_curves(
-    trace: Trace,
-    protocols: Sequence[str] = ("DTN-FLOW", "PROPHET", "PGR"),
+    spec: ScenarioSpec,
     intensities: Sequence[float] = DEFAULT_INTENSITIES,
     *,
-    config: Optional[SimConfig] = None,
     fault_seed: int = 7,
-    jobs: Union[int, str, None] = 1,
-) -> DegradationCurves:
-    """Run every protocol at every intensity and fold the curves.
+    traces: Optional[Dict[str, Trace]] = None,
+    **options: Any,
+) -> List[ScenarioResult]:
+    """Run ``spec`` once per intensity; one :class:`ScenarioResult` each.
 
-    ``config`` is the healthy baseline :class:`SimConfig` (its ``faults``
-    field, if any, is replaced by the intensity-derived plan).  All runs at
-    one intensity share the identical compiled fault schedule, so curve
-    differences are protocol differences, not fault-draw noise.
+    Each run is ``spec`` with its ``faults`` block replaced by
+    :func:`fault_plan_dict` at that intensity (no block at intensity 0),
+    in grid order; :func:`~repro.eval.scenario.run_scenarios` runs them
+    as one grid, so a pool packs every intensity's points together.
+    Every protocol at one intensity shares the identical compiled fault
+    schedule, so curve differences are protocol differences, not
+    fault-draw noise.  The trace is resolved once into ``traces`` (the
+    shared trace cache), since the outage count depends on its landmark
+    count; ``options`` are ``run_scenario``'s (``jobs``, ``progress``,
+    ...).
     """
-    if not protocols:
-        raise ValueError("need at least one protocol")
-    from repro.baselines import protocol_names
-
-    unknown = sorted(set(protocols) - set(protocol_names()))
-    if unknown:
-        raise ValueError(
-            f"unknown protocol(s): {', '.join(unknown)}; "
-            f"known: {', '.join(protocol_names())}"
-        )
-    base = config if config is not None else SimConfig()
-    grid = tuple(float(x) for x in intensities)
-    plans = {
-        x: fault_plan_dict(x, n_landmarks=trace.n_landmarks, seed=fault_seed)
-        for x in sorted(set(grid))
-    }
-    spec = TraceSpec.inline(trace)
-    entries: List[Entry] = []
-    for name in protocols:
-        for x in grid:
-            plan = plans[x]
-            cfg = dataclasses.replace(
-                base, faults=plan if plan["specs"] else None
+    traces = {} if traces is None else traces
+    _, tspec, materialized = spec.resolve_trace(traces)
+    traces.update(materialized)
+    if tspec.key not in traces:
+        traces[tspec.key] = tspec.materialize()
+    n_landmarks = traces[tspec.key].n_landmarks
+    plans = [
+        fault_plan_dict(x, n_landmarks=n_landmarks, seed=fault_seed)
+        for x in intensities
+    ]
+    return run_scenarios(
+        [
+            dataclasses.replace(
+                spec, faults=FaultPlan.from_dict(plan) if plan["specs"] else None
             )
-            point = PointSpec(
-                protocol=name,
-                memory_kb=base.node_memory_kb,
-                rate=base.rate_per_landmark_per_day,
-                seed=base.seed,
-            )
-            entries.append((spec, point, cfg))
-    results = run_point_specs(entries, jobs=jobs, materialized={spec.key: trace})
-    out = DegradationCurves(
-        trace=trace.name, intensities=grid, fault_seed=int(fault_seed)
+            for plan in plans
+        ],
+        traces=traces,
+        **options,
     )
-    it = iter(results)
-    for name in protocols:
-        points: List[DegradationPoint] = []
-        for x in grid:
-            m = next(it).metrics
-            points.append(
-                DegradationPoint(
-                    intensity=x,
-                    success_rate=m.success_rate,
-                    avg_delay=m.avg_delay,
-                    avg_hops=m.avg_hops,
-                    generated=m.generated,
-                    delivered=m.delivered,
-                )
-            )
-        out.curves[str(name)] = points
-    return out
 
 
 @dataclass

@@ -5,9 +5,10 @@ sweeps — every ``(trace, protocol, memory, rate, seed)`` point an
 independent discrete-event run.  :func:`execute` runs such a grid for
 every caller on the serial engine, in-process or over a process pool: a
 scenario reaches it through :func:`repro.eval.scenario.run_scenario`
-(every CLI command, resumable run directory, ``repro serve`` job and
-replay, and ``repro profile``), hand-built entries through
-:func:`run_point_specs`.  Four guarantees:
+(every CLI command, resumable run directory, degradation curve, ``repro
+serve`` job and replay, and ``repro profile``), the benchmarks' and
+tests' hand-built entries through :func:`run_point_specs`.  Four
+guarantees:
 
 * **trace caching** — every distinct trace is built at most once per
   call: in-process points share one trace cache keyed by
@@ -153,13 +154,13 @@ class TraceSpec:
     may seed its trace cache with the built trace) and stamps profile and
     path recipes into provenance, so a point can be re-run from its
     scenario dict alone.  A caller's long-lived pool receives the spec
-    with each task and materializes it once per worker.  Three kinds:
+    with each task and materializes it once per worker.  Two kinds:
 
     * ``profile`` — rebuild a built-in synthetic trace (``DART``/``DNET``)
       from its deterministic generator;
-    * ``path`` — load a trace CSV from disk;
-    * ``inline`` — carry the trace itself (the general case for
-      programmatically-built traces; it has no re-runnable recipe).
+    * ``path`` — load a trace CSV from disk (a programmatically-built
+      trace is written to one with :func:`repro.mobility.io.dump_trace`,
+      and a caller already holding it seeds the trace cache with it).
     """
 
     kind: str
@@ -167,7 +168,6 @@ class TraceSpec:
     profile: Optional[str] = None
     seed: int = 0
     path: Optional[str] = None
-    trace: Optional[Trace] = None
     #: the scale a profile spec was resolved at in the parent; pinned here so
     #: a worker whose environment differs can never rebuild at the wrong scale
     full: Optional[bool] = None
@@ -186,12 +186,6 @@ class TraceSpec:
     def from_path(cls, path: str) -> "TraceSpec":
         return cls(kind="path", key=f"path:{path}", path=str(path))
 
-    @classmethod
-    def inline(cls, trace: Trace) -> "TraceSpec":
-        # id() keys are only meaningful parent-side; workers just treat the
-        # key as an opaque cache handle for the pickled trace
-        return cls(kind="inline", key=f"inline:{trace.name}:{id(trace)}", trace=trace)
-
     def materialize(self) -> Trace:
         if self.kind == "profile":
             return trace_profile(self.profile, full_scale=self.full).build(self.seed)
@@ -199,10 +193,6 @@ class TraceSpec:
             from repro.mobility import io as trace_io
 
             return trace_io.load_trace(self.path)
-        if self.kind == "inline":
-            if self.trace is None:
-                raise ValueError("inline TraceSpec lost its trace payload")
-            return self.trace
         raise ValueError(f"unknown TraceSpec kind {self.kind!r}")
 
 
@@ -225,13 +215,12 @@ class PointSpec:
 
 def point_scenario_dict(
     trace_spec: "TraceSpec", point: "PointSpec", config: SimConfig
-) -> Optional[Dict[str, Any]]:
+) -> Dict[str, Any]:
     """The canonical resolved-scenario dict for one experiment point.
 
     This is the single source of the provenance-embedded scenario shape, so
     a rerun (which resolves the dict back into identical inputs) re-emits an
-    identical dict.  ``None`` when the trace has no serializable recipe
-    (inline traces cannot be re-materialized from JSON).
+    identical dict.
     """
     if trace_spec.kind == "profile":
         trace_block: Dict[str, Any] = {
@@ -241,10 +230,8 @@ def point_scenario_dict(
                 trace_spec.full if trace_spec.full is not None else _resolve_full_scale()
             ),
         }
-    elif trace_spec.kind == "path":
-        trace_block = {"path": str(trace_spec.path)}
     else:
-        return None
+        trace_block = {"path": str(trace_spec.path)}
     # the fault plan is a top-level scenario block, not a sim knob, so the
     # emitted dict round-trips through ScenarioSpec.from_dict unchanged
     sim = {
@@ -521,7 +508,7 @@ def execute(
                 flag=cancel,
                 recovery=recovery,
                 crash_after_saves=(injections.get(i) or {}).get("crash_after_saves"),
-                # path traces are re-read anyway; inline keys hold an id()
+                # path traces are re-read from their CSV anyway
                 before_first_save=(
                     partial(run_dir.write_trace, spec.key, trace)
                     if spec.kind == "profile" else None
@@ -669,7 +656,7 @@ def run_point_specs(
     """Execute ``(trace_spec, point, config)`` entries, possibly in parallel.
 
     The results-only form of :func:`execute`, for hand-built entries
-    (in-memory traces, benchmarks; declarative grids go through
+    (benchmarks and tests; every grid under ``src/`` goes through
     :func:`repro.eval.scenario.run_scenario`).  ``materialized``
     optionally seeds the in-process trace cache with already-built traces
     (keyed by spec key) so a caller never rebuilds a trace it already

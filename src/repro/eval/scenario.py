@@ -23,7 +23,8 @@ consumes — workers materialize everything from the spec, keeping the
 per-worker trace cache and bit-identical serial/parallel results.
 :func:`run_scenario` is the one way a spec runs: every CLI command,
 resumable run directory, ``repro serve`` job and replay, and ``repro
-profile`` goes through it.
+profile`` goes through it (:func:`run_scenarios` runs several specs as
+one grid, as a degradation curve does).
 
 Every point run from a spec stamps its fully *resolved* single-point
 scenario (:func:`repro.eval.runner.point_scenario_dict`) into the run's
@@ -75,6 +76,7 @@ __all__ = [
     "preset_names",
     "preset_scenario",
     "run_scenario",
+    "run_scenarios",
 ]
 
 
@@ -557,14 +559,41 @@ def run_scenario(
     ``observe``, ``run_dir``, ``every_events``, ``cancel``,
     ``injections``, ``pool``).
     """
+    (result,) = run_scenarios([spec], traces=traces, **options)
+    return result
+
+
+def run_scenarios(
+    specs: Sequence[ScenarioSpec],
+    *,
+    traces: Optional[Dict[str, Trace]] = None,
+    **options: Any,
+) -> List[ScenarioResult]:
+    """Run the points of every spec in ``specs`` as one grid; one
+    :class:`ScenarioResult` per spec, in order.
+
+    One executor call, so a pool keeps its workers busy across the specs
+    instead of draining at the end of each.  ``traces`` and ``options``
+    are :func:`run_scenario`'s; a ``run_dir`` holds one spec's grid.
+    """
     traces = {} if traces is None else traces
-    profile, tspec, materialized = spec.resolve_trace(traces)
-    traces.update(materialized)
-    entries = spec.entries(profile, tspec)
-    results, infos = execute(entries, traces=traces, **options)
-    return ScenarioResult(
-        spec, [point for _, point, _ in entries], results, infos
+    grids = []
+    for spec in specs:
+        profile, tspec, materialized = spec.resolve_trace(traces)
+        traces.update(materialized)
+        grids.append(spec.entries(profile, tspec))
+    results, infos = execute(
+        [entry for grid in grids for entry in grid], traces=traces, **options
     )
+    out, start = [], 0
+    for spec, grid in zip(specs, grids):
+        end = start + len(grid)
+        out.append(ScenarioResult(
+            spec, [point for _, point, _ in grid],
+            results[start:end], infos[start:end],
+        ))
+        start = end
+    return out
 
 
 # -- provenance extraction ----------------------------------------------------

@@ -12,7 +12,10 @@ understood:
   :class:`RunProvenance` with a resolved scenario;
 * ``repro compare --seeds N`` confidence rows (metric means ride in with
   their CI half-widths, which ``repro db query`` shows);
-* ``repro resilience --out`` reports (``{"degradation", "config"}``);
+* ``repro resilience --out`` documents (``kind: "resilience"``): every
+  curve point is a scenario point, stored under its resolved scenario
+  with sweep parameter ``intensity`` and the curve's intensity as value
+  (a report from before curve points carried scenarios is refused);
 * benchmark wall-clock snapshots (``BENCH_sweeps.json``, single snapshot
   or the appended ``history`` form);
 * ``repro profile --out`` documents (``kind: "profile"``): a ``profile``
@@ -115,9 +118,9 @@ def _fallback_identity(
     rate: Optional[float],
     config: Optional[Mapping[str, Any]],
 ) -> Dict[str, Any]:
-    """A canonical identity for results without an embedded scenario
-    (inline traces); includes the resolved config so distinct workloads
-    never collide."""
+    """A canonical identity for results without an embedded scenario (a
+    simulation run outside any scenario); includes the resolved config so
+    distinct workloads never collide."""
     return _jsonable(
         {
             "kind": "unscenarioed",
@@ -137,12 +140,13 @@ def _record_metrics_row(
     row: Mapping[str, Any],
     *,
     sweep_parameter: Optional[str] = None,
+    sweep_value: Optional[float] = None,
 ) -> Optional[bool]:
     """Record one MetricsSummary-shaped dict; returns whether it was new
     (None when the row holds no metrics).
 
-    A ``sweep_parameter`` (``memory_kb`` or ``rate``) takes its value from
-    the point's own resolved workload.
+    A ``sweep_parameter`` without a ``sweep_value`` (``memory_kb`` or
+    ``rate``) takes its value from the point's own resolved workload.
     """
     metrics = _numeric_metrics(row)
     if not metrics:
@@ -161,6 +165,8 @@ def _record_metrics_row(
     memory_kb = workload.get("memory_kb")
     rate = workload.get("rate")
     seed = workload.get("seed", seed)
+    if sweep_parameter is not None and sweep_value is None:
+        sweep_value = workload.get(sweep_parameter)
     if scenario is None:
         scenario = _fallback_identity(protocol, trace, seed, memory_kb, rate, config)
     _, new = db.record_point(
@@ -173,7 +179,7 @@ def _record_metrics_row(
         memory_kb=memory_kb,
         rate=rate,
         sweep_parameter=sweep_parameter,
-        sweep_value=workload.get(sweep_parameter) if sweep_parameter else None,
+        sweep_value=sweep_value,
     )
     return new
 
@@ -223,69 +229,36 @@ def _ingest_scenario_bundle(
     return stats
 
 
-def _ingest_degradation(
-    db: ExperimentDB,
-    curves: Mapping[str, Any],
-    *,
-    config: Optional[Mapping[str, Any]],
-    kind: str,
-    label: str,
+def _ingest_resilience(
+    db: ExperimentDB, payload: Mapping[str, Any], *, kind: str, label: str
 ) -> IngestStats:
-    """Ingest degradation curves (``DegradationCurves.as_dict``).
+    """Ingest a ``repro resilience`` document: one run, and every curve
+    point under its resolved scenario with sweep parameter ``intensity``.
 
-    A point's identity is its trace, protocol, intensity and fault seed,
-    plus the baseline config when the report carries one.  Every point is
-    checked before anything is written.
+    Every curve is checked before anything is written.
     """
-    by_protocol = curves.get("curves") or {}
-    if not isinstance(by_protocol, Mapping):
-        raise ValueError("degradation 'curves' must map each protocol to its points")
-    for protocol, points in by_protocol.items():
-        if not isinstance(points, list):
-            raise ValueError(f"degradation curve {protocol!r} is not a list of points")
-        for i, p in enumerate(points):
-            intensity = p.get("intensity") if isinstance(p, Mapping) else None
-            if isinstance(intensity, bool) or not isinstance(intensity, (int, float)):
-                raise ValueError(
-                    f"degradation curve {protocol!r}, point {i}: no numeric 'intensity'"
-                )
-    trace = str(curves.get("trace", ""))
-    fault_seed = curves.get("fault_seed", 0)
+    curves = payload.get("curves")
+    if not isinstance(curves, list):
+        raise ValueError("resilience 'curves' must be a list of intensity runs")
+    for i, curve in enumerate(curves):
+        intensity = curve.get("intensity") if isinstance(curve, Mapping) else None
+        if isinstance(intensity, bool) or not isinstance(intensity, (int, float)):
+            raise ValueError(f"resilience curve {i}: no numeric 'intensity'")
+        if not isinstance(curve.get("results"), list):
+            raise ValueError(f"resilience curve {i}: no 'results' list")
     run_id = db.record_run(
-        kind,
-        label=label or trace,
-        extra={
-            "trace": trace,
-            "intensities": list(curves.get("intensities") or []),
-            "fault_seed": fault_seed,
-        },
+        kind, label=label,
+        extra={"fault_seed": payload.get("fault_seed"),
+               "intensities": [c["intensity"] for c in curves]},
     )
     stats = IngestStats(runs=1)
-    for protocol, points in sorted(by_protocol.items()):
-        for p in points:
-            identity: Dict[str, Any] = {
-                "kind": "degradation",
-                "trace": trace,
-                "protocol": protocol,
-                "intensity": p["intensity"],
-                "fault_seed": fault_seed,
-            }
-            if config is not None:
-                identity["config"] = _jsonable(config)
-            # intensity is the point's identity, not one of its results
-            metrics = {
-                k: v for k, v in _numeric_metrics(p).items() if k != "intensity"
-            }
-            _, new = db.record_point(
-                run_id,
-                identity,
-                metrics,
-                protocol=str(protocol),
-                trace=trace,
-                sweep_parameter="intensity",
-                sweep_value=float(p["intensity"]),
-            )
-            stats.count(new)
+    for curve in curves:
+        for row in curve["results"]:
+            if isinstance(row, Mapping):
+                stats.count(_record_metrics_row(
+                    db, run_id, row, sweep_parameter="intensity",
+                    sweep_value=float(curve["intensity"]),
+                ))
     return stats
 
 
@@ -480,7 +453,7 @@ def ingest_payload(
 
     ``kind`` names the recording act on the run row of a result payload;
     it defaults to the payload's own (``scenario`` for a scenario bundle,
-    ``resilience`` for degradation curves, ``ingest`` for bare metric
+    ``resilience`` for a resilience document, ``ingest`` for bare metric
     rows).  Benchmark snapshots and profiles always record as ``bench``
     and ``profile`` runs.  Raises ValueError when nothing in the payload
     is an ingestible result.
@@ -503,16 +476,14 @@ def ingest_payload(
             return _ingest_scenario_bundle(
                 db, payload, kind=kind or "scenario", label=label
             )
-        if isinstance(payload.get("degradation"), Mapping):
-            cfg = payload.get("config")
-            return _ingest_degradation(
-                db, payload["degradation"],
-                config=cfg if isinstance(cfg, Mapping) else None,
-                kind=kind or "resilience", label=label,
+        if payload.get("kind") == "resilience":
+            return _ingest_resilience(
+                db, payload, kind=kind or "resilience", label=label
             )
-        if "curves" in payload and "intensities" in payload:
-            return _ingest_degradation(
-                db, payload, config=None, kind=kind or "resilience", label=label
+        if "degradation" in payload or isinstance(payload.get("curves"), Mapping):
+            raise ValueError(
+                "a degradation report from before curve points carried their "
+                "scenarios cannot be ingested; re-record it with repro resilience"
             )
 
     # generic: collect metric/CI rows anywhere in the structure

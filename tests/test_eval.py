@@ -94,13 +94,14 @@ class TestConfig:
 
 
 class TestRunners:
-    def test_run_point(self, tiny_trace, tiny_profile):
+    def test_run_point(self, tiny_scenario, tiny_trace, tiny_profile):
+        spec = TraceSpec.from_path(tiny_scenario().trace.path)
         entry = (
-            TraceSpec.inline(tiny_trace),
+            spec,
             PointSpec(protocol="DTN-FLOW", rate=100.0),
             tiny_profile.sim_config(rate=100.0),
         )
-        (r,) = run_point_specs([entry])
+        (r,) = run_point_specs([entry], materialized={spec.key: tiny_trace})
         assert r.protocol == "DTN-FLOW"
         assert r.metrics.generated > 0
 

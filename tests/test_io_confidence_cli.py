@@ -376,6 +376,47 @@ class TestCLIRobustness:
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, expected", [
+        (["scenario", "validate", "dart-run", "--json", "--out", "OUT"],
+         "repro scenario validate does not read --out, --json"),
+        (["scenario", "validate", "dart-run", "--jobs", "1"],
+         "repro scenario validate does not read --jobs"),
+        (["scenario", "show", "dart-run", "--record", "--db", "DB",
+          "--jobs", "4", "--every-events", "5"],
+         "repro scenario show does not read --jobs, --record, --db, "
+         "--every-events"),
+        (["scenario", "show", "dart-run", "--run-dir", "RUN"],
+         "repro scenario show does not read --run-dir"),
+        (["scenario", "list", "--out", "OUT", "--json"],
+         "repro scenario list does not read --out"),
+        (["scenario", "list", "--record"],
+         "repro scenario list does not read --record"),
+        (["scenario", "run", "dart-run", "--every-events", "5"],
+         "repro scenario run: --every-events needs --run-dir"),
+    ])
+    def test_a_scenario_flag_its_action_does_not_read_exits_2(
+        self, argv, expected, tmp_path, monkeypatch, capsys
+    ):
+        """``list`` reads only ``--json``, ``validate`` and ``show`` only
+        their sources, and ``run`` every flag (``--every-events`` with
+        ``--run-dir``); any other flag is refused before anything runs."""
+        from repro.cli import main
+        from repro.eval.runner import TraceSpec
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started for a refused flag")
+
+        monkeypatch.setattr(TraceSpec, "materialize", no_work)
+        monkeypatch.setattr("repro.cli.load_scenario", no_work)
+        paths = {"OUT": tmp_path / "x.json", "DB": tmp_path / "y.sqlite",
+                 "RUN": tmp_path / "run"}
+        rc = main([str(paths.get(a, a)) for a in argv])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        (line,) = captured.err.strip().splitlines()
+        assert line == expected
+        assert not any(path.exists() for path in paths.values())
+
+    @pytest.mark.parametrize("argv, expected", [
         (["sweep", "memory", "--values", "abc"], "--values"),
         (["sweep", "memory", "--protocols", "bogus"], "bogus"),
         (["sweep", "rate", "--protocols", "DTN-FLOW,DTN-FLOW"], "duplicate"),
@@ -389,6 +430,9 @@ class TestCLIRobustness:
         (["trace", "--trace", "missing.csv"], "missing.csv"),
         (["resilience", "--memory", "-5"], "node_memory_kb"),
         (["resilience", "--rate", "-1"], "rate_per_landmark_per_day"),
+        (["resilience", "--intensities", "1.5"], "--intensities"),
+        (["resilience", "--death-start", "1.5"], "--death-start"),
+        (["resilience", "--probes", "1"], "--probes"),
         (["trace", "--limit", "-1"], "--limit"),
         (["trace", "--limit", "0"], "--limit"),
     ])

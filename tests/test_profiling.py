@@ -250,30 +250,36 @@ class TestProfileStoreRoundTrip:
 
 
 class TestProgressTelemetry:
-    def _entries(self, tiny_trace, tiny_profile, n=3):
-        """``n`` Direct points on the in-memory trace, as executor entries."""
-        spec = TraceSpec.inline(tiny_trace)
-        points = [
-            PointSpec(
-                protocol="Direct",
-                memory_kb=500.0 + 100 * i,
-                rate=150.0,
-                seed=0,
-            )
-            for i in range(n)
-        ]
-        return [
-            (spec, p, tiny_profile.sim_config(memory_kb=p.memory_kb, rate=p.rate, seed=0))
-            for p in points
-        ]
+    @pytest.fixture
+    def run_points(self, tiny_scenario, tiny_trace, tiny_profile):
+        """``run_points(n, **options)``: ``n`` Direct points through
+        ``run_point_specs`` on the tiny trace's CSV, its trace held."""
+        spec = TraceSpec.from_path(tiny_scenario().trace.path)
 
-    def test_serial_progress_events(self, tiny_trace, tiny_profile):
+        def run(n=3, **options):
+            points = [
+                PointSpec(
+                    protocol="Direct",
+                    memory_kb=500.0 + 100 * i,
+                    rate=150.0,
+                    seed=0,
+                )
+                for i in range(n)
+            ]
+            entries = [
+                (spec, p, tiny_profile.sim_config(
+                    memory_kb=p.memory_kb, rate=p.rate, seed=0))
+                for p in points
+            ]
+            return run_point_specs(
+                entries, materialized={spec.key: tiny_trace}, **options
+            )
+
+        return run
+
+    def test_serial_progress_events(self, run_points):
         events = []
-        run_point_specs(
-            self._entries(tiny_trace, tiny_profile),
-            jobs=1,
-            progress=events.append,
-        )
+        run_points(jobs=1, progress=events.append)
         kinds = [e.kind for e in events]
         assert kinds.count("started") == 3
         assert kinds.count("finished") == 3
@@ -283,34 +289,21 @@ class TestProgressTelemetry:
         assert all(e.total == 3 for e in events)
         assert all(e.seconds > 0 for e in finished)
 
-    def test_pool_progress_events(self, tiny_trace, tiny_profile):
+    def test_pool_progress_events(self, run_points):
         events = []
-        run_point_specs(
-            self._entries(tiny_trace, tiny_profile),
-            jobs=2,
-            progress=events.append,
-        )
+        run_points(jobs=2, progress=events.append)
         finished = {e.index for e in events if e.kind == "finished"}
         assert finished == {0, 1, 2}
 
-    def test_progress_callback_errors_are_swallowed(
-        self, tiny_trace, tiny_profile
-    ):
+    def test_progress_callback_errors_are_swallowed(self, run_points):
         def boom(event):
             raise RuntimeError("listener bug")
 
-        results = run_point_specs(
-            self._entries(tiny_trace, tiny_profile, n=2),
-            jobs=1,
-            progress=boom,
-        )
+        results = run_points(n=2, jobs=1, progress=boom)
         assert len(results) == 2
 
-    def test_results_identical_with_and_without_progress(
-        self, tiny_trace, tiny_profile
-    ):
-        pts = self._entries(tiny_trace, tiny_profile, n=2)
-        with_cb = run_point_specs(pts, jobs=1, progress=lambda e: None)
-        without = run_point_specs(pts, jobs=1)
+    def test_results_identical_with_and_without_progress(self, run_points):
+        with_cb = run_points(n=2, jobs=1, progress=lambda e: None)
+        without = run_points(n=2, jobs=1)
         assert [r.metrics for r in with_cb] == [r.metrics for r in without]
 

@@ -6,17 +6,21 @@ degrade the network (kill landmarks mid-run) and assert the extensions
 trigger — and that DTN-FLOW degrades no worse than the baselines.
 """
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.baselines import make_protocol
+from repro.eval.experiment import execute_config
 from repro.eval.resilience import (
     DEFAULT_INTENSITIES,
     degradation_curves,
     fault_plan_dict,
     reconvergence_after_death,
 )
+from repro.eval.scenario import ScenarioSpec
+from repro.mobility.io import dump_trace
 from repro.mobility.trace import days
 from repro.obs import Observability, event_types as ev
 from repro.sim.engine import SimConfig, Simulation
@@ -30,6 +34,33 @@ def _light_config(**overrides) -> SimConfig:
     )
     base.update(overrides)
     return SimConfig(**base)
+
+
+def _curve_spec(csv, config: SimConfig, protocols) -> ScenarioSpec:
+    """The scenario whose every point runs ``config`` on the trace CSV:
+    its full ``sim`` block (every field but seed and faults), its seed."""
+    sim = {
+        f: v for f, v in dataclasses.asdict(config).items()
+        if f not in ("seed", "faults")
+    }
+    return ScenarioSpec.from_dict({
+        "trace": {"path": str(csv)}, "sim": sim,
+        "protocols": list(protocols), "seeds": [config.seed],
+    })
+
+
+@pytest.fixture(scope="module")
+def dart_tiny_csv(dart_tiny, tmp_path_factory):
+    path = tmp_path_factory.mktemp("curves") / "dart_tiny.csv"
+    dump_trace(dart_tiny, path)
+    return path
+
+
+@pytest.fixture(scope="module")
+def dart_small_csv(dart_small, tmp_path_factory):
+    path = tmp_path_factory.mktemp("curves") / "dart_small.csv"
+    dump_trace(dart_small, path)
+    return path
 
 
 OUTAGE_PLAN = {
@@ -126,57 +157,96 @@ class TestFaultPlanDict:
 
 
 class TestDegradationCurves:
+    INTENSITIES = (0.0, 0.75)
+
     @pytest.fixture(scope="class")
-    def curves(self, dart_tiny):
-        return degradation_curves(
-            dart_tiny, protocols=("DTN-FLOW", "PROPHET"),
-            intensities=(0.0, 0.75), config=_light_config(), fault_seed=7,
-        )
+    def curves(self, dart_tiny_csv):
+        spec = _curve_spec(dart_tiny_csv, _light_config(), ("DTN-FLOW", "PROPHET"))
+        return degradation_curves(spec, self.INTENSITIES, fault_seed=7)
 
     def test_grid_shape(self, curves, dart_tiny):
-        assert set(curves.curves) == {"DTN-FLOW", "PROPHET"}
-        assert curves.trace == dart_tiny.name
-        for points in curves.curves.values():
-            assert [p.intensity for p in points] == [0.0, 0.75]
+        assert len(curves) == len(self.INTENSITIES)
+        for res in curves:
+            assert [p.protocol for p in res.points] == ["DTN-FLOW", "PROPHET"]
+            assert {r.trace for r in res.results} == {dart_tiny.name}
 
     def test_intensity_zero_matches_unfaulted_run(self, curves, dart_tiny):
         baseline = Simulation(
             dart_tiny, make_protocol("DTN-FLOW"), _light_config()
         ).run()
-        p0 = curves.curves["DTN-FLOW"][0]
-        assert p0.success_rate == baseline.success_rate
-        assert p0.generated == baseline.generated
+        m0 = curves[0].results[0].metrics
+        assert m0.success_rate == baseline.success_rate
+        assert m0.generated == baseline.generated
 
     def test_faults_degrade_success(self, curves):
-        for name, points in curves.curves.items():
-            assert points[-1].success_rate < points[0].success_rate, name
+        for healthy, faulted in zip(curves[0].results, curves[-1].results):
+            assert faulted.metrics.success_rate < healthy.metrics.success_rate, (
+                healthy.protocol
+            )
 
-    def test_series_and_json_round_trip(self, curves):
-        assert curves.series("PROPHET", "success_rate") == [
-            p.success_rate for p in curves.curves["PROPHET"]
-        ]
-        payload = json.loads(curves.to_json())
-        assert payload == curves.as_dict()
-        assert payload["intensities"] == [0.0, 0.75]
+    def test_each_intensity_runs_the_spec_with_its_fault_block(
+        self, curves, dart_tiny
+    ):
+        for x, res in zip(self.INTENSITIES, curves):
+            plan = fault_plan_dict(x, n_landmarks=dart_tiny.n_landmarks, seed=7)
+            expected = FaultPlan.from_dict(plan) if plan["specs"] else None
+            assert res.spec.faults == expected
+            for point, r in zip(res.points, res.results):
+                # every point carries its resolved scenario, so it reruns
+                assert r.metrics.provenance.scenario == point.scenario
+                assert ScenarioSpec.from_dict(point.scenario).faults == expected
+
+    def test_points_equal_direct_runs_of_the_hand_resolved_config(
+        self, curves, dart_tiny
+    ):
+        """The reference: each (protocol, intensity) point equals
+        ``execute_config`` on the same trace with ``faults`` set by hand."""
+        def physics(result):
+            return dataclasses.replace(result.metrics, provenance=None)
+
+        for x, res in zip(self.INTENSITIES, curves):
+            plan = fault_plan_dict(x, n_landmarks=dart_tiny.n_landmarks, seed=7)
+            config = dataclasses.replace(
+                _light_config(), faults=plan if plan["specs"] else None
+            )
+            for r in res.results:
+                direct = execute_config(
+                    dart_tiny, r.protocol, config,
+                    memory_kb=config.node_memory_kb,
+                    rate=config.rate_per_landmark_per_day, seed=config.seed,
+                )
+                assert physics(r) == physics(direct), (r.protocol, x)
+
+    def test_the_whole_curve_is_one_grid(self, dart_tiny_csv):
+        """Every intensity's points reach the executor together, so a pool
+        packs them across intensities instead of draining at each one."""
+        events = []
+        spec = _curve_spec(dart_tiny_csv, _light_config(), ("Direct",))
+        curves = degradation_curves(
+            spec, (0.0, 0.5, 1.0), fault_seed=7, progress=events.append
+        )
+        started = [e for e in events if e.kind == "started"]
+        assert [e.index for e in started] == [0, 1, 2]
+        assert {e.total for e in started} == {3}
+        assert [len(res.results) for res in curves] == [1, 1, 1]
 
     def test_default_grid_spans_unit_interval(self):
         assert DEFAULT_INTENSITIES[0] == 0.0
         assert DEFAULT_INTENSITIES[-1] == 1.0
 
-    def test_rejects_empty_protocols(self, dart_tiny):
+    def test_rejects_empty_protocols(self, dart_tiny_csv):
         with pytest.raises(ValueError, match="protocol"):
-            degradation_curves(dart_tiny, protocols=())
+            _curve_spec(dart_tiny_csv, _light_config(), ())
 
-    def test_rejects_unknown_protocols_up_front(self, dart_tiny):
-        # validation must fire before any simulation work, naming both the
-        # offenders and the known registry
+    def test_rejects_unknown_protocols_up_front(self, dart_tiny_csv):
+        # spec validation fires before any simulation work, naming the
+        # offender and the known registry
+        spec = _curve_spec(dart_tiny_csv, _light_config(), ("DTN-FLOW", "Bogus"))
         with pytest.raises(ValueError) as exc:
-            degradation_curves(
-                dart_tiny, protocols=("DTN-FLOW", "Bogus", "Nope")
-            )
+            spec.validate()
         msg = str(exc.value)
-        assert "Bogus" in msg and "Nope" in msg and "known:" in msg
-        assert "DTN-FLOW" in msg  # the known list includes real names
+        assert "Bogus" in msg and "available:" in msg
+        assert "PROPHET" in msg  # the known list includes real names
 
 
 class TestReconvergence:
@@ -252,17 +322,17 @@ class TestSectionIVEStress:
         assert len(injected[0].data["landmarks"]) == 2
         assert summary.delivered > 0  # degraded, not dead
 
-    def test_dtn_flow_degrades_no_worse_than_prophet(self, dart_small):
+    def test_dtn_flow_degrades_no_worse_than_prophet(self, dart_small_csv):
         cfg = SimConfig(
             ttl=days(7.0), rate_per_landmark_per_day=500.0,
             workload_scale=0.01, time_unit=days(3.0), seed=3,
             contact_prob=0.2,
         )
+        intensities = (0.0, 0.5, 1.0)
         curves = degradation_curves(
-            dart_small, protocols=("DTN-FLOW", "PROPHET"),
-            intensities=(0.0, 0.5, 1.0), config=cfg, fault_seed=7,
+            _curve_spec(dart_small_csv, cfg, ("DTN-FLOW", "PROPHET")),
+            intensities, fault_seed=7,
         )
-        flow = curves.series("DTN-FLOW", "success_rate")
-        prophet = curves.series("PROPHET", "success_rate")
-        for x, f, p in zip(curves.intensities, flow, prophet):
-            assert f >= p, f"PROPHET beat DTN-FLOW at intensity {x}"
+        for x, res in zip(intensities, curves):
+            flow, prophet = (r.metrics.success_rate for r in res.results)
+            assert flow >= prophet, f"PROPHET beat DTN-FLOW at intensity {x}"

@@ -39,9 +39,14 @@ def tiny_trace(tiny_profile):
     return tiny_profile.build(1)
 
 
-def inline_entries(trace, profile, points):
-    """Executor entries running ``points`` on the in-memory ``trace``."""
-    spec = TraceSpec.inline(trace)
+@pytest.fixture(scope="module")
+def tiny_spec(tiny_scenario):
+    """The path spec of the tiny trace's CSV (the trace ``tiny_trace`` holds)."""
+    return TraceSpec.from_path(tiny_scenario().trace.path)
+
+
+def path_entries(spec, profile, points):
+    """Executor entries running ``points`` on the trace ``spec`` reads."""
     return [
         (spec, p, profile.sim_config(memory_kb=p.memory_kb, rate=p.rate, seed=p.seed))
         for p in points
@@ -133,16 +138,21 @@ class TestRunPoints:
         for mem in (500.0, 2000.0)
     ]
 
-    def test_parallel_matches_serial_bit_identical(self, tiny_trace, tiny_profile):
-        entries = inline_entries(tiny_trace, tiny_profile, self.POINTS)
-        serial = run_point_specs(entries, jobs=1)
-        two = run_point_specs(entries, jobs=2)
-        four = run_point_specs(entries, jobs=4)
+    def test_parallel_matches_serial_bit_identical(
+        self, tiny_spec, tiny_trace, tiny_profile
+    ):
+        entries = path_entries(tiny_spec, tiny_profile, self.POINTS)
+        held = {tiny_spec.key: tiny_trace}
+        serial = run_point_specs(entries, jobs=1, materialized=held)
+        two = run_point_specs(entries, jobs=2, materialized=held)
+        four = run_point_specs(entries, jobs=4, materialized=held)
         assert serial == two == four
 
-    def test_results_keep_submission_order(self, tiny_trace, tiny_profile):
-        entries = inline_entries(tiny_trace, tiny_profile, self.POINTS)
-        results = run_point_specs(entries, jobs=2)
+    def test_results_keep_submission_order(self, tiny_spec, tiny_trace, tiny_profile):
+        entries = path_entries(tiny_spec, tiny_profile, self.POINTS)
+        results = run_point_specs(
+            entries, jobs=2, materialized={tiny_spec.key: tiny_trace}
+        )
         assert [r.protocol for r in results] == [p.protocol for p in self.POINTS]
         assert [r.memory_kb for r in results] == [p.memory_kb for p in self.POINTS]
 
@@ -150,7 +160,7 @@ class TestRunPoints:
         assert run_point_specs([], jobs=4) == []
 
     def test_pool_failure_falls_back_to_serial(
-        self, tiny_trace, tiny_profile, monkeypatch, capsys
+        self, tiny_spec, tiny_trace, tiny_profile, monkeypatch, capsys
     ):
         import repro.eval.runner as runner_mod
 
@@ -158,16 +168,16 @@ class TestRunPoints:
             raise OSError("no processes for you")
 
         monkeypatch.setattr(runner_mod, "ProcessPoolExecutor", broken_pool)
-        entries = inline_entries(tiny_trace, tiny_profile, self.POINTS)
-        results = run_point_specs(entries, jobs=2)
-        serial = run_point_specs(entries, jobs=1)
+        entries = path_entries(tiny_spec, tiny_profile, self.POINTS)
+        held = {tiny_spec.key: tiny_trace}
+        results = run_point_specs(entries, jobs=2, materialized=held)
+        serial = run_point_specs(entries, jobs=1, materialized=held)
         assert results == serial
         assert "falling back to serial" in capsys.readouterr().err
 
     def test_run_point_specs_materializes_each_trace_once(
-        self, tiny_trace, tiny_profile, monkeypatch
+        self, tiny_spec, tiny_profile, monkeypatch
     ):
-        spec = TraceSpec.inline(tiny_trace)
         calls = {"n": 0}
         original = TraceSpec.materialize
 
@@ -176,11 +186,7 @@ class TestRunPoints:
             return original(self)
 
         monkeypatch.setattr(TraceSpec, "materialize", counting)
-        entries = [
-            (spec, p, tiny_profile.sim_config(
-                memory_kb=p.memory_kb, rate=p.rate, seed=p.seed))
-            for p in self.POINTS
-        ]
+        entries = path_entries(tiny_spec, tiny_profile, self.POINTS)
         results = run_point_specs(entries, jobs=1)
         assert len(results) == len(self.POINTS)
         assert calls["n"] == 1
@@ -200,10 +206,6 @@ class TestTraceSpec:
         spec = TraceSpec.from_path(str(target))
         loaded = spec.materialize()
         assert loaded.records == shuttle_trace.records
-
-    def test_inline_spec_returns_the_trace(self, shuttle_trace):
-        spec = TraceSpec.inline(shuttle_trace)
-        assert spec.materialize() is shuttle_trace
 
 
 def _memory_sweep(tiny_scenario, protocols):
@@ -274,7 +276,7 @@ class TestFailureContainment:
     """A failing point is retried, re-run serially, then reported with its
     resolved spec attached — it cannot silently poison a sweep."""
 
-    def _bad_entry(self, tiny_trace, tiny_profile):
+    def _bad_entry(self, tiny_spec, tiny_profile):
         # a fault plan naming a nonexistent landmark compiles (and fails)
         # only inside the run, in whatever process executes the point
         config = tiny_profile.sim_config(memory_kb=500.0, rate=100.0, seed=0)
@@ -285,18 +287,19 @@ class TestFailureContainment:
             "specs": [{"kind": "landmark_outage", "landmark": 9999,
                        "start": 0.1, "end": 0.9}],
         })
-        spec = TraceSpec.inline(tiny_trace)
-        return (spec, PointSpec(protocol="Direct", memory_kb=500.0,
-                                rate=100.0, seed=0), config)
+        return (tiny_spec, PointSpec(protocol="Direct", memory_kb=500.0,
+                                     rate=100.0, seed=0), config)
 
     def test_pool_failure_raises_point_execution_error(
-        self, tiny_trace, tiny_profile, capsys
+        self, tiny_spec, tiny_trace, tiny_profile, capsys
     ):
         from repro.eval.runner import PointExecutionError
 
-        entry = self._bad_entry(tiny_trace, tiny_profile)
+        entry = self._bad_entry(tiny_spec, tiny_profile)
         with pytest.raises(PointExecutionError) as err:
-            run_point_specs([entry, entry], jobs=2)
+            run_point_specs(
+                [entry, entry], jobs=2, materialized={tiny_spec.key: tiny_trace}
+            )
         assert err.value.point.protocol == "Direct"
         assert err.value.trace_key == entry[0].key
         assert isinstance(err.value.cause, ValueError)
@@ -304,20 +307,28 @@ class TestFailureContainment:
         # the one-line serial re-run notice went to stderr
         assert "re-running serially" in capsys.readouterr().err
 
-    def test_serial_failure_propagates_the_cause(self, tiny_trace, tiny_profile):
+    def test_serial_failure_propagates_the_cause(
+        self, tiny_spec, tiny_trace, tiny_profile
+    ):
         with pytest.raises(ValueError, match="landmark 9999"):
-            run_point_specs([self._bad_entry(tiny_trace, tiny_profile)], jobs=1)
+            run_point_specs(
+                [self._bad_entry(tiny_spec, tiny_profile)], jobs=1,
+                materialized={tiny_spec.key: tiny_trace},
+            )
 
-    def test_good_points_survive_next_to_nothing_bad(self, tiny_trace, tiny_profile):
-        spec = TraceSpec.inline(tiny_trace)
+    def test_good_points_survive_next_to_nothing_bad(
+        self, tiny_spec, tiny_trace, tiny_profile
+    ):
         config = tiny_profile.sim_config(memory_kb=500.0, rate=100.0, seed=0)
         entries = [
-            (spec, PointSpec(protocol="Direct", memory_kb=500.0,
-                             rate=100.0, seed=0), config),
-            (spec, PointSpec(protocol="DTN-FLOW", memory_kb=500.0,
-                             rate=100.0, seed=0), config),
+            (tiny_spec, PointSpec(protocol="Direct", memory_kb=500.0,
+                                  rate=100.0, seed=0), config),
+            (tiny_spec, PointSpec(protocol="DTN-FLOW", memory_kb=500.0,
+                                  rate=100.0, seed=0), config),
         ]
-        results = run_point_specs(entries, jobs=2)
+        results = run_point_specs(
+            entries, jobs=2, materialized={tiny_spec.key: tiny_trace}
+        )
         assert [r.protocol for r in results] == ["Direct", "DTN-FLOW"]
 
 
@@ -433,35 +444,41 @@ class TestChaosEnvHooks:
     ]
 
     def test_worker_exit_recovers_via_serial_rerun(
-        self, tiny_trace, tiny_profile, capsys
+        self, tiny_spec, tiny_trace, tiny_profile, capsys
     ):
         from repro.eval.runner import execute
 
-        entries = inline_entries(tiny_trace, tiny_profile, self.POINTS)
-        serial = run_point_specs(entries, jobs=1)
-        chaotic, _ = execute(entries, jobs=2, injections={1: {"pool_exit": True}})
+        entries = path_entries(tiny_spec, tiny_profile, self.POINTS)
+        held = {tiny_spec.key: tiny_trace}
+        serial = run_point_specs(entries, jobs=1, materialized=held)
+        chaotic, _ = execute(
+            entries, jobs=2, traces=dict(held), injections={1: {"pool_exit": True}}
+        )
         assert chaotic == serial
         assert "re-running serially" in capsys.readouterr().err
 
     def test_raised_task_failure_recovers_via_serial_rerun(
-        self, tiny_trace, tiny_profile, capsys
+        self, tiny_spec, tiny_trace, tiny_profile, capsys
     ):
         from repro.eval.runner import execute
 
-        entries = inline_entries(tiny_trace, tiny_profile, self.POINTS)
-        serial = run_point_specs(entries, jobs=1)
-        chaotic, _ = execute(entries, jobs=2, injections={0: {"pool_raise": True}})
+        entries = path_entries(tiny_spec, tiny_profile, self.POINTS)
+        held = {tiny_spec.key: tiny_trace}
+        serial = run_point_specs(entries, jobs=1, materialized=held)
+        chaotic, _ = execute(
+            entries, jobs=2, traces=dict(held), injections={0: {"pool_raise": True}}
+        )
         assert chaotic == serial
         assert "re-running serially" in capsys.readouterr().err
 
 
 class TestSweepInterrupted:
     def test_serial_interrupt_carries_completed_prefix(
-        self, tiny_trace, tiny_profile
+        self, tiny_spec, tiny_trace, tiny_profile
     ):
         from repro.eval.runner import SweepInterrupted
 
-        entries = inline_entries(tiny_trace, tiny_profile, TestChaosEnvHooks.POINTS)
+        entries = path_entries(tiny_spec, tiny_profile, TestChaosEnvHooks.POINTS)
 
         def interrupting(event):
             # a SIGINT while the second point is handed over
@@ -469,7 +486,10 @@ class TestSweepInterrupted:
                 raise KeyboardInterrupt
 
         with pytest.raises(SweepInterrupted) as err:
-            run_point_specs(entries, jobs=1, progress=interrupting)
+            run_point_specs(
+                entries, jobs=1, progress=interrupting,
+                materialized={tiny_spec.key: tiny_trace},
+            )
         results = err.value.results
         assert len(results) == len(entries)
         assert results[0] is not None and results[0].protocol == "DTN-FLOW"

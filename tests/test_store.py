@@ -18,7 +18,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cli import main
+from repro.eval.resilience import fault_plan_dict
 from repro.eval.scenario import ScenarioSpec, run_scenario
+from repro.mobility.io import load_trace
+from repro.sim.faults import FaultPlan
 from repro.store import (
     ExperimentDB,
     PointFilter,
@@ -267,8 +270,9 @@ class TestIngest:
     def test_unscenarioed_results_keyed_by_sim_config(
         self, store, shuttle_trace, tiny_sim_config
     ):
-        """Results of inline traces carry no scenario: their stored identity
-        is the fallback record, which includes the resolved SimConfig."""
+        """Results of a simulation run outside any scenario carry none:
+        their stored identity is the fallback record, which includes the
+        resolved SimConfig."""
         from repro.baselines import make_protocol
         from repro.eval.experiment import ExperimentResult
         from repro.obs.provenance import RunProvenance
@@ -507,9 +511,33 @@ class TestStoreCLI:
             record(db)
 
     def test_query_empty(self, tmp_path, capsys):
-        rc, out, _ = self._run(["db", "query", "--db",
-                                str(tmp_path / "x.sqlite")], capsys)
+        db_path = str(tmp_path / "x.sqlite")
+        ExperimentDB(db_path).close()
+        rc, out, _ = self._run(["db", "query", "--db", db_path], capsys)
         assert rc == 0 and "no stored points" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["db", "query"],
+        ["db", "report"],
+        ["db", "baseline", "b", "--out", "OUT"],
+        ["db", "regress", "--baseline-file", "SNAP"],
+    ], ids=lambda argv: argv[1])
+    def test_a_read_verb_refuses_a_missing_store(self, argv, tmp_path, capsys):
+        """A mistyped ``--db`` is one line and exit 2, not an empty store
+        answering (and left behind) at the path."""
+        missing = tmp_path / "none.sqlite"
+        snap = tmp_path / "snap.json"
+        snap.write_text(json.dumps({"baseline": "b", "rows": [
+            {"scenario_hash": "ab12", "metric": "success_rate", "value": 0.5},
+        ]}))
+        paths = {"OUT": tmp_path / "out.json", "SNAP": snap}
+        rc, out, err = self._run(
+            [str(paths.get(a, a)) for a in argv] + ["--db", str(missing)], capsys
+        )
+        assert rc == 2 and out == ""
+        (line,) = err.strip().splitlines()
+        assert line == f"repro db {argv[1]}: no experiment store at {missing}"
+        assert not missing.exists() and not (tmp_path / "out.json").exists()
 
     def test_query_table_and_json(self, tmp_path, capsys):
         db_path = str(tmp_path / "x.sqlite")
@@ -559,12 +587,36 @@ class TestStoreCLI:
     def test_degradation_point_without_intensity_writes_nothing(self, tmp_path, capsys):
         db_path = str(tmp_path / "x.sqlite")
         bad = tmp_path / "curves.json"
-        bad.write_text(json.dumps(
-            {"degradation": {"trace": "t", "curves": {"X": [{"success_rate": 0.5}]}}}
-        ))
+        row = {"protocol": "X", "trace": "t", "success_rate": 0.5}
+        bad.write_text(json.dumps({"kind": "resilience", "fault_seed": 7, "curves": [
+            {"intensity": 0.0, "scenario": SCENARIO, "results": [row]},
+            {"scenario": SCENARIO, "results": [row]},
+        ]}))
         rc, _, err = self._run(["db", "ingest", str(bad), "--db", db_path], capsys)
         assert rc == 2
-        assert err.count("\n") == 1 and "'X'" in err and "'intensity'" in err
+        assert err.count("\n") == 1 and "curve 1" in err and "'intensity'" in err
+        with ExperimentDB(db_path) as db:
+            assert db.runs() == [] and point_rows(db_path) == []
+
+    @pytest.mark.parametrize("report", [
+        {"degradation": {"trace": "t", "intensities": [0.0], "fault_seed": 7,
+                         "curves": {"X": [{"intensity": 0.0, "success_rate": 0.5}]}},
+         "config": {"seed": 1}},
+        {"trace": "t", "intensities": [0.0], "fault_seed": 7,
+         "curves": {"X": [{"intensity": 0.0, "success_rate": 0.5}]}},
+    ], ids=["report", "bare-curves"])
+    def test_a_pre_scenario_degradation_report_is_refused(
+        self, report, tmp_path, capsys
+    ):
+        """A curve file from before curve points carried scenarios is one
+        line and exit 2, not bare metric rows with no identity."""
+        db_path = str(tmp_path / "x.sqlite")
+        old = tmp_path / "curves.json"
+        old.write_text(json.dumps(report))
+        rc, out, err = self._run(["db", "ingest", str(old), "--db", db_path], capsys)
+        assert rc == 2 and out == ""
+        (line,) = err.strip().splitlines()
+        assert line.startswith(f"{old}: a degradation report from before")
         with ExperimentDB(db_path) as db:
             assert db.runs() == [] and point_rows(db_path) == []
 
@@ -876,20 +928,57 @@ class TestRecordMatchesIngest:
         rows = point_rows(db_path)
         assert sorted(r[-1] for r in rows) == [100.0, 200.0]
 
-    def test_degradation_identity_carries_the_config(
+    def test_each_resilience_point_is_a_resolved_scenario(
         self, tiny_scenario, tmp_path, capsys
     ):
+        csv = tiny_scenario().trace.path
+        db_path = str(tmp_path / "rec.sqlite")
+        assert main(["resilience", "--trace", csv, "--rate", "10",
+                     "--protocols", "Direct,PROPHET",
+                     "--intensities", "0,0.75", "--fault-seed", "3",
+                     "--no-reconvergence", "--record", "--db", db_path]) == 0
+        n_landmarks = load_trace(csv).n_landmarks
+        with ExperimentDB(db_path) as db:
+            rows = query_points(db, sweep_parameter="intensity")
+            assert sorted(r.sweep_value for r in rows) == [0.0, 0.0, 0.75, 0.75]
+            for r in rows:
+                scenario = db.scenario_blob(r.id)
+                spec = ScenarioSpec.from_dict(scenario).validate()
+                assert spec.n_points() == 1
+                assert spec.protocols[0].name == r.protocol
+                plan = fault_plan_dict(r.sweep_value, n_landmarks=n_landmarks, seed=3)
+                assert spec.faults == (
+                    FaultPlan.from_dict(plan) if plan["specs"] else None
+                )
+        capsys.readouterr()
+        assert main(["db", "report", "--json", "--db", db_path]) == 0
+        figures = json.loads(capsys.readouterr().out)["figures"]
+        (family,) = figures.values()
+        assert family["parameter"] == "intensity"
+        assert set(family["protocols"]) == {"Direct", "PROPHET"}
+
+    def test_a_recorded_curve_point_replays_and_reruns(
+        self, tiny_scenario, tmp_path, capsys
+    ):
+        """A stored curve point explains itself: a replay of its hash and a
+        rerun of the ``--out`` file give the recorded metrics."""
+        from repro.serve.replay import ReplayRequest, replay_stream
+
         out = tmp_path / "res.json"
         db_path = str(tmp_path / "rec.sqlite")
         assert main(["resilience", "--trace", tiny_scenario().trace.path,
-                     "--rate", "10", "--protocols", "Direct",
-                     "--intensities", "0,0.75", "--no-reconvergence",
+                     "--rate", "10", "--protocols", "PROPHET",
+                     "--intensities", "0.75", "--no-reconvergence",
                      "--out", str(out), "--record", "--db", db_path]) == 0
-        config = json.loads(out.read_text())["config"]
+        (curve,) = json.loads(out.read_text())["curves"]
+        (recorded,) = curve["results"]
         with ExperimentDB(db_path) as db:
-            rows = query_points(db, sweep_parameter="intensity")
-            assert sorted(r.sweep_value for r in rows) == [0.0, 0.75]
-            for r in rows:
-                identity = db.scenario_blob(r.id)
-                assert identity["kind"] == "degradation"
-                assert identity["config"] == config
+            (row,) = query_points(db)
+        request = ReplayRequest.from_payload(
+            {"point": row.scenario_hash}, db_path=db_path
+        )
+        replayed = replay_stream(request, lambda name, payload: None)["metrics"]
+        assert replayed == {k: v for k, v in recorded.items() if k != "provenance"}
+        capsys.readouterr()
+        assert main(["rerun", str(out), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["results"] == [recorded]
